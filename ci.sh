@@ -19,6 +19,11 @@ cargo test --workspace -q
 echo "==> benches compile"
 cargo bench --workspace --no-run -q
 
+echo "==> perfbench self-tests"
+# perfbench is its own package built against the crates by path, so a
+# core API change that breaks the benchmark's build fails here.
+cargo test --release --manifest-path perfbench/Cargo.toml -q
+
 echo "==> langbench builds (release)"
 cargo build -p langbench --release -q
 

@@ -164,18 +164,13 @@ pub fn default_passes() -> Vec<Box<dyn LintPass>> {
 
 /// Runs every default pass over `module`/`systems`.
 ///
-/// A pass whose every emitted code is `Allow`ed by `config` is skipped
-/// entirely (its analysis cost is saved, not just its output filtered).
-pub fn run_lints(module: &Module, systems: &SystemSet, config: &LintConfig, out: &mut Diagnostics) {
+/// Every pass runs whatever the lint levels: [`LintConfig::apply`] drops
+/// allowed codes when the report is assembled. The findings therefore
+/// depend only on the analysed code, which lets the workspace cache them
+/// (in memory and on disk) under content fingerprints alone.
+pub fn run_lints(module: &Module, systems: &SystemSet, out: &mut Diagnostics) {
     let ctx = LintContext { module, systems };
     for pass in default_passes() {
-        if pass
-            .codes()
-            .iter()
-            .all(|code| config.level(code) == LintLevel::Allow)
-        {
-            continue;
-        }
         pass.run(&ctx, out);
     }
 }

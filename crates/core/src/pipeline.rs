@@ -15,6 +15,7 @@ use crate::verify::usage::{check_usage_counted, UsageViolation};
 use micropython_parser::ast::{ClassDef, Module};
 use micropython_parser::SourceFile;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The result of verifying one source file.
 #[derive(Debug, Clone, Default)]
@@ -64,7 +65,7 @@ pub struct Checked {
     /// All systems of the module.
     pub systems: SystemSet,
     /// Integration automata of composite systems, by class name.
-    pub integrations: Vec<(String, Integration)>,
+    pub integrations: Vec<(String, Arc<Integration>)>,
     /// The report.
     pub report: CheckReport,
 }
@@ -82,7 +83,7 @@ pub struct Checked {
 /// diagnostics).
 pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
     let (systems, mut diagnostics) = build_systems(module);
-    run_lints(module, &systems, config, &mut diagnostics);
+    run_lints(module, &systems, &mut diagnostics);
     let mut usage_violations = Vec::new();
     let mut claim_violations = Vec::new();
     let mut integrations = Vec::new();
@@ -130,7 +131,7 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
 #[derive(Debug, Clone, Default)]
 pub struct SystemVerdict {
     /// The integration automaton, for composite systems.
-    pub integration: Option<Integration>,
+    pub integration: Option<Arc<Integration>>,
     /// `E100`/`E101` findings plus claim-parse diagnostics.
     pub diagnostics: Diagnostics,
     /// `INVALID SUBSYSTEM USAGE` failures of this class.
@@ -224,7 +225,7 @@ pub fn verify_system(
         );
         verdict.claim_violations.push(v);
     }
-    verdict.integration = integration;
+    verdict.integration = integration.map(Arc::new);
     verdict
 }
 

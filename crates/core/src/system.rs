@@ -79,20 +79,23 @@ impl System {
 }
 
 /// All systems of a module, in declaration order.
+///
+/// Systems are held by [`Arc`], so a set assembled from cached per-class
+/// products (see [`crate::workspace`]) shares them instead of copying.
 #[derive(Debug, Clone, Default)]
 pub struct SystemSet {
-    systems: Vec<System>,
+    systems: Vec<Arc<System>>,
 }
 
 impl SystemSet {
     /// Looks a system up by class name.
     pub fn get(&self, name: &str) -> Option<&System> {
-        self.systems.iter().find(|s| s.name == name)
+        self.iter().find(|s| s.name == name)
     }
 
     /// All systems in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = &System> {
-        self.systems.iter()
+        self.systems.iter().map(Arc::as_ref)
     }
 
     /// Number of systems.
@@ -108,6 +111,12 @@ impl SystemSet {
 
 impl FromIterator<System> for SystemSet {
     fn from_iter<I: IntoIterator<Item = System>>(iter: I) -> Self {
+        iter.into_iter().map(Arc::new).collect()
+    }
+}
+
+impl FromIterator<Arc<System>> for SystemSet {
+    fn from_iter<I: IntoIterator<Item = Arc<System>>>(iter: I) -> Self {
         SystemSet {
             systems: iter.into_iter().collect(),
         }
@@ -375,7 +384,7 @@ pub fn build_systems(module: &Module) -> (SystemSet, Diagnostics) {
         .into_iter()
         .map(|e| resolve_class(e, &spec_index, &mut diagnostics))
         .collect();
-    (SystemSet { systems }, diagnostics)
+    (systems, diagnostics)
 }
 
 /// Structural validation of a specification: initial operations exist, next

@@ -27,6 +27,14 @@
 //! [`WorkspaceStats`] exposes hit/miss counters and per-phase timings so
 //! callers (and tests) can observe exactly that.
 //!
+//! The per-class products are shared, never copied: a cached verify entry
+//! holds its [`System`] and integration automaton behind an [`Arc`], and
+//! the [`Checked`] a round returns holds `Arc`s into the cache. The spec
+//! index and the class keys are workspace fields updated only for classes
+//! that missed a cache, and cache pruning runs only when a cache holds
+//! more keys than there are live classes. A round thus costs the analysis
+//! of the invalidated classes plus one walk over the class list.
+//!
 //! # Parallelism and determinism
 //!
 //! Stages fan out over a [`std::thread::scope`] worker pool
@@ -205,7 +213,7 @@ struct ExtractEntry {
 /// dependency fingerprint).
 #[derive(Debug)]
 struct VerifyEntry {
-    system: System,
+    system: Arc<System>,
     verdict: SystemVerdict,
     resolve_diags: Diagnostics,
     lint_diags: Diagnostics,
@@ -229,8 +237,14 @@ pub struct Workspace {
     /// fingerprint + dependency fingerprint) because composite statistics
     /// read the subsystem specs.
     stats_cache: HashMap<(u64, u64), Arc<SystemStats>>,
-    /// `class name → (class fingerprint, dependency fingerprint)` as of the
-    /// last completed round; the lookup key for [`Self::class_stats`].
+    /// `class name → spec` of every live `@sys` class: the index
+    /// resolution reads subsystem specs from. Kept in step with
+    /// `extract_cache`, so a round copies only the specs of re-extracted
+    /// classes.
+    spec_index: BTreeMap<String, ClassSpec>,
+    /// `class name → (class fingerprint, dependency fingerprint)` of every
+    /// live `@sys` class; kept in step with `verify_cache`, and the lookup
+    /// key for [`Self::class_stats`].
     class_keys: BTreeMap<String, (u64, u64)>,
     /// Verify-stage products restored from disk
     /// ([`Self::load_disk_cache`]), consulted when the in-memory
@@ -266,6 +280,7 @@ impl Workspace {
             extract_cache: HashMap::new(),
             verify_cache: HashMap::new(),
             stats_cache: HashMap::new(),
+            spec_index: BTreeMap::new(),
             class_keys: BTreeMap::new(),
             disk_cache: HashMap::new(),
             totals: WorkspaceStats::default(),
@@ -435,53 +450,13 @@ impl Workspace {
             return Err(failure);
         }
 
-        // Phase 2: the class list. Duplicate names resolve to the later
-        // definition (Python's last-definition semantics); each shadowed
-        // definition is reported and dropped before any stage runs, so
-        // the winner is deterministic and explicit.
-        let mut all: Vec<(&str, &ClassUnit)> = Vec::new();
-        for file in &self.files {
-            if let Some(Ok(units)) = &file.parsed {
-                for unit in units {
-                    all.push((&file.name, unit));
-                }
-            }
-        }
-        let mut last_index: BTreeMap<&str, usize> = BTreeMap::new();
-        for (i, (_, unit)) in all.iter().enumerate() {
-            last_index.insert(unit.name.as_str(), i);
-        }
-        let mut duplicate_diags = Diagnostics::new();
-        for (i, (file, unit)) in all.iter().enumerate() {
-            let winner = last_index[unit.name.as_str()];
-            if winner == i {
-                continue;
-            }
-            let (winner_file, _) = all[winner];
-            let message = if *file == winner_file {
-                format!(
-                    "class `{}` defined more than once in {file}; the later \
-                     definition is used",
-                    unit.name
-                )
-            } else {
-                format!(
-                    "class `{}` defined in both {file} and {winner_file}; the \
-                     definition in {winner_file} is used",
-                    unit.name
-                )
-            };
-            duplicate_diags.push(Diagnostic::error(codes::BAD_ANNOTATION, message));
-        }
-        let units: Vec<&ClassUnit> = all
-            .iter()
-            .enumerate()
-            .filter(|(i, (_, unit))| last_index[unit.name.as_str()] == *i)
-            .map(|(_, (_, unit))| *unit)
-            .collect();
+        // Phase 2: the class list (winners of duplicate names only) and its
+        // name index.
+        let (units, index, duplicate_diags) = class_list(&self.files);
 
         // Phase 3: extraction + spec validation for classes whose
-        // fingerprint is new.
+        // fingerprint is new. The spec index follows the extraction cache:
+        // only classes that missed can have changed (or lost) their spec.
         let t = Instant::now();
         let mut extract_entries: Vec<Option<Arc<ExtractEntry>>> = units
             .iter()
@@ -496,38 +471,61 @@ impl Workspace {
             Arc::new(run_extract(units[i]))
         });
         for (&i, entry) in missing.iter().zip(fresh) {
-            self.extract_cache
-                .insert(units[i].fingerprint, entry.clone());
+            let unit = units[i];
+            match &entry.extraction {
+                Some(x) => {
+                    self.spec_index.insert(unit.name.clone(), x.spec.clone());
+                }
+                None => {
+                    self.spec_index.remove(&unit.name);
+                }
+            }
+            self.extract_cache.insert(unit.fingerprint, entry.clone());
             extract_entries[i] = Some(entry);
         }
         let extract_entries: Vec<Arc<ExtractEntry>> =
             extract_entries.into_iter().map(Option::unwrap).collect();
+        let systems_live = extract_entries
+            .iter()
+            .filter(|e| e.extraction.is_some())
+            .count();
+        // Every live class is now cached and every live `@sys` class
+        // indexed, so a size above the live count means stale entries
+        // (an edited, removed, or shadowed class) to drop: superseded
+        // fingerprints can never hit again.
+        if self.extract_cache.len() != units.len() {
+            let live: HashSet<u64> = units.iter().map(|u| u.fingerprint).collect();
+            self.extract_cache.retain(|fp, _| live.contains(fp));
+        }
+        if self.spec_index.len() != systems_live {
+            self.spec_index.retain(|name, _| {
+                index
+                    .get(name.as_str())
+                    .is_some_and(|&i| extract_entries[i].extraction.is_some())
+            });
+        }
+        debug_assert_eq!(
+            self.spec_index,
+            spec_index_of(&extract_entries),
+            "the incremental spec index drifted from the extraction cache"
+        );
         round.extract_time = t.elapsed();
 
-        // Phase 4: dependency fingerprints and the spec index.
-        let fp_of: BTreeMap<&str, u64> = units
-            .iter()
-            .map(|u| (u.name.as_str(), u.fingerprint))
-            .collect();
-        let spec_index: BTreeMap<String, ClassSpec> = extract_entries
-            .iter()
-            .filter_map(|e| e.extraction.as_ref())
-            .map(|x| (x.name.clone(), x.spec.clone()))
-            .collect();
+        // Phase 4: dependency fingerprints.
         let dep_fingerprints: Vec<u64> = extract_entries
             .iter()
             .zip(&units)
             .map(|(entry, unit)| match &entry.extraction {
                 None => unit.fingerprint,
                 Some(x) => {
-                    let mut parts: Vec<Vec<u8>> = vec![unit.fingerprint.to_le_bytes().to_vec()];
+                    let mut hash = Fnv1a::new();
+                    hash.part(&unit.fingerprint.to_le_bytes());
                     for dep in x.dependencies() {
-                        parts.push(dep.as_bytes().to_vec());
-                        let dep_fp = fp_of.get(dep).copied().unwrap_or(u64::MAX);
-                        parts.push(dep_fp.to_le_bytes().to_vec());
+                        let dep_fp = index.get(dep).map_or(u64::MAX, |&j| units[j].fingerprint);
+                        hash.part(dep.as_bytes());
+                        hash.part(&dep_fp.to_le_bytes());
                     }
-                    let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-                    fnv1a(&slices)
+                    hash.finish()
                 }
             })
             .collect();
@@ -549,15 +547,10 @@ impl Workspace {
             .filter(|&i| verify_entries[i].is_none() && extract_entries[i].extraction.is_some())
             .collect();
         round.verified = missing.len() as u64;
-        round.verify_cache_hits = units
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| extract_entries[*i].extraction.is_some())
-            .count() as u64
-            - round.verified;
-        let config = &self.config;
+        round.verify_cache_hits = (systems_live - missing.len()) as u64;
         let backend = self.backend;
         let disk_cache = &self.disk_cache;
+        let spec_index = &self.spec_index;
         let fresh = par_map(self.effective_jobs(), &missing, |&i| {
             let extraction = extract_entries[i]
                 .extraction
@@ -566,17 +559,11 @@ impl Workspace {
             let key = (units[i].fingerprint, dep_fingerprints[i]);
             match disk_cache.get(&key) {
                 Some(saved) => (
-                    Arc::new(run_verify_restored(extraction, &spec_index, saved)),
+                    Arc::new(run_verify_restored(extraction, spec_index, saved)),
                     true,
                 ),
                 None => (
-                    Arc::new(run_verify(
-                        extraction,
-                        units[i],
-                        &spec_index,
-                        config,
-                        backend,
-                    )),
+                    Arc::new(run_verify(extraction, units[i], spec_index, backend)),
                     false,
                 ),
             }
@@ -586,15 +573,36 @@ impl Workspace {
             round.antichain_frontier += entry.verdict.antichain_frontier;
             round.antichain_pruned += entry.verdict.antichain_pruned;
             round.verify_disk_hits += u64::from(from_disk);
-            self.verify_cache
-                .insert((units[i].fingerprint, dep_fingerprints[i]), entry.clone());
+            let key = (units[i].fingerprint, dep_fingerprints[i]);
+            self.verify_cache.insert(key, entry.clone());
+            self.class_keys.insert(units[i].name.clone(), key);
             verify_entries[i] = Some(entry);
+        }
+        // As in phase 3: stale entries exist exactly when the caches
+        // outgrew the live classes. The stats cache only ever holds keys
+        // the verify cache held, so it needs pruning only alongside it.
+        if self.verify_cache.len() != systems_live {
+            let live: HashSet<(u64, u64)> = units
+                .iter()
+                .zip(&dep_fingerprints)
+                .map(|(u, &d)| (u.fingerprint, d))
+                .collect();
+            self.verify_cache.retain(|key, _| live.contains(key));
+            self.stats_cache.retain(|key, _| live.contains(key));
+        }
+        if self.class_keys.len() != systems_live {
+            self.class_keys.retain(|name, key| {
+                index
+                    .get(name.as_str())
+                    .is_some_and(|&i| (units[i].fingerprint, dep_fingerprints[i]) == *key)
+            });
         }
         round.verify_time = t.elapsed();
 
         // Phase 6: assemble the report in class order — the same stage
         // ordering as the sequential pipeline, normalized at the end, so
-        // cached, parallel, and cold runs are byte-identical.
+        // cached, parallel, and cold runs are byte-identical. Systems and
+        // integrations are shared with the verify cache, not copied.
         let t = Instant::now();
         let mut diagnostics = Diagnostics::new();
         for entry in &extract_entries {
@@ -612,7 +620,7 @@ impl Workspace {
         let mut usage_violations: Vec<(String, UsageViolation)> = Vec::new();
         let mut claim_violations: Vec<(String, ClaimViolation)> = Vec::new();
         let mut integrations = Vec::new();
-        let mut systems: Vec<System> = Vec::new();
+        let mut systems: Vec<Arc<System>> = Vec::with_capacity(systems_live);
         for entry in verify_entries.iter().flatten() {
             diagnostics.extend(entry.verdict.diagnostics.clone());
             for v in &entry.verdict.usage_violations {
@@ -647,24 +655,6 @@ impl Workspace {
             },
         };
         round.assemble_time = t.elapsed();
-
-        // Drop cache entries the round did not touch: after an edit the
-        // superseded fingerprints can never hit again.
-        let live_extract: HashSet<u64> = units.iter().map(|u| u.fingerprint).collect();
-        self.extract_cache.retain(|fp, _| live_extract.contains(fp));
-        let live_verify: HashSet<(u64, u64)> = units
-            .iter()
-            .zip(&dep_fingerprints)
-            .map(|(u, &d)| (u.fingerprint, d))
-            .collect();
-        self.verify_cache.retain(|key, _| live_verify.contains(key));
-        self.stats_cache.retain(|key, _| live_verify.contains(key));
-        self.class_keys = units
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| extract_entries[*i].extraction.is_some())
-            .map(|(i, u)| (u.name.clone(), (u.fingerprint, dep_fingerprints[i])))
-            .collect();
 
         self.finish_round(round);
         Ok(checked)
@@ -776,6 +766,64 @@ fn degraded_diags(module: &Module) -> Diagnostics {
     out
 }
 
+/// The project's class list: every parsed class in project order, except
+/// that a duplicate name resolves to the later definition (Python's
+/// last-definition semantics). Each shadowed definition is reported and
+/// dropped before any stage runs, so the winner is deterministic and
+/// explicit. Also returns the index `class name → position in the list`.
+fn class_list(files: &[FileState]) -> (Vec<&ClassUnit>, HashMap<&str, usize>, Diagnostics) {
+    let all: Vec<(&str, &ClassUnit)> = files
+        .iter()
+        .filter_map(|file| match &file.parsed {
+            Some(Ok(units)) => Some(units.iter().map(|unit| (file.name.as_str(), unit))),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    let mut last_index: HashMap<&str, usize> = HashMap::with_capacity(all.len());
+    for (i, (_, unit)) in all.iter().enumerate() {
+        last_index.insert(unit.name.as_str(), i);
+    }
+    let mut duplicate_diags = Diagnostics::new();
+    let mut units = Vec::with_capacity(last_index.len());
+    let mut index = HashMap::with_capacity(last_index.len());
+    for (i, &(file, unit)) in all.iter().enumerate() {
+        let winner = last_index[unit.name.as_str()];
+        if winner == i {
+            index.insert(unit.name.as_str(), units.len());
+            units.push(unit);
+            continue;
+        }
+        let (winner_file, _) = all[winner];
+        let message = if file == winner_file {
+            format!(
+                "class `{}` defined more than once in {file}; the later \
+                 definition is used",
+                unit.name
+            )
+        } else {
+            format!(
+                "class `{}` defined in both {file} and {winner_file}; the \
+                 definition in {winner_file} is used",
+                unit.name
+            )
+        };
+        duplicate_diags.push(Diagnostic::error(codes::BAD_ANNOTATION, message));
+    }
+    (units, index, duplicate_diags)
+}
+
+/// The spec index a round's extractions define, built from scratch: the
+/// reference the incrementally kept [`Workspace`] index is checked against
+/// in debug builds.
+fn spec_index_of(entries: &[Arc<ExtractEntry>]) -> BTreeMap<String, ClassSpec> {
+    entries
+        .iter()
+        .filter_map(|e| e.extraction.as_ref())
+        .map(|x| (x.name.clone(), x.spec.clone()))
+        .collect()
+}
+
 /// Splits a module into per-class units, fingerprinting each class by its
 /// printed AST plus its position and file (so diagnostics spans stay exact
 /// under incremental reuse).
@@ -829,11 +877,10 @@ fn run_verify(
     extraction: ClassExtraction,
     unit: &ClassUnit,
     spec_index: &BTreeMap<String, ClassSpec>,
-    config: &LintConfig,
     backend: Backend,
 ) -> VerifyEntry {
     let mut resolve_diags = Diagnostics::new();
-    let system = resolve_class(extraction, spec_index, &mut resolve_diags);
+    let system = Arc::new(resolve_class(extraction, spec_index, &mut resolve_diags));
 
     // Usage verification and the typestate lints read the *specs* of the
     // subsystems, never their resolved systems, so spec-only stand-ins
@@ -841,7 +888,7 @@ fn run_verify(
     // other lint passes only inspect the class under analysis (the scope's
     // one class present in `unit.solo`), so the widened scope still
     // reproduces the module-level run exactly.
-    let mut verify_scope: Vec<System> = vec![system.clone()];
+    let mut verify_scope: Vec<Arc<System>> = vec![system.clone()];
     if let SystemKind::Composite(info) = &system.kind {
         for sub in &info.subsystems {
             if sub.class_name == system.name {
@@ -851,19 +898,19 @@ fn run_verify(
                 continue;
             }
             if let Some(spec) = spec_index.get(&sub.class_name) {
-                verify_scope.push(System {
+                verify_scope.push(Arc::new(System {
                     name: sub.class_name.clone(),
                     kind: SystemKind::Base,
                     spec: spec.clone(),
                     claims: Vec::new(),
-                });
+                }));
             }
         }
     }
     let verify_scope: SystemSet = verify_scope.into_iter().collect();
 
     let mut lint_diags = Diagnostics::new();
-    run_lints(&unit.solo, &verify_scope, config, &mut lint_diags);
+    run_lints(&unit.solo, &verify_scope, &mut lint_diags);
 
     let proven = proven_fields(unit.solo.class(&system.name), &system, &verify_scope);
     let verdict = verify_system(&system, &verify_scope, &proven, backend);
@@ -895,9 +942,9 @@ fn run_verify_restored(
     let system = resolve_class(extraction, spec_index, &mut resolve_diags);
     let integration = system
         .is_composite()
-        .then(|| crate::integration::build_integration(&system));
+        .then(|| Arc::new(crate::integration::build_integration(&system)));
     VerifyEntry {
-        system,
+        system: Arc::new(system),
         verdict: SystemVerdict {
             integration,
             diagnostics: saved.verdict_diags.clone(),
@@ -946,21 +993,38 @@ fn par_map<T: Sync, R: Send>(jobs: usize, items: &[T], f: impl Fn(&T) -> R + Syn
 }
 
 /// FNV-1a over a sequence of byte slices — a stable, dependency-free
-/// content fingerprint (collisions are astronomically unlikely at project
-/// scale and would only cause a stale-cache reuse within one process).
+/// content fingerprint. The fingerprints are the keys of the on-disk
+/// verify cache ([`crate::persist`]), so they must stay bit-identical
+/// across versions, and a collision would make any later process that
+/// loads the cache reuse another class's verdict. At project scale
+/// collisions are astronomically unlikely.
 fn fnv1a(parts: &[&[u8]]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::new();
     for part in parts {
-        // Length-prefix each part so concatenation ambiguity cannot alias
-        // two different part sequences.
-        for b in (part.len() as u64).to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        for &b in *part {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
+        hash.part(part);
+    }
+    hash.finish()
+}
+
+/// The streaming form of [`fnv1a`]: feeding parts one by one hashes the
+/// same bytes without collecting them first.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Hashes one part, length-prefixed so concatenation ambiguity cannot
+    /// alias two different part sequences.
+    fn part(&mut self, part: &[u8]) {
+        for &b in (part.len() as u64).to_le_bytes().iter().chain(part) {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
-    hash
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }

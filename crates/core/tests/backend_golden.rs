@@ -91,7 +91,7 @@ fn declared_claims_agree_across_backends_on_every_example() {
                 .integrations
                 .iter()
                 .find(|(n, _)| n == &system.name)
-                .map(|(_, i)| i);
+                .map(|(_, i)| &**i);
             let reference: Vec<String> = {
                 let mut diagnostics = Diagnostics::default();
                 check_claims(system, integration, Backend::Explicit, &mut diagnostics)

@@ -7,8 +7,9 @@ use proptest::prelude::*;
 use shelley_core::annotations::OpKind;
 use shelley_core::pipeline::check_module_direct;
 use shelley_core::spec::{ClassSpec, ExitSpec, OperationSpec};
-use shelley_core::{Checked, Checker, LintConfig, ProjectFile, INPUT_NAME};
+use shelley_core::{codes, Checked, Checker, LintConfig, LintLevel, ProjectFile, INPUT_NAME};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 const VALVE_PY: &str = r#"
 @sys
@@ -366,6 +367,153 @@ fn disk_cache_round_trip_restores_verification_byte_identically() {
     );
     assert_eq!(warm_ws.last_round().verified, 2);
     assert_eq!(warm_ws.last_round().verify_cache_hits, 4);
+}
+
+#[test]
+fn disk_cache_lint_results_do_not_depend_on_the_saving_config() {
+    let dir = std::env::temp_dir().join(format!("shelley-ws-lintcfg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("verify.ndjson");
+    let source = "@sys\nclass V:\n    @op_initial_final\n    def go(self):\n        return []\n        self.cleanup()\n";
+
+    // A process with `-A W009` checks the class and persists its cache.
+    let mut allow = LintConfig::new();
+    allow
+        .set(codes::UNREACHABLE_STATEMENT, LintLevel::Allow)
+        .unwrap();
+    let mut saver = Checker::new().lints(allow).jobs(1).into_workspace();
+    saver.set_file("v.py", source);
+    let allowed = saver.check().unwrap();
+    assert_eq!(
+        allowed
+            .report
+            .diagnostics
+            .by_code(codes::UNREACHABLE_STATEMENT)
+            .count(),
+        0
+    );
+    assert_eq!(saver.save_disk_cache(&cache).unwrap(), 1);
+
+    // A default-config process restoring that cache reports exactly what
+    // a cold default-config run does: the W009 the saver allowed included.
+    let mut cold_ws = Checker::new().jobs(1).into_workspace();
+    cold_ws.set_file("v.py", source);
+    let cold = cold_ws.check().unwrap();
+    assert_eq!(
+        cold.report
+            .diagnostics
+            .by_code(codes::UNREACHABLE_STATEMENT)
+            .count(),
+        1
+    );
+    let mut warm_ws = Checker::new().jobs(1).into_workspace();
+    warm_ws.load_disk_cache(&cache);
+    warm_ws.set_file("v.py", source);
+    let warm = warm_ws.check().unwrap();
+    assert_eq!(warm_ws.last_round().verify_disk_hits, 1);
+    assert_eq!(fingerprint_report(&warm), fingerprint_report(&cold));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_leaf_edit_shares_every_unchanged_product_with_the_previous_round() {
+    let mut ws = Checker::new().jobs(2).into_workspace();
+    ws.set_file("valve.py", VALVE_PY);
+    ws.set_file("led.py", LED_PY);
+    ws.set_file("sector_a.py", SECTOR_A_PY);
+    ws.set_file("sector_b.py", SECTOR_B_PY);
+    let first = ws.check().unwrap();
+
+    // SectorB is a leaf: no class depends on it.
+    ws.set_file("sector_b.py", SECTOR_B_PY.replace("blink", "flash"));
+    let second = ws.check().unwrap();
+    assert_eq!(ws.last_round().verified, 1);
+
+    // `SystemSet::get` derefs into the shared allocation, so address
+    // equality of the two references is `Arc::ptr_eq` of the systems.
+    let same_system = |name: &str| {
+        std::ptr::eq(
+            first.systems.get(name).unwrap(),
+            second.systems.get(name).unwrap(),
+        )
+    };
+    let integration = |checked: &Checked, name: &str| {
+        let (_, integ) = checked
+            .integrations
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap();
+        integ.clone()
+    };
+    for name in ["Valve", "Led", "SectorA"] {
+        assert!(same_system(name), "{name} was copied, not shared");
+    }
+    assert!(Arc::ptr_eq(
+        &integration(&first, "SectorA"),
+        &integration(&second, "SectorA")
+    ));
+    assert!(!same_system("SectorB"), "the edited class must be rebuilt");
+    assert!(!Arc::ptr_eq(
+        &integration(&first, "SectorB"),
+        &integration(&second, "SectorB")
+    ));
+}
+
+#[test]
+fn incremental_indexes_follow_shadowing_renames_and_lost_decorators() {
+    // Each step edits the project; the long-lived workspace (whose spec
+    // index and class keys are kept incrementally) must agree with a
+    // fresh one on the report and on which classes have statistics.
+    let shadow = VALVE_PY.replace("return [\"close\"]", "return [\"clean\"]");
+    let steps: Vec<(&str, Option<String>)> = vec![
+        ("valve2.py", Some(shadow)),
+        ("valve2.py", None),
+        ("valve.py", Some(VALVE_PY.replace("Valve", "Gate"))),
+        ("valve.py", Some(VALVE_PY.to_owned())),
+        ("valve.py", Some(VALVE_PY.replace("@sys\n", ""))),
+        ("valve.py", Some(VALVE_PY.to_owned())),
+        ("sector_a.py", None),
+    ];
+    let mut files: Vec<(&str, String)> = vec![
+        ("valve.py", VALVE_PY.to_owned()),
+        ("sector_a.py", SECTOR_A_PY.to_owned()),
+    ];
+    let mut ws = Checker::new().jobs(2).into_workspace();
+    for (name, source) in &files {
+        ws.set_file(*name, source.clone());
+    }
+    ws.check().unwrap();
+    for (step, (name, source)) in steps.into_iter().enumerate() {
+        match source {
+            Some(source) => {
+                ws.set_file(name, source.clone());
+                match files.iter_mut().find(|(n, _)| *n == name) {
+                    Some(file) => file.1 = source,
+                    None => files.push((name, source)),
+                }
+            }
+            None => {
+                ws.remove_file(name);
+                files.retain(|(n, _)| *n != name);
+            }
+        }
+        let mut fresh = Checker::new().jobs(1).into_workspace();
+        for (name, source) in &files {
+            fresh.set_file(*name, source.clone());
+        }
+        assert_eq!(
+            fingerprint_report(&ws.check().unwrap()),
+            fingerprint_report(&fresh.check().unwrap()),
+            "step {step}"
+        );
+        for class in ["Valve", "Gate", "SectorA"] {
+            assert_eq!(
+                ws.class_stats(class),
+                fresh.class_stats(class),
+                "step {step}: {class}"
+            );
+        }
+    }
 }
 
 #[test]
