@@ -27,20 +27,24 @@ cargo test --release --manifest-path perfbench/Cargo.toml -q
 echo "==> langbench builds (release)"
 cargo build -p langbench --release -q
 
-echo "==> differential backend suite (explicit vs symbolic vs evaluated-SMV)"
-# All three claim-checking engines must return identical verdicts (and
-# equal witness lengths) on 1800 random system/claim pairs.
+echo "==> differential backend suite (explicit vs symbolic, checked against LTLf trace semantics)"
+# Both claim-checking engines must return identical verdicts (and equal
+# witness lengths) on 1800 random system/claim pairs; every witness must
+# be a model word (regex derivatives) violating the claim under the LTLf
+# trace semantics, and every Holds verdict is confirmed on all model
+# words up to length 5.
 cargo test -p shelley-symbolic --test differential -q
 
-echo "==> langbench gates (lazy-vs-eager, bitset 2x, antichain 2x, hopcroft >= moore, dataflow skip rate, symbolic backend)"
+echo "==> langbench gates (lazy-vs-eager, state-engine counters, antichain 2x, dataflow skip rate, symbolic backend)"
 # Writes BENCH_lang.json / BENCH_perf.json / BENCH_sym.json and asserts
-# every gate in them: the lazy engine separation, the bitset >= 2x wins at
-# n >= 10, the antichain inclusion engine beating the classic exhaustive
-# search >= 2x at n >= 10, Hopcroft never losing to the Moore baseline at
-# n >= 10, the typestate fast path proving a positive share of the
-# synthetic 100-class workspace, and the symbolic backend deciding the
-# 2^n-frontier claim family past the explicit engine's 100k-state budget
-# (>= 1x at n >= 12).
+# every gate in them: the lazy engine separation; the deterministic
+# state-engine counters on the 2^n family (subset construction finds
+# 2^n + 1 DFA states, the exhaustive joint BFS visits 2^(n+1) - 2 product
+# states, Hopcroft reaches 2^n minimal states); the antichain inclusion
+# engine beating the classic exhaustive search >= 2x at n >= 10; the
+# typestate fast path proving a positive share of the synthetic 100-class
+# workspace; and the symbolic backend deciding the 2^n-frontier claim
+# family past the explicit engine's 100k-state budget (>= 1x at n >= 12).
 cargo run -p langbench --release -q -- BENCH_lang.json BENCH_perf.json BENCH_sym.json > /dev/null
 
 echo "==> servebench gate (warm restart >= 2x cold on the 1k-class workspace)"

@@ -1,6 +1,6 @@
 //! Ablations over the design choices `DESIGN.md` calls out.
 //!
-//! * Hopcroft vs naive (Moore) DFA minimization;
+//! * Hopcroft DFA minimization across program sizes;
 //! * derivative-based regex membership vs compile-to-DFA-then-run;
 //! * minimized vs unminimized monitors for claim checking.
 
@@ -31,11 +31,6 @@ fn bench_minimization(c: &mut Criterion) {
             BenchmarkId::new("hopcroft", dfa.num_states()),
             &dfa,
             |b, dfa| b.iter(|| dfa.minimize().num_states()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("naive_moore", dfa.num_states()),
-            &dfa,
-            |b, dfa| b.iter(|| dfa.minimize_naive().num_states()),
         );
     }
     group.finish();

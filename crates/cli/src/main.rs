@@ -60,7 +60,7 @@ const USAGE: &str = "usage:
   shelleyc check <file.py> [more.py ...]
       [-A <code>] [-W <code>] [-D <code>|-D warnings] [--deny-warnings]
       [--format text|json|sarif] [--jobs N] [--recover]
-      [--backend auto|explicit|symbolic|smv]
+      [--backend auto|explicit|symbolic]
   shelleyc corpus <dir> [--recover] [--json <path>]
       [--min-parse <pct>] [--min-extract <pct>] [--min-verify <pct>] [--jobs N]
   shelleyc watch <file.py> [more.py ...] [--jobs N] [--recover] [--backend <name>]

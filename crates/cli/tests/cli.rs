@@ -727,16 +727,20 @@ fn check_accepts_every_backend_with_identical_verdicts() {
         let run = shelleyc(&["check", path.to_str().unwrap(), "--backend", backend]);
         assert_eq!(run, auto, "--backend {backend} diverged");
     }
-    // The SMV engine agrees on the verdict; its witness may differ on
-    // marker-bearing composites, so compare the failure shape only.
-    let (stdout, _, code) = shelleyc(&["check", path.to_str().unwrap(), "--backend", "smv"]);
-    assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL TO MEET REQUIREMENT"), "{stdout}");
-    assert!(stdout.contains("Formula: (!a.open) W b.open"), "{stdout}");
-
     let (_, stderr, code) = shelleyc(&["check", path.to_str().unwrap(), "--backend", "nusmv"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("unknown backend `nusmv`"), "{stderr}");
+}
+
+#[test]
+fn the_removed_smv_backend_is_a_usage_error() {
+    // `smv` names the NuSMV export command, not a claim engine.
+    let path = write_temp("paper_smv_backend.py", PAPER);
+    let (stdout, stderr, code) = shelleyc(&["check", path.to_str().unwrap(), "--backend", "smv"]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("unknown backend `smv`"), "{stderr}");
+    assert!(stderr.contains("auto, explicit, or symbolic"), "{stderr}");
 }
 
 #[test]

@@ -18,8 +18,8 @@
 //! clients can surface per-file results as they arrive:
 //!
 //! ```text
-//! → {"id":1,"method":{"hello":{"version":4}}}
-//! ← {"id":1,"body":{"hello":{"version":4,"server":"shelleyc"}}}
+//! → {"id":1,"method":{"hello":{"version":5}}}
+//! ← {"id":1,"body":{"hello":{"version":5,"server":"shelleyc"}}}
 //! → {"id":2,"method":{"configure":{"recover":true,"backend":"auto"}}}
 //! ← {"id":2,"body":"ok"}
 //! → {"id":3,"method":{"open":{"path":"valve.py","text":"..."}}}
@@ -33,8 +33,9 @@
 //! extended `configure` with the claim-checking `backend`
 //! ([`crate::backend::Backend`]). Version 4 added the antichain
 //! inclusion-engine counters (`antichain_frontier`/`antichain_pruned`) to
-//! [`WorkspaceStats`], carried by the `stats` and `check` replies;
-//! everything else is unchanged.
+//! [`WorkspaceStats`], carried by the `stats` and `check` replies.
+//! Version 5 dropped `"smv"` from the `backend` values `configure`
+//! accepts; everything else is unchanged.
 
 use crate::backend::Backend;
 use crate::checker::CheckError;
@@ -49,7 +50,7 @@ use micropython_parser::SourceFile;
 ///
 /// Bump on any incompatible change to the types in this module; the
 /// daemon rejects `hello` requests carrying a different version.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// The server name announced in [`ReplyBody::Hello`].
 pub const SERVER_NAME: &str = "shelleyc";
@@ -435,9 +436,9 @@ mod tests {
             (
                 Request {
                     id: 1,
-                    method: Method::Hello { version: 4 },
+                    method: Method::Hello { version: 5 },
                 },
-                r#"{"id":1,"method":{"hello":{"version":4}}}"#,
+                r#"{"id":1,"method":{"hello":{"version":5}}}"#,
             ),
             (
                 Request {
@@ -498,7 +499,7 @@ mod tests {
                         server: SERVER_NAME.into(),
                     },
                 },
-                r#"{"id":1,"body":{"hello":{"version":4,"server":"shelleyc"}}}"#,
+                r#"{"id":1,"body":{"hello":{"version":5,"server":"shelleyc"}}}"#,
             ),
             (
                 Reply {

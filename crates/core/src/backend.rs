@@ -1,6 +1,6 @@
 //! Claim-checking backend selection.
 //!
-//! Three engines can decide a temporal claim `L(model) ⊆ L(φ)`:
+//! Two engines can decide a temporal claim `L(model) ⊆ L(φ)`:
 //!
 //! * **explicit** — [`shelley_ltlf::check_claim`], a joint breadth-first
 //!   search over `(model subset, monitor formula)` pairs. Fastest on the
@@ -9,15 +9,11 @@
 //! * **symbolic** — [`shelley_symbolic::check_claim`], BDD image
 //!   iteration over the same product. Pays a constant encoding overhead
 //!   but represents a `2ⁿ`-state frontier as one polynomial BDD.
-//! * **smv** — emit the [`shelley_smv`] NuSMV encoding of the model with
-//!   the claim as an `LTLSPEC` and run the executable spec semantics
-//!   ([`shelley_smv::eval_spec`]) on it. The slowest path (it
-//!   determinizes the model), kept routable end to end so the emitted
-//!   artifact is continuously validated against the other engines.
 //!
-//! All three are **verdict-identical** — the differential suite in
+//! Both are **verdict-identical** — the differential suite in
 //! `shelley-symbolic` pins this on thousands of random system/claim
-//! pairs — so [`Backend`] is a performance knob, not a semantics knob.
+//! pairs, checking each verdict against the LTLf trace semantics — so
+//! [`Backend`] is a performance knob, not a semantics knob.
 //! The default [`Backend::Auto`] resolves per claim: it estimates the
 //! monitor state count as `2^t` for `t` temporal connectives in the
 //! negated claim and switches to the symbolic engine at
@@ -58,8 +54,6 @@ pub enum Backend {
     Explicit,
     /// Always the symbolic BDD fixpoint.
     Symbolic,
-    /// Always the NuSMV-encoding evaluator.
-    Smv,
 }
 
 impl Backend {
@@ -106,7 +100,6 @@ impl fmt::Display for Backend {
             Backend::Auto => "auto",
             Backend::Explicit => "explicit",
             Backend::Symbolic => "symbolic",
-            Backend::Smv => "smv",
         })
     }
 }
@@ -121,7 +114,7 @@ impl fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown backend `{}` (expected auto, explicit, symbolic, or smv)",
+            "unknown backend `{}` (expected auto, explicit, or symbolic)",
             self.input
         )
     }
@@ -137,7 +130,6 @@ impl FromStr for Backend {
             "auto" => Ok(Backend::Auto),
             "explicit" => Ok(Backend::Explicit),
             "symbolic" => Ok(Backend::Symbolic),
-            "smv" => Ok(Backend::Smv),
             other => Err(ParseBackendError {
                 input: other.to_owned(),
             }),
@@ -154,15 +146,12 @@ mod tests {
 
     #[test]
     fn names_round_trip_through_display_and_from_str() {
-        for backend in [
-            Backend::Auto,
-            Backend::Explicit,
-            Backend::Symbolic,
-            Backend::Smv,
-        ] {
+        for backend in [Backend::Auto, Backend::Explicit, Backend::Symbolic] {
             assert_eq!(backend.to_string().parse::<Backend>().unwrap(), backend);
         }
         assert!("nusmv".parse::<Backend>().is_err());
+        let e = "smv".parse::<Backend>().unwrap_err();
+        assert!(e.to_string().contains("auto, explicit, or symbolic"), "{e}");
         let e = "?".parse::<Backend>().unwrap_err();
         assert!(e.to_string().contains("unknown backend `?`"));
     }
@@ -171,8 +160,9 @@ mod tests {
     fn wire_encoding_is_the_lowercase_name() {
         assert_eq!(json::to_string(&Backend::Auto), r#""auto""#);
         assert_eq!(json::to_string(&Backend::Symbolic), r#""symbolic""#);
-        let back: Backend = json::from_str(r#""smv""#).unwrap();
-        assert_eq!(back, Backend::Smv);
+        let back: Backend = json::from_str(r#""explicit""#).unwrap();
+        assert_eq!(back, Backend::Explicit);
+        assert!(json::from_str::<Backend>(r#""smv""#).is_err());
     }
 
     #[test]
@@ -198,7 +188,7 @@ mod tests {
         let mut ab = Alphabet::new();
         let big: Vec<String> = (0..20).map(|i| format!("F a{i}")).collect();
         let claim = parse_formula(&big.join(" & "), &mut ab).unwrap();
-        for fixed in [Backend::Explicit, Backend::Symbolic, Backend::Smv] {
+        for fixed in [Backend::Explicit, Backend::Symbolic] {
             assert_eq!(fixed.resolve(&claim.negate()), fixed);
         }
     }

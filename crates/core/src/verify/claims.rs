@@ -15,10 +15,10 @@ use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::integration::Integration;
 use crate::spec::{intern_spec_events, spec_automaton};
 use crate::system::{System, SystemKind};
-use shelley_ltlf::{check_claim, parse_formula, ClaimOutcome, Formula};
+use shelley_ltlf::{check_claim, parse_formula, ClaimOutcome};
 use shelley_regular::ops::strip_markers;
-use shelley_regular::{Alphabet, Nfa, Symbol, Word};
-use std::collections::{BTreeMap, BTreeSet};
+use shelley_regular::{Alphabet, Nfa, Word};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The paper's `FAIL TO MEET REQUIREMENT` verification failure.
@@ -141,7 +141,6 @@ fn check_one_claim(
     let outcome = match backend.resolve(&formula.negate()) {
         Backend::Auto | Backend::Explicit => check_claim(&model, &formula, markers),
         Backend::Symbolic => shelley_symbolic::check_claim(&model, &formula, markers),
-        Backend::Smv => check_claim_smv(&model, &formula, markers),
     };
     match outcome {
         ClaimOutcome::Holds => None,
@@ -155,50 +154,6 @@ fn check_one_claim(
             })
         }
     }
-}
-
-/// Decides one claim through the NuSMV encoding: project markers out of
-/// the model (the monitor never observes them, so the projected language
-/// decides the same verdict), emit the SMV model with the claim as its
-/// second `LTLSPEC`, and run the executable spec semantics on it.
-///
-/// The returned witness is a shortest *visible* violating word. The
-/// explicit and symbolic engines instead minimize the joint trace
-/// (markers included) and strip markers afterwards, so on marker-bearing
-/// composites this engine can report a different — equally valid —
-/// counterexample. Verdicts always agree.
-fn check_claim_smv(model: &Nfa, formula: &Formula, markers: &BTreeSet<Symbol>) -> ClaimOutcome {
-    let visible = if markers.is_empty() {
-        model.clone()
-    } else {
-        model.erase_symbols(markers)
-    };
-    let smv = shelley_smv::nfa_to_smv(&visible, "claim check", std::slice::from_ref(formula));
-    let outcome = shelley_smv::eval_spec(&smv, &smv.ltlspecs[1])
-        .expect("the evaluator accepts every spec the translator emits");
-    if outcome.holds {
-        return ClaimOutcome::Holds;
-    }
-    // The evaluator speaks sanitized SMV event names; map them back to
-    // alphabet symbols (first symbol wins on a sanitization collision,
-    // matching the translator's event-value order).
-    let mut by_smv_name: BTreeMap<String, Symbol> = BTreeMap::new();
-    for (symbol, name) in visible.alphabet().iter() {
-        by_smv_name
-            .entry(shelley_smv::sanitize(name))
-            .or_insert(symbol);
-    }
-    let counterexample = outcome
-        .counterexample
-        .unwrap_or_default()
-        .iter()
-        .map(|name| {
-            *by_smv_name
-                .get(name)
-                .expect("every witness event is an alphabet symbol")
-        })
-        .collect();
-    ClaimOutcome::Violated { counterexample }
 }
 
 /// Copies an NFA onto a larger alphabet that extends the original (same
@@ -359,17 +314,12 @@ class BadSector:
                 return []
 "#
         );
-        for backend in [
-            Backend::Auto,
-            Backend::Explicit,
-            Backend::Symbolic,
-            Backend::Smv,
-        ] {
+        for backend in [Backend::Auto, Backend::Explicit, Backend::Symbolic] {
             let (violations, diags) = check_with(&src, "BadSector", backend);
             assert!(diags.is_empty(), "{backend}: {diags:?}");
             assert_eq!(violations.len(), 1, "{backend}");
-            // Every engine finds a genuine shortest violation; explicit
-            // and symbolic agree on the exact canonical witness.
+            // Every engine finds the same canonical shortest violation,
+            // and it genuinely violates the claim.
             let v = &violations[0];
             let mut ab = Alphabet::new();
             let f = parse_formula(&v.formula, &mut ab).unwrap();
@@ -379,9 +329,7 @@ class BadSector:
                 .map(|n| ab.intern(n))
                 .collect();
             assert!(!eval(&f, &trace), "{backend}: {}", v.counterexample_text);
-            if backend != Backend::Smv {
-                assert_eq!(v.counterexample_text, "a.test, a.open", "{backend}");
-            }
+            assert_eq!(v.counterexample_text, "a.test, a.open", "{backend}");
         }
     }
 

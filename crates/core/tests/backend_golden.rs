@@ -1,22 +1,22 @@
-//! Backend golden suite over the `examples_py` corpus: the SMV evaluator
-//! (and the symbolic BDD engine) must agree with the explicit checker on
-//! **every class** of every example, not just on the classes that declare
-//! claims.
+//! Backend golden suite over the `examples_py` corpus: the symbolic BDD
+//! engine must agree with the explicit checker on **every class** of every
+//! example, not just on the classes that declare claims.
 //!
 //! Two layers:
 //!
-//! * the declared `@claim`s of each example are decided under all four
+//! * the declared `@claim`s of each example are decided under all three
 //!   backend selections through [`check_claims`], with identical verdicts;
 //! * every class's model — the spec automaton for base classes, the
 //!   marker-erased integration automaton for composites — is probed with a
-//!   synthesized battery of claims over its own alphabet, and the three
-//!   engines are held verdict- and witness-length-identical.
+//!   synthesized battery of claims over its own alphabet, and the two
+//!   engines are held verdict- and witness-length-identical, each witness
+//!   a model word that violates the claim under the LTLf trace semantics.
 
 use shelley_core::spec::{intern_spec_events, spec_automaton};
 use shelley_core::{check_claims, Backend, Checker, Diagnostics, ProjectFile, SystemKind};
 use shelley_ltlf::{check_claim, eval, parse_formula, ClaimOutcome};
-use shelley_regular::{Nfa, Symbol};
-use std::collections::{BTreeMap, BTreeSet};
+use shelley_regular::Nfa;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const EXAMPLES: [&str; 3] = ["greenhouse.py", "paper.py", "sector.py"];
@@ -33,8 +33,8 @@ fn check_example(name: &str) -> shelley_core::Checked {
     Checker::new().check_files(&files).unwrap()
 }
 
-/// Every class's claim model with markers projected out, so the three
-/// engines see the same visible language.
+/// Every class's claim model with markers projected out, so both engines
+/// see the same visible language.
 fn class_models(checked: &shelley_core::Checked) -> Vec<(String, Nfa)> {
     let mut models = Vec::new();
     for system in checked.systems.iter() {
@@ -60,28 +60,6 @@ fn class_models(checked: &shelley_core::Checked) -> Vec<(String, Nfa)> {
     models
 }
 
-/// Decides `claim` on `model` through the emitted SMV encoding.
-fn smv_check(model: &Nfa, claim: &shelley_ltlf::Formula) -> ClaimOutcome {
-    let smv = shelley_smv::nfa_to_smv(model, "golden", std::slice::from_ref(claim));
-    let outcome = shelley_smv::eval_spec(&smv, &smv.ltlspecs[1]).expect("emitted specs evaluate");
-    if outcome.holds {
-        return ClaimOutcome::Holds;
-    }
-    let mut by_smv_name: BTreeMap<String, Symbol> = BTreeMap::new();
-    for (symbol, name) in model.alphabet().iter() {
-        by_smv_name
-            .entry(shelley_smv::sanitize(name))
-            .or_insert(symbol);
-    }
-    let counterexample = outcome
-        .counterexample
-        .expect("violations carry a witness")
-        .iter()
-        .map(|n| by_smv_name[n])
-        .collect();
-    ClaimOutcome::Violated { counterexample }
-}
-
 #[test]
 fn declared_claims_agree_across_backends_on_every_example() {
     for example in EXAMPLES {
@@ -99,7 +77,7 @@ fn declared_claims_agree_across_backends_on_every_example() {
                     .map(|v| v.formula)
                     .collect()
             };
-            for backend in [Backend::Auto, Backend::Symbolic, Backend::Smv] {
+            for backend in [Backend::Auto, Backend::Symbolic] {
                 let mut diagnostics = Diagnostics::default();
                 let violated: Vec<String> =
                     check_claims(system, integration, backend, &mut diagnostics)
@@ -121,7 +99,7 @@ fn declared_claims_agree_across_backends_on_every_example() {
 }
 
 #[test]
-fn smv_evaluator_matches_the_explicit_checker_on_every_class() {
+fn symbolic_engine_matches_the_explicit_checker_on_every_class() {
     let no_markers = BTreeSet::new();
     let mut classes = 0;
     for example in EXAMPLES {
@@ -149,17 +127,14 @@ fn smv_evaluator_matches_the_explicit_checker_on_every_class() {
                 let claim = parse_formula(&text, &mut ab).expect("battery formulas parse");
                 let explicit = check_claim(&model, &claim, &no_markers);
                 let symbolic = shelley_symbolic::check_claim(&model, &claim, &no_markers);
-                let smv = smv_check(&model, &claim);
-                match (&explicit, &symbolic, &smv) {
-                    (ClaimOutcome::Holds, ClaimOutcome::Holds, ClaimOutcome::Holds) => {}
+                match (&explicit, &symbolic) {
+                    (ClaimOutcome::Holds, ClaimOutcome::Holds) => {}
                     (
                         ClaimOutcome::Violated { counterexample: e },
                         ClaimOutcome::Violated { counterexample: s },
-                        ClaimOutcome::Violated { counterexample: v },
                     ) => {
                         assert_eq!(e.len(), s.len(), "{example}/{class}: `{text}`");
-                        assert_eq!(e.len(), v.len(), "{example}/{class}: `{text}`");
-                        for (engine, word) in [("explicit", e), ("symbolic", s), ("smv", v)] {
+                        for (engine, word) in [("explicit", e), ("symbolic", s)] {
                             assert!(
                                 model.accepts(word),
                                 "{example}/{class}: {engine} witness for `{text}` rejected"
@@ -172,7 +147,7 @@ fn smv_evaluator_matches_the_explicit_checker_on_every_class() {
                     }
                     _ => panic!(
                         "{example}/{class}: verdicts differ on `{text}`\n  explicit: \
-                         {explicit:?}\n  symbolic: {symbolic:?}\n  smv: {smv:?}"
+                         {explicit:?}\n  symbolic: {symbolic:?}"
                     ),
                 }
             }

@@ -228,16 +228,7 @@ proptest! {
             &invisible,
         );
         prop_assert_eq!(&lazy, &eager, "engines disagree on:\n{}", src);
-        // Third engine: the retained `BTreeSet` reference view. The lazy
-        // path above runs on the bitset `StateSet` engine; both must
-        // produce byte-identical verdicts and counterexamples.
-        let reference = ops::projected_subset(
-            &integration.nfa,
-            &shelley_regular::lang::NfaViewRef::new(auto.nfa()),
-            &invisible,
-        );
-        prop_assert_eq!(&lazy, &reference, "bitset vs reference on:\n{}", src);
-        // Fourth engine: the antichain-pruned joint search that the
+        // Third engine: the antichain-pruned joint search that the
         // verification hot path actually runs. Same verdict; on a
         // violation, a witness exactly as short as the classic one that
         // replays against the integration automaton.

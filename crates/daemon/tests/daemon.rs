@@ -392,3 +392,130 @@ fn parse_errors_surface_as_a_failed_summary_with_position() {
         other => panic!("expected a check reply, got {other:?}"),
     }
 }
+
+/// A daemon on a fresh socket plus one raw line-level connection to it,
+/// for requests the typed [`Client`] cannot express.
+struct RawSession {
+    server: std::thread::JoinHandle<std::io::Result<()>>,
+    writer: std::os::unix::net::UnixStream,
+    reader: std::io::BufReader<std::os::unix::net::UnixStream>,
+}
+
+impl RawSession {
+    fn start(name: &str) -> RawSession {
+        let socket = temp_dir(name).join("daemon.sock");
+        let engine = Engine::new(Checker::new());
+        let server = {
+            let socket = socket.clone();
+            std::thread::spawn(move || serve_socket(engine, &socket))
+        };
+        while !socket.exists() {
+            std::thread::yield_now();
+        }
+        let writer = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+        let reader = std::io::BufReader::new(writer.try_clone().unwrap());
+        RawSession {
+            server,
+            writer,
+            reader,
+        }
+    }
+
+    fn send_line(&mut self, bytes: &[u8]) {
+        use std::io::Write;
+        self.writer.write_all(bytes).unwrap();
+        self.writer.write_all(b"\n").unwrap();
+    }
+
+    fn send(&mut self, request: &Request) {
+        self.send_line(serde::json::to_string(request).as_bytes());
+    }
+
+    fn read_reply(&mut self) -> Reply {
+        use std::io::BufRead;
+        let mut line = String::new();
+        self.reader.read_line(&mut line).unwrap();
+        serde::json::from_str(&line).unwrap()
+    }
+
+    /// Opens the valve and runs a check on this connection, returning the
+    /// final summary.
+    fn open_and_check(&mut self) -> shelley_core::CheckSummary {
+        self.send(&Request {
+            id: 10,
+            method: Method::Open {
+                path: "valve.py".into(),
+                text: VALVE_PY.into(),
+            },
+        });
+        assert!(matches!(self.read_reply().body, ReplyBody::Ok));
+        self.send(&Request {
+            id: 11,
+            method: Method::Check,
+        });
+        loop {
+            match self.read_reply() {
+                Reply {
+                    id: 11,
+                    body: ReplyBody::Check { summary },
+                } => return summary,
+                Reply {
+                    id: 11,
+                    body: ReplyBody::Batch { .. },
+                } => {}
+                other => panic!("unexpected reply to check: {other:?}"),
+            }
+        }
+    }
+
+    fn shut_down(mut self) {
+        self.send(&Request {
+            id: 99,
+            method: Method::Shutdown,
+        });
+        assert!(matches!(self.read_reply().body, ReplyBody::Ok));
+        self.server.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn configure_with_the_removed_smv_backend_is_an_error_reply() {
+    let mut session = RawSession::start("smv-backend");
+    session.send_line(br#"{"id":2,"method":{"configure":{"recover":false,"backend":"smv"}}}"#);
+    match session.read_reply() {
+        Reply {
+            body: ReplyBody::Error { message },
+            ..
+        } => assert!(message.contains("unknown variant `smv`"), "{message}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    // The connection survives and still answers a check.
+    let summary = session.open_and_check();
+    assert!(summary.passed, "{summary:?}");
+    assert_eq!(summary.systems, ["Valve"]);
+    session.shut_down();
+}
+
+#[test]
+fn an_oversized_request_line_is_refused_and_the_connection_keeps_serving() {
+    use shelley_daemon::server::MAX_REQUEST_BYTES;
+    let mut session = RawSession::start("oversized");
+    // A syntactically plausible request whose `text` alone exceeds the cap.
+    let mut line = br#"{"id":3,"method":{"open":{"path":"big.py","text":""#.to_vec();
+    line.resize(MAX_REQUEST_BYTES + 1024, b'x');
+    line.extend_from_slice(br#""}}}"#);
+    session.send_line(&line);
+    match session.read_reply() {
+        Reply {
+            id: 0,
+            body: ReplyBody::Error { message },
+        } => assert!(message.contains("byte limit"), "{message}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    // The oversized line was discarded whole: the next request parses,
+    // and the workspace never saw `big.py`.
+    let summary = session.open_and_check();
+    assert!(summary.passed, "{summary:?}");
+    assert_eq!(summary.systems, ["Valve"]);
+    session.shut_down();
+}

@@ -16,10 +16,7 @@
 //!
 //! [`step_into`](CompiledNfa::step_into) then performs a whole
 //! symbol-move-plus-closure into a caller-provided scratch set without
-//! allocating. The `BTreeSet`-based path
-//! ([`Nfa::epsilon_closure`], [`NfaViewRef`](crate::lang::NfaViewRef))
-//! survives as the slow reference engine that differential tests pin this
-//! one against.
+//! allocating.
 
 use crate::nfa::{Label, Nfa, StateId};
 use crate::stateset::StateSet;
@@ -197,73 +194,88 @@ impl CompiledNfa {
 mod tests {
     use super::*;
     use crate::regex::Regex;
-    use std::collections::BTreeSet;
 
-    fn compile3(r: &Regex) -> (Nfa, CompiledNfa) {
+    fn compile3(r: &Regex) -> CompiledNfa {
         let ab = Arc::new(Alphabet::from_names(["a", "b", "c"]));
-        let nfa = Nfa::from_regex(r, ab);
-        let compiled = CompiledNfa::compile(&nfa);
-        (nfa, compiled)
+        CompiledNfa::compile(&Nfa::from_regex(r, ab))
     }
 
-    fn as_btree(set: &StateSet) -> BTreeSet<StateId> {
-        set.iter().collect()
-    }
-
-    #[test]
-    fn closures_match_reference_epsilon_closure() {
-        let a = Symbol::from_index(0);
-        let b = Symbol::from_index(1);
-        let r = Regex::star(Regex::union(
-            Regex::word(&[a, b]),
-            Regex::star(Regex::sym(b)),
-        ));
-        let (nfa, compiled) = compile3(&r);
-        for q in 0..nfa.num_states() {
-            let reference = nfa.epsilon_closure(&BTreeSet::from([q]));
-            assert_eq!(as_btree(compiled.closure_of(q)), reference, "state {q}");
+    /// Every word over `{a, b, c}` of length at most `max_len`.
+    fn words_up_to(max_len: usize) -> Vec<Vec<Symbol>> {
+        let mut all = vec![Vec::new()];
+        let mut layer = vec![Vec::new()];
+        for _ in 0..max_len {
+            layer = layer
+                .iter()
+                .flat_map(|w: &Vec<Symbol>| {
+                    (0..3).map(move |i| {
+                        let mut next = w.clone();
+                        next.push(Symbol::from_index(i));
+                        next
+                    })
+                })
+                .collect();
+            all.extend(layer.iter().cloned());
         }
-        assert_eq!(
-            as_btree(&compiled.start_set()),
-            nfa.epsilon_closure(&BTreeSet::from([nfa.start()]))
-        );
+        all
+    }
+
+    /// Streams `word` through the closed-subset stepping from the start set.
+    fn run(compiled: &CompiledNfa, word: &[Symbol]) -> StateSet {
+        let mut current = compiled.start_set();
+        let mut scratch = compiled.empty_set();
+        for &sym in word {
+            compiled.step_into(&current, sym, &mut scratch);
+            std::mem::swap(&mut current, &mut scratch);
+        }
+        current
     }
 
     #[test]
-    fn stepping_matches_reference_subset_simulation() {
+    fn closed_subset_stepping_decides_regex_membership() {
+        // ε-heavy shapes: nested stars and unions are where a missing
+        // closure edge changes membership.
         let a = Symbol::from_index(0);
         let b = Symbol::from_index(1);
         let c = Symbol::from_index(2);
-        let r = Regex::union(
-            Regex::concat(Regex::star(Regex::sym(a)), Regex::word(&[b, c])),
-            Regex::star(Regex::word(&[a, b])),
-        );
-        let (nfa, compiled) = compile3(&r);
-        let mut current = compiled.start_set();
-        let mut scratch = compiled.empty_set();
-        let mut reference = nfa.epsilon_closure(&BTreeSet::from([nfa.start()]));
-        for sym in [a, b, a, b, c, a] {
-            compiled.step_into(&current, sym, &mut scratch);
-            std::mem::swap(&mut current, &mut scratch);
-            let mut next = BTreeSet::new();
-            for &q in &reference {
-                for &(label, dst) in nfa.edges_from(q) {
-                    if label == Label::Sym(sym) {
-                        next.insert(dst);
-                    }
-                }
+        let exprs = [
+            Regex::star(Regex::union(
+                Regex::word(&[a, b]),
+                Regex::star(Regex::sym(b)),
+            )),
+            Regex::union(
+                Regex::concat(Regex::star(Regex::sym(a)), Regex::word(&[b, c])),
+                Regex::star(Regex::word(&[a, b])),
+            ),
+            Regex::star(Regex::star(Regex::epsilon())),
+        ];
+        for r in &exprs {
+            let compiled = compile3(r);
+            for w in words_up_to(5) {
+                let reached = run(&compiled, &w);
+                assert_eq!(
+                    compiled.is_accepting(&reached),
+                    r.matches(&w),
+                    "{r:?} on {w:?}"
+                );
             }
-            reference = nfa.epsilon_closure(&next);
-            assert_eq!(as_btree(&current), reference);
-            assert_eq!(
-                compiled.is_accepting(&current),
-                reference.iter().any(|&q| nfa.is_accepting(q))
-            );
-            assert_eq!(compiled.step(&current, sym), {
-                let mut out = compiled.empty_set();
-                compiled.step_into(&current, sym, &mut out);
-                out
-            });
+        }
+    }
+
+    #[test]
+    fn step_allocates_what_step_into_writes() {
+        let a = Symbol::from_index(0);
+        let b = Symbol::from_index(1);
+        let compiled = compile3(&Regex::star(Regex::union(
+            Regex::sym(a),
+            Regex::word(&[a, b]),
+        )));
+        let mut current = compiled.start_set();
+        for sym in [a, b, a, a, b] {
+            let mut out = compiled.empty_set();
+            compiled.step_into(&current, sym, &mut out);
+            assert_eq!(compiled.step(&current, sym), out);
+            current = out;
         }
     }
 

@@ -80,7 +80,7 @@ impl Dfa {
         let n = self.num_states();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
         for q in 0..n {
-            for &dst in self.dense().row(q) {
+            for &dst in self.row(q) {
                 preds[dst as usize].push(q);
             }
         }

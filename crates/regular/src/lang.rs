@@ -43,8 +43,8 @@
 //! ```
 
 use crate::compiled::CompiledNfa;
-use crate::dfa::Dfa;
-use crate::nfa::{Label, Nfa, StateId};
+use crate::dfa::{cell, Dfa};
+use crate::nfa::{Nfa, StateId};
 use crate::stateset::StateSet;
 use crate::symbol::{Alphabet, Symbol, Word};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -150,9 +150,7 @@ impl Lang for Dfa {
 /// Construction compiles the NFA once (ε-closures + CSR successor table);
 /// the view is cheap to clone afterwards. [`materialize`]d, this view
 /// yields a [`Dfa`] identical (states and numbering included) to
-/// `Dfa::from_nfa` on the same NFA. The retired `BTreeSet` representation
-/// survives as [`NfaViewRef`], the reference engine differential tests pin
-/// this one against.
+/// `Dfa::from_nfa` on the same NFA.
 #[derive(Debug, Clone)]
 pub struct NfaView<'a> {
     nfa: &'a Nfa,
@@ -200,57 +198,6 @@ impl Lang for NfaView<'_> {
 
     fn is_accepting(&self, state: &Self::State) -> bool {
         self.compiled.is_accepting(state)
-    }
-}
-
-/// The retired `BTreeSet`-based determinization view, kept as the slow
-/// reference engine.
-///
-/// Semantics are identical to [`NfaView`]: states are ε-closed subsets,
-/// stepping is one symbol move plus [`Nfa::epsilon_closure`]. The only
-/// difference is the representation — one heap node per set element and a
-/// fresh ε-edge walk per step — which is exactly why it exists: the
-/// differential property suites materialize and search both engines and
-/// assert byte-identical automata, witnesses, and state numbering. Use
-/// [`NfaView`] everywhere else.
-#[derive(Debug, Clone, Copy)]
-pub struct NfaViewRef<'a> {
-    nfa: &'a Nfa,
-}
-
-impl<'a> NfaViewRef<'a> {
-    /// Wraps `nfa` without determinizing or compiling it.
-    pub fn new(nfa: &'a Nfa) -> Self {
-        NfaViewRef { nfa }
-    }
-}
-
-impl Lang for NfaViewRef<'_> {
-    type State = BTreeSet<StateId>;
-
-    fn alphabet(&self) -> &Arc<Alphabet> {
-        self.nfa.alphabet()
-    }
-
-    fn start(&self) -> Self::State {
-        self.nfa
-            .epsilon_closure(&BTreeSet::from([self.nfa.start()]))
-    }
-
-    fn step(&self, state: &Self::State, symbol: Symbol) -> Self::State {
-        let mut next = BTreeSet::new();
-        for &q in state {
-            for &(label, dst) in self.nfa.edges_from(q) {
-                if label == Label::Sym(symbol) {
-                    next.insert(dst);
-                }
-            }
-        }
-        self.nfa.epsilon_closure(&next)
-    }
-
-    fn is_accepting(&self, state: &Self::State) -> bool {
-        state.iter().any(|&q| self.nfa.is_accepting(q))
     }
 }
 
@@ -549,14 +496,12 @@ pub fn materialize<L: Lang>(lang: &L) -> Dfa {
     let nsyms = alphabet.len();
     let mut index: HashMap<L::State, usize> = HashMap::new();
     let mut states: Vec<L::State> = Vec::new();
-    let mut table: Vec<Vec<StateId>> = Vec::new();
-    let mut accepting: Vec<bool> = Vec::new();
+    let mut table: Vec<u32> = vec![u32::MAX; nsyms];
 
     let start = lang.start();
     index.insert(start.clone(), 0);
-    accepting.push(lang.is_accepting(&start));
+    let mut accepting = vec![lang.is_accepting(&start)];
     states.push(start);
-    table.push(vec![usize::MAX; nsyms]);
 
     let mut queue: VecDeque<usize> = VecDeque::from([0]);
     // Scratch successor reused across steps, as in
@@ -573,15 +518,15 @@ pub fn materialize<L: Lang>(lang: &L) -> Dfa {
                     index.insert(scratch.clone(), d);
                     accepting.push(lang.is_accepting(&scratch));
                     states.push(scratch.clone());
-                    table.push(vec![usize::MAX; nsyms]);
+                    table.resize(table.len() + nsyms, u32::MAX);
                     queue.push_back(d);
                     d
                 }
             };
-            table[q][sym_idx] = dst;
+            table[q * nsyms + sym_idx] = cell(dst);
         }
     }
-    Dfa::from_parts(alphabet, table, 0, accepting)
+    Dfa::assemble(alphabet, table, 0, &accepting)
 }
 
 #[cfg(test)]

@@ -25,11 +25,12 @@
 //! * [`Dfa`] — complete DFAs with subset construction, boolean algebra,
 //!   inclusion/equivalence with shortest counterexamples,
 //!   [Hopcroft minimization](Dfa::minimize), shortlex
-//!   [word enumeration](Dfa::enumerate_words), each hot operation stepping
-//!   a flat [`DenseDfa`] transition table.
+//!   [word enumeration](Dfa::enumerate_words), all over one flat row-major
+//!   `u32` transition table plus an accepting [`StateSet`].
 //! * [`antichain`] — inclusion checking that prunes ⊆-subsumed spec
 //!   macrostates (De Wulf–Doyen–Henzinger–Raskin), the engine under the
-//!   verification hot path; the classic searches remain as oracles.
+//!   verification hot path; the classic search in [`ops`] re-derives the
+//!   canonical shortlex witness on violation.
 //! * [`lang`] — lazy language views: a [`lang::Lang`] trait with on-the-fly
 //!   combinators (product, complement, marker erasure) and generic searches
 //!   that explore only reachable states, with
@@ -64,7 +65,6 @@
 
 pub mod antichain;
 mod compiled;
-mod dense;
 mod derivative;
 mod dfa;
 mod dot;
@@ -80,7 +80,6 @@ mod symbol;
 mod to_regex;
 
 pub use compiled::CompiledNfa;
-pub use dense::DenseDfa;
 pub use dfa::Dfa;
 pub use nfa::{Label, Nfa, NfaBuilder, StateId};
 pub use parser::{parse_regex, ParseRegexError};

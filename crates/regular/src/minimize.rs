@@ -1,9 +1,6 @@
-//! DFA minimization (Hopcroft's algorithm) and a naive baseline.
-//!
-//! The naive O(n²·|Σ|) Moore refinement is kept as an ablation baseline for
-//! the benchmark suite and as a differential-testing oracle for Hopcroft.
+//! DFA minimization (Hopcroft's algorithm).
 
-use crate::dfa::Dfa;
+use crate::dfa::{cell, Dfa};
 use crate::nfa::StateId;
 use crate::symbol::Symbol;
 use std::collections::{HashMap, VecDeque};
@@ -187,43 +184,6 @@ impl Dfa {
         self.quotient(&reachable, &class, partition.num_blocks())
     }
 
-    /// Naive Moore-style minimization: iterated pairwise refinement.
-    ///
-    /// Quadratic; exists as a benchmark baseline and a differential oracle
-    /// for [`Dfa::minimize`].
-    pub fn minimize_naive(&self) -> Dfa {
-        let reachable = self.reachable_states();
-        let n = reachable.len();
-        let mut dense: HashMap<StateId, usize> = HashMap::new();
-        for (i, &q) in reachable.iter().enumerate() {
-            dense.insert(q, i);
-        }
-        let nsyms = self.alphabet().len();
-        let mut class: Vec<usize> = reachable
-            .iter()
-            .map(|&q| usize::from(self.is_accepting(q)))
-            .collect();
-        loop {
-            let mut signature: HashMap<(usize, Vec<usize>), usize> = HashMap::new();
-            let mut next: Vec<usize> = vec![0; n];
-            for i in 0..n {
-                let row: Vec<usize> = (0..nsyms)
-                    .map(|s| class[dense[&self.step(reachable[i], Symbol::from_index(s))]])
-                    .collect();
-                let key = (class[i], row);
-                let len = signature.len();
-                let id = *signature.entry(key).or_insert(len);
-                next[i] = id;
-            }
-            if next == class {
-                break;
-            }
-            class = next;
-        }
-        let nblocks = class.iter().copied().max().map_or(0, |m| m + 1);
-        self.quotient(&reachable, &class, nblocks)
-    }
-
     fn reachable_states(&self) -> Vec<StateId> {
         let mut seen = vec![false; self.num_states()];
         let mut order = Vec::new();
@@ -248,18 +208,17 @@ impl Dfa {
         for (i, &q) in reachable.iter().enumerate() {
             dense.insert(q, i);
         }
-        let mut table = vec![vec![usize::MAX; nsyms]; nblocks];
+        let mut table = vec![u32::MAX; nblocks * nsyms];
         let mut accepting = vec![false; nblocks];
         for (i, &q) in reachable.iter().enumerate() {
             let b = class_of_dense[i];
             accepting[b] = accepting[b] || self.is_accepting(q);
-            for s in 0..nsyms {
-                let dst = dense[&self.step(q, Symbol::from_index(s))];
-                table[b][s] = class_of_dense[dst];
+            for (s, &dst) in self.row(q).iter().enumerate() {
+                table[b * nsyms + s] = cell(class_of_dense[dense[&(dst as StateId)]]);
             }
         }
         let start = class_of_dense[dense[&self.start()]];
-        Dfa::from_parts(self.alphabet().clone(), table, start, accepting)
+        Dfa::assemble(self.alphabet().clone(), table, start, &accepting)
     }
 }
 
@@ -296,24 +255,28 @@ mod tests {
     }
 
     #[test]
-    fn hopcroft_agrees_with_naive() {
+    fn known_languages_minimize_to_their_minimal_sizes() {
         let (ab, a, b) = ab2();
-        let exprs = [
-            Regex::star(Regex::sym(a)),
-            Regex::union(Regex::word(&[a, b]), Regex::word(&[b, a])),
-            Regex::concat(
-                Regex::star(Regex::union(Regex::sym(a), Regex::sym(b))),
-                Regex::word(&[a, b, a]),
+        // Minimal complete DFA sizes over {a, b}, counted by hand
+        // (Myhill–Nerode classes, the rejecting sink included).
+        let cases = [
+            (Regex::star(Regex::sym(a)), 2),
+            (Regex::union(Regex::word(&[a, b]), Regex::word(&[b, a])), 5),
+            (
+                Regex::concat(
+                    Regex::star(Regex::union(Regex::sym(a), Regex::sym(b))),
+                    Regex::word(&[a, b, a]),
+                ),
+                4,
             ),
-            Regex::epsilon(),
-            Regex::empty(),
+            (Regex::epsilon(), 2),
+            (Regex::empty(), 1),
         ];
-        for r in &exprs {
+        for (r, size) in &cases {
             let dfa = dfa_of(r, ab.clone());
             let h = dfa.minimize();
-            let m = dfa.minimize_naive();
-            assert_eq!(h.num_states(), m.num_states(), "expr {:?}", r);
-            assert!(h.equivalent(&m).is_ok());
+            assert_eq!(h.num_states(), *size, "expr {:?}", r);
+            assert!(h.equivalent(&dfa).is_ok());
         }
     }
 

@@ -6,6 +6,7 @@
 //! composite-class *integration automata* are assembled with [`NfaBuilder`]
 //! by inlining behavior fragments between specification states.
 
+use crate::compiled::CompiledNfa;
 use crate::regex::Regex;
 use crate::symbol::{Alphabet, Symbol, Word};
 use std::collections::{BTreeSet, VecDeque};
@@ -97,49 +98,20 @@ impl Nfa {
         &self.edges[state]
     }
 
-    /// ε-closure of a set of states (returned sorted and deduplicated).
-    ///
-    /// This is the **slow reference path**: it re-walks ε-edges on every
-    /// call and allocates a fresh `BTreeSet`. The hot paths — subset
-    /// construction, [`NfaView`](crate::lang::NfaView) stepping, the joint
-    /// searches — all run on [`CompiledNfa`](crate::CompiledNfa)'s
-    /// precomputed per-state closures instead. It is kept (rather than
-    /// removed in the bitset migration) as the obviously-correct oracle
-    /// behind [`NfaViewRef`](crate::lang::NfaViewRef) and the differential
-    /// property suites, and for one-shot membership tests like
-    /// [`accepts`](Self::accepts) where compiling first would cost more
-    /// than it saves.
-    pub fn epsilon_closure(&self, states: &BTreeSet<StateId>) -> BTreeSet<StateId> {
-        let mut closure = states.clone();
-        let mut queue: VecDeque<StateId> = states.iter().copied().collect();
-        while let Some(q) = queue.pop_front() {
-            for &(label, dst) in &self.edges[q] {
-                if label == Label::Eps && closure.insert(dst) {
-                    queue.push_back(dst);
-                }
-            }
-        }
-        closure
-    }
-
-    /// Decides `word ∈ L(self)` by on-the-fly subset simulation.
+    /// Decides `word ∈ L(self)` by stepping the [`CompiledNfa`]'s bitset
+    /// subsets.
     pub fn accepts(&self, word: &[Symbol]) -> bool {
-        let mut current = self.epsilon_closure(&BTreeSet::from([self.start]));
+        let compiled = CompiledNfa::compile(self);
+        let mut current = compiled.start_set();
+        let mut scratch = compiled.empty_set();
         for &s in word {
-            let mut next = BTreeSet::new();
-            for &q in &current {
-                for &(label, dst) in &self.edges[q] {
-                    if label == Label::Sym(s) {
-                        next.insert(dst);
-                    }
-                }
-            }
-            if next.is_empty() {
+            compiled.step_into(&current, s, &mut scratch);
+            if scratch.is_empty() {
                 return false;
             }
-            current = self.epsilon_closure(&next);
+            std::mem::swap(&mut current, &mut scratch);
         }
-        current.iter().any(|&q| self.accepting[q])
+        compiled.is_accepting(&current)
     }
 
     /// Returns a copy where every edge labeled with a symbol in `erased` is

@@ -17,11 +17,7 @@
 //!   `G (!alive -> accepted)` acceptance spec);
 //! * [`ltlf_to_ltl`] — the standard LTLf → LTL relativization to the
 //!   `alive` proposition for `@claim` formulas;
-//! * [`validate_model`] — exhaustive bounded agreement checking;
-//! * [`eval_spec`] / [`eval_model`] — an executable semantics for the
-//!   emitted `LTLSPEC` strings: parse them back (inlining `DEFINE`s) and
-//!   decide them over the padded traces of the encoded language, with
-//!   shortest counterexamples — what NuSMV would do, minus NuSMV.
+//! * [`validate_model`] — exhaustive bounded agreement checking.
 //!
 //! # Example
 //!
@@ -43,13 +39,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod eval;
 mod ltl;
 mod model;
 mod translate;
 mod validate;
 
-pub use eval::{eval_model, eval_spec, EvalError, EvalOutcome};
 pub use ltl::{eval_padded, translate_formula, Ltl};
 pub use model::{sanitize, EnumVar, SmvModel, TransCase};
 pub use translate::{dfa_to_smv, ltlf_to_ltl, nfa_to_smv, STOP_EVENT};

@@ -1,19 +1,23 @@
-//! The differential backend harness: all three claim-checking engines —
-//! explicit joint search, symbolic BDD fixpoint, and the NuSMV-encoding
-//! evaluator — run on the same random system/claim pairs and must agree.
+//! The differential backend harness: both claim-checking engines —
+//! explicit joint search and symbolic BDD fixpoint — run on the same
+//! random system/claim pairs and must agree with each other and with the
+//! paper's trace semantics, an oracle that shares no automaton code.
 //!
-//! Verdicts must be identical everywhere; where two engines both produce
-//! a counterexample it must be a genuine violating word of the model's
-//! language, and (absent markers, which this suite does not generate)
-//! the witness *lengths* must be equal — every engine searches
-//! breadth-first, so all shortest violations have one length.
+//! Verdicts must be identical; witness *lengths* must be equal (both
+//! engines search breadth-first, so all shortest violations have one
+//! length); every witness must be matched by the model's regex
+//! ([`Regex::matches`], Brzozowski derivatives) and violate the claim
+//! under [`eval`]; and every `Holds` verdict is confirmed by brute force:
+//! each word of length at most [`BRUTE_FORCE_LEN`] that the regex matches
+//! satisfies the claim.
 //!
 //! The generator is a hand-rolled LCG so the suite is deterministic
 //! across platforms and needs no dev-dependency beyond the crates under
 //! test.
 
 use shelley_ltlf::{check_claim as explicit_check, eval, parse_formula, ClaimOutcome, Formula};
-use shelley_regular::{parse_regex, Alphabet, Nfa};
+use shelley_regular::ops::strip_markers;
+use shelley_regular::{parse_regex, Alphabet, Nfa, Regex, Symbol, Word};
 use shelley_symbolic::check_claim as symbolic_check;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -78,9 +82,12 @@ fn random_formula(rng: &mut Lcg, depth: u32) -> String {
     }
 }
 
-/// One random pair: a model NFA and a claim over a shared 3-symbol
-/// alphabet.
-fn random_pair(rng: &mut Lcg) -> (Nfa, Formula) {
+/// Words up to this length are enumerated to confirm `Holds` verdicts.
+const BRUTE_FORCE_LEN: usize = 5;
+
+/// One random pair: a model (as a regex and its NFA) and a claim over a
+/// shared 3-symbol alphabet.
+fn random_pair(rng: &mut Lcg) -> (Regex, Nfa, Formula) {
     let mut ab = Alphabet::new();
     for name in SYMBOLS {
         ab.intern(name);
@@ -91,71 +98,86 @@ fn random_pair(rng: &mut Lcg) -> (Nfa, Formula) {
     let regex_text = random_regex(rng, regex_depth);
     let claim = parse_formula(&formula_text, &mut ab).expect("generated formulas parse");
     let regex = parse_regex(&regex_text, &mut ab).expect("generated regexes parse");
-    (Nfa::from_regex(&regex, Arc::new(ab)), claim)
+    let nfa = Nfa::from_regex(&regex, Arc::new(ab));
+    (regex, nfa, claim)
 }
 
-/// Decides the claim through the NuSMV encoding: emit, evaluate the
-/// claim's `LTLSPEC`, and translate the witness back to symbols.
-fn smv_check(model: &Nfa, claim: &Formula) -> ClaimOutcome {
-    let smv = shelley_smv::nfa_to_smv(model, "differential", std::slice::from_ref(claim));
-    let outcome = shelley_smv::eval_spec(&smv, &smv.ltlspecs[1]).expect("emitted specs evaluate");
-    if outcome.holds {
-        return ClaimOutcome::Holds;
+/// Every word over `{a, b, c}` of length at most [`BRUTE_FORCE_LEN`].
+fn short_words() -> Vec<Word> {
+    let mut all = vec![Vec::new()];
+    let mut layer: Vec<Word> = vec![Vec::new()];
+    for _ in 0..BRUTE_FORCE_LEN {
+        layer = layer
+            .iter()
+            .flat_map(|w| {
+                (0..SYMBOLS.len()).map(move |i| {
+                    let mut next = w.clone();
+                    next.push(Symbol::from_index(i));
+                    next
+                })
+            })
+            .collect();
+        all.extend(layer.iter().cloned());
     }
-    let counterexample = outcome
-        .counterexample
-        .expect("violations carry a witness")
-        .iter()
-        .map(|name| {
-            model
-                .alphabet()
-                .lookup(name)
-                .expect("sanitized names are identity on a/b/c")
-        })
-        .collect();
-    ClaimOutcome::Violated { counterexample }
+    all
+}
+
+/// Checks one pair's two outcomes against each other and the oracle;
+/// returns whether the claim was violated. The claim observes only the
+/// marker-free projection of each model word.
+fn check_against_oracle(
+    case: usize,
+    regex: &Regex,
+    claim: &Formula,
+    markers: &BTreeSet<Symbol>,
+    explicit: &ClaimOutcome,
+    symbolic: &ClaimOutcome,
+    words: &[Word],
+) -> bool {
+    let satisfies = |w: &[Symbol]| eval(claim, &strip_markers(w, markers));
+    match (explicit, symbolic) {
+        (ClaimOutcome::Holds, ClaimOutcome::Holds) => {
+            for w in words {
+                assert!(
+                    !regex.matches(w) || satisfies(w),
+                    "case {case}: Holds, but the model word {w:?} violates the claim"
+                );
+            }
+            false
+        }
+        (
+            ClaimOutcome::Violated { counterexample: e },
+            ClaimOutcome::Violated { counterexample: s },
+        ) => {
+            assert_eq!(e.len(), s.len(), "case {case}: explicit vs symbolic length");
+            for (engine, word) in [("explicit", e), ("symbolic", s)] {
+                assert!(
+                    regex.matches(word),
+                    "case {case}: {engine} witness not in the model"
+                );
+                assert!(!satisfies(word), "case {case}: {engine} witness satisfies");
+            }
+            true
+        }
+        _ => panic!(
+            "case {case}: verdicts differ\n  explicit: {explicit:?}\n  symbolic: {symbolic:?}"
+        ),
+    }
 }
 
 #[test]
-fn the_three_engines_agree_on_random_system_claim_pairs() {
+fn explicit_and_symbolic_agree_with_the_trace_semantics() {
     let markers = BTreeSet::new();
+    let words = short_words();
     let mut rng = Lcg(0x5eed_0001);
     let mut violations = 0usize;
     const PAIRS: usize = 1500;
     for case in 0..PAIRS {
-        let (model, claim) = random_pair(&mut rng);
+        let (regex, model, claim) = random_pair(&mut rng);
         let explicit = explicit_check(&model, &claim, &markers);
         let symbolic = symbolic_check(&model, &claim, &markers);
-        let smv = smv_check(&model, &claim);
-
-        match (&explicit, &symbolic, &smv) {
-            (ClaimOutcome::Holds, ClaimOutcome::Holds, ClaimOutcome::Holds) => {}
-            (
-                ClaimOutcome::Violated { counterexample: e },
-                ClaimOutcome::Violated { counterexample: s },
-                ClaimOutcome::Violated { counterexample: v },
-            ) => {
-                violations += 1;
-                // Shortest-witness lengths agree across all engines…
-                assert_eq!(e.len(), s.len(), "case {case}: explicit vs symbolic length");
-                assert_eq!(e.len(), v.len(), "case {case}: explicit vs smv length");
-                // …and every witness is a genuine violation of a word the
-                // model accepts.
-                for (engine, word) in [("explicit", e), ("symbolic", s), ("smv", v)] {
-                    assert!(
-                        model.accepts(word),
-                        "case {case}: {engine} witness rejected"
-                    );
-                    assert!(
-                        !eval(&claim, word),
-                        "case {case}: {engine} witness satisfies"
-                    );
-                }
-            }
-            _ => panic!(
-                "case {case}: verdicts differ\n  explicit: {explicit:?}\n  \
-                 symbolic: {symbolic:?}\n  smv: {smv:?}"
-            ),
+        if check_against_oracle(case, &regex, &claim, &markers, &explicit, &symbolic, &words) {
+            violations += 1;
         }
     }
     // The generator must exercise both verdicts substantially, or the
@@ -168,12 +190,12 @@ fn the_three_engines_agree_on_random_system_claim_pairs() {
 
 #[test]
 fn the_engines_agree_with_markers_in_the_model() {
-    // Marker agreement is explicit-vs-symbolic only (the SMV path has no
-    // marker concept): markers cost one step like any event, so joint
-    // witness lengths still match.
+    // Markers cost one step like any event, so joint witness lengths
+    // still match; the claim judges each word's marker-free projection.
+    let words = short_words();
     let mut rng = Lcg(0x5eed_0002);
     for case in 0..300 {
-        let (model, claim) = random_pair(&mut rng);
+        let (regex, model, claim) = random_pair(&mut rng);
         // Promote one symbol to a marker: the claim never observes it.
         let marker = model
             .alphabet()
@@ -182,16 +204,6 @@ fn the_engines_agree_with_markers_in_the_model() {
         let markers = BTreeSet::from([marker]);
         let explicit = explicit_check(&model, &claim, &markers);
         let symbolic = symbolic_check(&model, &claim, &markers);
-        match (&explicit, &symbolic) {
-            (ClaimOutcome::Holds, ClaimOutcome::Holds) => {}
-            (
-                ClaimOutcome::Violated { counterexample: e },
-                ClaimOutcome::Violated { counterexample: s },
-            ) => {
-                assert_eq!(e.len(), s.len(), "case {case}: joint witness length");
-                assert!(model.accepts(s), "case {case}: symbolic witness rejected");
-            }
-            _ => panic!("case {case}: {explicit:?} vs {symbolic:?}"),
-        }
+        check_against_oracle(case, &regex, &claim, &markers, &explicit, &symbolic, &words);
     }
 }

@@ -7,13 +7,13 @@
 //!   adversarial workload (claim `F a0 & ... & F a{n-1}` against the model
 //!   `a0*`, negated monitor ~2^n states) at a sweep of sizes, measured on
 //!   both engines.
-//! * `BENCH_perf.json` — the bitset-vs-`BTreeSet` state-engine trajectory:
-//!   subset construction and exhaustive joint BFS on an exponential-DFA
-//!   family, each timed on the `StateSet`/`CompiledNfa` engine and the
-//!   retained reference engine, plus the antichain-vs-classic inclusion
-//!   engines and Hopcroft-vs-Moore minimization. Each row records size,
-//!   wall-ns, states visited, and peak subset size so later PRs can prove
-//!   regressions or improvements against it.
+//! * `BENCH_perf.json` — the state-engine trajectory: subset construction,
+//!   exhaustive joint BFS and Hopcroft minimization on an exponential-DFA
+//!   family, timed on the `StateSet`/`CompiledNfa` engine and gated on
+//!   deterministic state counts, plus the antichain-vs-classic inclusion
+//!   engines. Each row records size, wall-ns, states visited, and peak
+//!   subset size so later PRs can prove regressions or improvements
+//!   against it.
 //! * `BENCH_sym.json` — the symbolic-vs-explicit claim-backend
 //!   separation: the same `∧ F aᵢ` claim family, but against the model
 //!   `Σⁿ`, whose reachable product frontier is genuinely exponential —
@@ -29,7 +29,7 @@ use shelley_core::system::build_systems;
 use shelley_core::{analyze_class, Checker};
 use shelley_ltlf::{check_claim, to_dfa, Formula, MonitorView};
 use shelley_regular::antichain;
-use shelley_regular::lang::{self, Complement, Lang, NfaView, NfaViewRef};
+use shelley_regular::lang::{Complement, Lang, NfaView};
 use shelley_regular::{ops, Alphabet, Dfa, Nfa, Regex, Symbol};
 use shelley_symbolic::check_claim_counted;
 use std::collections::{BTreeSet, HashSet, VecDeque};
@@ -327,7 +327,7 @@ fn sym_report() -> (String, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_perf.json: bitset state engine vs BTreeSet reference engine.
+// BENCH_perf.json: the bitset state engine, antichain inclusion, Hopcroft.
 
 /// `(a+b)* ; a ; (a+b)^(n-1)` — the classic family whose minimal DFA has
 /// 2^n states ("the n-th symbol from the end is `a`"). Subset construction
@@ -381,13 +381,23 @@ fn explore_subsets(view: &NfaView<'_>) -> (usize, usize) {
     (seen.len(), peak)
 }
 
-struct PerfRow {
+/// One timed traversal of the family at size `n` on the production engine.
+struct CountRow {
     n: usize,
     /// States visited by the measured traversal (DFA states for subset
     /// construction, product states for the joint BFS, input states for
     /// minimization).
     visited: usize,
-    /// Largest NFA-subset cardinality the traversal ever held.
+    /// Largest NFA-subset cardinality the traversal ever held (for
+    /// minimization: the minimal DFA's state count).
+    peak_subset: usize,
+    ns: u128,
+}
+
+/// An engine timed against the classic search it replaces.
+struct PerfRow {
+    n: usize,
+    visited: usize,
     peak_subset: usize,
     fast_ns: u128,
     slow_ns: u128,
@@ -409,30 +419,24 @@ fn reps_for(n: usize) -> usize {
     }
 }
 
-/// Subset construction: bitset `Dfa::from_nfa` vs the reference engine
-/// materialized through `NfaViewRef` (the historical `BTreeSet` path).
-fn measure_subset(n: usize) -> PerfRow {
+/// Subset construction: bitset `Dfa::from_nfa`.
+fn measure_subset(n: usize) -> CountRow {
     let (_, nfa) = exponential_nfa(n);
-    let view = NfaView::new(&nfa);
-    let (visited, peak_subset) = explore_subsets(&view);
-    let reps = reps_for(n);
-    let fast_ns = time(reps, || Dfa::from_nfa(&nfa).num_states());
-    let slow_ns = time(reps, || {
-        lang::materialize(&NfaViewRef::new(&nfa)).num_states()
-    });
-    PerfRow {
+    let (visited, peak_subset) = explore_subsets(&NfaView::new(&nfa));
+    assert_eq!(Dfa::from_nfa(&nfa).num_states(), visited);
+    let ns = time(reps_for(n), || Dfa::from_nfa(&nfa).num_states());
+    CountRow {
         n,
         visited,
         peak_subset,
-        fast_ns,
-        slow_ns,
+        ns,
     }
 }
 
 /// Exhaustive joint 0-1 BFS (the usage-verification hot path): model NFA
 /// against the spec's complemented subset view. Inclusion holds, so the
-/// search drains the entire reachable product on both engines.
-fn measure_joint(n: usize) -> PerfRow {
+/// search drains the entire reachable product.
+fn measure_joint(n: usize) -> CountRow {
     let (ab, spec) = exponential_nfa(n);
     let model = included_model(n, ab);
     let markers = BTreeSet::new();
@@ -440,19 +444,14 @@ fn measure_joint(n: usize) -> PerfRow {
         ops::shortest_joint_word_counted(&model, &Complement::new(NfaView::new(&spec)), &markers);
     assert!(search.witness.is_none(), "model must be included in spec");
     let (_, peak_subset) = explore_subsets(&NfaView::new(&spec));
-    let reps = reps_for(n);
-    let fast_ns = time(reps, || {
+    let ns = time(reps_for(n), || {
         ops::projected_subset(&model, &NfaView::new(&spec), &markers).is_ok()
     });
-    let slow_ns = time(reps, || {
-        ops::projected_subset(&model, &NfaViewRef::new(&spec), &markers).is_ok()
-    });
-    PerfRow {
+    CountRow {
         n,
         visited: search.visited,
         peak_subset,
-        fast_ns,
-        slow_ns,
+        ns,
     }
 }
 
@@ -485,43 +484,44 @@ fn measure_inclusion(n: usize) -> PerfRow {
     }
 }
 
-/// Hopcroft vs the naive Moore baseline on the 2^n-state DFA.
-fn measure_minimize(n: usize) -> PerfRow {
+/// Hopcroft minimization of the (2^n + 1)-state DFA.
+fn measure_minimize(n: usize) -> CountRow {
     let (_, nfa) = exponential_nfa(n);
     let dfa = Dfa::from_nfa(&nfa);
     let minimal = dfa.minimize().num_states();
     let reps = if n >= 10 { 3 } else { 10 };
-    let fast_ns = time(reps, || dfa.minimize().num_states());
-    let slow_ns = time(reps, || dfa.minimize_naive().num_states());
-    PerfRow {
+    let ns = time(reps, || dfa.minimize().num_states());
+    CountRow {
         n,
         visited: dfa.num_states(),
         peak_subset: minimal,
-        fast_ns,
-        slow_ns,
+        ns,
     }
 }
 
-fn write_rows(
-    json: &mut String,
-    rows: &[PerfRow],
-    visited_key: &str,
-    peak_key: &str,
-    fast_key: &str,
-    slow_key: &str,
-) {
+/// Writes `rows` as JSON objects under the given key names, one per line.
+fn write_count_rows(json: &mut String, rows: &[CountRow], keys: [&str; 3]) {
+    let [visited_key, peak_key, ns_key] = keys;
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "      {{\"n\": {}, \"{}\": {}, \"{}\": {}, \"{}\": {}, \"{}\": {}, \"speedup\": {:.2}}}",
+            "      {{\"n\": {}, \"{visited_key}\": {}, \"{peak_key}\": {}, \"{ns_key}\": {}}}",
+            r.n, r.visited, r.peak_subset, r.ns
+        );
+        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    }
+}
+
+fn write_rows(json: &mut String, rows: &[PerfRow], keys: [&str; 4]) {
+    let [visited_key, peak_key, fast_key, slow_key] = keys;
+    for (i, r) in rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "      {{\"n\": {}, \"{visited_key}\": {}, \"{peak_key}\": {}, \"{fast_key}\": {}, \"{slow_key}\": {}, \"speedup\": {:.2}}}",
             r.n,
-            visited_key,
             r.visited,
-            peak_key,
             r.peak_subset,
-            fast_key,
             r.fast_ns,
-            slow_key,
             r.slow_ns,
             r.speedup()
         );
@@ -647,41 +647,32 @@ fn measure_dataflow() -> DataflowRow {
 
 fn perf_report() -> (String, bool) {
     let sweep = [4usize, 6, 8, 10, 12];
-    let subset: Vec<PerfRow> = sweep.iter().map(|&n| measure_subset(n)).collect();
-    let joint: Vec<PerfRow> = sweep.iter().map(|&n| measure_joint(n)).collect();
+    let subset: Vec<CountRow> = sweep.iter().map(|&n| measure_subset(n)).collect();
+    let joint: Vec<CountRow> = sweep.iter().map(|&n| measure_joint(n)).collect();
     let inclusion: Vec<PerfRow> = sweep.iter().map(|&n| measure_inclusion(n)).collect();
-    let minimize: Vec<PerfRow> = [4usize, 6, 8, 10, 12]
-        .iter()
-        .map(|&n| measure_minimize(n))
-        .collect();
+    let minimize: Vec<CountRow> = sweep.iter().map(|&n| measure_minimize(n)).collect();
     let dataflow = measure_dataflow();
 
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"state_engine_perf\",\n");
     json.push_str(
-        "  \"workload\": \"(a+b)*;a;(a+b)^(n-1): 2^n-state subset space; bitset StateSet/CompiledNfa engine vs BTreeSet reference engine\",\n",
+        "  \"workload\": \"(a+b)*;a;(a+b)^(n-1): 2^n-state subset space on the bitset StateSet/CompiledNfa engine\",\n",
     );
     json.push_str("  \"subset_construction\": {\n");
     json.push_str("    \"rows\": [\n");
-    write_rows(
+    write_count_rows(
         &mut json,
         &subset,
-        "dfa_states",
-        "peak_subset",
-        "bitset_ns",
-        "reference_ns",
+        ["dfa_states", "peak_subset", "bitset_ns"],
     );
     json.push_str("    ]\n  },\n");
     json.push_str("  \"joint_bfs\": {\n");
     json.push_str("    \"rows\": [\n");
-    write_rows(
+    write_count_rows(
         &mut json,
         &joint,
-        "product_states_visited",
-        "peak_subset",
-        "bitset_ns",
-        "reference_ns",
+        ["product_states_visited", "peak_subset", "bitset_ns"],
     );
     json.push_str("    ]\n  },\n");
     json.push_str("  \"inclusion\": {\n");
@@ -692,21 +683,20 @@ fn perf_report() -> (String, bool) {
     write_rows(
         &mut json,
         &inclusion,
-        "inclusion_antichain_pruned",
-        "inclusion_antichain_frontier",
-        "inclusion_antichain_ns",
-        "inclusion_classic_ns",
+        [
+            "inclusion_antichain_pruned",
+            "inclusion_antichain_frontier",
+            "inclusion_antichain_ns",
+            "inclusion_classic_ns",
+        ],
     );
     json.push_str("    ]\n  },\n");
     json.push_str("  \"minimization\": {\n");
     json.push_str("    \"rows\": [\n");
-    write_rows(
+    write_count_rows(
         &mut json,
         &minimize,
-        "input_states",
-        "minimal_states",
-        "hopcroft_ns",
-        "moore_ns",
+        ["input_states", "minimal_states", "hopcroft_ns"],
     );
     json.push_str("    ]\n  },\n");
     json.push_str("  \"dataflow\": {\n");
@@ -727,36 +717,32 @@ fn perf_report() -> (String, bool) {
     );
     json.push_str("    ]\n  },\n");
 
-    // The acceptance gates: at n ≥ 10 the bitset engine wins subset
-    // construction and the exhaustive joint BFS by ≥ 2×, the antichain
-    // engine wins inclusion by ≥ 2× over the classic search, Hopcroft
-    // never loses to the Moore baseline, and the typestate fast path
-    // proves a positive share of the synthetic workspace.
-    let gate_rows = |rows: &[PerfRow]| {
-        rows.iter()
-            .filter(|r| r.n >= 10)
-            .all(|r| r.speedup() >= 2.0)
-    };
-    let gate_subset = gate_rows(&subset);
-    let gate_joint = gate_rows(&joint);
-    let gate_inclusion = gate_rows(&inclusion);
-    let gate_hopcroft = minimize
+    // The acceptance gates. Deterministic work counters on every row:
+    // subset construction discovers all 2^n + 1 subsets, the exhaustive
+    // joint BFS visits 2^(n+1) - 2 product states, and Hopcroft reaches
+    // the 2^n-state minimal DFA. At n ≥ 10 the antichain engine wins
+    // inclusion by ≥ 2× over the classic search, and the typestate fast
+    // path proves a positive share of the synthetic workspace.
+    let gate_subset = subset.iter().all(|r| r.visited == (1 << r.n) + 1);
+    let gate_joint = joint.iter().all(|r| r.visited == (1 << (r.n + 1)) - 2);
+    let gate_minimal = minimize.iter().all(|r| r.peak_subset == 1 << r.n);
+    let gate_inclusion = inclusion
         .iter()
         .filter(|r| r.n >= 10)
-        .all(|r| r.speedup() >= 1.0);
+        .all(|r| r.speedup() >= 2.0);
     let gate_dataflow = dataflow.fast_path_proven > 0;
     let _ = writeln!(
         json,
-        "  \"gate\": {{\"n\": 10, \"subset_bitset_at_least_2x\": {gate_subset}, \
-         \"joint_bitset_at_least_2x\": {gate_joint}, \
+        "  \"gate\": {{\"n\": 10, \"subset_dfa_states_2n_plus_1\": {gate_subset}, \
+         \"joint_product_states_2n1_minus_2\": {gate_joint}, \
+         \"minimal_states_2n\": {gate_minimal}, \
          \"inclusion_antichain_at_least_2x\": {gate_inclusion}, \
-         \"hopcroft_at_least_moore\": {gate_hopcroft}, \
          \"dataflow_skip_rate_positive\": {gate_dataflow}}}"
     );
     json.push_str("}\n");
     (
         json,
-        gate_subset && gate_joint && gate_inclusion && gate_hopcroft && gate_dataflow,
+        gate_subset && gate_joint && gate_minimal && gate_inclusion && gate_dataflow,
     )
 }
 
@@ -796,7 +782,7 @@ fn main() {
     );
     assert!(
         perf_gate,
-        "bitset-vs-reference 2x gate failed (see {perf_path})"
+        "state-engine counter, antichain or dataflow gate failed (see {perf_path})"
     );
     assert!(
         sym_gate,
