@@ -16,6 +16,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> one typestate analysis per class (work-count gate, shared-report differential)"
+# A cold jobs(1) workspace round and check_module_direct must each run
+# analyze_class exactly once per composite class (a #[cfg(test)] call
+# counter), and lint_class -- the one-analysis path that feeds both the
+# E009/W012/W013 lint and the inclusion fast path -- must match run_lints
+# followed by proven_fields on every examples_py class and on random
+# composites: same diagnostics, same order, same proven set.
+cargo test -p shelley-core --lib -q one_analysis
+
 echo "==> benches compile"
 cargo bench --workspace --no-run -q
 

@@ -462,6 +462,20 @@ impl<'a> ClassAnalysis<'a> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Composite classes [`analyze_class`] analysed on this thread: the
+    /// counter behind the one-analysis-per-class work gate.
+    static ANALYSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many composite classes [`analyze_class`] has analysed on the
+/// calling thread so far.
+#[cfg(test)]
+pub(crate) fn analyses_run() -> usize {
+    ANALYSES.with(std::cell::Cell::get)
+}
+
 /// Runs the typestate analysis on a composite class. Returns `None` for
 /// base classes (nothing to analyze).
 pub fn analyze_class(
@@ -470,6 +484,8 @@ pub fn analyze_class(
     systems: &SystemSet,
 ) -> Option<TypestateReport> {
     let info = system.composite()?;
+    #[cfg(test)]
+    ANALYSES.with(|n| n.set(n.get() + 1));
     let analysis = ClassAnalysis::new(class, system)?;
     let mut report = TypestateReport::default();
 

@@ -17,6 +17,8 @@
 use super::{LintContext, LintPass};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::extract::cfg::{assignment_flow, Cfg, NodeKind};
+use crate::system::System;
+use micropython_parser::ast::ClassDef;
 use std::collections::BTreeSet;
 
 /// See the module docs.
@@ -32,91 +34,92 @@ impl LintPass for InitOrder {
     }
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
-        for system in ctx.systems.iter() {
-            let Some(info) = system.composite() else {
-                continue;
-            };
-            let fields: BTreeSet<String> =
-                info.subsystems.iter().map(|s| s.field.clone()).collect();
-            if fields.is_empty() {
-                continue;
+        for (class, system) in ctx.classes() {
+            check_class(class, system, out);
+        }
+    }
+}
+
+/// The pass on one class.
+pub(super) fn check_class(class: &ClassDef, system: &System, out: &mut Diagnostics) {
+    let Some(info) = system.composite() else {
+        return;
+    };
+    let fields: BTreeSet<String> = info.subsystems.iter().map(|s| s.field.clone()).collect();
+    if fields.is_empty() {
+        return;
+    }
+    let Some(init) = class.method("__init__") else {
+        // No __init__ at all: resolution already reported E005.
+        return;
+    };
+
+    let cfg = Cfg::of_body(&init.body, &fields);
+    let flow = assignment_flow(&cfg, &fields);
+
+    // Reads inside __init__, against the facts at each statement.
+    for (id, node) in cfg.nodes() {
+        if node.kind != NodeKind::Stmt || !flow.reachable[id] {
+            continue;
+        }
+        // Within one statement, earlier writes of the same
+        // statement do not cover its reads (value evaluates
+        // first), so reads check the IN sets directly.
+        let must = &flow.must_in[id];
+        let may = &flow.may_in[id];
+        for (field, span) in &node.reads {
+            if !may.contains(field) {
+                out.push(
+                    Diagnostic::error(
+                        codes::USE_BEFORE_INIT,
+                        format!(
+                            "subsystem field `{field}` of `{}` is used \
+                             in `__init__` before any assignment \
+                             reaches this point",
+                            system.name
+                        ),
+                    )
+                    .with_span(*span),
+                );
+            } else if !must.contains(field) {
+                out.push(
+                    Diagnostic::warning(
+                        codes::MAYBE_UNINIT_SUBSYSTEM,
+                        format!(
+                            "subsystem field `{field}` of `{}` may be \
+                             uninitialized here: it is assigned on \
+                             some but not all paths of `__init__`",
+                            system.name
+                        ),
+                    )
+                    .with_span(*span),
+                );
             }
-            let Some(class) = ctx.module.class(&system.name) else {
-                continue;
-            };
-            let Some(init) = class.method("__init__") else {
-                // No __init__ at all: resolution already reported E005.
-                continue;
-            };
+        }
+    }
 
-            let cfg = Cfg::of_body(&init.body, &fields);
-            let flow = assignment_flow(&cfg, &fields);
-
-            // Reads inside __init__, against the facts at each statement.
-            for (id, node) in cfg.nodes() {
-                if node.kind != NodeKind::Stmt || !flow.reachable[id] {
-                    continue;
-                }
-                // Within one statement, earlier writes of the same
-                // statement do not cover its reads (value evaluates
-                // first), so reads check the IN sets directly.
-                let must = &flow.must_in[id];
-                let may = &flow.may_in[id];
-                for (field, span) in &node.reads {
-                    if !may.contains(field) {
-                        out.push(
-                            Diagnostic::error(
-                                codes::USE_BEFORE_INIT,
-                                format!(
-                                    "subsystem field `{field}` of `{}` is used \
-                                     in `__init__` before any assignment \
-                                     reaches this point",
-                                    system.name
-                                ),
-                            )
-                            .with_span(*span),
-                        );
-                    } else if !must.contains(field) {
-                        out.push(
-                            Diagnostic::warning(
-                                codes::MAYBE_UNINIT_SUBSYSTEM,
-                                format!(
-                                    "subsystem field `{field}` of `{}` may be \
-                                     uninitialized here: it is assigned on \
-                                     some but not all paths of `__init__`",
-                                    system.name
-                                ),
-                            )
-                            .with_span(*span),
-                        );
-                    }
-                }
-            }
-
-            // Fields not definitely assigned when __init__ finishes, used
-            // by operations.
-            let (must_exit, may_exit) = flow.at_exit(&cfg);
-            for field in &fields {
-                if must_exit.contains(field) || !may_exit.contains(field) {
-                    // Definitely assigned, or never assigned (E005).
-                    continue;
-                }
-                for (op_name, lowered) in &info.methods {
-                    if let Some(call) = lowered.calls.iter().find(|c| &c.field == field) {
-                        out.push(
-                            Diagnostic::warning(
-                                codes::MAYBE_UNINIT_SUBSYSTEM,
-                                format!(
-                                    "operation `{op_name}` of `{}` uses \
-                                     subsystem `{field}`, which `__init__` \
-                                     assigns only on some paths",
-                                    system.name
-                                ),
-                            )
-                            .with_span(call.span),
-                        );
-                    }
-                }
+    // Fields not definitely assigned when __init__ finishes, used
+    // by operations.
+    let (must_exit, may_exit) = flow.at_exit(&cfg);
+    for field in &fields {
+        if must_exit.contains(field) || !may_exit.contains(field) {
+            // Definitely assigned, or never assigned (E005).
+            continue;
+        }
+        for (op_name, lowered) in &info.methods {
+            if let Some(call) = lowered.calls.iter().find(|c| &c.field == field) {
+                out.push(
+                    Diagnostic::warning(
+                        codes::MAYBE_UNINIT_SUBSYSTEM,
+                        format!(
+                            "operation `{op_name}` of `{}` uses \
+                             subsystem `{field}`, which `__init__` \
+                             assigns only on some paths",
+                            system.name
+                        ),
+                    )
+                    .with_span(call.span),
+                );
             }
         }
     }

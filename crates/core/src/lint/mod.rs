@@ -16,6 +16,13 @@
 //! and verification. They are flow-sensitive: each builds or reuses the
 //! control-flow graph of [`crate::extract::cfg`] over method bodies,
 //! which the regular-language lowering of §3.2 deliberately erases.
+//!
+//! Each pass is a per-class function behind its [`LintPass`] impl.
+//! Verification does not run the passes through [`run_lints`] but through
+//! the crate-internal `lint_class`: it applies the same passes to one
+//! class in the same order and returns the typestate analysis's proven
+//! fields, so the E009/W012/W013 lint and the inclusion fast path share a
+//! single [`analyze_class`] run.
 
 mod init_order;
 mod self_calls;
@@ -27,10 +34,11 @@ pub use self_calls::SelfCalls;
 pub use typestate::Typestate;
 pub use unreachable::UnreachableCode;
 
+use crate::dataflow::typestate::analyze_class;
 use crate::diagnostics::{code_info, Diagnostics, Severity, REGISTRY};
-use crate::system::SystemSet;
-use micropython_parser::ast::Module;
-use std::collections::BTreeMap;
+use crate::system::{System, SystemSet};
+use micropython_parser::ast::{ClassDef, Module};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// How diagnostics with a given code are treated.
@@ -140,6 +148,16 @@ pub struct LintContext<'a> {
     pub systems: &'a SystemSet,
 }
 
+impl<'a> LintContext<'a> {
+    /// The systems whose class the module defines, with that class — the
+    /// units every pass runs on.
+    fn classes(&self) -> impl Iterator<Item = (&'a ClassDef, &'a System)> + '_ {
+        self.systems
+            .iter()
+            .filter_map(|system| Some((self.module.class(&system.name)?, system)))
+    }
+}
+
 /// One lint pass.
 pub trait LintPass {
     /// A short machine-friendly pass name (`"unreachable-code"`).
@@ -173,6 +191,33 @@ pub fn run_lints(module: &Module, systems: &SystemSet, out: &mut Diagnostics) {
     for pass in default_passes() {
         pass.run(&ctx, out);
     }
+}
+
+/// Runs every default pass over one system of `ctx`, in
+/// [`default_passes`] order, and returns the subsystem fields the
+/// typestate analysis proves protocol-conforming (the fast path of
+/// [`crate::pipeline::verify_system`]).
+///
+/// The findings equal those [`run_lints`] emits for this system over a
+/// module holding only its class, and the proven set equals
+/// [`crate::pipeline::proven_fields`], but [`analyze_class`] runs once
+/// for both.
+pub(crate) fn lint_class(
+    ctx: &LintContext<'_>,
+    system: &System,
+    out: &mut Diagnostics,
+) -> BTreeSet<String> {
+    let Some(class) = ctx.module.class(&system.name) else {
+        return BTreeSet::new();
+    };
+    unreachable::check_class(class, system, out);
+    init_order::check_class(class, system, out);
+    self_calls::check_class(class, system, out);
+    let Some(report) = analyze_class(class, system, ctx.systems) else {
+        return BTreeSet::new();
+    };
+    typestate::render(&report, class, system, ctx.systems, out);
+    report.proven
 }
 
 #[cfg(test)]
@@ -283,6 +328,169 @@ mod tests {
         let once = ds.clone();
         config.apply(&mut ds);
         assert_eq!(ds, once);
+    }
+
+    /// Holds [`lint_class`] against the two separate runs it replaces —
+    /// [`run_lints`] over a module holding only the class, then
+    /// [`crate::pipeline::proven_fields`] — on every class of `module`:
+    /// the same diagnostics in the same order and the same proven set.
+    /// The class is also linted inside the whole module (the shape
+    /// `check_module_direct` uses), which must not change the result.
+    /// Returns the number of composite classes compared.
+    fn assert_one_analysis_matches_two(module: &Module) -> usize {
+        use crate::pipeline::proven_fields;
+        use micropython_parser::ast::Stmt;
+
+        let (systems, _) = crate::system::build_systems(module);
+        let mut composites = 0;
+        for system in systems.iter() {
+            let Some(class) = module.class(&system.name) else {
+                continue;
+            };
+            composites += usize::from(system.is_composite());
+            let solo = Module {
+                body: vec![Stmt::ClassDef(class.clone())],
+            };
+            let mut separate = Diagnostics::new();
+            run_lints(&solo, &systems, &mut separate);
+            let separate_proven = proven_fields(Some(class), system, &systems);
+
+            for scope in [&solo, module] {
+                let ctx = LintContext {
+                    module: scope,
+                    systems: &systems,
+                };
+                let mut shared = Diagnostics::new();
+                let proven = lint_class(&ctx, system, &mut shared);
+                assert_eq!(shared, separate, "diagnostics of `{}`", system.name);
+                assert_eq!(proven, separate_proven, "proven set of `{}`", system.name);
+            }
+        }
+        composites
+    }
+
+    #[test]
+    fn one_analysis_matches_two_on_the_examples() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples_py");
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "py"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no examples under {dir}");
+        let mut composites = 0;
+        for path in &files {
+            let source = std::fs::read_to_string(path).unwrap();
+            let module = micropython_parser::parse_module(&source)
+                .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
+            composites += assert_one_analysis_matches_two(&module);
+        }
+        let paper = micropython_parser::parse_module(crate::pipeline::tests::PAPER_SOURCE).unwrap();
+        composites += assert_one_analysis_matches_two(&paper);
+        assert!(
+            composites >= 3,
+            "only {composites} composite classes compared"
+        );
+    }
+
+    /// Random composites in the style of `tests/prop_typestate.rs`: a
+    /// random dependency protocol `Gen` and a `User` with two `Gen`
+    /// fields whose operation body mixes straight-line calls, branches,
+    /// loops and a helper, so every typestate finding kind and both
+    /// fast-path outcomes occur.
+    mod random_composites {
+        use super::assert_one_analysis_matches_two;
+        use proptest::prelude::*;
+        use std::fmt::Write as _;
+
+        #[derive(Debug, Clone)]
+        enum Item {
+            Call(usize),
+            Branch(Vec<usize>, Vec<usize>),
+            Loop(usize),
+            Helper,
+        }
+
+        fn arb_item() -> impl Strategy<Value = Item> {
+            let call = 0usize..12;
+            let calls = || proptest::collection::vec(0usize..12, 0..3);
+            prop_oneof![
+                4 => call.clone().prop_map(Item::Call),
+                2 => (calls(), calls()).prop_map(|(t, e)| Item::Branch(t, e)),
+                1 => call.prop_map(Item::Loop),
+                1 => Just(Item::Helper),
+            ]
+        }
+
+        /// `self.x.opK()` / `self.y.opK()`: even call indices hit `x`.
+        fn call(out: &mut String, indent: &str, n_ops: usize, i: usize) {
+            let field = if i.is_multiple_of(2) { "x" } else { "y" };
+            let _ = writeln!(out, "{indent}self.{field}.op{}()", (i / 2) % n_ops);
+        }
+
+        fn block(out: &mut String, indent: &str, n_ops: usize, calls: &[usize]) {
+            if calls.is_empty() {
+                let _ = writeln!(out, "{indent}pass");
+            }
+            for &i in calls {
+                call(out, indent, n_ops, i);
+            }
+        }
+
+        fn render(exits: &[Vec<usize>], items: &[Item], helper: &[usize]) -> String {
+            let n = exits.len();
+            let mut out = String::from("@sys\nclass Gen:\n");
+            for (i, next) in exits.iter().enumerate() {
+                let dec = match (i == 0, i == n - 1) {
+                    (true, true) => "@op_initial_final",
+                    (true, false) => "@op_initial",
+                    (false, true) => "@op_final",
+                    (false, false) => "@op",
+                };
+                let next: Vec<String> = next.iter().map(|t| format!("\"op{t}\"")).collect();
+                let _ = writeln!(out, "    {dec}\n    def op{i}(self):");
+                let _ = writeln!(out, "        return [{}]\n", next.join(", "));
+            }
+            out.push_str("@sys([\"x\", \"y\"])\nclass User:\n    def __init__(self):\n");
+            out.push_str("        self.x = Gen()\n        self.y = Gen()\n\n");
+            out.push_str("    @op_initial_final\n    def run(self):\n");
+            for item in items {
+                match item {
+                    Item::Call(i) => call(&mut out, "        ", n, *i),
+                    Item::Branch(then, orelse) => {
+                        out.push_str("        if cond:\n");
+                        block(&mut out, "            ", n, then);
+                        out.push_str("        else:\n");
+                        block(&mut out, "            ", n, orelse);
+                    }
+                    Item::Loop(i) => {
+                        out.push_str("        while cond:\n");
+                        call(&mut out, "            ", n, *i);
+                    }
+                    Item::Helper => out.push_str("        self.aux()\n"),
+                }
+            }
+            out.push_str("        return []\n\n    def aux(self):\n");
+            block(&mut out, "        ", n, helper);
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn one_analysis_matches_two_on_random_composites(
+                exits in (2usize..6).prop_flat_map(|n| proptest::collection::vec(
+                    proptest::collection::vec(0..n, 0..3), n)),
+                items in proptest::collection::vec(arb_item(), 0..6),
+                helper in proptest::collection::vec(0usize..12, 0..3),
+            ) {
+                let src = render(&exits, &items, &helper);
+                let module = micropython_parser::parse_module(&src).expect("generated source parses");
+                prop_assert_eq!(assert_one_analysis_matches_two(&module), 1);
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 
 use super::{LintContext, LintPass};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
-use micropython_parser::ast::{Expr, ExprKind, Stmt};
+use crate::system::System;
+use micropython_parser::ast::{ClassDef, Expr, ExprKind, Stmt};
 use std::collections::BTreeSet;
 
 /// See the module docs.
@@ -24,53 +25,55 @@ impl LintPass for SelfCalls {
     }
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
-        for system in ctx.systems.iter() {
-            let ops: BTreeSet<&str> = system
-                .spec
-                .operations
-                .iter()
-                .map(|op| op.name.as_str())
-                .collect();
-            if ops.is_empty() {
+        for (class, system) in ctx.classes() {
+            check_class(class, system, out);
+        }
+    }
+}
+
+/// The pass on one class.
+pub(super) fn check_class(class: &ClassDef, system: &System, out: &mut Diagnostics) {
+    let ops: BTreeSet<&str> = system
+        .spec
+        .operations
+        .iter()
+        .map(|op| op.name.as_str())
+        .collect();
+    if ops.is_empty() {
+        return;
+    }
+    for func in class.methods() {
+        // Only operation bodies are protocol-bound; helpers and
+        // `__init__` may orchestrate freely.
+        if !ops.contains(func.name.node.as_str()) {
+            continue;
+        }
+        let mut calls = Vec::new();
+        for stmt in &func.body {
+            collect_self_calls(stmt, &mut calls);
+        }
+        for (callee, span) in calls {
+            if !ops.contains(callee.as_str()) {
                 continue;
             }
-            let Some(class) = ctx.module.class(&system.name) else {
-                continue;
+            let wording = if callee == func.name.node {
+                "calls itself"
+            } else {
+                "calls sibling operation"
             };
-            for func in class.methods() {
-                // Only operation bodies are protocol-bound; helpers and
-                // `__init__` may orchestrate freely.
-                if !ops.contains(func.name.node.as_str()) {
-                    continue;
-                }
-                let mut calls = Vec::new();
-                for stmt in &func.body {
-                    collect_self_calls(stmt, &mut calls);
-                }
-                for (callee, span) in calls {
-                    if !ops.contains(callee.as_str()) {
-                        continue;
-                    }
-                    let wording = if callee == func.name.node {
-                        "calls itself"
-                    } else {
-                        "calls sibling operation"
-                    };
-                    out.push(
-                        Diagnostic::warning(
-                            codes::SIBLING_OPERATION_CALL,
-                            format!(
-                                "operation `{}` of `{}` {wording} \
-                                 `self.{callee}()` directly; operations are \
-                                 invoked by the environment following the \
-                                 declared next-operations",
-                                func.name.node, system.name
-                            ),
-                        )
-                        .with_span(span),
-                    );
-                }
-            }
+            out.push(
+                Diagnostic::warning(
+                    codes::SIBLING_OPERATION_CALL,
+                    format!(
+                        "operation `{}` of `{}` {wording} \
+                         `self.{callee}()` directly; operations are \
+                         invoked by the environment following the \
+                         declared next-operations",
+                        func.name.node, system.name
+                    ),
+                )
+                .with_span(span),
+            );
         }
     }
 }

@@ -14,10 +14,21 @@
 //!   over-promises or the implementation under-uses its dependency. The
 //!   paper's `Valve`-with-`clean` example: an `App` that only ever runs
 //!   `test · open · close` leaves `clean` dead.
+//!
+//! The same [`TypestateReport`] also carries the fields the analysis
+//! proves conforming, which verification skips (the fast path). The two
+//! verifying paths ([`crate::workspace::Workspace`] and
+//! [`crate::pipeline::check_module_direct`]) therefore go through
+//! [`super::lint_class`], which runs [`analyze_class`] once per class and
+//! hands the report to both consumers: [`render`] here for the
+//! diagnostics, and the caller for the proven set. [`Typestate::run`] is
+//! the same analyze-then-render step for callers that only want the lint.
 
 use super::{LintContext, LintPass};
-use crate::dataflow::typestate::analyze_class;
+use crate::dataflow::typestate::{analyze_class, TypestateReport};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
+use crate::system::{System, SystemSet};
+use micropython_parser::ast::ClassDef;
 
 /// See the module docs.
 pub struct Typestate;
@@ -36,75 +47,75 @@ impl LintPass for Typestate {
     }
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
-        for system in ctx.systems.iter() {
-            let Some(class) = ctx.module.class(&system.name) else {
-                continue;
-            };
-            let Some(report) = analyze_class(class, system, ctx.systems) else {
-                continue;
-            };
-            for finding in &report.findings {
-                if finding.definite {
-                    let trace = finding
-                        .witness
-                        .as_deref()
-                        .map(|w| format!("; shortest violating trace: {w}"))
-                        .unwrap_or_default();
-                    out.push(
-                        Diagnostic::error(
-                            codes::DEFINITE_PROTOCOL_VIOLATION,
-                            format!(
-                                "calling `self.{}.{}()` in operation `{}` of \
-                                 `{}` violates the protocol of `{}` on every \
-                                 path reaching it{trace}",
-                                finding.field,
-                                finding.called,
-                                finding.op,
-                                system.name,
-                                finding.dep_class,
-                            ),
-                        )
-                        .with_span(finding.span),
-                    );
-                } else {
-                    out.push(
-                        Diagnostic::warning(
-                            codes::POSSIBLE_PROTOCOL_VIOLATION,
-                            format!(
-                                "calling `self.{}.{}()` in operation `{}` of \
-                                 `{}` may violate the protocol of `{}` on \
-                                 some path",
-                                finding.field,
-                                finding.called,
-                                finding.op,
-                                system.name,
-                                finding.dep_class,
-                            ),
-                        )
-                        .with_span(finding.span),
-                    );
-                }
+        for (class, system) in ctx.classes() {
+            if let Some(report) = analyze_class(class, system, ctx.systems) {
+                render(&report, class, system, ctx.systems, out);
             }
-            for (field, dep_class) in &report.deps {
-                let Some(dep) = ctx.systems.get(dep_class) else {
-                    continue;
-                };
-                let invoked = &report.invoked[field];
-                for op in &dep.spec.operations {
-                    if !invoked.contains(&op.name) {
-                        out.push(
-                            Diagnostic::warning(
-                                codes::DEAD_SUBSYSTEM_OPERATION,
-                                format!(
-                                    "operation `{}` of `{}` is never invoked \
-                                     on subsystem `{}` of `{}`",
-                                    op.name, dep_class, field, system.name
-                                ),
-                            )
-                            .with_span(class.name.span),
-                        );
-                    }
-                }
+        }
+    }
+}
+
+/// Renders one class's [`TypestateReport`] as diagnostics: the findings
+/// in report order, then the dead dependency operations per field.
+pub(super) fn render(
+    report: &TypestateReport,
+    class: &ClassDef,
+    system: &System,
+    systems: &SystemSet,
+    out: &mut Diagnostics,
+) {
+    for finding in &report.findings {
+        if finding.definite {
+            let trace = finding
+                .witness
+                .as_deref()
+                .map(|w| format!("; shortest violating trace: {w}"))
+                .unwrap_or_default();
+            out.push(
+                Diagnostic::error(
+                    codes::DEFINITE_PROTOCOL_VIOLATION,
+                    format!(
+                        "calling `self.{}.{}()` in operation `{}` of \
+                         `{}` violates the protocol of `{}` on every \
+                         path reaching it{trace}",
+                        finding.field, finding.called, finding.op, system.name, finding.dep_class,
+                    ),
+                )
+                .with_span(finding.span),
+            );
+        } else {
+            out.push(
+                Diagnostic::warning(
+                    codes::POSSIBLE_PROTOCOL_VIOLATION,
+                    format!(
+                        "calling `self.{}.{}()` in operation `{}` of \
+                         `{}` may violate the protocol of `{}` on \
+                         some path",
+                        finding.field, finding.called, finding.op, system.name, finding.dep_class,
+                    ),
+                )
+                .with_span(finding.span),
+            );
+        }
+    }
+    for (field, dep_class) in &report.deps {
+        let Some(dep) = systems.get(dep_class) else {
+            continue;
+        };
+        let invoked = &report.invoked[field];
+        for op in &dep.spec.operations {
+            if !invoked.contains(&op.name) {
+                out.push(
+                    Diagnostic::warning(
+                        codes::DEAD_SUBSYSTEM_OPERATION,
+                        format!(
+                            "operation `{}` of `{}` is never invoked \
+                             on subsystem `{}` of `{}`",
+                            op.name, dep_class, field, system.name
+                        ),
+                    )
+                    .with_span(class.name.span),
+                );
             }
         }
     }

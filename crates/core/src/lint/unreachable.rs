@@ -8,6 +8,8 @@
 use super::{LintContext, LintPass};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::extract::cfg::Cfg;
+use crate::system::System;
+use micropython_parser::ast::ClassDef;
 use std::collections::BTreeSet;
 
 /// See the module docs.
@@ -23,27 +25,29 @@ impl LintPass for UnreachableCode {
     }
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
-        let no_fields = BTreeSet::new();
-        for system in ctx.systems.iter() {
-            let Some(class) = ctx.module.class(&system.name) else {
-                continue;
-            };
-            for func in class.methods() {
-                let cfg = Cfg::of_body(&func.body, &no_fields);
-                for &span in cfg.dead_code() {
-                    out.push(
-                        Diagnostic::warning(
-                            codes::UNREACHABLE_STATEMENT,
-                            format!(
-                                "unreachable statement in `{}` of `{}`: every \
-                                 path before it already left the method",
-                                func.name.node, system.name
-                            ),
-                        )
-                        .with_span(span),
-                    );
-                }
-            }
+        for (class, system) in ctx.classes() {
+            check_class(class, system, out);
+        }
+    }
+}
+
+/// The pass on one class.
+pub(super) fn check_class(class: &ClassDef, system: &System, out: &mut Diagnostics) {
+    let no_fields = BTreeSet::new();
+    for func in class.methods() {
+        let cfg = Cfg::of_body(&func.body, &no_fields);
+        for &span in cfg.dead_code() {
+            out.push(
+                Diagnostic::warning(
+                    codes::UNREACHABLE_STATEMENT,
+                    format!(
+                        "unreachable statement in `{}` of `{}`: every \
+                         path before it already left the method",
+                        func.name.node, system.name
+                    ),
+                )
+                .with_span(span),
+            );
         }
     }
 }

@@ -25,10 +25,15 @@
 //! Newline-delimited JSON with a versioned header:
 //!
 //! ```text
-//! {"magic":"shelleyc-cache","format":1}
+//! {"magic":"shelleyc-cache","format":2,"analysis":4242}
 //! {"class_fp":123,"dep_fp":456,"saved":{...}}
 //! {"class_fp":789,"dep_fp":101,"saved":{...}}
 //! ```
+//!
+//! `format` versions the record layout; `analysis` is the
+//! [`analysis_stamp`] of the build that wrote the file, so records
+//! computed by a build whose analyses may differ (another crate version or
+//! diagnostic registry) are never replayed.
 //!
 //! Saving writes to a temporary file in the same directory and renames it
 //! into place, so readers never observe a half-written cache. Loading is
@@ -38,7 +43,7 @@
 //! realistic corruption, and a stale or empty cache only costs
 //! re-verification, never correctness.
 
-use crate::diagnostics::Diagnostics;
+use crate::diagnostics::{Diagnostics, Severity, REGISTRY};
 use crate::verify::claims::ClaimViolation;
 use crate::verify::usage::UsageViolation;
 use serde::json;
@@ -54,7 +59,25 @@ pub const CACHE_MAGIC: &str = "shelleyc-cache";
 ///
 /// A loaded file with a different version is ignored wholesale — the
 /// cache is a pure accelerator, so "ignore and rebuild" is always safe.
-pub const CACHE_FORMAT: u32 = 1;
+pub const CACHE_FORMAT: u32 = 2;
+
+/// The analysis version a cache file is stamped with: FNV-1a over the
+/// crate version and every `(code, default severity)` pair of the
+/// diagnostic [`REGISTRY`].
+///
+/// A file carrying another stamp is ignored wholesale, like a format
+/// mismatch: its records may hold findings this build would not produce.
+pub fn analysis_stamp() -> u64 {
+    let mut parts: Vec<&[u8]> = vec![env!("CARGO_PKG_VERSION").as_bytes()];
+    for info in REGISTRY {
+        let severity: &[u8] = match info.default_severity {
+            Severity::Warning => b"warning",
+            Severity::Error => b"error",
+        };
+        parts.extend([info.code.as_bytes(), severity]);
+    }
+    crate::workspace::fnv1a(&parts)
+}
 
 /// The persisted verify-stage products of one class.
 ///
@@ -89,6 +112,8 @@ struct Record {
 struct Header {
     magic: String,
     format: u32,
+    /// Absent in format-1 files, which the format check rejects first.
+    analysis: Option<u64>,
 }
 
 /// What [`load`] recovered, plus how much it had to discard.
@@ -99,7 +124,7 @@ pub struct LoadOutcome {
     /// Record lines dropped as malformed (torn tail after a crash).
     pub skipped_lines: usize,
     /// Why the whole file was ignored, when it was (missing file, foreign
-    /// header, version mismatch).
+    /// header, format or analysis-stamp mismatch).
     pub rejected: Option<String>,
 }
 
@@ -138,6 +163,16 @@ pub fn load(path: &Path) -> LoadOutcome {
         ));
         return outcome;
     }
+    let stamp = analysis_stamp();
+    if header.analysis != Some(stamp) {
+        outcome.rejected = Some(format!(
+            "cache analysis stamp {} (this build's is {stamp})",
+            header
+                .analysis
+                .map_or_else(|| "missing".to_string(), |a| a.to_string())
+        ));
+        return outcome;
+    }
     for line in lines {
         if line.trim().is_empty() {
             continue;
@@ -167,6 +202,7 @@ where
     out.push_str(&json::to_string(&Header {
         magic: CACHE_MAGIC.to_string(),
         format: CACHE_FORMAT,
+        analysis: Some(analysis_stamp()),
     }));
     out.push('\n');
     let mut count = 0;
@@ -269,6 +305,62 @@ mod tests {
 
         let missing = temp_path("missing-dir").with_file_name("never-written.ndjson");
         assert!(load(&missing).rejected.is_some());
+    }
+
+    #[test]
+    fn another_analysis_stamp_rejects_the_file_and_the_next_round_runs_cold() {
+        use crate::lint::LintConfig;
+        use crate::workspace::{tests::composites_project, Workspace};
+
+        let path = temp_path("stamp");
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        ws.set_file("a.py", composites_project(3));
+        let cold = ws.check().unwrap();
+        assert_eq!(ws.save_disk_cache(&path).unwrap(), 4);
+
+        // The file this build wrote restores every class.
+        let mut restored = Workspace::with_config(LintConfig::default(), 1);
+        restored.set_file("a.py", composites_project(3));
+        assert!(restored.load_disk_cache(&path).rejected.is_none());
+        restored.check().unwrap();
+        assert_eq!(restored.last_round().verify_disk_hits, 4);
+
+        // The same records under another build's stamp restore none.
+        let stamp = analysis_stamp();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (header, records) = text.split_once('\n').unwrap();
+        assert!(
+            header.contains(&format!("\"analysis\":{stamp}")),
+            "{header}"
+        );
+        let header = header.replace(&stamp.to_string(), &(stamp ^ 1).to_string());
+        std::fs::write(&path, format!("{header}\n{records}")).unwrap();
+
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        ws.set_file("a.py", composites_project(3));
+        let outcome = ws.load_disk_cache(&path);
+        assert!(outcome.entries.is_empty());
+        let reason = outcome.rejected.expect("a foreign stamp rejects the file");
+        assert!(reason.contains("analysis stamp"), "{reason}");
+        let checked = ws.check().unwrap();
+        assert_eq!(ws.last_round().verify_disk_hits, 0);
+        assert_eq!(ws.last_round().verified, 4);
+        assert_eq!(
+            checked.report.render(None),
+            cold.report.render(None),
+            "the cold re-verification reaches the same verdicts"
+        );
+    }
+
+    #[test]
+    fn a_current_format_header_without_a_stamp_is_rejected() {
+        let path = temp_path("unstamped");
+        std::fs::write(
+            &path,
+            format!("{{\"magic\":\"{CACHE_MAGIC}\",\"format\":{CACHE_FORMAT}}}\n"),
+        )
+        .unwrap();
+        assert!(load(&path).rejected.unwrap().contains("missing"));
     }
 
     #[test]

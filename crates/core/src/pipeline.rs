@@ -8,7 +8,7 @@ use crate::backend::Backend;
 use crate::dataflow::typestate::analyze_class;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::integration::{build_integration, Integration};
-use crate::lint::{run_lints, LintConfig, LintLevel};
+use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
 use crate::system::{build_systems, System, SystemSet};
 use crate::verify::claims::{check_claims, ClaimViolation};
 use crate::verify::usage::{check_usage_counted, UsageViolation};
@@ -71,8 +71,9 @@ pub struct Checked {
 }
 
 /// The reference implementation: sequential, from scratch, single module,
-/// no caching — one [`build_systems`] pass, module-level lints, then
-/// [`verify_system`] per class in declaration order.
+/// no caching — one [`build_systems`] pass, then per class in declaration
+/// order the lint passes and [`verify_system`], which share one typestate
+/// analysis (see `lint::lint_class`).
 ///
 /// [`crate::workspace::Workspace`] must produce byte-identical reports to
 /// this function on any single-module input; the equivalence suite holds
@@ -83,13 +84,16 @@ pub struct Checked {
 /// diagnostics).
 pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
     let (systems, mut diagnostics) = build_systems(module);
-    run_lints(module, &systems, &mut diagnostics);
+    let ctx = LintContext {
+        module,
+        systems: &systems,
+    };
     let mut usage_violations = Vec::new();
     let mut claim_violations = Vec::new();
     let mut integrations = Vec::new();
 
     for system in systems.iter() {
-        let proven = proven_fields(module.class(&system.name), system, &systems);
+        let proven = lint_class(&ctx, system, &mut diagnostics);
         let verdict = verify_system(system, &systems, &proven, Backend::Auto);
         diagnostics.extend(verdict.diagnostics);
         for v in verdict.usage_violations {
@@ -153,7 +157,9 @@ pub struct SystemVerdict {
 /// may skip them.
 ///
 /// `class` is the system's source definition (`None` short-circuits to an
-/// empty set, disabling the fast path).
+/// empty set, disabling the fast path). The verifying paths get this set
+/// from `lint::lint_class`, which shares the analysis with the typestate lint;
+/// this wrapper runs the analysis on its own.
 pub fn proven_fields(
     class: Option<&ClassDef>,
     system: &System,
@@ -397,6 +403,28 @@ class GoodSector:
         let bad = systems.get("BadSector").unwrap();
         let proven = proven_fields(paper.class("BadSector"), bad, &systems);
         assert!(!proven.contains("a"));
+    }
+
+    /// Work-count gate: the lint and the fast path share one typestate
+    /// analysis per composite class.
+    #[test]
+    fn one_analysis_per_composite_class_in_check_module_direct() {
+        use crate::dataflow::typestate::analyses_run;
+
+        let module =
+            micropython_parser::parse_module(&crate::workspace::tests::composites_project(5))
+                .unwrap();
+        let before = analyses_run();
+        let checked = super::check_module_direct(&module, &crate::lint::LintConfig::default());
+        let composites = checked.systems.iter().filter(|s| s.is_composite()).count();
+        assert_eq!(composites, 5);
+        assert!(checked
+            .report
+            .diagnostics
+            .by_code(crate::diagnostics::codes::DEFINITE_PROTOCOL_VIOLATION)
+            .next()
+            .is_some());
+        assert_eq!(analyses_run() - before, composites);
     }
 
     #[test]

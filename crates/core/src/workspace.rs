@@ -70,9 +70,9 @@
 use crate::backend::Backend;
 use crate::checker::CheckError;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
-use crate::lint::{run_lints, LintConfig, LintLevel};
+use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
 use crate::persist::{self, SavedVerify};
-use crate::pipeline::{proven_fields, verify_system, CheckReport, Checked, SystemVerdict};
+use crate::pipeline::{verify_system, CheckReport, Checked, SystemVerdict};
 use crate::spec::ClassSpec;
 use crate::stats::{system_stats, SystemStats};
 use crate::system::{
@@ -827,6 +827,12 @@ fn spec_index_of(entries: &[Arc<ExtractEntry>]) -> BTreeMap<String, ClassSpec> {
 /// Splits a module into per-class units, fingerprinting each class by its
 /// printed AST plus its position and file (so diagnostics spans stay exact
 /// under incremental reuse).
+///
+/// Each class is cloned, not moved, into its solo module: the clone is
+/// allocated to exact capacity, while a moved class keeps the parser's
+/// spare `Vec` capacity alive for as long as the unit is cached (moving
+/// raised the peak RSS of a cold 1000-class `shelleyc check` from 20.5 to
+/// 23.3 MiB).
 fn class_units(file: &str, module: &Module) -> Vec<ClassUnit> {
     let mut units = Vec::new();
     for stmt in &module.body {
@@ -872,7 +878,8 @@ fn run_extract(unit: &ClassUnit) -> ExtractEntry {
 }
 
 /// The verification stage of one class: resolution against the subsystem
-/// specs, the per-class lint passes, and usage/claim verification.
+/// specs, the per-class lint passes, and usage/claim verification. The
+/// typestate lint and the inclusion fast path share one analysis.
 fn run_verify(
     extraction: ClassExtraction,
     unit: &ClassUnit,
@@ -910,9 +917,11 @@ fn run_verify(
     let verify_scope: SystemSet = verify_scope.into_iter().collect();
 
     let mut lint_diags = Diagnostics::new();
-    run_lints(&unit.solo, &verify_scope, &mut lint_diags);
-
-    let proven = proven_fields(unit.solo.class(&system.name), &system, &verify_scope);
+    let ctx = LintContext {
+        module: &unit.solo,
+        systems: &verify_scope,
+    };
+    let proven = lint_class(&ctx, &system, &mut lint_diags);
     let verdict = verify_system(&system, &verify_scope, &proven, backend);
 
     VerifyEntry {
@@ -998,7 +1007,7 @@ fn par_map<T: Sync, R: Send>(jobs: usize, items: &[T], f: impl Fn(&T) -> R + Syn
 /// across versions, and a collision would make any later process that
 /// loads the cache reuse another class's verdict. At project scale
 /// collisions are astronomically unlikely.
-fn fnv1a(parts: &[&[u8]]) -> u64 {
+pub(crate) fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut hash = Fnv1a::new();
     for part in parts {
         hash.part(part);
@@ -1026,5 +1035,54 @@ impl Fnv1a {
 
     fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::dataflow::typestate::analyses_run;
+
+    /// A `Valve` plus `n` composites using it; odd-numbered ones call
+    /// `close` right after `test`, which the protocol forbids, so both
+    /// fast-path outcomes occur.
+    pub(crate) fn composites_project(n: usize) -> String {
+        let mut src = String::from(
+            "@sys\nclass Valve:\n    @op_initial\n    def test(self):\n        \
+             return [\"open\", \"clean\"]\n\n    @op\n    def open(self):\n        \
+             return [\"close\"]\n\n    @op_final\n    def close(self):\n        \
+             return []\n\n    @op_final\n    def clean(self):\n        return []\n",
+        );
+        for i in 0..n {
+            let last = if i.is_multiple_of(2) {
+                "clean"
+            } else {
+                "close"
+            };
+            src.push_str(&format!(
+                "\n@sys([\"a\"])\nclass User{i}:\n    def __init__(self):\n        \
+                 self.a = Valve()\n\n    @op_initial_final\n    def run(self):\n        \
+                 self.a.test()\n        self.a.{last}()\n        return []\n"
+            ));
+        }
+        src
+    }
+
+    /// Work-count gate: a cold round analyses each composite class once,
+    /// for the typestate lint and the inclusion fast path together; a
+    /// warm round analyses nothing.
+    #[test]
+    fn one_analysis_per_composite_class_in_a_cold_workspace_round() {
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        ws.set_file("a.py", composites_project(6));
+        let before = analyses_run();
+        let checked = ws.check().unwrap();
+        let composites = checked.systems.iter().filter(|s| s.is_composite()).count();
+        assert_eq!(composites, 6);
+        assert_eq!(ws.last_round().fast_path_proven, 3);
+        assert_eq!(analyses_run() - before, composites);
+
+        ws.check().unwrap();
+        assert_eq!(analyses_run() - before, composites);
     }
 }
