@@ -25,6 +25,14 @@ echo "==> one typestate analysis per class (work-count gate, shared-report diffe
 # composites: same diagnostics, same order, same proven set.
 cargo test -p shelley-core --lib -q one_analysis
 
+echo "==> parse phase on the worker pool (job-count determinism)"
+# A multi-file project parses its changed files on par_map: a recovering
+# check of realworld_corpus(200) must give byte-identical reports (W014
+# order included) and equal counters at jobs 1, 2 and 8; a strict project
+# with two broken files must fail on the earlier one at every job count;
+# and editing 3 files of a checked project must re-parse exactly 3.
+cargo test -p shelley-bench --test parallel_parse -q
+
 echo "==> benches compile"
 cargo bench --workspace --no-run -q
 

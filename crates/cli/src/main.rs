@@ -372,13 +372,35 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
     let path = args
         .get(1)
         .ok_or_else(|| CliError::Usage("missing input file".into()))?;
-    let source = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
+    let read = |name: &String| {
+        std::fs::read_to_string(name)
+            .map_err(|e| CliError::Usage(format!("cannot read {name}: {e}")))
+    };
+    let source = read(path)?;
     let file = micropython_parser::SourceFile::new(path.clone(), source.clone());
-    let checked = checker.check_source(&source).map_err(|e| {
-        let (line, col) = file.line_col(e.error.span.start);
-        CliError::Verification(format!("{path}:{line}:{col}: {}\n", e.error))
-    })?;
+    // Additional files to `check` form a multi-file project, checked once
+    // as a whole; a syntax error is positioned in the failing file's text.
+    let multi_file = cmd == "check" && args.len() > 2;
+    let checked = if multi_file {
+        let mut files = vec![shelley_core::ProjectFile::new(path.clone(), source)];
+        for extra in &args[2..] {
+            files.push(shelley_core::ProjectFile::new(extra.clone(), read(extra)?));
+        }
+        checker.check_files(&files).map_err(|e| {
+            let failing = files
+                .iter()
+                .find(|f| f.name == e.file)
+                .expect("a parse failure names one of the project's files");
+            let text = micropython_parser::SourceFile::new(e.file.clone(), failing.source.clone());
+            let (line, col) = text.line_col(e.error.span.start);
+            CliError::Verification(format!("{}:{line}:{col}: {}\n", e.file, e.error))
+        })?
+    } else {
+        checker.check_source(&source).map_err(|e| {
+            let (line, col) = file.line_col(e.error.span.start);
+            CliError::Verification(format!("{path}:{line}:{col}: {}\n", e.error))
+        })?
+    };
 
     let class_arg = |i: usize| -> Result<&shelley_core::System, CliError> {
         let name = args
@@ -392,21 +414,6 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
 
     match cmd.as_str() {
         "check" => {
-            // Additional files form a multi-file project.
-            let multi_file = args.len() > 2;
-            let checked = if multi_file {
-                let mut files = vec![shelley_core::ProjectFile::new(path.clone(), source.clone())];
-                for extra in &args[2..] {
-                    let text = std::fs::read_to_string(extra)
-                        .map_err(|e| CliError::Usage(format!("cannot read {extra}: {e}")))?;
-                    files.push(shelley_core::ProjectFile::new(extra.clone(), text));
-                }
-                checker
-                    .check_files(&files)
-                    .map_err(|e| CliError::Verification(format!("{e}\n")))?
-            } else {
-                checked
-            };
             // Machine formats cannot attribute merged-project spans to
             // their files, so positions are only emitted for single files.
             let position_source = (!multi_file).then_some(&file);

@@ -427,6 +427,21 @@ class Blinker:
     assert!(stdout.contains("OK: 2 system(s) verified"));
 }
 
+#[test]
+fn multi_file_syntax_error_is_positioned_in_either_order() {
+    let good = write_temp("order_good.py", GOOD);
+    let broken = write_temp("order_broken.py", "class B(:\n");
+    let (good, broken) = (good.to_str().unwrap(), broken.to_str().unwrap());
+    for files in [[good, broken], [broken, good]] {
+        let (stdout, _, code) = shelleyc(&["check", files[0], files[1]]);
+        assert_eq!(code, Some(1), "{files:?}: {stdout}");
+        assert!(
+            stdout.starts_with(&format!("{broken}:1:9: syntax error")),
+            "{files:?}: {stdout}"
+        );
+    }
+}
+
 const IMPLICIT_RETURN: &str = r#"
 @sys
 class V:

@@ -37,12 +37,16 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Stages fan out over a [`std::thread::scope`] worker pool
+//! Every stage that does per-item work fans out over a
+//! [`std::thread::scope`] worker pool
 //! ([`Checker::jobs`](crate::checker::Checker::jobs), default: available
-//! parallelism). Workers claim classes from a shared queue, but results
-//! are merged back **in class order** and diagnostics are normalized, so
-//! reports are byte-identical across job counts and across
-//! incremental-vs-cold runs.
+//! parallelism): parsing over the changed files, extraction and
+//! verification over the invalidated classes. Workers claim items from a
+//! shared queue, but results are merged back **in file and class order**
+//! and diagnostics are normalized, so reports — including which parse
+//! failure is reported first and the order of `W014` warnings — are
+//! byte-identical across job counts and across incremental-vs-cold runs.
+//! A round with a single changed item runs it inline, without spawning.
 //!
 //! # Example
 //!
@@ -126,7 +130,9 @@ pub struct WorkspaceStats {
     pub stats_computed: u64,
     /// [`Workspace::class_stats`] calls served from the stats cache.
     pub stats_cache_hits: u64,
-    /// Time spent parsing changed files.
+    /// Wall time of the parse phase: parsing the changed files on the
+    /// worker pool, including printing and fingerprinting each of their
+    /// classes and collecting recovery-mode `W014` warnings.
     pub parse_time: Duration,
     /// Time spent extracting changed classes.
     pub extract_time: Duration,
@@ -389,6 +395,15 @@ impl Workspace {
         self.files.iter().map(|f| f.name.as_str())
     }
 
+    /// The source text registered for `name` by [`set_file`](Self::set_file);
+    /// `None` for unknown files and for modules registered pre-parsed.
+    pub fn source(&self, name: &str) -> Option<&str> {
+        self.files
+            .iter()
+            .find(|f| f.name == name)
+            .and_then(|f| f.source.as_deref())
+    }
+
     /// Counters and timings accumulated since the workspace was created.
     pub fn stats(&self) -> &WorkspaceStats {
         &self.totals
@@ -414,28 +429,37 @@ impl Workspace {
             ..WorkspaceStats::default()
         };
 
-        // Phase 1: (re-)parse changed files.
+        // Phase 1: (re-)parse changed files. A file's parse depends on its
+        // own text only, so stale files fan out like classes do; results
+        // come back in file order.
         let t = Instant::now();
-        for file in &mut self.files {
-            if file.parsed.is_some() {
-                round.parse_cache_hits += 1;
-                continue;
-            }
-            round.files_parsed += 1;
+        let stale: Vec<usize> = (0..self.files.len())
+            .filter(|&i| self.files[i].parsed.is_none())
+            .collect();
+        round.files_parsed = stale.len() as u64;
+        round.parse_cache_hits = (self.files.len() - stale.len()) as u64;
+        let recover = self.recover;
+        let files = &self.files;
+        let fresh = par_map(self.effective_jobs(), &stale, |&i| {
+            let file = &files[i];
             let source = file
                 .source
                 .as_deref()
                 .expect("files without source are registered pre-parsed");
-            file.parsed = Some(if self.recover {
+            if recover {
                 let module = parse_module_recover(source);
-                file.degraded = degraded_diags(&module);
-                Ok(class_units(&file.name, &module))
+                (
+                    Ok(class_units(&file.name, &module)),
+                    degraded_diags(&module),
+                )
             } else {
-                match parse_module(source) {
-                    Ok(module) => Ok(class_units(&file.name, &module)),
-                    Err(e) => Err(e),
-                }
-            });
+                let parsed = parse_module(source).map(|module| class_units(&file.name, &module));
+                (parsed, Diagnostics::new())
+            }
+        });
+        for (&i, (parsed, degraded)) in stale.iter().zip(fresh) {
+            self.files[i].parsed = Some(parsed);
+            self.files[i].degraded = degraded;
         }
         round.parse_time = t.elapsed();
         let first_failure = self.files.iter().find_map(|file| match &file.parsed {
@@ -973,23 +997,32 @@ fn run_verify_restored(
 /// Maps `f` over `items` on a scoped worker pool of at most `jobs`
 /// threads, returning results in input order. `jobs <= 1` (or a single
 /// item) runs inline on the calling thread.
+///
+/// The calling thread is one of the workers. Besides sparing a spawn,
+/// that leaves part of a cold round's long-lived products in the
+/// caller's allocator arena, which a daemon's later inline single-item
+/// rounds allocate from: with glibc's per-thread arenas and only spawned
+/// workers, the freed cold-round products left holes nothing reused, and
+/// the daemon's resident set grew faster under edits.
 fn par_map<T: Sync, R: Send>(jobs: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     if jobs <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(items.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(&items[i]);
-                *slots[i].lock().expect("worker result slot poisoned") = Some(result);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
+        let result = f(&items[i]);
+        *slots[i].lock().expect("worker result slot poisoned") = Some(result);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..jobs.min(items.len()) {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()

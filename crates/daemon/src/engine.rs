@@ -11,6 +11,7 @@ use shelley_core::persist::LoadOutcome;
 use shelley_core::{
     Checker, Method, Reply, ReplyBody, Request, WireDiagnostic, Workspace, PROTOCOL_VERSION,
 };
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -23,12 +24,11 @@ pub enum Outcome {
     Shutdown,
 }
 
-/// One verification engine: the shared workspace, the text of every open
-/// file (kept for resolving diagnostic positions), and the optional
-/// on-disk cache location.
+/// One verification engine: the shared workspace (which also holds the
+/// text of every open file, read back for resolving diagnostic positions)
+/// and the optional on-disk cache location.
 pub struct Engine {
     workspace: Workspace,
-    files: BTreeMap<String, String>,
     cache_path: Option<PathBuf>,
 }
 
@@ -37,7 +37,6 @@ impl Engine {
     pub fn new(checker: Checker) -> Self {
         Engine {
             workspace: checker.into_workspace(),
-            files: BTreeMap::new(),
             cache_path: None,
         }
     }
@@ -84,13 +83,11 @@ impl Engine {
                 }
             }
             Method::Open { path, text } | Method::Change { path, text } => {
-                self.workspace.set_file(path.clone(), text.clone());
-                self.files.insert(path, text);
+                self.workspace.set_file(path, text);
                 reply(ReplyBody::Ok);
             }
             Method::Close { path } => {
                 self.workspace.remove_file(&path);
-                self.files.remove(&path);
                 reply(ReplyBody::Ok);
             }
             Method::Configure { recover, backend } => {
@@ -131,13 +128,15 @@ impl Engine {
                 let mut order: Vec<Option<String>> = Vec::new();
                 let mut groups: BTreeMap<Option<String>, Vec<WireDiagnostic>> = BTreeMap::new();
                 for d in checked.report.diagnostics.iter() {
-                    let source = match d.file.as_deref().map(|n| (n, self.files.get(n))) {
-                        Some((name, Some(text))) => Some(
-                            &*sources
-                                .entry(name)
-                                .or_insert_with(|| SourceFile::new(name, text.clone())),
-                        ),
-                        _ => None,
+                    let source = match d.file.as_deref() {
+                        Some(name) => match sources.entry(name) {
+                            Entry::Occupied(hit) => Some(&*hit.into_mut()),
+                            Entry::Vacant(slot) => self
+                                .workspace
+                                .source(name)
+                                .map(|text| &*slot.insert(SourceFile::new(name, text))),
+                        },
+                        None => None,
                     };
                     let wire = WireDiagnostic::new(d, source);
                     let key = wire.file.clone();
@@ -163,8 +162,7 @@ impl Engine {
                 });
             }
             Err(e) => {
-                let source = self.files.get(&e.file).map(String::as_str);
-                let failure = ParseFailure::new(&e, source);
+                let failure = ParseFailure::new(&e, self.workspace.source(&e.file));
                 let summary =
                     CheckSummary::from_parse_error(failure, self.workspace.last_round().clone());
                 emit(Reply {
