@@ -33,6 +33,16 @@ echo "==> parse phase on the worker pool (job-count determinism)"
 # and editing 3 files of a checked project must re-parse exactly 3.
 cargo test -p shelley-bench --test parallel_parse -q
 
+echo "==> class keys cover source bytes (stale-span regression, edit equivalence)"
+# A class's cache key hashes its own source bytes: lengthening a comment
+# inside a class must re-extract it, so an incremental round and a
+# restart through the disk cache both report the cold check's positions;
+# a decorator-line edit re-keys the class and text after it does not;
+# random comment, blank-line and trailing-comment edits inside
+# realworld_corpus classes keep positioned text/JSON reports
+# byte-identical to a cold check.
+cargo test -p shelley-core -p shelley-bench -q class_key
+
 echo "==> benches compile"
 cargo bench --workspace --no-run -q
 

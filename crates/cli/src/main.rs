@@ -30,10 +30,11 @@
 use shelley_core::extract::dependency::DependencyGraph;
 use shelley_core::{
     build_integration, integration_diagram, spec_diagram, Backend, Checker, LintConfig, LintLevel,
+    INPUT_NAME,
 };
 use shelley_daemon::{Client, Engine};
 use shelley_smv::nfa_to_smv;
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -369,38 +370,18 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
     if cmd == "connect" {
         return run_connect(&args[1..], &opts);
     }
+    if cmd == "check" {
+        return run_check(&args[1..], format, checker);
+    }
     let path = args
         .get(1)
         .ok_or_else(|| CliError::Usage("missing input file".into()))?;
-    let read = |name: &String| {
-        std::fs::read_to_string(name)
-            .map_err(|e| CliError::Usage(format!("cannot read {name}: {e}")))
-    };
-    let source = read(path)?;
-    let file = micropython_parser::SourceFile::new(path.clone(), source.clone());
-    // Additional files to `check` form a multi-file project, checked once
-    // as a whole; a syntax error is positioned in the failing file's text.
-    let multi_file = cmd == "check" && args.len() > 2;
-    let checked = if multi_file {
-        let mut files = vec![shelley_core::ProjectFile::new(path.clone(), source)];
-        for extra in &args[2..] {
-            files.push(shelley_core::ProjectFile::new(extra.clone(), read(extra)?));
-        }
-        checker.check_files(&files).map_err(|e| {
-            let failing = files
-                .iter()
-                .find(|f| f.name == e.file)
-                .expect("a parse failure names one of the project's files");
-            let text = micropython_parser::SourceFile::new(e.file.clone(), failing.source.clone());
-            let (line, col) = text.line_col(e.error.span.start);
-            CliError::Verification(format!("{}:{line}:{col}: {}\n", e.file, e.error))
-        })?
-    } else {
-        checker.check_source(&source).map_err(|e| {
-            let (line, col) = file.line_col(e.error.span.start);
-            CliError::Verification(format!("{path}:{line}:{col}: {}\n", e.error))
-        })?
-    };
+    let source = read_source(path)?;
+    let checked = checker.check_source(&source).map_err(|e| {
+        let (line, col) = micropython_parser::SourceFile::new(path.clone(), source.clone())
+            .line_col(e.error.span.start);
+        CliError::Verification(format!("{path}:{line}:{col}: {}\n", e.error))
+    })?;
 
     let class_arg = |i: usize| -> Result<&shelley_core::System, CliError> {
         let name = args
@@ -413,30 +394,6 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
     };
 
     match cmd.as_str() {
-        "check" => {
-            // Machine formats cannot attribute merged-project spans to
-            // their files, so positions are only emitted for single files.
-            let position_source = (!multi_file).then_some(&file);
-            let out = match format {
-                Format::Text => {
-                    let mut out = checked.report.render(position_source);
-                    if checked.report.passed() {
-                        out.push_str(&format!(
-                            "OK: {} system(s) verified\n",
-                            checked.systems.len()
-                        ));
-                    }
-                    out
-                }
-                Format::Json => checked.report.diagnostics.render_json(position_source),
-                Format::Sarif => checked.report.diagnostics.render_sarif(position_source),
-            };
-            if checked.report.passed() {
-                Ok(out)
-            } else {
-                Err(CliError::Verification(out))
-            }
-        }
         "diagram" => {
             let system = class_arg(2)?;
             Ok(spec_diagram(&system.spec))
@@ -501,8 +458,7 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
             let trace_path = args
                 .get(3)
                 .ok_or_else(|| CliError::Usage("missing trace file".into()))?;
-            let trace_text = std::fs::read_to_string(trace_path)
-                .map_err(|e| CliError::Usage(format!("cannot read {trace_path}: {e}")))?;
+            let trace_text = read_source(trace_path)?;
             let ops: Vec<&str> = trace_text
                 .lines()
                 .map(str::trim)
@@ -614,6 +570,81 @@ const EXTRACT_ERROR_CODES: &[&str] = &[
     shelley_core::codes::NO_INITIAL_OPERATION,
     shelley_core::codes::BAD_CLAIM,
 ];
+
+fn read_source(name: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(name).map_err(|e| CliError::Usage(format!("cannot read {name}: {e}")))
+}
+
+/// `shelleyc check`: one verification round over the given files.
+///
+/// A single file is checked under [`INPUT_NAME`]; more files form a
+/// multi-file project, checked once as a whole. A syntax error is
+/// positioned in the failing file's own text.
+///
+/// Once the report is printed the process exits on the spot, without
+/// dropping the workspace or the round's products: the operating system
+/// reclaims their memory at once, where freeing them piece by piece would
+/// cost tens of milliseconds on one thread after the verdict is out. Only
+/// usage errors return.
+fn run_check(paths: &[String], format: Format, checker: Checker) -> Result<String, CliError> {
+    let path = paths
+        .first()
+        .ok_or_else(|| CliError::Usage("missing input file".into()))?;
+    let multi_file = paths.len() > 1;
+    let mut workspace = checker.into_workspace();
+    for name in paths {
+        let key = if multi_file {
+            name.as_str()
+        } else {
+            INPUT_NAME
+        };
+        workspace.set_file(key, read_source(name)?);
+    }
+    let round = workspace.check();
+    let (out, passed) = match &round {
+        Ok(checked) => {
+            // Machine formats cannot attribute merged-project spans to
+            // their files, so positions are only emitted for single files.
+            let position_source = (!multi_file).then(|| {
+                micropython_parser::SourceFile::new(
+                    path.clone(),
+                    workspace
+                        .source(INPUT_NAME)
+                        .expect("the file was registered"),
+                )
+            });
+            let position_source = position_source.as_ref();
+            let report = &checked.report;
+            let out = match format {
+                Format::Text => {
+                    let mut out = report.render(position_source);
+                    if report.passed() {
+                        out.push_str(&format!(
+                            "OK: {} system(s) verified\n",
+                            checked.systems.len()
+                        ));
+                    }
+                    out
+                }
+                Format::Json => report.diagnostics.render_json(position_source),
+                Format::Sarif => report.diagnostics.render_sarif(position_source),
+            };
+            (out, report.passed())
+        }
+        Err(e) => {
+            let text = workspace
+                .source(&e.file)
+                .expect("a parse failure names one of the project's files");
+            let (line, col) = micropython_parser::SourceFile::new(e.file.as_str(), text)
+                .line_col(e.error.span.start);
+            let shown = if multi_file { &e.file } else { path };
+            (format!("{shown}:{line}:{col}: {}\n", e.error), false)
+        }
+    };
+    print!("{out}");
+    let _ = std::io::stdout().flush();
+    std::process::exit(if passed { 0 } else { 1 })
+}
 
 /// `shelleyc corpus <dir>`: checks every `.py` file under `dir` (one
 /// directory level, sorted) and reports three cumulative rates —
@@ -780,8 +811,7 @@ fn run_watch(paths: &[String], checker: Checker) -> Result<String, CliError> {
             "check" => {
                 round += 1;
                 for path in paths {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
+                    let text = read_source(path)?;
                     send(
                         &mut engine,
                         Method::Open {
@@ -866,8 +896,7 @@ fn run_connect(args: &[String], opts: &Options) -> Result<String, CliError> {
     }
     let mut files = Vec::new();
     for path in &args[1..] {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
+        let text = read_source(path)?;
         client.open(path.clone(), text.clone()).map_err(fail)?;
         files.push((path.clone(), text));
     }

@@ -3,7 +3,8 @@
 //! Earlier revisions exposed a free-function pair per input shape
 //! (`check_source`/`check_source_with`, `check_module`/…,
 //! `check_project`/…). Those wrappers are gone; code configures a
-//! `Checker` once and feeds it whichever input it has:
+//! `Checker` once and feeds it source text — one string or a project of
+//! files:
 //!
 //! ```
 //! use shelley_core::{Checker, LintConfig};
@@ -21,18 +22,22 @@
 //! configuration of a single-round workspace. For repeated checks of an
 //! evolving project, convert it with [`Checker::into_workspace`] and keep
 //! the workspace alive — unchanged classes are then never re-verified.
+//!
+//! Every input is source text, never a pre-parsed module: the workspace
+//! keys each class by its own source bytes (see the
+//! [caching model](crate::workspace#caching-model)), and a module without
+//! its text would have nothing to key on.
 
 use crate::backend::Backend;
 use crate::lint::LintConfig;
 use crate::pipeline::Checked;
 use crate::project::ProjectFile;
 use crate::workspace::Workspace;
-use micropython_parser::ast::Module;
 use micropython_parser::ParseError;
 use std::fmt;
 
 /// The display name attributed to sources checked without a file name
-/// ([`Checker::check_source`], [`Checker::check_module`]).
+/// ([`Checker::check_source`]).
 pub const INPUT_NAME: &str = "<input>";
 
 /// A parse failure, always attributed to a file.
@@ -125,15 +130,6 @@ impl Checker {
         let mut workspace = self.clone().into_workspace();
         workspace.set_file(INPUT_NAME, source);
         workspace.check()
-    }
-
-    /// Verifies an already-parsed module.
-    pub fn check_module(&self, module: &Module) -> Checked {
-        let mut workspace = self.clone().into_workspace();
-        workspace.set_parsed_module(INPUT_NAME, module.clone());
-        workspace
-            .check()
-            .expect("a parsed module cannot fail to parse")
     }
 
     /// Parses and verifies a whole project (any number of files).

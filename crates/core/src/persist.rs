@@ -25,15 +25,23 @@
 //! Newline-delimited JSON with a versioned header:
 //!
 //! ```text
-//! {"magic":"shelleyc-cache","format":2,"analysis":4242}
+//! {"magic":"shelleyc-cache","format":3,"analysis":4242}
 //! {"class_fp":123,"dep_fp":456,"saved":{...}}
 //! {"class_fp":789,"dep_fp":101,"saved":{...}}
 //! ```
 //!
-//! `format` versions the record layout; `analysis` is the
-//! [`analysis_stamp`] of the build that wrote the file, so records
-//! computed by a build whose analyses may differ (another crate version or
-//! diagnostic registry) are never replayed.
+//! `format` versions the record layout and the meaning of its keys;
+//! `analysis` is the [`analysis_stamp`] of the build that wrote the file,
+//! so records computed by a build whose analyses may differ (another crate
+//! version or diagnostic registry) are never replayed.
+//!
+//! A change to what a key covers, or a soundness fix to an analysis, must
+//! bump [`CACHE_FORMAT`] or the analysis stamp even when the crate version
+//! and the [`REGISTRY`] are unchanged: otherwise a new build would replay
+//! records an old build keyed or computed differently. Format 3, for
+//! example, keys each class by its own source bytes where format 2 keyed
+//! it by its printed AST, which missed comment and whitespace edits that
+//! move spans.
 //!
 //! Saving writes to a temporary file in the same directory and renames it
 //! into place, so readers never observe a half-written cache. Loading is
@@ -55,11 +63,12 @@ use std::sync::Arc;
 /// First-line marker distinguishing cache files from arbitrary JSON.
 pub const CACHE_MAGIC: &str = "shelleyc-cache";
 
-/// On-disk format version; bump on any incompatible record change.
+/// On-disk format version; bump on any incompatible record change and
+/// on any change to what a key covers (see the [module docs](self)).
 ///
 /// A loaded file with a different version is ignored wholesale — the
 /// cache is a pure accelerator, so "ignore and rebuild" is always safe.
-pub const CACHE_FORMAT: u32 = 2;
+pub const CACHE_FORMAT: u32 = 3;
 
 /// The analysis version a cache file is stamped with: FNV-1a over the
 /// crate version and every `(code, default severity)` pair of the
@@ -350,6 +359,36 @@ mod tests {
             cold.report.render(None),
             "the cold re-verification reaches the same verdicts"
         );
+    }
+
+    #[test]
+    fn a_format_2_file_is_rejected_and_the_next_round_runs_cold() {
+        use crate::lint::LintConfig;
+        use crate::workspace::{tests::composites_project, Workspace};
+
+        let path = temp_path("format2");
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        ws.set_file("a.py", composites_project(3));
+        let cold = ws.check().unwrap();
+        assert_eq!(ws.save_disk_cache(&path).unwrap(), 4);
+
+        // The same records under the format-2 header, whose keys hashed
+        // the printed AST, restore none.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let current = format!("\"format\":{CACHE_FORMAT}");
+        assert!(text.contains(&current), "{text}");
+        std::fs::write(&path, text.replacen(&current, "\"format\":2", 1)).unwrap();
+
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        ws.set_file("a.py", composites_project(3));
+        let outcome = ws.load_disk_cache(&path);
+        assert!(outcome.entries.is_empty());
+        let reason = outcome.rejected.expect("a format-2 file is rejected");
+        assert!(reason.contains("cache format 2"), "{reason}");
+        let checked = ws.check().unwrap();
+        assert_eq!(ws.last_round().verify_disk_hits, 0);
+        assert_eq!(ws.last_round().verified, 4);
+        assert_eq!(checked.report.render(None), cold.report.render(None));
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //! products are cached under a **content fingerprint**:
 //!
 //! * a *file* fingerprint (hash of the source text) gates re-parsing;
-//! * a *class* fingerprint (hash of the class's printed AST, its position,
-//!   and its file) gates extraction and spec validation, which depend on
-//!   nothing but the class's own text;
+//! * a *class* fingerprint (hash of the class's own source bytes — from
+//!   its first decorator to the end of its last body statement — plus its
+//!   start offset, its file, and the recovery-mode bit) gates extraction
+//!   and spec validation, which depend on nothing but the class's own
+//!   text. Every span a class's products carry is a function of that key,
+//!   so any edit inside a class, a comment or whitespace one included,
+//!   re-extracts it, and an edit that only moves it re-keys it;
 //! * a *dependency* fingerprint (the class fingerprint combined with the
 //!   fingerprints of every subsystem class it instantiates) gates
 //!   resolution, lints, and verification, which additionally read the
@@ -85,7 +89,6 @@ use crate::system::{
 use crate::verify::claims::ClaimViolation;
 use crate::verify::usage::UsageViolation;
 use micropython_parser::ast::{Module, Stmt};
-use micropython_parser::printer::print_module;
 use micropython_parser::visit::collect_degraded;
 use micropython_parser::{parse_module, parse_module_recover, ParseError};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -131,8 +134,8 @@ pub struct WorkspaceStats {
     /// [`Workspace::class_stats`] calls served from the stats cache.
     pub stats_cache_hits: u64,
     /// Wall time of the parse phase: parsing the changed files on the
-    /// worker pool, including printing and fingerprinting each of their
-    /// classes and collecting recovery-mode `W014` warnings.
+    /// worker pool, including fingerprinting each of their classes and
+    /// collecting recovery-mode `W014` warnings.
     pub parse_time: Duration,
     /// Time spent extracting changed classes.
     pub extract_time: Duration,
@@ -185,7 +188,7 @@ impl WorkspaceStats {
 #[derive(Debug, Clone)]
 struct ClassUnit {
     name: String,
-    /// Content fingerprint: printed AST + position + file name.
+    /// Content fingerprint (see [`class_units`]).
     fingerprint: u64,
     /// A single-class module owning the class definition; shared with
     /// worker threads and cache entries.
@@ -196,10 +199,9 @@ struct ClassUnit {
 #[derive(Debug)]
 struct FileState {
     name: String,
-    /// Fingerprint of the source text (or of the printed module for
-    /// [`Workspace::set_parsed_module`]).
+    /// Fingerprint of the file name and source text.
     fingerprint: u64,
-    source: Option<String>,
+    source: String,
     parsed: Option<Result<Vec<ClassUnit>, ParseError>>,
     /// `W014` diagnostics for constructs recovery mode degraded to `skip`,
     /// computed at parse time (cached with the parse).
@@ -236,7 +238,10 @@ pub struct Workspace {
     recover: bool,
     /// The engine that decides temporal claims (see [`crate::backend`]).
     backend: Backend,
+    /// The registered files, in project order.
     files: Vec<FileState>,
+    /// `file name → index into files`, kept in step with `files`.
+    file_index: HashMap<String, usize>,
     extract_cache: HashMap<u64, Arc<ExtractEntry>>,
     verify_cache: HashMap<(u64, u64), Arc<VerifyEntry>>,
     /// Per-class [`SystemStats`], keyed like `verify_cache` (class
@@ -283,6 +288,7 @@ impl Workspace {
             recover: false,
             backend: Backend::Auto,
             files: Vec::new(),
+            file_index: HashMap::new(),
             extract_cache: HashMap::new(),
             verify_cache: HashMap::new(),
             stats_cache: HashMap::new(),
@@ -295,18 +301,16 @@ impl Workspace {
     }
 
     /// Switches recovery mode on or off. Changing the mode invalidates
-    /// every cached parse of source-backed files — the same text parses
-    /// differently under the two grammars.
+    /// every cached parse — the same text parses differently under the two
+    /// grammars.
     pub fn set_recover(&mut self, recover: bool) {
         if self.recover == recover {
             return;
         }
         self.recover = recover;
         for file in &mut self.files {
-            if file.source.is_some() {
-                file.parsed = None;
-                file.degraded = Diagnostics::new();
-            }
+            file.parsed = None;
+            file.degraded = Diagnostics::new();
         }
     }
 
@@ -337,57 +341,42 @@ impl Workspace {
         let name = name.into();
         let source = source.into();
         let fingerprint = fnv1a(&[name.as_bytes(), source.as_bytes()]);
-        match self.files.iter_mut().find(|f| f.name == name) {
-            Some(state) => {
+        match self.file_index.get(&name) {
+            Some(&i) => {
+                let state = &mut self.files[i];
                 if state.fingerprint != fingerprint {
                     state.fingerprint = fingerprint;
-                    state.source = Some(source);
+                    state.source = source;
                     state.parsed = None;
                     state.degraded = Diagnostics::new();
                 }
             }
-            None => self.files.push(FileState {
-                name,
-                fingerprint,
-                source: Some(source),
-                parsed: None,
-                degraded: Diagnostics::new(),
-            }),
-        }
-    }
-
-    /// Registers an already-parsed module under `name`, bypassing the
-    /// parser (used by
-    /// [`Checker::check_module`](crate::checker::Checker::check_module)).
-    /// The module's fingerprint is derived from its printed form.
-    pub fn set_parsed_module(&mut self, name: impl Into<String>, module: Module) {
-        let name = name.into();
-        let printed = print_module(&module);
-        let fingerprint = fnv1a(&[name.as_bytes(), printed.as_bytes()]);
-        if let Some(state) = self.files.iter_mut().find(|f| f.name == name) {
-            if state.fingerprint == fingerprint {
-                return;
+            None => {
+                self.file_index.insert(name.clone(), self.files.len());
+                self.files.push(FileState {
+                    name,
+                    fingerprint,
+                    source,
+                    parsed: None,
+                    degraded: Diagnostics::new(),
+                });
             }
-        }
-        let units = class_units(&name, &module);
-        let state = FileState {
-            name: name.clone(),
-            fingerprint,
-            source: None,
-            parsed: Some(Ok(units)),
-            degraded: degraded_diags(&module),
-        };
-        match self.files.iter_mut().find(|f| f.name == name) {
-            Some(existing) => *existing = state,
-            None => self.files.push(state),
         }
     }
 
     /// Removes a file from the project. Returns whether it was present.
     pub fn remove_file(&mut self, name: &str) -> bool {
-        let before = self.files.len();
-        self.files.retain(|f| f.name != name);
-        before != self.files.len()
+        let Some(i) = self.file_index.remove(name) else {
+            return false;
+        };
+        self.files.remove(i);
+        for file in &self.files[i..] {
+            *self
+                .file_index
+                .get_mut(&file.name)
+                .expect("every registered file is indexed") -= 1;
+        }
+        true
     }
 
     /// The registered file names, in project order.
@@ -396,12 +385,11 @@ impl Workspace {
     }
 
     /// The source text registered for `name` by [`set_file`](Self::set_file);
-    /// `None` for unknown files and for modules registered pre-parsed.
+    /// `None` for unknown files.
     pub fn source(&self, name: &str) -> Option<&str> {
-        self.files
-            .iter()
-            .find(|f| f.name == name)
-            .and_then(|f| f.source.as_deref())
+        self.file_index
+            .get(name)
+            .map(|&i| self.files[i].source.as_str())
     }
 
     /// Counters and timings accumulated since the workspace was created.
@@ -442,18 +430,15 @@ impl Workspace {
         let files = &self.files;
         let fresh = par_map(self.effective_jobs(), &stale, |&i| {
             let file = &files[i];
-            let source = file
-                .source
-                .as_deref()
-                .expect("files without source are registered pre-parsed");
             if recover {
-                let module = parse_module_recover(source);
+                let module = parse_module_recover(&file.source);
                 (
-                    Ok(class_units(&file.name, &module)),
+                    Ok(class_units(file, recover, &module)),
                     degraded_diags(&module),
                 )
             } else {
-                let parsed = parse_module(source).map(|module| class_units(&file.name, &module));
+                let parsed =
+                    parse_module(&file.source).map(|module| class_units(file, recover, &module));
                 (parsed, Diagnostics::new())
             }
         });
@@ -848,37 +833,37 @@ fn spec_index_of(entries: &[Arc<ExtractEntry>]) -> BTreeMap<String, ClassSpec> {
         .collect()
 }
 
-/// Splits a module into per-class units, fingerprinting each class by its
-/// printed AST plus its position and file (so diagnostics spans stay exact
-/// under incremental reuse).
+/// Splits a file's parsed module into per-class units.
+///
+/// A class's fingerprint is FNV-1a over the file name, the class's start
+/// offset, the recovery-mode bit, and the class's own source bytes
+/// (`source[class.span]`, from the first decorator to the end of the last
+/// body statement). The class's AST — spans included — is a function of
+/// exactly these, so its cached products are too: an edit inside the
+/// class (a comment or blank line too) changes the bytes, and an edit
+/// before it that shifts it changes the offset.
 ///
 /// Each class is cloned, not moved, into its solo module: the clone is
 /// allocated to exact capacity, while a moved class keeps the parser's
 /// spare `Vec` capacity alive for as long as the unit is cached (moving
 /// raised the peak RSS of a cold 1000-class `shelleyc check` from 20.5 to
 /// 23.3 MiB).
-fn class_units(file: &str, module: &Module) -> Vec<ClassUnit> {
-    let mut units = Vec::new();
-    for stmt in &module.body {
-        let Stmt::ClassDef(class) = stmt else {
-            continue;
-        };
-        let solo = Module {
-            body: vec![Stmt::ClassDef(class.clone())],
-        };
-        let printed = print_module(&solo);
-        let fingerprint = fnv1a(&[
-            file.as_bytes(),
-            &class.span.start.to_le_bytes(),
-            printed.as_bytes(),
-        ]);
-        units.push(ClassUnit {
+fn class_units(file: &FileState, recover: bool, module: &Module) -> Vec<ClassUnit> {
+    module
+        .classes()
+        .map(|class| ClassUnit {
             name: class.name.node.clone(),
-            fingerprint,
-            solo: Arc::new(solo),
-        });
-    }
-    units
+            fingerprint: fnv1a(&[
+                file.name.as_bytes(),
+                &class.span.start.to_le_bytes(),
+                &[u8::from(recover)],
+                &file.source.as_bytes()[class.span.start..class.span.end],
+            ]),
+            solo: Arc::new(Module {
+                body: vec![Stmt::ClassDef(class.clone())],
+            }),
+        })
+        .collect()
 }
 
 /// The extraction stage of one class: pass 1 plus spec validation.

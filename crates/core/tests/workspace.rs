@@ -536,6 +536,105 @@ fn removing_a_file_drops_its_classes() {
     assert!(checked.systems.get("Valve").is_some());
 }
 
+/// A class whose unreachable `x = 1` (`W009`) sits after a comment: the
+/// repro for a class key that missed comment edits, which left every span
+/// after the comment stale.
+fn commented_class(comment: &str) -> String {
+    format!(
+        "@sys\nclass A:\n    @op_initial_final\n    def run(self):\n        \
+         # {comment}\n        return []\n        x = 1\n"
+    )
+}
+
+/// The text and JSON reports of a single-file round, with positions.
+fn positioned(name: &str, source: &str, checked: &Checked) -> String {
+    let file = micropython_parser::SourceFile::new(name, source);
+    let mut out = checked.report.render(Some(&file));
+    out.push_str(&checked.report.diagnostics.render_json(Some(&file)));
+    out
+}
+
+#[test]
+fn class_key_covers_comments_so_spans_after_them_stay_exact() {
+    let (before, after) = (
+        commented_class("c"),
+        commented_class("a much longer comment here"),
+    );
+    let mut ws = Checker::new().jobs(1).into_workspace();
+    ws.set_file("x.py", before.clone());
+    let first = ws.check().unwrap();
+    assert!(positioned("x.py", &before, &first).contains("x.py:7:9: warning [W009]"));
+
+    ws.set_file("x.py", after.clone());
+    let incremental = ws.check().unwrap();
+    let cold = Checker::new()
+        .jobs(1)
+        .check_files(&[ProjectFile::new("x.py", after.clone())])
+        .unwrap();
+    assert_eq!(
+        positioned("x.py", &after, &incremental),
+        positioned("x.py", &after, &cold)
+    );
+    assert!(positioned("x.py", &after, &cold).contains("x.py:7:9: warning [W009]"));
+    assert_eq!(ws.last_round().extracted, 1, "the comment edit re-keys A");
+}
+
+#[test]
+fn class_key_covers_comments_across_a_disk_cache_restart() {
+    let dir = std::env::temp_dir().join(format!("shelley-ws-comment-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("verify.ndjson");
+    let (before, after) = (
+        commented_class("c"),
+        commented_class("a much longer comment here"),
+    );
+
+    let mut saving = Checker::new().jobs(1).into_workspace();
+    saving.set_file("x.py", before);
+    saving.check().unwrap();
+    assert_eq!(saving.save_disk_cache(&cache).unwrap(), 1);
+
+    let mut restarted = Checker::new().jobs(1).into_workspace();
+    assert!(restarted.load_disk_cache(&cache).rejected.is_none());
+    restarted.set_file("x.py", after.clone());
+    let restored = restarted.check().unwrap();
+    let cold = Checker::new()
+        .jobs(1)
+        .check_files(&[ProjectFile::new("x.py", after.clone())])
+        .unwrap();
+    assert_eq!(
+        positioned("x.py", &after, &restored),
+        positioned("x.py", &after, &cold)
+    );
+    assert_eq!(
+        restarted.last_round().verify_disk_hits,
+        0,
+        "the edited class misses the saved record"
+    );
+}
+
+#[test]
+fn class_key_covers_decorators_but_not_text_after_the_class() {
+    let mut ws = Checker::new().jobs(1).into_workspace();
+    ws.set_file("valve.py", VALVE_PY);
+    ws.check().unwrap();
+
+    // A comment between the decorator and `class` is inside the span.
+    ws.set_file("valve.py", VALVE_PY.replace("@sys\n", "@sys  # base\n"));
+    ws.check().unwrap();
+    assert_eq!(ws.last_round().extracted, 1);
+    assert_eq!(ws.last_round().verified, 1);
+
+    // Text after the last body statement is not.
+    let trailing = VALVE_PY.replace("@sys\n", "@sys  # base\n") + "\n# the end\nlimit = 3\n";
+    ws.set_file("valve.py", trailing);
+    ws.check().unwrap();
+    assert_eq!(ws.last_round().files_parsed, 1);
+    assert_eq!(ws.last_round().extracted, 0);
+    assert_eq!(ws.last_round().extract_cache_hits, 1);
+    assert_eq!(ws.last_round().verified, 0);
+}
+
 #[test]
 fn class_stats_are_cached_per_fingerprint() {
     let mut ws = Checker::new().jobs(1).into_workspace();
@@ -703,6 +802,42 @@ proptest! {
             fingerprint_report(&incremental),
             fingerprint_report(&scratch)
         );
+    }
+
+    /// The workspace's file-name index stays in step with its file list:
+    /// any sequence of adds, replacements, removals and re-adds leaves the
+    /// same project order and sources as a plain `Vec` model.
+    #[test]
+    fn file_index_follows_a_vec_model(
+        ops in proptest::collection::vec((0usize..6, 0u8..3, 0u8..4), 0..40),
+    ) {
+        let mut ws = Checker::new().into_workspace();
+        let mut model: Vec<(String, String)> = Vec::new();
+        for (file, op, text) in ops {
+            let name = format!("f{file}.py");
+            let present = model.iter().position(|(n, _)| *n == name);
+            if op == 0 {
+                prop_assert_eq!(ws.remove_file(&name), present.is_some());
+                if let Some(i) = present {
+                    model.remove(i);
+                }
+            } else {
+                let source = format!("x = {text}\n");
+                match present {
+                    Some(i) => model[i].1 = source.clone(),
+                    None => model.push((name.clone(), source.clone())),
+                }
+                ws.set_file(name, source);
+            }
+            let names: Vec<&str> = ws.file_names().collect();
+            let expected: Vec<&str> = model.iter().map(|(n, _)| n.as_str()).collect();
+            prop_assert_eq!(names, expected);
+            for file in 0..6 {
+                let name = format!("f{file}.py");
+                let expected = model.iter().find(|(n, _)| *n == name).map(|(_, s)| s.as_str());
+                prop_assert_eq!(ws.source(&name), expected);
+            }
+        }
     }
 
     /// Job-count never changes the output: a parallel check of a random

@@ -107,12 +107,34 @@ impl Parser {
         &self.peek().kind
     }
 
+    /// Consumes the current token. An `Ident`, `Str` or `FStr` payload is
+    /// moved out, not cloned: the parser never re-reads a consumed token's
+    /// payload (the `elif`/`except` look-aheads rewind over newlines only),
+    /// so each name is allocated once, by the lexer.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+        let last = self.tokens.len() - 1;
+        let t = &mut self.tokens[self.pos.min(last)];
+        let kind = match &mut t.kind {
+            TokenKind::Ident(s) => TokenKind::Ident(std::mem::take(s)),
+            TokenKind::Str(s) => TokenKind::Str(std::mem::take(s)),
+            TokenKind::FStr(s) => TokenKind::FStr(std::mem::take(s)),
+            other => other.clone(),
+        };
+        let t = Token { kind, span: t.span };
+        if self.pos < last {
             self.pos += 1;
         }
         t
+    }
+
+    /// Consumes the current token and returns its text payload with its
+    /// span; the caller has checked it is an `Ident`, `Str` or `FStr`.
+    fn bump_text(&mut self) -> Spanned<String> {
+        let t = self.bump();
+        match t.kind {
+            TokenKind::Ident(s) | TokenKind::Str(s) | TokenKind::FStr(s) => Spanned::new(s, t.span),
+            other => unreachable!("bump_text on {other}"),
+        }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -164,11 +186,8 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<Spanned<String>, ParseError> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                Ok(Spanned::new(name, t.span))
-            }
+        match self.peek_kind() {
+            TokenKind::Ident(_) => Ok(self.bump_text()),
             other => Err(self.error(format!("expected an identifier, found {other}"))),
         }
     }
@@ -770,7 +789,7 @@ impl Parser {
     }
 
     fn parse_pattern(&mut self) -> Result<Pattern, ParseError> {
-        match self.peek_kind().clone() {
+        match *self.peek_kind() {
             TokenKind::Punct(Punct::LBracket) => {
                 let open = self.bump();
                 let mut items = Vec::new();
@@ -799,9 +818,9 @@ impl Parser {
                     Ok(Pattern::Tuple(items, open.span.to(close.span)))
                 }
             }
-            TokenKind::Str(s) => {
-                let t = self.bump();
-                Ok(Pattern::Literal(Expr::new(ExprKind::Str(s), t.span)))
+            TokenKind::Str(_) => {
+                let s = self.bump_text();
+                Ok(Pattern::Literal(Expr::new(ExprKind::Str(s.node), s.span)))
             }
             TokenKind::Int(v) => {
                 let t = self.bump();
@@ -823,15 +842,15 @@ impl Parser {
                 let t = self.bump();
                 Ok(Pattern::Literal(Expr::new(ExprKind::NoneLit, t.span)))
             }
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                if name == "_" {
-                    Ok(Pattern::Wildcard(t.span))
+            TokenKind::Ident(_) => {
+                let name = self.bump_text();
+                if name.node == "_" {
+                    Ok(Pattern::Wildcard(name.span))
                 } else {
-                    Ok(Pattern::Capture(Spanned::new(name, t.span)))
+                    Ok(Pattern::Capture(name))
                 }
             }
-            other => Err(self.error(format!("expected a pattern, found {other}"))),
+            _ => Err(self.error(format!("expected a pattern, found {}", self.peek_kind()))),
         }
     }
 
@@ -1264,10 +1283,10 @@ impl Parser {
     }
 
     fn parse_atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::Name(name), t.span))
+        match *self.peek_kind() {
+            TokenKind::Ident(_) => {
+                let name = self.bump_text();
+                Ok(Expr::new(ExprKind::Name(name.node), name.span))
             }
             TokenKind::Int(v) => {
                 let t = self.bump();
@@ -1277,13 +1296,13 @@ impl Parser {
                 let t = self.bump();
                 Ok(Expr::new(ExprKind::Float(v), t.span))
             }
-            TokenKind::Str(s) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::Str(s), t.span))
+            TokenKind::Str(_) => {
+                let s = self.bump_text();
+                Ok(Expr::new(ExprKind::Str(s.node), s.span))
             }
-            TokenKind::FStr(s) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::FString(s), t.span))
+            TokenKind::FStr(_) => {
+                let s = self.bump_text();
+                Ok(Expr::new(ExprKind::FString(s.node), s.span))
             }
             TokenKind::Keyword(Keyword::Lambda) => self.parse_lambda(),
             TokenKind::Keyword(Keyword::True) => {
@@ -1430,7 +1449,10 @@ impl Parser {
                     Ok(first)
                 }
             }
-            other => Err(self.error(format!("expected an expression, found {other}"))),
+            _ => Err(self.error(format!(
+                "expected an expression, found {}",
+                self.peek_kind()
+            ))),
         }
     }
 
