@@ -43,6 +43,21 @@ echo "==> class keys cover source bytes (stale-span regression, edit equivalence
 # byte-identical to a cold check.
 cargo test -p shelley-core -p shelley-bench -q class_key
 
+echo "==> O(edit) rounds (work counters flat in project size, edit-sequence equivalence, cache checksum, daemon panic containment)"
+# A workspace keeps its class table, dependency keys and report between
+# rounds: a no-edit round visits no class slot, a one-composite edit
+# visits one at 100 and at 400 composites, and a Valve edit visits 1 + n
+# (a #[cfg(test)] counter); random sequences of edits, renames,
+# shadowing definitions, removals, syntax breaks, grammar switches and
+# disk-cache restarts keep every round equal to a cold check; a cache
+# record whose message or key has a flipped digit is rejected by its
+# checksum; and a panicking daemon handler answers with an error, after
+# which the next check reports the cold result and shutdown still works.
+cargo test -p shelley-core --lib -q rounds_visit
+cargo test -p shelley-bench --test edit_sequences -q
+cargo test -p shelley-core --lib -q flipped_digit
+cargo test -p shelley-daemon --lib -q server::tests
+
 echo "==> benches compile"
 cargo bench --workspace --no-run -q
 

@@ -400,6 +400,31 @@ impl serde::Deserialize for Diagnostic {
     }
 }
 
+/// The order [`Diagnostics::normalize`] sorts by: `(file, span, code)`,
+/// ties broken by severity, message, and notes. It compares every field,
+/// so two diagnostics compare equal exactly when they are equal.
+pub(crate) fn normalized_order(a: &Diagnostic, b: &Diagnostic) -> std::cmp::Ordering {
+    type SortKey<'a> = (
+        Option<&'a str>,
+        Option<(usize, usize)>,
+        &'a str,
+        Severity,
+        &'a str,
+        &'a [String],
+    );
+    fn key(d: &Diagnostic) -> SortKey<'_> {
+        (
+            d.file.as_deref(),
+            d.span.map(|s| (s.start, s.end)),
+            d.code,
+            d.severity,
+            &d.message,
+            &d.notes,
+        )
+    }
+    key(a).cmp(&key(b))
+}
+
 /// An ordered collection of diagnostics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Diagnostics {
@@ -463,26 +488,14 @@ impl Diagnostics {
     /// broken by severity, message, and notes — then removes exact
     /// duplicates. Spanless diagnostics sort before positioned ones.
     pub fn normalize(&mut self) {
-        type SortKey<'a> = (
-            Option<&'a str>,
-            Option<(usize, usize)>,
-            &'a str,
-            Severity,
-            &'a str,
-            &'a [String],
-        );
-        fn key(d: &Diagnostic) -> SortKey<'_> {
-            (
-                d.file.as_deref(),
-                d.span.map(|s| (s.start, s.end)),
-                d.code,
-                d.severity,
-                &d.message,
-                &d.notes,
-            )
-        }
-        self.items.sort_by(|a, b| key(a).cmp(&key(b)));
+        self.items.sort_by(normalized_order);
         self.items.dedup();
+    }
+
+    /// The diagnostics as a mutable vector, for callers that keep a
+    /// collection normalized themselves.
+    pub(crate) fn items_mut(&mut self) -> &mut Vec<Diagnostic> {
+        &mut self.items
     }
 
     /// Renders the collection as a JSON document.

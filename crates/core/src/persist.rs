@@ -25,9 +25,9 @@
 //! Newline-delimited JSON with a versioned header:
 //!
 //! ```text
-//! {"magic":"shelleyc-cache","format":3,"analysis":4242}
-//! {"class_fp":123,"dep_fp":456,"saved":{...}}
-//! {"class_fp":789,"dep_fp":101,"saved":{...}}
+//! {"magic":"shelleyc-cache","format":4,"analysis":4242}
+//! {"class_fp":123,"dep_fp":456,"saved":{...},"sum":7878}
+//! {"class_fp":789,"dep_fp":101,"saved":{...},"sum":9191}
 //! ```
 //!
 //! `format` versions the record layout and the meaning of its keys;
@@ -41,21 +41,27 @@
 //! records an old build keyed or computed differently. Format 3, for
 //! example, keys each class by its own source bytes where format 2 keyed
 //! it by its printed AST, which missed comment and whitespace edits that
-//! move spans.
+//! move spans; format 4 adds the per-record checksum.
+//!
+//! Each record carries `sum`, an FNV-1a checksum over its key and its
+//! serialized `saved` payload, so a record whose bytes changed on disk —
+//! a flipped bit that still parses — is rejected instead of replaying a
+//! wrong verdict under a right key, or a right verdict under a wrong one.
 //!
 //! Saving writes to a temporary file in the same directory and renames it
 //! into place, so readers never observe a half-written cache. Loading is
 //! corruption-tolerant: a missing file or foreign header yields an empty
-//! cache, and a malformed record line stops the scan while keeping every
-//! record before it — with atomic saves, a torn tail is the only
-//! realistic corruption, and a stale or empty cache only costs
-//! re-verification, never correctness.
+//! cache, and a malformed record line — a torn tail, or a record whose
+//! checksum does not match — is skipped and counted while every other
+//! record is kept. A stale or smaller cache only costs re-verification,
+//! never correctness.
 
 use crate::diagnostics::{Diagnostics, Severity, REGISTRY};
 use crate::verify::claims::ClaimViolation;
 use crate::verify::usage::UsageViolation;
 use serde::json;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -68,7 +74,7 @@ pub const CACHE_MAGIC: &str = "shelleyc-cache";
 ///
 /// A loaded file with a different version is ignored wholesale — the
 /// cache is a pure accelerator, so "ignore and rebuild" is always safe.
-pub const CACHE_FORMAT: u32 = 3;
+pub const CACHE_FORMAT: u32 = 4;
 
 /// The analysis version a cache file is stamped with: FNV-1a over the
 /// crate version and every `(code, default severity)` pair of the
@@ -108,12 +114,31 @@ pub struct SavedVerify {
     pub fast_path_skips: usize,
 }
 
-/// One cache line: the content-addressed key plus the saved products.
+/// One cache line: the content-addressed key, the saved products, and
+/// the checksum over both ([`record_sum`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 struct Record {
     class_fp: u64,
     dep_fp: u64,
     saved: SavedVerify,
+    sum: u64,
+}
+
+/// The serialized payload of a record line as written by [`save`]: the
+/// bytes between `"saved":` and the trailing `,"sum":` field.
+fn record_payload(line: &str) -> Option<&str> {
+    let start = line.find("\"saved\":")? + "\"saved\":".len();
+    let end = line.rfind(",\"sum\":")?;
+    line.get(start..end)
+}
+
+/// FNV-1a over a record's key and its serialized payload.
+fn record_sum(class_fp: u64, dep_fp: u64, payload: &str) -> u64 {
+    crate::workspace::fnv1a(&[
+        &class_fp.to_le_bytes(),
+        &dep_fp.to_le_bytes(),
+        payload.as_bytes(),
+    ])
 }
 
 /// The header line of a cache file.
@@ -130,7 +155,8 @@ struct Header {
 pub struct LoadOutcome {
     /// Usable records, keyed by `(class fingerprint, dep fingerprint)`.
     pub entries: HashMap<(u64, u64), Arc<SavedVerify>>,
-    /// Record lines dropped as malformed (torn tail after a crash).
+    /// Record lines dropped as malformed (a torn tail after a crash) or
+    /// corrupt (a checksum mismatch).
     pub skipped_lines: usize,
     /// Why the whole file was ignored, when it was (missing file, foreign
     /// header, format or analysis-stamp mismatch).
@@ -186,16 +212,16 @@ pub fn load(path: &Path) -> LoadOutcome {
         if line.trim().is_empty() {
             continue;
         }
-        match json::from_str::<Record>(line) {
-            Ok(record) => {
+        let record = json::from_str::<Record>(line);
+        match (record, record_payload(line)) {
+            (Ok(record), Some(payload))
+                if record.sum == record_sum(record.class_fp, record.dep_fp, payload) =>
+            {
                 outcome
                     .entries
                     .insert((record.class_fp, record.dep_fp), Arc::new(record.saved));
             }
-            Err(_) => {
-                // A torn tail: count the rest and keep what parsed.
-                outcome.skipped_lines += 1;
-            }
+            _ => outcome.skipped_lines += 1,
         }
     }
     outcome
@@ -216,13 +242,14 @@ where
     out.push('\n');
     let mut count = 0;
     for ((class_fp, dep_fp), saved) in entries {
-        let record = Record {
-            class_fp,
-            dep_fp,
-            saved: saved.clone(),
-        };
-        out.push_str(&json::to_string(&record));
-        out.push('\n');
+        // The line `Record` serializes to, with the payload serialized
+        // once for both the line and its checksum.
+        let payload = json::to_string(saved);
+        let sum = record_sum(class_fp, dep_fp, &payload);
+        let _ = writeln!(
+            out,
+            "{{\"class_fp\":{class_fp},\"dep_fp\":{dep_fp},\"saved\":{payload},\"sum\":{sum}}}"
+        );
         count += 1;
     }
     let tmp = path.with_extension("tmp");
@@ -400,6 +427,97 @@ mod tests {
         )
         .unwrap();
         assert!(load(&path).rejected.unwrap().contains("missing"));
+    }
+
+    #[test]
+    fn save_writes_the_line_a_record_serializes_to() {
+        let path = temp_path("line");
+        let saved = sample_saved();
+        save(&path, vec![((1u64, 2u64), &saved)]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let line = text.lines().nth(1).unwrap();
+        let record: Record = json::from_str(line).unwrap();
+        assert_eq!(json::to_string(&record), line);
+        assert_eq!(record.sum, record_sum(1, 2, &json::to_string(&saved)));
+    }
+
+    /// Saves the four records of `composites_project(3)`, rewrites the
+    /// line of `User0`'s record with `corrupt`, and checks that the line
+    /// still parses, that its record alone is rejected, and that a round
+    /// on the loaded cache re-verifies `User0` alone and reports exactly
+    /// what a cold check does.
+    fn corrupted_record_is_rejected(name: &str, corrupt: impl Fn(&str) -> String) {
+        use crate::lint::LintConfig;
+        use crate::workspace::{tests::composites_project, Workspace};
+
+        let path = temp_path(name);
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        ws.set_file("a.py", composites_project(3));
+        let cold = ws.check().unwrap();
+        assert_eq!(ws.save_disk_cache(&path).unwrap(), 4);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut hit = 0;
+        let rewritten: Vec<String> = text
+            .lines()
+            .map(|line| {
+                if line.contains("of `User0`") {
+                    hit += 1;
+                    let bad = corrupt(line);
+                    assert_ne!(bad, line);
+                    json::from_str::<Record>(&bad).expect("the corrupt line still parses");
+                    bad
+                } else {
+                    line.to_string()
+                }
+            })
+            .collect();
+        assert_eq!(hit, 1, "{text}");
+        std::fs::write(&path, rewritten.join("\n") + "\n").unwrap();
+
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        ws.set_file("a.py", composites_project(3));
+        let outcome = ws.load_disk_cache(&path);
+        assert!(outcome.rejected.is_none());
+        assert_eq!(outcome.skipped_lines, 1);
+        assert_eq!(outcome.entries.len(), 3);
+        let checked = ws.check().unwrap();
+        assert_eq!(ws.last_round().verified, 4);
+        assert_eq!(
+            ws.last_round().verify_disk_hits,
+            3,
+            "User0 alone re-verified"
+        );
+        assert_eq!(checked.report.render(None), cold.report.render(None));
+        assert_eq!(
+            checked.report.diagnostics.render_json(None),
+            cold.report.diagnostics.render_json(None)
+        );
+    }
+
+    #[test]
+    fn a_flipped_digit_in_a_message_rejects_only_its_record() {
+        corrupted_record_is_rejected("message-digit", |line| {
+            line.replacen("of `User0`", "of `User8`", 1)
+        });
+    }
+
+    #[test]
+    fn a_flipped_digit_in_a_class_fingerprint_rejects_only_its_record() {
+        corrupted_record_is_rejected("key-digit", |line| {
+            let key = "\"class_fp\":";
+            let start = line.find(key).unwrap() + key.len();
+            let end = start + line[start..].find(',').unwrap();
+            // Decrementing (or, from 0, incrementing) the last digit
+            // keeps the number a valid u64.
+            let last = line.as_bytes()[end - 1];
+            let flipped = if last == b'0' {
+                '1'
+            } else {
+                (last - 1) as char
+            };
+            format!("{}{flipped}{}", &line[..end - 1], &line[end..])
+        });
     }
 
     #[test]

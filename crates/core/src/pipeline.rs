@@ -62,10 +62,12 @@ impl CheckReport {
 /// The verified systems plus everything the verifier computed for them.
 #[derive(Debug, Clone)]
 pub struct Checked {
-    /// All systems of the module.
-    pub systems: SystemSet,
-    /// Integration automata of composite systems, by class name.
-    pub integrations: Vec<(String, Arc<Integration>)>,
+    /// All systems of the module. Shared, so cloning a `Checked` copies
+    /// no list.
+    pub systems: Arc<SystemSet>,
+    /// Integration automata of composite systems, by class name. Shared,
+    /// like [`Self::systems`].
+    pub integrations: Arc<Vec<(String, Arc<Integration>)>>,
     /// The report.
     pub report: CheckReport,
 }
@@ -116,8 +118,8 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
     }
 
     Checked {
-        systems,
-        integrations,
+        systems: Arc::new(systems),
+        integrations: Arc::new(integrations),
         report: CheckReport {
             diagnostics,
             usage_violations,

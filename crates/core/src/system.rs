@@ -107,6 +107,12 @@ impl SystemSet {
     pub fn is_empty(&self) -> bool {
         self.systems.is_empty()
     }
+
+    /// The systems as a mutable vector, for callers that keep the set in
+    /// order themselves.
+    pub(crate) fn systems_mut(&mut self) -> &mut Vec<Arc<System>> {
+        &mut self.systems
+    }
 }
 
 impl FromIterator<System> for SystemSet {

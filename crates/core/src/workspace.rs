@@ -33,11 +33,37 @@
 //!
 //! The per-class products are shared, never copied: a cached verify entry
 //! holds its [`System`] and integration automaton behind an [`Arc`], and
-//! the [`Checked`] a round returns holds `Arc`s into the cache. The spec
-//! index and the class keys are workspace fields updated only for classes
-//! that missed a cache, and cache pruning runs only when a cache holds
-//! more keys than there are live classes. A round thus costs the analysis
-//! of the invalidated classes plus one walk over the class list.
+//! the [`Checked`] a round returns holds `Arc`s into the cache.
+//!
+//! # Rounds in O(edit)
+//!
+//! Between rounds the workspace keeps everything a round produces: the
+//! class table (every definition of every class name, the winner of each,
+//! and the `E004` run of each shadowed name), each class's dependency
+//! fingerprint, a reverse index `class name → the classes instantiating
+//! it`, the spec index, and the report itself, built from one run per
+//! class (its diagnostics with the lint config applied, its system,
+//! integration and violations), one `W014` run per file and one `E004` run
+//! per shadowed name.
+//!
+//! [`set_file`](Workspace::set_file), [`remove_file`](Workspace::remove_file)
+//! and [`set_recover`](Workspace::set_recover) only mark files dirty. A
+//! round then parses the dirty files, patches the class table for their
+//! classes (a class a re-parsed file still defines unchanged is left
+//! alone), and collects the names whose winner changed: it appeared,
+//! disappeared, moved, or got a new fingerprint. Those names' classes are
+//! re-extracted (through the extraction cache); their dependency keys,
+//! and those of every class instantiating them, are recomputed; the
+//! classes whose key moved are re-verified (through the memory and disk
+//! caches); and only their runs are retired from and merged into the kept
+//! report. A round with no edit touches no class at all, and a cold round
+//! is the same path with every file dirty. Debug builds check every round
+//! against the report, keys and caches rebuilt from scratch.
+//!
+//! Workspace diagnostics carry no file, so two classes can produce the
+//! same diagnostic, which the normalized report holds once: the kept
+//! report counts how many runs produce each diagnostic, and retiring one
+//! run removes a diagnostic only when no other run still produces it.
 //!
 //! # Parallelism and determinism
 //!
@@ -75,23 +101,26 @@
 //! # Ok::<(), shelley_core::CheckError>(())
 //! ```
 
+#[cfg(debug_assertions)]
+mod reference;
+mod report;
+
 use crate::backend::Backend;
 use crate::checker::CheckError;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
 use crate::persist::{self, SavedVerify};
-use crate::pipeline::{verify_system, CheckReport, Checked, SystemVerdict};
+use crate::pipeline::{verify_system, Checked, SystemVerdict};
 use crate::spec::ClassSpec;
 use crate::stats::{system_stats, SystemStats};
 use crate::system::{
     extract_class, resolve_class, validate_spec, ClassExtraction, System, SystemKind, SystemSet,
 };
-use crate::verify::claims::ClaimViolation;
-use crate::verify::usage::UsageViolation;
 use micropython_parser::ast::{Module, Stmt};
 use micropython_parser::visit::collect_degraded;
 use micropython_parser::{parse_module, parse_module_recover, ParseError};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use report::{ClassRuns, KeptReport};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -184,10 +213,21 @@ impl WorkspaceStats {
     }
 }
 
+/// A class name, shared by the class table's indexes.
+type Name = Arc<str>;
+
+/// A class's place in project order: the ordinal of its file (files are
+/// numbered in the order they were added and a number is never reused, so
+/// removing a file moves no other class) and the class's start offset in
+/// that file.
+type Pos = (u64, usize);
+
 /// One class of one file, ready for the per-class stages.
 #[derive(Debug, Clone)]
 struct ClassUnit {
-    name: String,
+    name: Name,
+    /// Start offset of the class in its file.
+    start: usize,
     /// Content fingerprint (see [`class_units`]).
     fingerprint: u64,
     /// A single-class module owning the class definition; shared with
@@ -195,17 +235,89 @@ struct ClassUnit {
     solo: Arc<Module>,
 }
 
+/// Where a file's parse stands relative to the class table.
+#[derive(Debug)]
+enum Parse {
+    /// The text (or the grammar) changed since the last parse.
+    Stale,
+    /// The parse failed; every round fails until the text changes.
+    Failed(Box<ParseError>),
+    /// Parsed, with its `W014` diagnostics, but not yet merged into the
+    /// class table.
+    Pending(Box<(Vec<ClassUnit>, Diagnostics)>),
+    /// The class table holds exactly this parse.
+    Registered,
+}
+
 /// A registered source file and its parse cache.
 #[derive(Debug)]
 struct FileState {
     name: String,
+    /// The file's rank in project order (see [`Pos`]).
+    ordinal: u64,
     /// Fingerprint of the file name and source text.
     fingerprint: u64,
     source: String,
-    parsed: Option<Result<Vec<ClassUnit>, ParseError>>,
-    /// `W014` diagnostics for constructs recovery mode degraded to `skip`,
-    /// computed at parse time (cached with the parse).
+    parse: Parse,
+    /// The file's classes as the class table holds them, in source order.
+    registered: Vec<ClassUnit>,
+    /// `W014` diagnostics for constructs recovery mode degraded to `skip`
+    /// in the registered parse.
     degraded: Diagnostics,
+}
+
+/// The registered files, in project order: sorted by ordinal.
+#[derive(Debug, Default)]
+struct Files(Vec<FileState>);
+
+impl Files {
+    fn index(&self, ordinal: u64) -> usize {
+        self.0
+            .binary_search_by_key(&ordinal, |f| f.ordinal)
+            .expect("a live file's ordinal")
+    }
+
+    fn get(&self, ordinal: u64) -> &FileState {
+        &self.0[self.index(ordinal)]
+    }
+
+    fn get_mut(&mut self, ordinal: u64) -> &mut FileState {
+        let i = self.index(ordinal);
+        &mut self.0[i]
+    }
+
+    /// The unit of the class defined at `pos`.
+    fn unit(&self, (ordinal, start): Pos) -> &ClassUnit {
+        let units = &self.get(ordinal).registered;
+        let i = units
+            .binary_search_by_key(&start, |u| u.start)
+            .expect("a registered class starts at its position");
+        &units[i]
+    }
+}
+
+/// The products of the winning definition of one class name.
+#[derive(Debug)]
+struct ClassSlot {
+    pos: Pos,
+    fingerprint: u64,
+    extract: Arc<ExtractEntry>,
+    /// The dependency fingerprint (the class fingerprint for classes
+    /// without `@sys`).
+    dep_fingerprint: u64,
+    /// The verification products of a `@sys` class.
+    verify: Option<Arc<VerifyEntry>>,
+    /// The class's diagnostics, config applied and normalized: its run in
+    /// the kept report.
+    run: Box<[Diagnostic]>,
+}
+
+impl ClassSlot {
+    fn verify_key(&self) -> Option<(u64, u64)> {
+        self.verify
+            .as_ref()
+            .map(|_| (self.fingerprint, self.dep_fingerprint))
+    }
 }
 
 /// Extraction-stage products of one class (keyed by class fingerprint).
@@ -231,6 +343,8 @@ struct VerifyEntry {
 #[derive(Debug)]
 pub struct Workspace {
     config: LintConfig,
+    /// Worker threads per stage; `0` at construction resolves to the
+    /// available parallelism, queried once.
     jobs: usize,
     /// Recovery mode: parse with
     /// [`parse_module_recover`] (total), degrading out-of-subset
@@ -238,10 +352,32 @@ pub struct Workspace {
     recover: bool,
     /// The engine that decides temporal claims (see [`crate::backend`]).
     backend: Backend,
-    /// The registered files, in project order.
-    files: Vec<FileState>,
-    /// `file name → index into files`, kept in step with `files`.
-    file_index: HashMap<String, usize>,
+    files: Files,
+    /// `file name → ordinal`.
+    file_index: HashMap<String, u64>,
+    /// The ordinal the next new file gets.
+    next_ordinal: u64,
+    /// Files whose current text the class table does not hold yet: their
+    /// parse is stale, failed, or pending.
+    dirty: BTreeSet<u64>,
+    /// Removed files whose classes the class table still holds until the
+    /// next round.
+    retired: Vec<FileState>,
+    /// `class name → the positions of its definitions`, in project order:
+    /// the class table. The last definition wins (Python's
+    /// last-definition semantics); the others are shadowed, reported, and
+    /// dropped before any stage runs.
+    definitions: HashMap<Name, Vec<Pos>>,
+    /// `class name → the E004 run reporting its shadowed definitions`,
+    /// config applied, for the names defined more than once.
+    shadowed: HashMap<Name, Vec<Diagnostic>>,
+    /// `class name → products of its winning definition`.
+    slots: HashMap<Name, ClassSlot>,
+    /// `class name → the @sys classes that instantiate it`: whose
+    /// dependency fingerprints change when the name gets a new winner.
+    dependents: HashMap<Name, Vec<Name>>,
+    /// The last round's report.
+    report: KeptReport,
     extract_cache: HashMap<u64, Arc<ExtractEntry>>,
     verify_cache: HashMap<(u64, u64), Arc<VerifyEntry>>,
     /// Per-class [`SystemStats`], keyed like `verify_cache` (class
@@ -249,14 +385,9 @@ pub struct Workspace {
     /// read the subsystem specs.
     stats_cache: HashMap<(u64, u64), Arc<SystemStats>>,
     /// `class name → spec` of every live `@sys` class: the index
-    /// resolution reads subsystem specs from. Kept in step with
-    /// `extract_cache`, so a round copies only the specs of re-extracted
-    /// classes.
+    /// resolution reads subsystem specs from. Kept in step with the class
+    /// slots, so a round copies only the specs of re-extracted classes.
     spec_index: BTreeMap<String, ClassSpec>,
-    /// `class name → (class fingerprint, dependency fingerprint)` of every
-    /// live `@sys` class; kept in step with `verify_cache`, and the lookup
-    /// key for [`Self::class_stats`].
-    class_keys: BTreeMap<String, (u64, u64)>,
     /// Verify-stage products restored from disk
     /// ([`Self::load_disk_cache`]), consulted when the in-memory
     /// `verify_cache` misses. Kept across rounds: a key that is stale now
@@ -284,16 +415,26 @@ impl Workspace {
     pub fn with_config(config: LintConfig, jobs: usize) -> Self {
         Workspace {
             config,
-            jobs,
+            jobs: match jobs {
+                0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+                n => n,
+            },
             recover: false,
             backend: Backend::Auto,
-            files: Vec::new(),
+            files: Files::default(),
             file_index: HashMap::new(),
+            next_ordinal: 0,
+            dirty: BTreeSet::new(),
+            retired: Vec::new(),
+            definitions: HashMap::new(),
+            shadowed: HashMap::new(),
+            slots: HashMap::new(),
+            dependents: HashMap::new(),
+            report: KeptReport::default(),
             extract_cache: HashMap::new(),
             verify_cache: HashMap::new(),
             stats_cache: HashMap::new(),
             spec_index: BTreeMap::new(),
-            class_keys: BTreeMap::new(),
             disk_cache: HashMap::new(),
             totals: WorkspaceStats::default(),
             last: WorkspaceStats::default(),
@@ -308,9 +449,9 @@ impl Workspace {
             return;
         }
         self.recover = recover;
-        for file in &mut self.files {
-            file.parsed = None;
-            file.degraded = Diagnostics::new();
+        for file in &mut self.files.0 {
+            file.parse = Parse::Stale;
+            self.dirty.insert(file.ordinal);
         }
     }
 
@@ -342,46 +483,49 @@ impl Workspace {
         let source = source.into();
         let fingerprint = fnv1a(&[name.as_bytes(), source.as_bytes()]);
         match self.file_index.get(&name) {
-            Some(&i) => {
-                let state = &mut self.files[i];
+            Some(&ordinal) => {
+                let state = self.files.get_mut(ordinal);
                 if state.fingerprint != fingerprint {
                     state.fingerprint = fingerprint;
                     state.source = source;
-                    state.parsed = None;
-                    state.degraded = Diagnostics::new();
+                    state.parse = Parse::Stale;
+                    self.dirty.insert(ordinal);
                 }
             }
             None => {
-                self.file_index.insert(name.clone(), self.files.len());
-                self.files.push(FileState {
+                let ordinal = self.next_ordinal;
+                self.next_ordinal += 1;
+                self.file_index.insert(name.clone(), ordinal);
+                self.files.0.push(FileState {
                     name,
+                    ordinal,
                     fingerprint,
                     source,
-                    parsed: None,
+                    parse: Parse::Stale,
+                    registered: Vec::new(),
                     degraded: Diagnostics::new(),
                 });
+                self.dirty.insert(ordinal);
             }
         }
     }
 
     /// Removes a file from the project. Returns whether it was present.
     pub fn remove_file(&mut self, name: &str) -> bool {
-        let Some(i) = self.file_index.remove(name) else {
+        let Some(ordinal) = self.file_index.remove(name) else {
             return false;
         };
-        self.files.remove(i);
-        for file in &self.files[i..] {
-            *self
-                .file_index
-                .get_mut(&file.name)
-                .expect("every registered file is indexed") -= 1;
+        let file = self.files.0.remove(self.files.index(ordinal));
+        self.dirty.remove(&ordinal);
+        if !file.registered.is_empty() || !file.degraded.is_empty() {
+            self.retired.push(file);
         }
         true
     }
 
     /// The registered file names, in project order.
     pub fn file_names(&self) -> impl Iterator<Item = &str> {
-        self.files.iter().map(|f| f.name.as_str())
+        self.files.0.iter().map(|f| f.name.as_str())
     }
 
     /// The source text registered for `name` by [`set_file`](Self::set_file);
@@ -389,7 +533,7 @@ impl Workspace {
     pub fn source(&self, name: &str) -> Option<&str> {
         self.file_index
             .get(name)
-            .map(|&i| self.files[i].source.as_str())
+            .map(|&ordinal| self.files.get(ordinal).source.as_str())
     }
 
     /// Counters and timings accumulated since the workspace was created.
@@ -417,256 +561,391 @@ impl Workspace {
             ..WorkspaceStats::default()
         };
 
-        // Phase 1: (re-)parse changed files. A file's parse depends on its
-        // own text only, so stale files fan out like classes do; results
-        // come back in file order.
+        // Phase 1: parse the dirty files whose parse is stale. A file's
+        // parse depends on its own text only, so they fan out like
+        // classes do; results come back in file order.
         let t = Instant::now();
-        let stale: Vec<usize> = (0..self.files.len())
-            .filter(|&i| self.files[i].parsed.is_none())
+        let stale: Vec<u64> = self
+            .dirty
+            .iter()
+            .copied()
+            .filter(|&ordinal| matches!(self.files.get(ordinal).parse, Parse::Stale))
             .collect();
         round.files_parsed = stale.len() as u64;
-        round.parse_cache_hits = (self.files.len() - stale.len()) as u64;
+        round.parse_cache_hits = (self.files.0.len() - stale.len()) as u64;
         let recover = self.recover;
         let files = &self.files;
-        let fresh = par_map(self.effective_jobs(), &stale, |&i| {
-            let file = &files[i];
-            if recover {
-                let module = parse_module_recover(&file.source);
-                (
-                    Ok(class_units(file, recover, &module)),
-                    degraded_diags(&module),
-                )
-            } else {
-                let parsed =
-                    parse_module(&file.source).map(|module| class_units(file, recover, &module));
-                (parsed, Diagnostics::new())
-            }
+        let fresh = par_map(self.jobs, &stale, |&ordinal| {
+            parse_file(files.get(ordinal), recover)
         });
-        for (&i, (parsed, degraded)) in stale.iter().zip(fresh) {
-            self.files[i].parsed = Some(parsed);
-            self.files[i].degraded = degraded;
+        for (&ordinal, parse) in stale.iter().zip(fresh) {
+            self.files.get_mut(ordinal).parse = parse;
         }
         round.parse_time = t.elapsed();
-        let first_failure = self.files.iter().find_map(|file| match &file.parsed {
-            Some(Err(error)) => Some(CheckError {
-                file: file.name.clone(),
-                error: error.clone(),
-            }),
-            _ => None,
+        // Only a dirty file can have failed, and the dirty set is in
+        // project order.
+        let first_failure = self.dirty.iter().find_map(|&ordinal| {
+            let file = self.files.get(ordinal);
+            match &file.parse {
+                Parse::Failed(error) => Some(CheckError {
+                    file: file.name.clone(),
+                    error: (**error).clone(),
+                }),
+                _ => None,
+            }
         });
         if let Some(failure) = first_failure {
             self.finish_round(round);
             return Err(failure);
         }
 
-        // Phase 2: the class list (winners of duplicate names only) and its
-        // name index.
-        let (units, index, duplicate_diags) = class_list(&self.files);
+        // Phase 2: merge the dirty and removed files into the class table,
+        // and find the names that got a new winner.
+        let touched = self.register_files();
+        let changed = self.settle_winners(&touched);
 
-        // Phase 3: extraction + spec validation for classes whose
-        // fingerprint is new. The spec index follows the extraction cache:
-        // only classes that missed can have changed (or lost) their spec.
+        // Phase 3: extraction + spec validation for the new winners whose
+        // fingerprint is new; their slots replace the old ones.
         let t = Instant::now();
-        let mut extract_entries: Vec<Option<Arc<ExtractEntry>>> = units
+        let mut retired_keys = RetiredKeys::default();
+        let winners: Vec<(&Name, Pos, &ClassUnit)> = changed
             .iter()
-            .map(|u| self.extract_cache.get(&u.fingerprint).cloned())
+            .filter_map(|name| {
+                let &pos = self.definitions.get(name)?.last()?;
+                Some((name, pos, self.files.unit(pos)))
+            })
             .collect();
-        let missing: Vec<usize> = (0..units.len())
-            .filter(|&i| extract_entries[i].is_none())
+        let mut entries: Vec<Option<Arc<ExtractEntry>>> = winners
+            .iter()
+            .map(|(_, _, unit)| self.extract_cache.get(&unit.fingerprint).cloned())
+            .collect();
+        let missing: Vec<usize> = (0..winners.len())
+            .filter(|&i| entries[i].is_none())
             .collect();
         round.extracted = missing.len() as u64;
-        round.extract_cache_hits = (units.len() - missing.len()) as u64;
-        let fresh = par_map(self.effective_jobs(), &missing, |&i| {
-            Arc::new(run_extract(units[i]))
+        let fresh = par_map(self.jobs, &missing, |&i| {
+            Arc::new(run_extract(winners[i].2))
         });
         for (&i, entry) in missing.iter().zip(fresh) {
-            let unit = units[i];
-            match &entry.extraction {
-                Some(x) => {
-                    self.spec_index.insert(unit.name.clone(), x.spec.clone());
-                }
-                None => {
-                    self.spec_index.remove(&unit.name);
+            self.extract_cache
+                .insert(winners[i].2.fingerprint, entry.clone());
+            entries[i] = Some(entry);
+        }
+        let winners: Vec<(&Name, Pos, u64, Arc<ExtractEntry>)> = winners
+            .into_iter()
+            .zip(entries)
+            .map(|((name, pos, unit), entry)| {
+                let entry = entry.expect("every new winner was extracted");
+                (name, pos, unit.fingerprint, entry)
+            })
+            .collect();
+        for name in &changed {
+            if let Some(old) = self.slots.remove(name) {
+                self.retire_slot(name, old, &mut retired_keys);
+            }
+        }
+        self.slots.reserve(winners.len());
+        // The classes whose report runs this round replaces, by position.
+        let mut rerun: Vec<(Pos, Name)> = Vec::with_capacity(winners.len());
+        for (name, pos, fingerprint, extract) in winners {
+            if let Some(x) = &extract.extraction {
+                self.spec_index.insert(name.to_string(), x.spec.clone());
+                for dep in x.dependencies() {
+                    match self.dependents.get_mut(dep) {
+                        Some(dependents) => {
+                            if let Err(i) = dependents.binary_search(name) {
+                                dependents.insert(i, name.clone());
+                            }
+                        }
+                        None => {
+                            self.dependents.insert(Name::from(dep), vec![name.clone()]);
+                        }
+                    }
                 }
             }
-            self.extract_cache.insert(unit.fingerprint, entry.clone());
-            extract_entries[i] = Some(entry);
+            self.slots.insert(
+                name.clone(),
+                ClassSlot {
+                    pos,
+                    fingerprint,
+                    extract,
+                    dep_fingerprint: fingerprint,
+                    verify: None,
+                    run: Box::default(),
+                },
+            );
+            rerun.push((pos, name.clone()));
         }
-        let extract_entries: Vec<Arc<ExtractEntry>> =
-            extract_entries.into_iter().map(Option::unwrap).collect();
-        let systems_live = extract_entries
-            .iter()
-            .filter(|e| e.extraction.is_some())
-            .count();
-        // Every live class is now cached and every live `@sys` class
-        // indexed, so a size above the live count means stale entries
-        // (an edited, removed, or shadowed class) to drop: superseded
-        // fingerprints can never hit again.
-        if self.extract_cache.len() != units.len() {
-            let live: HashSet<u64> = units.iter().map(|u| u.fingerprint).collect();
-            self.extract_cache.retain(|fp, _| live.contains(fp));
-        }
-        if self.spec_index.len() != systems_live {
-            self.spec_index.retain(|name, _| {
-                index
-                    .get(name.as_str())
-                    .is_some_and(|&i| extract_entries[i].extraction.is_some())
-            });
-        }
-        debug_assert_eq!(
-            self.spec_index,
-            spec_index_of(&extract_entries),
-            "the incremental spec index drifted from the extraction cache"
-        );
+        round.extract_cache_hits = (self.slots.len() - missing.len()) as u64;
         round.extract_time = t.elapsed();
 
-        // Phase 4: dependency fingerprints.
-        let dep_fingerprints: Vec<u64> = extract_entries
-            .iter()
-            .zip(&units)
-            .map(|(entry, unit)| match &entry.extraction {
-                None => unit.fingerprint,
-                Some(x) => {
-                    let mut hash = Fnv1a::new();
-                    hash.part(&unit.fingerprint.to_le_bytes());
-                    for dep in x.dependencies() {
-                        let dep_fp = index.get(dep).map_or(u64::MAX, |&j| units[j].fingerprint);
-                        hash.part(dep.as_bytes());
-                        hash.part(&dep_fp.to_le_bytes());
-                    }
-                    hash.finish()
-                }
-            })
-            .collect();
-
-        // Phase 5: resolution + lints + verification for invalidated
-        // classes.
+        // Phase 4: dependency fingerprints of the new `@sys` winners and
+        // of every class that instantiates a changed name; each whose key
+        // moved is looked up in the verify cache.
         let t = Instant::now();
-        let mut verify_entries: Vec<Option<Arc<VerifyEntry>>> = units
-            .iter()
-            .enumerate()
-            .map(|(i, u)| {
-                extract_entries[i].extraction.as_ref()?;
-                self.verify_cache
-                    .get(&(u.fingerprint, dep_fingerprints[i]))
-                    .cloned()
-            })
-            .collect();
-        let missing: Vec<usize> = (0..units.len())
-            .filter(|&i| verify_entries[i].is_none() && extract_entries[i].extraction.is_some())
-            .collect();
+        let mut rekey: Vec<&Name> = Vec::new();
+        for name in &changed {
+            if self
+                .slots
+                .get(name)
+                .is_some_and(|s| s.extract.extraction.is_some())
+            {
+                rekey.push(name);
+            }
+            if let Some(dependents) = self.dependents.get(name) {
+                rekey.extend(dependents);
+            }
+        }
+        let mut missing: Vec<Name> = Vec::new();
+        rekey.sort_unstable();
+        rekey.dedup();
+        for &name in &rekey {
+            let slot = &self.slots[name];
+            let x = slot
+                .extract
+                .extraction
+                .as_ref()
+                .expect("only @sys classes are keyed by their dependencies");
+            let dep_fingerprint = dependency_fingerprint(slot.fingerprint, x, &self.slots);
+            if slot.verify_key() == Some((slot.fingerprint, dep_fingerprint)) {
+                continue;
+            }
+            let slot = self.slots.get_mut(name).expect("rekeyed classes are live");
+            if let Some(key) = slot.verify_key() {
+                self.report.leave(slot.pos);
+                self.report.remove(&slot.run);
+                retired_keys.verify.push((name.clone(), key));
+                rerun.push((slot.pos, name.clone()));
+            }
+            slot.dep_fingerprint = dep_fingerprint;
+            slot.verify = self
+                .verify_cache
+                .get(&(slot.fingerprint, dep_fingerprint))
+                .cloned();
+            if slot.verify.is_none() {
+                missing.push(name.clone());
+            }
+        }
         round.verified = missing.len() as u64;
-        round.verify_cache_hits = (systems_live - missing.len()) as u64;
+        round.verify_cache_hits = (self.spec_index.len() - missing.len()) as u64;
+        #[cfg(test)]
+        SLOTS_VISITED.with(|n| {
+            let rekeyed_only = rekey
+                .iter()
+                .filter(|name| touched.binary_search(name).is_err());
+            n.set(n.get() + touched.len() + rekeyed_only.count());
+        });
+
+        // Phase 5: resolution + lints + verification for the classes whose
+        // key missed.
         let backend = self.backend;
         let disk_cache = &self.disk_cache;
         let spec_index = &self.spec_index;
-        let fresh = par_map(self.effective_jobs(), &missing, |&i| {
-            let extraction = extract_entries[i]
+        let slots = &self.slots;
+        let files = &self.files;
+        let fresh = par_map(self.jobs, &missing, |name| {
+            let slot = &slots[name];
+            let extraction = slot
+                .extract
                 .extraction
                 .clone()
                 .expect("verify stage only runs for @sys classes");
-            let key = (units[i].fingerprint, dep_fingerprints[i]);
-            match disk_cache.get(&key) {
+            match disk_cache.get(&(slot.fingerprint, slot.dep_fingerprint)) {
                 Some(saved) => (
                     Arc::new(run_verify_restored(extraction, spec_index, saved)),
                     true,
                 ),
-                None => (
-                    Arc::new(run_verify(extraction, units[i], spec_index, backend)),
-                    false,
-                ),
+                None => {
+                    let unit = files.unit(slot.pos);
+                    (
+                        Arc::new(run_verify(extraction, unit, spec_index, backend)),
+                        false,
+                    )
+                }
             }
         });
-        for (&i, (entry, from_disk)) in missing.iter().zip(fresh) {
+        for (name, (entry, from_disk)) in missing.iter().zip(fresh) {
             round.fast_path_proven += entry.verdict.fast_path_skips as u64;
             round.antichain_frontier += entry.verdict.antichain_frontier;
             round.antichain_pruned += entry.verdict.antichain_pruned;
             round.verify_disk_hits += u64::from(from_disk);
-            let key = (units[i].fingerprint, dep_fingerprints[i]);
-            self.verify_cache.insert(key, entry.clone());
-            self.class_keys.insert(units[i].name.clone(), key);
-            verify_entries[i] = Some(entry);
-        }
-        // As in phase 3: stale entries exist exactly when the caches
-        // outgrew the live classes. The stats cache only ever holds keys
-        // the verify cache held, so it needs pruning only alongside it.
-        if self.verify_cache.len() != systems_live {
-            let live: HashSet<(u64, u64)> = units
-                .iter()
-                .zip(&dep_fingerprints)
-                .map(|(u, &d)| (u.fingerprint, d))
-                .collect();
-            self.verify_cache.retain(|key, _| live.contains(key));
-            self.stats_cache.retain(|key, _| live.contains(key));
-        }
-        if self.class_keys.len() != systems_live {
-            self.class_keys.retain(|name, key| {
-                index
-                    .get(name.as_str())
-                    .is_some_and(|&i| (units[i].fingerprint, dep_fingerprints[i]) == *key)
-            });
+            let slot = self.slots.get_mut(name).expect("verified classes are live");
+            self.verify_cache
+                .insert((slot.fingerprint, slot.dep_fingerprint), entry.clone());
+            slot.verify = Some(entry);
         }
         round.verify_time = t.elapsed();
 
-        // Phase 6: assemble the report in class order — the same stage
-        // ordering as the sequential pipeline, normalized at the end, so
-        // cached, parallel, and cold runs are byte-identical. Systems and
-        // integrations are shared with the verify cache, not copied.
+        // Phase 6: merge the new runs into the kept report, and drop the
+        // cache entries no live class uses any more.
         let t = Instant::now();
-        let mut diagnostics = Diagnostics::new();
-        for entry in &extract_entries {
-            diagnostics.extend(entry.extract_diags.clone());
-        }
-        for entry in &extract_entries {
-            diagnostics.extend(entry.validate_diags.clone());
-        }
-        for entry in verify_entries.iter().flatten() {
-            diagnostics.extend(entry.resolve_diags.clone());
-        }
-        for entry in verify_entries.iter().flatten() {
-            diagnostics.extend(entry.lint_diags.clone());
-        }
-        let mut usage_violations: Vec<(String, UsageViolation)> = Vec::new();
-        let mut claim_violations: Vec<(String, ClaimViolation)> = Vec::new();
-        let mut integrations = Vec::new();
-        let mut systems: Vec<Arc<System>> = Vec::with_capacity(systems_live);
-        for entry in verify_entries.iter().flatten() {
-            diagnostics.extend(entry.verdict.diagnostics.clone());
-            for v in &entry.verdict.usage_violations {
-                usage_violations.push((entry.system.name.clone(), v.clone()));
-            }
-            for v in &entry.verdict.claim_violations {
-                claim_violations.push((entry.system.name.clone(), v.clone()));
-            }
-            if let Some(integ) = &entry.verdict.integration {
-                integrations.push((entry.system.name.clone(), integ.clone()));
-            }
-            systems.push(entry.system.clone());
-        }
-        for file in &self.files {
-            diagnostics.extend(file.degraded.clone());
-        }
-        diagnostics.extend(duplicate_diags);
-        self.config.apply(&mut diagnostics);
-        if self.config.level(codes::INVALID_SUBSYSTEM_USAGE) != LintLevel::Deny {
-            usage_violations.clear();
-        }
-        if self.config.level(codes::FAIL_TO_MEET_REQUIREMENT) != LintLevel::Deny {
-            claim_violations.clear();
-        }
-        let checked = Checked {
-            systems: systems.into_iter().collect::<SystemSet>(),
-            integrations,
-            report: CheckReport {
-                diagnostics,
-                usage_violations,
-                claim_violations,
-            },
-        };
+        rerun.sort_unstable();
+        let (slots, config) = (&mut self.slots, &self.config);
+        let kept = KeptViolations::of(config);
+        self.report.finish(rerun.iter().map(|(pos, name)| {
+            let slot = slots.get_mut(name).expect("re-run classes are live");
+            slot.run = class_run(config, &slot.extract, slot.verify.as_deref()).into();
+            (*pos, class_runs(kept, slot))
+        }));
+        self.drop_retired_keys(retired_keys);
+        let checked = self.report.checked().clone();
         round.assemble_time = t.elapsed();
 
+        #[cfg(debug_assertions)]
+        self.assert_matches_reference();
         self.finish_round(round);
         Ok(checked)
+    }
+
+    /// Merges the removed and the dirty files into the class table.
+    /// Classes a re-parsed file still defines at the same offset with the
+    /// same fingerprint are left alone. Returns the names whose
+    /// definitions changed, sorted.
+    fn register_files(&mut self) -> Vec<Name> {
+        let incoming: usize = self
+            .dirty
+            .iter()
+            .map(|&ordinal| match &self.files.get(ordinal).parse {
+                Parse::Pending(pending) => pending.0.len(),
+                _ => 0,
+            })
+            .sum();
+        self.definitions.reserve(incoming);
+        let mut touched = Vec::with_capacity(incoming);
+        for file in std::mem::take(&mut self.retired) {
+            for unit in file.registered {
+                undefine(
+                    &mut self.definitions,
+                    (file.ordinal, unit.start),
+                    &unit.name,
+                );
+                touched.push(unit.name);
+            }
+            self.report.remove(&applied(&self.config, &file.degraded));
+        }
+        for ordinal in std::mem::take(&mut self.dirty) {
+            let file = self.files.get_mut(ordinal);
+            let Parse::Pending(pending) = std::mem::replace(&mut file.parse, Parse::Registered)
+            else {
+                unreachable!("a round that reaches the class table parsed every dirty file");
+            };
+            let (units, degraded) = *pending;
+            let mut old = std::mem::take(&mut file.registered).into_iter().peekable();
+            let mut kept = Vec::with_capacity(units.len());
+            for unit in units {
+                while let Some(gone) = old.next_if(|o| o.start < unit.start) {
+                    undefine(&mut self.definitions, (ordinal, gone.start), &gone.name);
+                    touched.push(gone.name);
+                }
+                match old.next_if(|o| o.start == unit.start) {
+                    Some(same) if same.fingerprint == unit.fingerprint => {
+                        kept.push(same);
+                        continue;
+                    }
+                    Some(gone) => {
+                        undefine(&mut self.definitions, (ordinal, gone.start), &gone.name);
+                        touched.push(gone.name);
+                    }
+                    None => {}
+                }
+                let defs = self.definitions.entry(unit.name.clone()).or_default();
+                let pos = (ordinal, unit.start);
+                defs.insert(defs.partition_point(|p| *p < pos), pos);
+                touched.push(unit.name.clone());
+                kept.push(unit);
+            }
+            for gone in old {
+                undefine(&mut self.definitions, (ordinal, gone.start), &gone.name);
+                touched.push(gone.name);
+            }
+            file.registered = kept;
+            if file.degraded != degraded {
+                self.report.remove(&applied(&self.config, &file.degraded));
+                self.report.add(&applied(&self.config, &degraded));
+                file.degraded = degraded;
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        touched
+    }
+
+    /// Re-reports the shadowed definitions of every touched name and
+    /// returns the names whose winner changed: it appeared, disappeared,
+    /// moved, or has a new fingerprint.
+    fn settle_winners(&mut self, touched: &[Name]) -> Vec<Name> {
+        let mut changed = Vec::new();
+        for name in touched {
+            let defs = self.definitions.get(name).map_or(&[][..], Vec::as_slice);
+            let old = self.shadowed.get(name).map_or(&[][..], Vec::as_slice);
+            // A name defined at most once, and not shadowed before, has no
+            // E004 run before or after.
+            let shadowed = if defs.len() > 1 || !old.is_empty() {
+                applied(&self.config, &shadow_diags(name, defs, &self.files))
+            } else {
+                Vec::new()
+            };
+            if shadowed != old {
+                self.report.remove(old);
+                self.report.add(&shadowed);
+                if shadowed.is_empty() {
+                    self.shadowed.remove(name);
+                } else {
+                    self.shadowed.insert(name.clone(), shadowed);
+                }
+            }
+            let winner = defs
+                .last()
+                .map(|&pos| (pos, self.files.unit(pos).fingerprint));
+            if defs.is_empty() {
+                self.definitions.remove(name);
+            }
+            if winner != self.slots.get(name).map(|s| (s.pos, s.fingerprint)) {
+                changed.push(name.clone());
+            }
+        }
+        changed
+    }
+
+    /// Takes a replaced slot out of the spec index, the dependents index
+    /// and the report; its cache keys are dropped at the end of the round
+    /// unless a live class uses them again.
+    fn retire_slot(&mut self, name: &Name, old: ClassSlot, retired: &mut RetiredKeys) {
+        self.report.leave(old.pos);
+        self.report.remove(&old.run);
+        retired.extract.push((name.clone(), old.fingerprint));
+        if let Some(key) = old.verify_key() {
+            retired.verify.push((name.clone(), key));
+        }
+        if let Some(x) = &old.extract.extraction {
+            self.spec_index.remove(&**name);
+            for dep in x.dependencies() {
+                if let Some(dependents) = self.dependents.get_mut(dep) {
+                    if let Ok(i) = dependents.binary_search(name) {
+                        dependents.remove(i);
+                    }
+                    if dependents.is_empty() {
+                        self.dependents.remove(dep);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drops the cache entries of retired keys no live class uses: the
+    /// caches hold exactly the live classes' keys after every round.
+    fn drop_retired_keys(&mut self, retired: RetiredKeys) {
+        for (name, fingerprint) in retired.extract {
+            if self.slots.get(&name).map(|s| s.fingerprint) != Some(fingerprint) {
+                self.extract_cache.remove(&fingerprint);
+            }
+        }
+        for (name, key) in retired.verify {
+            if self.slots.get(&name).and_then(ClassSlot::verify_key) != Some(key) {
+                self.verify_cache.remove(&key);
+                self.stats_cache.remove(&key);
+            }
+        }
     }
 
     /// The statistics of a verified class, cached per class fingerprint.
@@ -683,13 +962,13 @@ impl Workspace {
     /// [`WorkspaceStats::stats_cache_hits`] /
     /// [`WorkspaceStats::stats_computed`].
     pub fn class_stats(&mut self, class: &str) -> Option<Arc<SystemStats>> {
-        let key = *self.class_keys.get(class)?;
+        let slot = self.slots.get(class)?;
+        let key = slot.verify_key()?;
         if let Some(stats) = self.stats_cache.get(&key) {
             self.totals.stats_cache_hits += 1;
             return Some(stats.clone());
         }
-        let entry = self.verify_cache.get(&key)?;
-        let stats = Arc::new(system_stats(&entry.system));
+        let stats = Arc::new(system_stats(&slot.verify.as_ref()?.system));
         self.totals.stats_computed += 1;
         self.stats_cache.insert(key, stats.clone());
         Some(stats)
@@ -742,16 +1021,6 @@ impl Workspace {
         self.totals.absorb(&round);
         self.last = round;
     }
-
-    fn effective_jobs(&self) -> usize {
-        if self.jobs == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.jobs
-        }
-    }
 }
 
 /// One `W014` per construct recovery mode degraded to `skip`: the model
@@ -775,62 +1044,191 @@ fn degraded_diags(module: &Module) -> Diagnostics {
     out
 }
 
-/// The project's class list: every parsed class in project order, except
-/// that a duplicate name resolves to the later definition (Python's
-/// last-definition semantics). Each shadowed definition is reported and
-/// dropped before any stage runs, so the winner is deterministic and
-/// explicit. Also returns the index `class name → position in the list`.
-fn class_list(files: &[FileState]) -> (Vec<&ClassUnit>, HashMap<&str, usize>, Diagnostics) {
-    let all: Vec<(&str, &ClassUnit)> = files
-        .iter()
-        .filter_map(|file| match &file.parsed {
-            Some(Ok(units)) => Some(units.iter().map(|unit| (file.name.as_str(), unit))),
-            _ => None,
-        })
-        .flatten()
-        .collect();
-    let mut last_index: HashMap<&str, usize> = HashMap::with_capacity(all.len());
-    for (i, (_, unit)) in all.iter().enumerate() {
-        last_index.insert(unit.name.as_str(), i);
-    }
-    let mut duplicate_diags = Diagnostics::new();
-    let mut units = Vec::with_capacity(last_index.len());
-    let mut index = HashMap::with_capacity(last_index.len());
-    for (i, &(file, unit)) in all.iter().enumerate() {
-        let winner = last_index[unit.name.as_str()];
-        if winner == i {
-            index.insert(unit.name.as_str(), units.len());
-            units.push(unit);
-            continue;
-        }
-        let (winner_file, _) = all[winner];
-        let message = if file == winner_file {
-            format!(
-                "class `{}` defined more than once in {file}; the later \
-                 definition is used",
-                unit.name
-            )
-        } else {
-            format!(
-                "class `{}` defined in both {file} and {winner_file}; the \
-                 definition in {winner_file} is used",
-                unit.name
-            )
-        };
-        duplicate_diags.push(Diagnostic::error(codes::BAD_ANNOTATION, message));
-    }
-    (units, index, duplicate_diags)
+/// Cache keys of slots a round replaced, dropped at its end unless a live
+/// class uses them again.
+#[derive(Default)]
+struct RetiredKeys {
+    extract: Vec<(Name, u64)>,
+    verify: Vec<(Name, (u64, u64))>,
 }
 
-/// The spec index a round's extractions define, built from scratch: the
-/// reference the incrementally kept [`Workspace`] index is checked against
-/// in debug builds.
-fn spec_index_of(entries: &[Arc<ExtractEntry>]) -> BTreeMap<String, ClassSpec> {
-    entries
-        .iter()
-        .filter_map(|e| e.extraction.as_ref())
-        .map(|x| (x.name.clone(), x.spec.clone()))
-        .collect()
+#[cfg(test)]
+thread_local! {
+    /// Class slots [`Workspace::check`] visited on this thread: the
+    /// counter behind the O(edit) work gate.
+    static SLOTS_VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many class slots the rounds on the calling thread have visited so
+/// far. A round visits a class's slot when it patches its class-table
+/// entry, recomputes its dependency key, or replaces its report run; each
+/// class counts once per round, however many of these it needed.
+#[cfg(test)]
+pub(crate) fn slots_visited() -> usize {
+    SLOTS_VISITED.with(std::cell::Cell::get)
+}
+
+/// Parses one file under the given grammar into its class units.
+fn parse_file(file: &FileState, recover: bool) -> Parse {
+    let parsed = if recover {
+        let module = parse_module_recover(&file.source);
+        (class_units(file, recover, &module), degraded_diags(&module))
+    } else {
+        match parse_module(&file.source) {
+            Ok(module) => (class_units(file, recover, &module), Diagnostics::new()),
+            Err(error) => return Parse::Failed(Box::new(error)),
+        }
+    };
+    Parse::Pending(Box::new(parsed))
+}
+
+/// Removes the definition at `pos` of the class `name` from the table.
+fn undefine(definitions: &mut HashMap<Name, Vec<Pos>>, pos: Pos, name: &str) {
+    let defs = definitions
+        .get_mut(name)
+        .expect("a registered class is defined");
+    let i = defs
+        .binary_search(&pos)
+        .expect("a registered class is defined at its position");
+    defs.remove(i);
+}
+
+/// One `E004` per shadowed definition of `name`: every definition but
+/// the last, which wins.
+fn shadow_diags(name: &str, defs: &[Pos], files: &Files) -> Diagnostics {
+    let mut out = Diagnostics::new();
+    let Some(((winner, _), shadowed)) = defs.split_last() else {
+        return out;
+    };
+    let winner_file = &files.get(*winner).name;
+    for &(ordinal, _) in shadowed {
+        out.push(duplicate_diag(name, &files.get(ordinal).name, winner_file));
+    }
+    out
+}
+
+/// The `E004` reporting that the definition of `name` in `file` is
+/// shadowed by the one in `winner_file`.
+fn duplicate_diag(name: &str, file: &str, winner_file: &str) -> Diagnostic {
+    let message = if file == winner_file {
+        format!(
+            "class `{name}` defined more than once in {file}; the later \
+             definition is used"
+        )
+    } else {
+        format!(
+            "class `{name}` defined in both {file} and {winner_file}; the \
+             definition in {winner_file} is used"
+        )
+    };
+    Diagnostic::error(codes::BAD_ANNOTATION, message)
+}
+
+/// A run of diagnostics as the report holds it: config applied, sorted
+/// and deduplicated.
+fn applied(config: &LintConfig, diagnostics: &Diagnostics) -> Vec<Diagnostic> {
+    if diagnostics.is_empty() {
+        return Vec::new();
+    }
+    let mut run = diagnostics.clone();
+    config.apply(&mut run);
+    run.into_iter().collect()
+}
+
+/// The diagnostics run of one class: every stage's findings, config
+/// applied.
+fn class_run(
+    config: &LintConfig,
+    extract: &ExtractEntry,
+    verify: Option<&VerifyEntry>,
+) -> Vec<Diagnostic> {
+    let mut run = Diagnostics::new();
+    run.extend(extract.extract_diags.clone());
+    run.extend(extract.validate_diags.clone());
+    if let Some(entry) = verify {
+        run.extend(entry.resolve_diags.clone());
+        run.extend(entry.lint_diags.clone());
+        run.extend(entry.verdict.diagnostics.clone());
+    }
+    applied(config, &run)
+}
+
+/// Which violation lists the report keeps: those of the codes the config
+/// denies, since [`LintConfig::apply`] demotes or drops the diagnostics
+/// of the others.
+#[derive(Clone, Copy)]
+struct KeptViolations {
+    usage: bool,
+    claims: bool,
+}
+
+impl KeptViolations {
+    fn of(config: &LintConfig) -> Self {
+        KeptViolations {
+            usage: config.level(codes::INVALID_SUBSYSTEM_USAGE) == LintLevel::Deny,
+            claims: config.level(codes::FAIL_TO_MEET_REQUIREMENT) == LintLevel::Deny,
+        }
+    }
+}
+
+/// The report runs of one class: its diagnostics run and, for a verified
+/// class, its positional runs.
+fn class_runs(kept: KeptViolations, slot: &ClassSlot) -> ClassRuns {
+    let diagnostics = slot.run.to_vec();
+    let Some(entry) = &slot.verify else {
+        return ClassRuns {
+            diagnostics,
+            ..ClassRuns::default()
+        };
+    };
+    let name = &entry.system.name;
+    ClassRuns {
+        diagnostics,
+        system: Some(entry.system.clone()),
+        integration: entry
+            .verdict
+            .integration
+            .as_ref()
+            .map(|integ| (name.clone(), integ.clone())),
+        usage: if kept.usage {
+            entry
+                .verdict
+                .usage_violations
+                .iter()
+                .map(|v| (name.clone(), v.clone()))
+                .collect()
+        } else {
+            Vec::new()
+        },
+        claims: if kept.claims {
+            entry
+                .verdict
+                .claim_violations
+                .iter()
+                .map(|v| (name.clone(), v.clone()))
+                .collect()
+        } else {
+            Vec::new()
+        },
+    }
+}
+
+/// The dependency fingerprint of a `@sys` class: its own fingerprint
+/// combined with the name and winning fingerprint of every class it
+/// instantiates (`u64::MAX` for an undefined one).
+fn dependency_fingerprint(
+    fingerprint: u64,
+    extraction: &ClassExtraction,
+    slots: &HashMap<Name, ClassSlot>,
+) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.part(&fingerprint.to_le_bytes());
+    for dep in extraction.dependencies() {
+        let dep_fp = slots.get(dep).map_or(u64::MAX, |s| s.fingerprint);
+        hash.part(dep.as_bytes());
+        hash.part(&dep_fp.to_le_bytes());
+    }
+    hash.finish()
 }
 
 /// Splits a file's parsed module into per-class units.
@@ -852,7 +1250,8 @@ fn class_units(file: &FileState, recover: bool, module: &Module) -> Vec<ClassUni
     module
         .classes()
         .map(|class| ClassUnit {
-            name: class.name.node.clone(),
+            name: Name::from(class.name.node.as_str()),
+            start: class.span.start,
             fingerprint: fnv1a(&[
                 file.name.as_bytes(),
                 &class.span.start.to_le_bytes(),
@@ -1102,5 +1501,41 @@ pub(crate) mod tests {
 
         ws.check().unwrap();
         assert_eq!(analyses_run() - before, composites);
+    }
+
+    /// Work-count gate: a round visits the class slots its edit touched
+    /// and no others. A no-edit round visits none; an in-place edit of
+    /// one composite visits it alone at every project size; an edit of
+    /// `Valve` visits `Valve` and the `n` composites instantiating it.
+    #[test]
+    fn rounds_visit_the_class_slots_an_edit_touches_not_the_project() {
+        for n in [100, 400] {
+            let source = composites_project(n);
+            let mut ws = Workspace::with_config(LintConfig::default(), 1);
+            ws.set_file("a.py", source.clone());
+            ws.check().unwrap();
+            assert_eq!(ws.last_round().verified, 1 + n as u64);
+
+            let before = slots_visited();
+            ws.check().unwrap();
+            assert_eq!(slots_visited() - before, 0, "no edit, n = {n}");
+            assert_eq!(ws.last_round().verified, 0);
+
+            // Same-length edits, so no other class of the file moves.
+            let composite = source.replacen("self.a.clean()", "self.a.close()", 1);
+            let before = slots_visited();
+            ws.set_file("a.py", composite.clone());
+            ws.check().unwrap();
+            assert_eq!(slots_visited() - before, 1, "one composite, n = {n}");
+            assert_eq!(ws.last_round().verified, 1);
+
+            let valve = composite.replacen("[\"open\", \"clean\"]", "[\"clean\", \"open\"]", 1);
+            assert_ne!(valve, composite);
+            let before = slots_visited();
+            ws.set_file("a.py", valve);
+            ws.check().unwrap();
+            assert_eq!(slots_visited() - before, 1 + n, "Valve, n = {n}");
+            assert_eq!(ws.last_round().verified, 1 + n as u64);
+        }
     }
 }

@@ -4,6 +4,11 @@
 //! into a stream of [`Reply`] values through a caller-provided sink —
 //! the same code path whether requests arrive over stdio, a Unix
 //! socket, or (as in `shelleyc watch`) an in-process call.
+//!
+//! A request whose handler panics is answered with an `error` reply, and
+//! the workspace — which the panic may have left half-updated — is
+//! replaced by a fresh one holding the same open files, configuration
+//! and disk cache. The daemon keeps serving.
 
 use micropython_parser::SourceFile;
 use shelley_core::api::{CheckSummary, ParseFailure, SERVER_NAME};
@@ -13,6 +18,7 @@ use shelley_core::{
 };
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 /// What the transport should do after a request has been answered.
@@ -30,14 +36,27 @@ pub enum Outcome {
 pub struct Engine {
     workspace: Workspace,
     cache_path: Option<PathBuf>,
+    /// The configuration a replacement workspace is built from.
+    checker: Checker,
+    /// Whether the workspace replaced a panicked one and has not finished
+    /// a round since: it holds none of the verify products the disk cache
+    /// does, so persisting it would shrink the cache.
+    replaced: bool,
+    /// Makes the next `check` panic, to exercise the recovery.
+    #[cfg(test)]
+    pub(crate) fail_next_check: bool,
 }
 
 impl Engine {
     /// Creates an engine with no persistent cache.
     pub fn new(checker: Checker) -> Self {
         Engine {
-            workspace: checker.into_workspace(),
+            workspace: checker.clone().into_workspace(),
             cache_path: None,
+            checker,
+            replaced: false,
+            #[cfg(test)]
+            fail_next_check: false,
         }
     }
 
@@ -53,17 +72,77 @@ impl Engine {
     }
 
     /// Saves the verify cache to the attached path, if any. Returns the
-    /// number of records written.
+    /// number of records written. Nothing is saved while the workspace is
+    /// a replacement that has not finished a round yet.
     pub fn persist(&self) -> std::io::Result<Option<usize>> {
         match &self.cache_path {
-            Some(path) => self.workspace.save_disk_cache(path).map(Some),
-            None => Ok(None),
+            Some(path) if !self.replaced => self.workspace.save_disk_cache(path).map(Some),
+            _ => Ok(None),
         }
     }
 
     /// Answers one request, pushing every reply (in wire order) through
-    /// `emit`.
+    /// `emit`. A panic in the handler is contained: its replies are
+    /// dropped, the request is answered with an `error`, and the
+    /// workspace is replaced (see the [module docs](self)).
     pub fn handle(&mut self, request: Request, emit: &mut dyn FnMut(Reply)) -> Outcome {
+        let id = request.id;
+        let shutdown = matches!(request.method, Method::Shutdown);
+        let mut replies = Vec::new();
+        let handled = catch_unwind(AssertUnwindSafe(|| {
+            self.dispatch(request, &mut |reply| replies.push(reply))
+        }));
+        match handled {
+            Ok(outcome) => {
+                replies.into_iter().for_each(emit);
+                outcome
+            }
+            Err(panic) => {
+                let what = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("unknown panic");
+                self.replace_workspace();
+                emit(Reply {
+                    id,
+                    body: ReplyBody::Error {
+                        message: format!(
+                            "internal error: {what}; the workspace was rebuilt from the open files"
+                        ),
+                    },
+                });
+                if shutdown {
+                    Outcome::Shutdown
+                } else {
+                    Outcome::Continue
+                }
+            }
+        }
+    }
+
+    /// Replaces the workspace by a fresh one with the same configuration,
+    /// disk cache and open files. A round changes no file text, so the
+    /// texts read back from a workspace whose round panicked are intact.
+    fn replace_workspace(&mut self) {
+        let old = &self.workspace;
+        let mut fresh = self
+            .checker
+            .clone()
+            .recover(old.recover())
+            .backend(old.backend())
+            .into_workspace();
+        if let Some(path) = &self.cache_path {
+            fresh.load_disk_cache(path);
+        }
+        for name in old.file_names() {
+            fresh.set_file(name, old.source(name).expect("a listed file has a source"));
+        }
+        self.workspace = fresh;
+        self.replaced = true;
+    }
+
+    fn dispatch(&mut self, request: Request, emit: &mut dyn FnMut(Reply)) -> Outcome {
         let id = request.id;
         let mut reply = |body| emit(Reply { id, body });
         match request.method {
@@ -119,7 +198,13 @@ impl Engine {
     /// diagnostics (project-level diagnostics batch under `file: None`),
     /// then the final `check` summary.
     fn run_check(&mut self, id: u64, emit: &mut dyn FnMut(Reply)) {
-        match self.workspace.check() {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_check) {
+            panic!("injected fault");
+        }
+        let round = self.workspace.check();
+        self.replaced = false;
+        match round {
             Ok(checked) => {
                 // Group diagnostics by file in first-appearance order —
                 // the report is already normalized, so this order is

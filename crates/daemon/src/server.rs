@@ -18,7 +18,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Reply `id` used when a request line is so malformed that no client id
 /// could be recovered from it.
@@ -36,7 +36,7 @@ pub fn serve_stdio(engine: Engine) -> io::Result<()> {
     let stdin = io::stdin().lock();
     let stdout = io::stdout().lock();
     serve_connection(&engine, stdin, stdout, &stop)?;
-    engine.lock().unwrap().persist()?;
+    lock(&engine).persist()?;
     Ok(())
 }
 
@@ -74,7 +74,7 @@ pub fn serve_socket(engine: Engine, socket: &Path) -> io::Result<()> {
     for worker in workers {
         let _ = worker.join();
     }
-    engine.lock().unwrap().persist()?;
+    lock(&engine).persist()?;
     let _ = std::fs::remove_file(socket);
     Ok(())
 }
@@ -101,10 +101,7 @@ fn serve_connection(
         };
         let mut replies: Vec<Reply> = Vec::new();
         let outcome = match request {
-            Ok(request) => engine
-                .lock()
-                .unwrap()
-                .handle(request, &mut |reply| replies.push(reply)),
+            Ok(request) => lock(engine).handle(request, &mut |reply| replies.push(reply)),
             Err(e) => {
                 replies.push(Reply {
                     id: MALFORMED_ID,
@@ -133,6 +130,13 @@ fn serve_connection(
     Ok(())
 }
 
+/// Locks the engine. [`Engine::handle`] contains handler panics, so the
+/// lock is never poisoned by one; should it be poisoned anyway, the
+/// engine it guards is still usable.
+fn lock(engine: &Mutex<Engine>) -> MutexGuard<'_, Engine> {
+    engine.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Reads one request line into `buf`, newline stripped, buffering at most
 /// [`MAX_REQUEST_BYTES`] of it. Returns `None` at end of input and
 /// `Some(false)` for an oversized line, whose remainder through the next
@@ -153,4 +157,88 @@ fn read_request_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result
     buf.clear();
     reader.skip_until(b'\n')?;
     Ok(Some(false))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use shelley_core::{Checker, ProjectFile};
+
+    const LED: &str = "@sys\nclass Led:\n    @op_initial\n    def on(self):\n        return [\"off\"]\n\n    @op_final\n    def off(self):\n        return [\"on\"]\n";
+    const PANEL: &str = "@sys([\"l\"])\nclass Panel:\n    def __init__(self):\n        self.l = Led()\n\n    @op_initial_final\n    def run(self):\n        self.l.on()\n        self.l.off()\n        return []\n";
+
+    /// A check whose handler panics is answered with an error; the next
+    /// check on the same connection reports what a cold check reports;
+    /// and `shutdown` still stops the daemon cleanly and saves the cache
+    /// of the rebuilt workspace once it has finished a round.
+    #[test]
+    fn a_panicking_check_is_contained_and_the_daemon_keeps_serving() {
+        let dir = std::env::temp_dir().join(format!("shelley-daemon-panic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("daemon.sock");
+        let cache = dir.join("cache.ndjson");
+        let _ = std::fs::remove_file(&cache);
+        let (mut engine, _) = Engine::new(Checker::new().jobs(1)).with_cache(&cache);
+        engine.fail_next_check = true;
+        let server = {
+            let socket = socket.clone();
+            std::thread::spawn(move || serve_socket(engine, &socket))
+        };
+        while !socket.exists() {
+            std::thread::yield_now();
+        }
+
+        let mut client = Client::connect(&socket).unwrap();
+        client.hello().unwrap();
+        client.open("led.py", LED).unwrap();
+        client.open("panel.py", PANEL).unwrap();
+        let error = client.check().unwrap_err().to_string();
+        assert!(error.contains("injected fault"), "{error}");
+
+        let summary = client.check().unwrap();
+        let cold = Checker::new()
+            .check_files(&[
+                ProjectFile::new("led.py", LED),
+                ProjectFile::new("panel.py", PANEL),
+            ])
+            .unwrap();
+        assert_eq!(summary.report().render(None), cold.report.render(None));
+        assert!(summary.passed);
+        assert_eq!(summary.systems, ["Led", "Panel"]);
+        assert_eq!(summary.stats.verified, 2, "the rebuilt workspace runs cold");
+
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+        let saved = std::fs::read_to_string(&cache).unwrap();
+        assert_eq!(saved.lines().count(), 3, "a header and two records");
+    }
+
+    /// The rebuilt workspace is not persisted before it finishes a round:
+    /// it holds none of the verify products the disk cache does.
+    #[test]
+    fn a_rebuilt_workspace_is_not_persisted_before_its_first_round() {
+        let dir =
+            std::env::temp_dir().join(format!("shelley-daemon-replaced-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = dir.join("cache.ndjson");
+        std::fs::write(&cache, "kept\n").unwrap();
+        let (mut engine, _) = Engine::new(Checker::new().jobs(1)).with_cache(&cache);
+        engine.fail_next_check = true;
+        let mut replies = Vec::new();
+        for method in [
+            shelley_core::Method::Open {
+                path: "led.py".into(),
+                text: LED.into(),
+            },
+            shelley_core::Method::Check,
+            shelley_core::Method::Shutdown,
+        ] {
+            let outcome = engine.handle(Request { id: 1, method }, &mut |r| replies.push(r.body));
+            assert_eq!(outcome == Outcome::Shutdown, replies.len() == 3);
+        }
+        assert!(matches!(replies[1], ReplyBody::Error { .. }));
+        assert!(matches!(replies[2], ReplyBody::Ok));
+        assert_eq!(std::fs::read_to_string(&cache).unwrap(), "kept\n");
+    }
 }

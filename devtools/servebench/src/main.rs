@@ -10,7 +10,11 @@
 //!   previous run saved: every class still parses, extracts, and
 //!   resolves, but the expensive analyses are restored from disk;
 //! * **steady_state** — a re-check in a live workspace: everything is an
-//!   in-memory fingerprint hit.
+//!   in-memory fingerprint hit;
+//! * **one_edit_leaf** — a live workspace re-checks after one app's
+//!   operation body changed: that app alone is re-verified;
+//! * **one_edit_base** — the same after one device's body changed: the
+//!   device and the apps instantiating it are re-verified.
 //!
 //! The emitted `gate` asserts the cache pays for itself: a warm restart
 //! must be at least 2x faster than a cold start. The runner exits
@@ -70,6 +74,47 @@ fn fill(workspace: &mut Workspace, files: &[(String, String)]) {
     for (name, text) in files {
         workspace.set_file(name.clone(), text.clone());
     }
+}
+
+/// `text` with one extra local assignment at the top of the body of the
+/// operation `header` declares: a new class fingerprint, the same verdict.
+fn edited(text: &str, header: &str) -> String {
+    let at = text.find(header).expect("generator emits this operation") + header.len();
+    format!("{}        edited = 1\n{}", &text[..at], &text[at..])
+}
+
+/// The median round of `live` after toggling `files[file]` between its
+/// original and edited text, one edit per repetition.
+fn one_edit(
+    name: &'static str,
+    live: &mut Workspace,
+    files: &[(String, String)],
+    file: usize,
+    header: &str,
+) -> Mode {
+    let (path, original) = &files[file];
+    let changed = edited(original, header);
+    let mut probe = None;
+    let ns = median(
+        (0..REPS)
+            .map(|rep| {
+                let text = if rep % 2 == 0 { &changed } else { original };
+                live.set_file(path.clone(), text.clone());
+                let t = Instant::now();
+                std::hint::black_box(live.check().expect("parses").report.passed());
+                let ns = t.elapsed().as_nanos();
+                probe = Some(mode_stats(name, ns, live));
+                ns
+            })
+            .collect(),
+    );
+    if REPS % 2 == 1 {
+        live.set_file(path.clone(), original.clone());
+        live.check().expect("parses");
+    }
+    let mut mode = probe.expect("REPS > 0");
+    mode.ns = ns;
+    mode
 }
 
 fn mode_stats(name: &'static str, ns: u128, workspace: &Workspace) -> Mode {
@@ -163,6 +208,30 @@ fn main() {
     let mut steady = steady_probe.expect("REPS > 0");
     steady.ns = steady_ns;
 
+    // One-edit rounds: the first app file (one class re-verified) and
+    // the first device file (the device plus its apps).
+    let devices = (CLASSES / 20).max(1);
+    let leaf = one_edit(
+        "one_edit_leaf",
+        &mut live,
+        &files,
+        devices,
+        "    def run(self):\n",
+    );
+    assert_eq!(leaf.verified, 1, "a leaf edit re-verifies the leaf alone");
+    let base = one_edit(
+        "one_edit_base",
+        &mut live,
+        &files,
+        0,
+        "    def boot(self):\n",
+    );
+    assert_eq!(
+        base.verified as usize,
+        1 + (CLASSES - devices) / devices,
+        "a base edit re-verifies the device and its apps"
+    );
+
     let speedup = cold.ns as f64 / warm.ns.max(1) as f64;
     let gate_ok = speedup >= 2.0;
 
@@ -178,7 +247,13 @@ fn main() {
         ("classes", Value::UInt(CLASSES as u64)),
         (
             "rows",
-            Value::Seq(vec![cold.row(), warm.row(), steady.row()]),
+            Value::Seq(vec![
+                cold.row(),
+                warm.row(),
+                steady.row(),
+                leaf.row(),
+                base.row(),
+            ]),
         ),
         (
             "cache",
@@ -202,10 +277,13 @@ fn main() {
     let _ = std::fs::remove_file(&cache);
 
     eprintln!(
-        "cold {:.1}ms, warm restart {:.1}ms ({speedup:.2}x), steady state {:.1}ms -> {out_path}",
+        "cold {:.1}ms, warm restart {:.1}ms ({speedup:.2}x), steady state {:.2}ms, \
+         one edit {:.2}ms leaf / {:.2}ms base -> {out_path}",
         cold.ns as f64 / 1e6,
         warm.ns as f64 / 1e6,
         steady.ns as f64 / 1e6,
+        leaf.ns as f64 / 1e6,
+        base.ns as f64 / 1e6,
     );
     assert!(
         gate_ok,
