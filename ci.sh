@@ -58,6 +58,21 @@ cargo test -p shelley-bench --test edit_sequences -q
 cargo test -p shelley-core --lib -q flipped_digit
 cargo test -p shelley-daemon --lib -q server::tests
 
+echo "==> parse-free restart (file records, lazy ASTs, restart work counters, kill during save, reply coalescing)"
+# A restarted workspace restores each unchanged file from its file record
+# instead of parsing it: an unchanged restart of serve_project(1000)
+# parses 0 files and extracts 0 classes, an app edit parses 1, and a
+# device edit parses the device plus, lazily, its 19 apps; every decoded
+# record gives back each extraction exactly (examples_py, serve_project
+# and realworld_corpus under --recover); a file record with a flipped
+# digit, or one that does not decode, is parsed instead; a leftover
+# cache.tmp or a truncated cache loads as a smaller cache and the next
+# round equals a cold check; and the daemon coalesces replies without
+# starving a client that waits on one, or that disconnects mid-burst.
+cargo test -p shelley-bench --test restart -q
+cargo test -p shelley-core --lib -q file_record
+cargo test -p shelley-daemon --lib -q server::tests
+
 echo "==> benches compile"
 cargo bench --workspace --no-run -q
 

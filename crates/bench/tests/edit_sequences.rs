@@ -12,7 +12,11 @@
 //! defining a class in a second file (shadowing in either direction, or
 //! twice in one file), removing and re-adding a file (it moves to the end
 //! of project order), breaking the syntax and fixing it, and body edits
-//! that re-key a class without changing its verdict.
+//! that re-key a class without changing its verdict. Restarts go through
+//! the disk cache: a restarted workspace restores unchanged files from
+//! their file records without parsing them, and a restart can find one
+//! file record dropped or corrupted, or an edited dependency whose
+//! dependents it then parses lazily.
 
 use proptest::prelude::*;
 use shelley_bench::{realworld_corpus, serve_project};
@@ -73,6 +77,13 @@ enum Op {
     /// Save the disk cache, then continue in a fresh workspace with this
     /// many jobs that loaded it.
     Restart(usize),
+    /// A restart whose cache lost the file record at this index (modulo
+    /// their number): dropped, or with a digit flipped when `true`.
+    RestartDamaged(usize, bool),
+    /// A restart that edits this file's first method before its first
+    /// round: the classes instantiating it miss their verify records, so
+    /// their restored files are parsed lazily.
+    RestartEdited(usize),
 }
 
 fn arb_op(files: usize) -> impl Strategy<Value = Op> {
@@ -88,6 +99,8 @@ fn arb_op(files: usize) -> impl Strategy<Value = Op> {
         3 => (0..files).prop_map(Op::Remove),
         1 => Just(Op::ToggleRecover),
         1 => (1usize..4).prop_map(Op::Restart),
+        1 => (0usize..32).prop_map(|k| Op::RestartDamaged(k / 2, k % 2 == 1)),
+        1 => (0..files).prop_map(Op::RestartEdited),
     ]
 }
 
@@ -169,6 +182,47 @@ fn cache_path() -> std::path::PathBuf {
     ))
 }
 
+/// Drops the file record at index `k` (modulo their number) from the
+/// cache file at `path`, or flips a digit of its payload.
+fn damage_file_record(path: &std::path::Path, k: usize, flip: bool) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let records = text
+        .lines()
+        .filter(|l| l.starts_with("{\"file_fp\":"))
+        .count();
+    if records == 0 {
+        return;
+    }
+    let mut seen = 0;
+    let lines: Vec<String> = text
+        .lines()
+        .filter_map(|line| {
+            if !line.starts_with("{\"file_fp\":") {
+                return Some(line.to_string());
+            }
+            seen += 1;
+            if seen - 1 != k % records {
+                return Some(line.to_string());
+            }
+            if !flip {
+                return None;
+            }
+            // The first digit of the payload: a start offset or a
+            // fingerprint, so the line keeps its shape.
+            let at = line.find("\"record\":").unwrap();
+            let i = at + line[at..].find(|c: char| c.is_ascii_digit()).unwrap();
+            let digit = line.as_bytes()[i];
+            let flipped = if digit == b'9' {
+                '8'
+            } else {
+                (digit + 1) as char
+            };
+            Some(format!("{}{flipped}{}", &line[..i], &line[i + 1..]))
+        })
+        .collect();
+    std::fs::write(path, lines.join("\n") + "\n").unwrap();
+}
+
 /// Applies `ops` to a live workspace and to a model of its file set,
 /// checking the round against a cold check after every step.
 fn run(ops: &[Op]) -> Result<(), TestCaseError> {
@@ -200,9 +254,25 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
                 recover = !recover;
                 ws.set_recover(recover);
             }
-            Op::Restart(jobs) => {
+            Op::Restart(_) | Op::RestartDamaged(..) | Op::RestartEdited(_) => {
                 ws.save_disk_cache(&cache).unwrap();
-                ws = workspace(*jobs, recover, &[]);
+                let jobs = match op {
+                    Op::Restart(jobs) => *jobs,
+                    Op::RestartDamaged(k, flip) => {
+                        damage_file_record(&cache, *k, *flip);
+                        2
+                    }
+                    _ => 1,
+                };
+                if let Op::RestartEdited(file) = op {
+                    let (name, _) = &universe[*file];
+                    let text = render(&universe, *file, &Variant::Body);
+                    match model.iter_mut().find(|(n, _)| n == name) {
+                        Some(slot) => slot.1 = text,
+                        None => model.push((name.clone(), text)),
+                    }
+                }
+                ws = workspace(jobs, recover, &[]);
                 ws.load_disk_cache(&cache);
                 for (name, text) in &model {
                     ws.set_file(name.clone(), text.clone());
@@ -253,6 +323,28 @@ fn edit_sequence_shadowing_in_both_directions_and_back() -> Result<(), TestCaseE
         ToggleRecover,
         Set(6, Variant::Break),
         Set(6, Variant::Original),
+    ])
+}
+
+#[test]
+fn edit_sequence_restarts_with_damaged_records_and_edited_dependencies() -> Result<(), TestCaseError>
+{
+    use Op::*;
+    run(&[
+        Restart(2),
+        RestartDamaged(0, false),
+        RestartDamaged(3, true),
+        // `dev0.py`: the apps of `Dev0` are restored, then parsed lazily.
+        RestartEdited(0),
+        Set(1, Variant::Shadow(0)),
+        RestartEdited(1),
+        Set(1, Variant::Original),
+        ToggleRecover,
+        RestartEdited(0),
+        Set(6, Variant::Break),
+        RestartDamaged(5, true),
+        Remove(1),
+        RestartEdited(1),
     ])
 }
 

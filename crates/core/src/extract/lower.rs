@@ -89,7 +89,7 @@ pub struct MatchCaseInfo {
 }
 
 /// The result of lowering one method body.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredMethod {
     /// The lowered program, wrapped as `body; return(implicit)`.
     pub program: Program,

@@ -106,7 +106,7 @@ pub(super) fn check_class(class: &ClassDef, system: &System, out: &mut Diagnosti
             // Definitely assigned, or never assigned (E005).
             continue;
         }
-        for (op_name, lowered) in &info.methods {
+        for (op_name, lowered) in info.methods.iter() {
             if let Some(call) = lowered.calls.iter().find(|c| &c.field == field) {
                 out.push(
                     Diagnostic::warning(

@@ -1,39 +1,55 @@
-//! The persistent on-disk verification cache.
+//! The persistent on-disk cache.
 //!
 //! A long-lived [`Workspace`](crate::workspace::Workspace) already reuses
-//! verify-stage products across rounds through in-memory fingerprint
-//! caches; this module carries those products across *process restarts*.
-//! `shelleyc serve` loads the cache on startup and saves it on shutdown,
-//! so a restarted daemon re-verifies only classes whose content (or whose
-//! dependencies' content) actually changed.
+//! per-file and per-class products across rounds through in-memory
+//! fingerprint caches; this module carries them across *process
+//! restarts*. `shelleyc serve` loads the cache on startup and saves it on
+//! shutdown, so a restarted daemon parses, extracts and re-verifies only
+//! what actually changed.
 //!
 //! # What is persisted
 //!
-//! One [`SavedVerify`] per `(class fingerprint, dependency fingerprint)`
-//! pair — the same content-addressed key the in-memory verify cache uses.
-//! The record stores the *analysis results* (lint diagnostics, verdict
-//! diagnostics, usage/claim violations, fast-path counts) but not the
-//! resolved [`System`](crate::system::System) or integration automaton:
-//! those are cheap, deterministic functions of the source and are rebuilt
-//! on restore, which keeps the file format small and free of automaton
-//! internals. The expensive passes — lints, the typestate analysis,
-//! language-inclusion usage checking, and LTLf claim checking — are
-//! skipped entirely on a hit.
+//! Two record kinds:
+//!
+//! * One **verify record** ([`SavedVerify`]) per `(class fingerprint,
+//!   dependency fingerprint)` pair — the same content-addressed key the
+//!   in-memory verify cache uses. The record stores the *analysis
+//!   results* (lint diagnostics, verdict diagnostics, usage/claim
+//!   violations, fast-path counts) but not the resolved
+//!   [`System`](crate::system::System) or integration automaton: those
+//!   are cheap, deterministic functions of the extraction and are rebuilt
+//!   on restore, which keeps the file format small and free of automaton
+//!   internals. The expensive passes — lints, the typestate analysis,
+//!   language-inclusion usage checking, and LTLf claim checking — are
+//!   skipped entirely on a hit.
+//! * One **file record** per registered file, keyed by the file
+//!   fingerprint (file name and text, as
+//!   [`set_file`](crate::workspace::Workspace::set_file) computes it) and
+//!   the recovery-mode bit. It holds the file's `W014` run and, for each
+//!   class in source order, its name, start offset and class fingerprint,
+//!   plus — for a definition that won when the record was written — its
+//!   extraction products (the [`ClassExtraction`](crate::system::ClassExtraction)
+//!   and the extract and validate diagnostics). A restarted workspace
+//!   restores an unchanged file from its record instead of parsing it and
+//!   extracting its classes, and parses it only if a stage later needs
+//!   its AST. The products are a function of the key alone, because the
+//!   parse and every class fingerprint are.
 //!
 //! # File format
 //!
 //! Newline-delimited JSON with a versioned header:
 //!
 //! ```text
-//! {"magic":"shelleyc-cache","format":4,"analysis":4242}
+//! {"magic":"shelleyc-cache","format":5,"analysis":4242}
 //! {"class_fp":123,"dep_fp":456,"saved":{...},"sum":7878}
-//! {"class_fp":789,"dep_fp":101,"saved":{...},"sum":9191}
+//! {"file_fp":789,"recover":false,"record":[...],"sum":9191}
 //! ```
 //!
 //! `format` versions the record layout and the meaning of its keys;
 //! `analysis` is the [`analysis_stamp`] of the build that wrote the file,
 //! so records computed by a build whose analyses may differ (another crate
-//! version or diagnostic registry) are never replayed.
+//! version or diagnostic registry) are never replayed. The stamp is part
+//! of every record's key.
 //!
 //! A change to what a key covers, or a soundness fix to an analysis, must
 //! bump [`CACHE_FORMAT`] or the analysis stamp even when the crate version
@@ -41,10 +57,18 @@
 //! records an old build keyed or computed differently. Format 3, for
 //! example, keys each class by its own source bytes where format 2 keyed
 //! it by its printed AST, which missed comment and whitespace edits that
-//! move spans; format 4 adds the per-record checksum.
+//! move spans; format 4 adds the per-record checksum, and format 5 the
+//! file records.
+//!
+//! A verify record's payload is field-named JSON. A file record's is
+//! positional (see `file_record`): arrays instead of objects, spans as
+//! `[start, end]`, and the lowered programs in a prefix code, read
+//! without building a JSON value tree. A file record is checked against
+//! its checksum when the cache loads, but decoded only when a round
+//! restores its file, on the round's worker pool.
 //!
 //! Each record carries `sum`, an FNV-1a checksum over its key and its
-//! serialized `saved` payload, so a record whose bytes changed on disk —
+//! serialized payload, so a record whose bytes changed on disk —
 //! a flipped bit that still parses — is rejected instead of replaying a
 //! wrong verdict under a right key, or a right verdict under a wrong one.
 //!
@@ -53,8 +77,13 @@
 //! corruption-tolerant: a missing file or foreign header yields an empty
 //! cache, and a malformed record line — a torn tail, or a record whose
 //! checksum does not match — is skipped and counted while every other
-//! record is kept. A stale or smaller cache only costs re-verification,
-//! never correctness.
+//! record is kept. A file record that passes its checksum but does not
+//! decode is parsed instead. A stale or smaller cache only costs
+//! re-parsing and re-verification, never correctness.
+
+mod file_record;
+
+pub(crate) use file_record::{encode as encode_file, SavedFile};
 
 use crate::diagnostics::{Diagnostics, Severity, REGISTRY};
 use crate::verify::claims::ClaimViolation;
@@ -74,7 +103,7 @@ pub const CACHE_MAGIC: &str = "shelleyc-cache";
 ///
 /// A loaded file with a different version is ignored wholesale — the
 /// cache is a pure accelerator, so "ignore and rebuild" is always safe.
-pub const CACHE_FORMAT: u32 = 4;
+pub const CACHE_FORMAT: u32 = 5;
 
 /// The analysis version a cache file is stamped with: FNV-1a over the
 /// crate version and every `(code, default severity)` pair of the
@@ -150,11 +179,68 @@ struct Header {
     analysis: Option<u64>,
 }
 
+/// The key of a file record: the file fingerprint (file name and text)
+/// and the recovery-mode bit.
+pub type FileKey = (u64, bool);
+
+/// A file record whose checksum matched, its payload not yet decoded.
+#[derive(Debug)]
+pub struct FileRecord {
+    payload: Box<str>,
+    /// The checksum the payload matched, written back with it.
+    sum: u64,
+}
+
+impl FileRecord {
+    /// The decoded record; `None` if the payload is malformed.
+    pub(crate) fn decode(&self) -> Option<SavedFile> {
+        file_record::decode(&self.payload)
+    }
+}
+
+/// The prefix of a file record line, which tells it from a verify record.
+const FILE_RECORD_PREFIX: &str = "{\"file_fp\":";
+
+/// Splits a file record line as [`RecordLines::file`] writes it into its
+/// key and payload, checking the checksum; `None` for a malformed or
+/// corrupt line.
+fn file_record_line(line: &str) -> Option<(FileKey, FileRecord)> {
+    let rest = line.strip_prefix(FILE_RECORD_PREFIX)?;
+    let (fingerprint, rest) = rest.split_once(",\"recover\":")?;
+    let (recover, rest) = rest.split_once(",\"record\":")?;
+    let (payload, sum) = rest.rsplit_once(",\"sum\":")?;
+    let key = (
+        fingerprint.parse().ok()?,
+        match recover {
+            "true" => true,
+            "false" => false,
+            _ => return None,
+        },
+    );
+    let sum: u64 = sum.strip_suffix('}')?.parse().ok()?;
+    (sum == file_record_sum(key, payload)).then(|| {
+        let payload = payload.into();
+        (key, FileRecord { payload, sum })
+    })
+}
+
+/// FNV-1a over a file record's key and its payload.
+fn file_record_sum((fingerprint, recover): FileKey, payload: &str) -> u64 {
+    crate::workspace::fnv1a(&[
+        &fingerprint.to_le_bytes(),
+        &[u8::from(recover)],
+        payload.as_bytes(),
+    ])
+}
+
 /// What [`load`] recovered, plus how much it had to discard.
 #[derive(Debug, Default)]
 pub struct LoadOutcome {
-    /// Usable records, keyed by `(class fingerprint, dep fingerprint)`.
+    /// Usable verify records, keyed by `(class fingerprint, dep
+    /// fingerprint)`.
     pub entries: HashMap<(u64, u64), Arc<SavedVerify>>,
+    /// File records whose checksum matched, keyed by [`FileKey`].
+    pub files: HashMap<FileKey, Arc<FileRecord>>,
     /// Record lines dropped as malformed (a torn tail after a crash) or
     /// corrupt (a checksum mismatch).
     pub skipped_lines: usize,
@@ -167,6 +253,12 @@ pub struct LoadOutcome {
 /// corruption. Never fails: any problem degrades to a smaller (possibly
 /// empty) cache.
 pub fn load(path: &Path) -> LoadOutcome {
+    load_on(path, 1)
+}
+
+/// [`load`] with the record lines checked and parsed on a pool of `jobs`
+/// workers.
+pub(crate) fn load_on(path: &Path, jobs: usize) -> LoadOutcome {
     let mut outcome = LoadOutcome::default();
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -208,63 +300,138 @@ pub fn load(path: &Path) -> LoadOutcome {
         ));
         return outcome;
     }
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = json::from_str::<Record>(line);
-        match (record, record_payload(line)) {
-            (Ok(record), Some(payload))
-                if record.sum == record_sum(record.class_fp, record.dep_fp, payload) =>
-            {
-                outcome
-                    .entries
-                    .insert((record.class_fp, record.dep_fp), Arc::new(record.saved));
+    let lines: Vec<&str> = lines.filter(|line| !line.trim().is_empty()).collect();
+    // A few chunks per worker, so one slow chunk does not idle the rest.
+    let chunks: Vec<&[&str]> = lines
+        .chunks(lines.len().div_ceil(jobs * 4).max(1))
+        .collect();
+    let parsed = crate::workspace::par_map(jobs, &chunks, |chunk| {
+        chunk
+            .iter()
+            .map(|line| record_line(line))
+            .collect::<Vec<_>>()
+    });
+    for line in parsed.into_iter().flatten() {
+        match line {
+            Some(Line::Verify(key, saved)) => {
+                outcome.entries.insert(key, Arc::new(saved));
             }
-            _ => outcome.skipped_lines += 1,
+            Some(Line::File(key, record)) => {
+                outcome.files.insert(key, Arc::new(record));
+            }
+            None => outcome.skipped_lines += 1,
         }
     }
     outcome
 }
 
-/// Atomically writes `entries` to `path` (temp file + rename). Returns
-/// the number of records written.
+/// One usable record line.
+enum Line {
+    Verify((u64, u64), SavedVerify),
+    File(FileKey, FileRecord),
+}
+
+/// Parses one record line, checking its checksum; `None` for a malformed
+/// or corrupt line.
+fn record_line(line: &str) -> Option<Line> {
+    if line.starts_with(FILE_RECORD_PREFIX) {
+        let (key, record) = file_record_line(line)?;
+        return Some(Line::File(key, record));
+    }
+    let record = json::from_str::<Record>(line).ok()?;
+    (record.sum == record_sum(record.class_fp, record.dep_fp, record_payload(line)?))
+        .then_some(Line::Verify((record.class_fp, record.dep_fp), record.saved))
+}
+
+/// Atomically writes `entries` to `path` as verify records (temp file +
+/// rename). Returns the number of records written.
 pub fn save<'a, I>(path: &Path, entries: I) -> io::Result<usize>
 where
     I: IntoIterator<Item = ((u64, u64), &'a SavedVerify)>,
 {
-    let mut out = String::new();
-    out.push_str(&json::to_string(&Header {
-        magic: CACHE_MAGIC.to_string(),
-        format: CACHE_FORMAT,
-        analysis: Some(analysis_stamp()),
-    }));
-    out.push('\n');
-    let mut count = 0;
-    for ((class_fp, dep_fp), saved) in entries {
+    let mut lines = RecordLines::default();
+    for (key, saved) in entries {
+        lines.verify(key, saved);
+    }
+    commit(path, [lines])
+}
+
+/// Record lines of a cache file, written in one pass; a save may write
+/// several chunks on a worker pool and [`commit`] them in order.
+#[derive(Default)]
+pub(crate) struct RecordLines {
+    out: String,
+    verify_records: usize,
+}
+
+impl RecordLines {
+    /// Appends a verify record.
+    pub(crate) fn verify(&mut self, (class_fp, dep_fp): (u64, u64), saved: &SavedVerify) {
         // The line `Record` serializes to, with the payload serialized
         // once for both the line and its checksum.
         let payload = json::to_string(saved);
         let sum = record_sum(class_fp, dep_fp, &payload);
         let _ = writeln!(
-            out,
+            self.out,
             "{{\"class_fp\":{class_fp},\"dep_fp\":{dep_fp},\"saved\":{payload},\"sum\":{sum}}}"
         );
-        count += 1;
+        self.verify_records += 1;
     }
+
+    /// Appends a file record whose payload `encode` writes.
+    pub(crate) fn file(&mut self, key: FileKey, encode: impl FnOnce(&mut String)) {
+        self.file_prefix(key);
+        let start = self.out.len();
+        encode(&mut self.out);
+        let sum = file_record_sum(key, &self.out[start..]);
+        let _ = writeln!(self.out, ",\"sum\":{sum}}}");
+    }
+
+    /// Appends a loaded file record unchanged, checksum included.
+    pub(crate) fn saved_file(&mut self, key: FileKey, record: &FileRecord) {
+        self.file_prefix(key);
+        self.out.push_str(&record.payload);
+        let _ = writeln!(self.out, ",\"sum\":{}}}", record.sum);
+    }
+
+    fn file_prefix(&mut self, (fingerprint, recover): FileKey) {
+        let _ = write!(
+            self.out,
+            "{FILE_RECORD_PREFIX}{fingerprint},\"recover\":{recover},\"record\":"
+        );
+    }
+}
+
+/// Atomically writes a cache file holding the header and then `chunks`
+/// in order (temp file + rename). Returns the number of verify records
+/// written.
+pub(crate) fn commit(
+    path: &Path,
+    chunks: impl IntoIterator<Item = RecordLines>,
+) -> io::Result<usize> {
+    let header = json::to_string(&Header {
+        magic: CACHE_MAGIC.to_string(),
+        format: CACHE_FORMAT,
+        analysis: Some(analysis_stamp()),
+    });
     let tmp = path.with_extension("tmp");
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
+    let mut verify_records = 0;
     {
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(out.as_bytes())?;
+        file.write_all(format!("{header}\n").as_bytes())?;
+        for chunk in chunks {
+            file.write_all(chunk.out.as_bytes())?;
+            verify_records += chunk.verify_records;
+        }
         file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    Ok(count)
+    Ok(verify_records)
 }
 
 #[cfg(test)]
@@ -517,6 +684,128 @@ mod tests {
                 (last - 1) as char
             };
             format!("{}{flipped}{}", &line[..end - 1], &line[end..])
+        });
+    }
+
+    /// Saves `composites_project(3)` in `a.py` and a `Valve` user in
+    /// `b.py`, rewrites the file record of `a.py` with `corrupt`, and
+    /// checks that the line still has a file record's shape, that its
+    /// record alone is rejected — by the load's checksum check when
+    /// `checksum`, else when the round decodes it — and that a round on
+    /// the loaded cache parses and extracts `a.py` alone, restores every
+    /// verdict from disk, and reports exactly what a cold check does.
+    fn corrupted_file_record_is_rejected(
+        name: &str,
+        checksum: bool,
+        corrupt: impl Fn(&str) -> String,
+    ) {
+        use crate::lint::LintConfig;
+        use crate::workspace::{tests::composites_project, Workspace};
+
+        const B: &str = "@sys([\"v\"])\nclass Other:\n    def __init__(self):\n        \
+                         self.v = Valve()\n\n    @op_initial_final\n    def run(self):\n        \
+                         self.v.test()\n        self.v.clean()\n        return []\n";
+        let fill = |ws: &mut Workspace| {
+            ws.set_file("a.py", composites_project(3));
+            ws.set_file("b.py", B);
+        };
+        let path = temp_path(name);
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        fill(&mut ws);
+        let cold = ws.check().unwrap();
+        assert_eq!(ws.save_disk_cache(&path).unwrap(), 5);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut hit = 0;
+        let rewritten: Vec<String> = text
+            .lines()
+            .map(|line| {
+                if line.starts_with(FILE_RECORD_PREFIX) && line.contains("[\"User0\",") {
+                    hit += 1;
+                    let bad = corrupt(line);
+                    assert_ne!(bad, line);
+                    assert!(bad.starts_with(FILE_RECORD_PREFIX) && bad.contains(",\"sum\":"));
+                    bad
+                } else {
+                    line.to_string()
+                }
+            })
+            .collect();
+        assert_eq!(hit, 1, "{text}");
+        std::fs::write(&path, rewritten.join("\n") + "\n").unwrap();
+
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        let outcome = ws.load_disk_cache(&path);
+        assert!(outcome.rejected.is_none());
+        assert_eq!(outcome.skipped_lines, usize::from(checksum));
+        assert_eq!(outcome.files.len(), 2 - usize::from(checksum));
+        assert_eq!(outcome.entries.len(), 5);
+        fill(&mut ws);
+        let checked = ws.check().unwrap();
+        let round = ws.last_round();
+        assert_eq!(round.files_parsed, 1, "a.py alone is parsed");
+        assert_eq!(round.extracted, 4, "and its classes extracted");
+        assert_eq!((round.verified, round.verify_disk_hits), (5, 5));
+        assert_eq!(checked.report.render(None), cold.report.render(None));
+        assert_eq!(
+            checked.report.diagnostics.render_json(None),
+            cold.report.diagnostics.render_json(None)
+        );
+
+        // The next save encodes a.py's record afresh.
+        ws.save_disk_cache(&path).unwrap();
+        let outcome = load(&path);
+        assert_eq!((outcome.skipped_lines, outcome.files.len()), (0, 2));
+    }
+
+    /// The last digit of the first number after `key` in `line`,
+    /// decremented (or, from 0, incremented): the number stays valid.
+    fn flip_digit_after(line: &str, key: &str) -> String {
+        let start = line.find(key).unwrap() + key.len();
+        let digits = line[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let end = start + digits;
+        assert!(digits > 0, "a number follows {key}");
+        let last = line.as_bytes()[end - 1];
+        let flipped = if last == b'0' {
+            '1'
+        } else {
+            (last - 1) as char
+        };
+        format!("{}{flipped}{}", &line[..end - 1], &line[end..])
+    }
+
+    #[test]
+    fn a_flipped_digit_in_a_file_record_payload_rejects_only_its_record() {
+        // The start offset of `User0`.
+        corrupted_file_record_is_rejected("file-payload-digit", true, |line| {
+            flip_digit_after(line, "[\"User0\",")
+        });
+    }
+
+    #[test]
+    fn a_flipped_digit_in_a_file_record_key_rejects_only_its_record() {
+        corrupted_file_record_is_rejected("file-key-digit", true, |line| {
+            flip_digit_after(line, FILE_RECORD_PREFIX)
+        });
+    }
+
+    #[test]
+    fn a_file_record_that_does_not_decode_is_parsed_instead() {
+        // A well-formed checksum over a payload this build cannot decode:
+        // it passes the load and fails on restore.
+        corrupted_file_record_is_rejected("file-undecodable", false, |line| {
+            let payload = "[[],[[\"User0\",0,1,null]]";
+            let key = (
+                line[FILE_RECORD_PREFIX.len()..line.find(',').unwrap()]
+                    .parse()
+                    .unwrap(),
+                false,
+            );
+            let sum = file_record_sum(key, payload);
+            format!(
+                "{FILE_RECORD_PREFIX}{},\"recover\":false,\"record\":{payload},\"sum\":{sum}}}",
+                key.0
+            )
         });
     }
 

@@ -41,8 +41,9 @@ pub enum SystemKind {
 pub struct CompositeInfo {
     /// Declared subsystems in decorator order.
     pub subsystems: Vec<Subsystem>,
-    /// Lowered bodies of the `@op*` methods, keyed by operation name.
-    pub methods: BTreeMap<String, LoweredMethod>,
+    /// Lowered bodies of the `@op*` methods, keyed by operation name;
+    /// shared with the extraction they were resolved from.
+    pub methods: Arc<BTreeMap<String, LoweredMethod>>,
     /// The composite's alphabet: its own operation names (markers) plus the
     /// qualified events of every subsystem, plus claim atoms.
     pub alphabet: Arc<Alphabet>,
@@ -142,7 +143,9 @@ pub struct ClassExtraction {
     pub(crate) kind: ClassKind,
     pub(crate) claims: Vec<Claim>,
     pub(crate) spec: ClassSpec,
-    pub(crate) methods: BTreeMap<String, LoweredMethod>,
+    /// Shared, so cloning an extraction for resolution copies no method
+    /// body.
+    pub(crate) methods: Arc<BTreeMap<String, LoweredMethod>>,
     pub(crate) alphabet: Alphabet,
     pub(crate) declared_fields: Vec<String>,
     pub(crate) init_classes: BTreeMap<String, String>,
@@ -268,7 +271,7 @@ pub fn extract_class(
             name: class.name.node.clone(),
             operations,
         },
-        methods,
+        methods: Arc::new(methods),
         alphabet,
         declared_fields,
         init_classes,
@@ -333,7 +336,7 @@ pub fn resolve_class(
             }
 
             // Invocation analysis (step 3).
-            for (op_name, lowered) in &methods {
+            for (op_name, lowered) in methods.iter() {
                 check_invocations(op_name, lowered, &sub_specs, diagnostics);
             }
 

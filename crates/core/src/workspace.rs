@@ -13,7 +13,9 @@
 //! [`verify_system`]), and each stage's
 //! products are cached under a **content fingerprint**:
 //!
-//! * a *file* fingerprint (hash of the source text) gates re-parsing;
+//! * a *file* fingerprint (hash of the file name and source text) gates
+//!   re-parsing, and with the recovery-mode bit keys the file's record
+//!   in the disk cache;
 //! * a *class* fingerprint (hash of the class's own source bytes — from
 //!   its first decorator to the end of its last body statement — plus its
 //!   start offset, its file, and the recovery-mode bit) gates extraction
@@ -59,6 +61,23 @@
 //! report. A round with no edit touches no class at all, and a cold round
 //! is the same path with every file dirty. Debug builds check every round
 //! against the report, keys and caches rebuilt from scratch.
+//!
+//! # Restored files and lazy ASTs
+//!
+//! A workspace that loaded a disk cache ([`Workspace::load_disk_cache`])
+//! restores a dirty file whose key has a file record instead of parsing
+//! it: on the phase-1 worker pool the record is decoded into the file's
+//! `W014` run and its class units — name, start offset and class
+//! fingerprint, exactly as parsing computes them — without ASTs. A
+//! restored unit that won when the record was written also carries its
+//! extraction products, which seed the extraction cache when it wins
+//! again. A file is parsed only when its text changed (it has no record
+//! under its new key) or a stage needs an AST: a class whose verify key
+//! the disk cache cannot answer (the lints read the AST), or a restored
+//! definition without products that starts winning. Such a lazy parse
+//! counts in [`WorkspaceStats::files_parsed`]; debug builds assert that
+//! it yields the units the record restored. An unchanged restart thus
+//! parses and extracts nothing, and re-runs only the cheap resolution.
 //!
 //! Workspace diagnostics carry no file, so two classes can produce the
 //! same diagnostic, which the normalized report holds once: the kept
@@ -109,7 +128,7 @@ use crate::backend::Backend;
 use crate::checker::CheckError;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
-use crate::persist::{self, SavedVerify};
+use crate::persist::{self, FileKey, FileRecord, RecordLines, SavedVerify};
 use crate::pipeline::{verify_system, Checked, SystemVerdict};
 use crate::spec::ClassSpec;
 use crate::stats::{system_stats, SystemStats};
@@ -133,9 +152,11 @@ use std::time::{Duration, Instant};
 pub struct WorkspaceStats {
     /// Number of completed [`Workspace::check`] rounds.
     pub rounds: u64,
-    /// Files whose source changed and were re-parsed.
+    /// Files parsed: those whose source changed and had no file record,
+    /// plus restored files parsed lazily because a stage needed their AST.
     pub files_parsed: u64,
-    /// Files whose parse (or parse error) was reused.
+    /// Files whose parse (or parse error) was reused, or restored from a
+    /// file record, and not parsed.
     pub parse_cache_hits: u64,
     /// Classes that ran extraction + spec validation.
     pub extracted: u64,
@@ -162,9 +183,10 @@ pub struct WorkspaceStats {
     pub stats_computed: u64,
     /// [`Workspace::class_stats`] calls served from the stats cache.
     pub stats_cache_hits: u64,
-    /// Wall time of the parse phase: parsing the changed files on the
-    /// worker pool, including fingerprinting each of their classes and
-    /// collecting recovery-mode `W014` warnings.
+    /// Wall time of the parse phase: restoring or parsing the changed
+    /// files on the worker pool, including fingerprinting each of their
+    /// classes and collecting recovery-mode `W014` warnings, plus the
+    /// lazy parses of later phases.
     pub parse_time: Duration,
     /// Time spent extracting changed classes.
     pub extract_time: Duration,
@@ -223,7 +245,7 @@ type Name = Arc<str>;
 type Pos = (u64, usize);
 
 /// One class of one file, ready for the per-class stages.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ClassUnit {
     name: Name,
     /// Start offset of the class in its file.
@@ -231,8 +253,25 @@ struct ClassUnit {
     /// Content fingerprint (see [`class_units`]).
     fingerprint: u64,
     /// A single-class module owning the class definition; shared with
-    /// worker threads and cache entries.
-    solo: Arc<Module>,
+    /// worker threads. `None` for a unit restored from a file record
+    /// until a stage needs its AST (see [`Workspace::load_asts`]).
+    solo: Option<Arc<Module>>,
+    /// The extraction products the file record held for the unit, which
+    /// spare extracting it when it wins.
+    restored: Option<Arc<ExtractEntry>>,
+}
+
+impl ClassUnit {
+    /// The unit's single-class module.
+    ///
+    /// # Panics
+    ///
+    /// If the unit's file was restored and its AST not loaded.
+    fn solo(&self) -> &Module {
+        self.solo
+            .as_deref()
+            .expect("a stage that reads the AST loads it first")
+    }
 }
 
 /// Where a file's parse stands relative to the class table.
@@ -242,8 +281,8 @@ enum Parse {
     Stale,
     /// The parse failed; every round fails until the text changes.
     Failed(Box<ParseError>),
-    /// Parsed, with its `W014` diagnostics, but not yet merged into the
-    /// class table.
+    /// Parsed or restored from a file record, with its `W014`
+    /// diagnostics, but not yet merged into the class table.
     Pending(Box<(Vec<ClassUnit>, Diagnostics)>),
     /// The class table holds exactly this parse.
     Registered,
@@ -322,11 +361,11 @@ impl ClassSlot {
 
 /// Extraction-stage products of one class (keyed by class fingerprint).
 #[derive(Debug)]
-struct ExtractEntry {
+pub(crate) struct ExtractEntry {
     /// `None` for classes without a `@sys` decorator.
-    extraction: Option<ClassExtraction>,
-    extract_diags: Diagnostics,
-    validate_diags: Diagnostics,
+    pub(crate) extraction: Option<ClassExtraction>,
+    pub(crate) extract_diags: Diagnostics,
+    pub(crate) validate_diags: Diagnostics,
 }
 
 /// Verification-stage products of one class (keyed by class fingerprint +
@@ -393,6 +432,10 @@ pub struct Workspace {
     /// `verify_cache` misses. Kept across rounds: a key that is stale now
     /// can become live again when a closed file is reopened.
     disk_cache: HashMap<(u64, u64), Arc<SavedVerify>>,
+    /// File records restored from disk, consulted before parsing a stale
+    /// file. Kept across rounds like `disk_cache`, so a reopened file
+    /// restores too.
+    file_records: HashMap<FileKey, Arc<FileRecord>>,
     totals: WorkspaceStats,
     last: WorkspaceStats,
 }
@@ -436,6 +479,7 @@ impl Workspace {
             stats_cache: HashMap::new(),
             spec_index: BTreeMap::new(),
             disk_cache: HashMap::new(),
+            file_records: HashMap::new(),
             totals: WorkspaceStats::default(),
             last: WorkspaceStats::default(),
         }
@@ -561,9 +605,11 @@ impl Workspace {
             ..WorkspaceStats::default()
         };
 
-        // Phase 1: parse the dirty files whose parse is stale. A file's
-        // parse depends on its own text only, so they fan out like
-        // classes do; results come back in file order.
+        // Phase 1: restore or parse the dirty files whose parse is stale.
+        // A file with a file record under its key is restored from it,
+        // without an AST; any other is parsed. Either depends on the
+        // file's own text only, so they fan out like classes do; results
+        // come back in file order.
         let t = Instant::now();
         let stale: Vec<u64> = self
             .dirty
@@ -571,16 +617,29 @@ impl Workspace {
             .copied()
             .filter(|&ordinal| matches!(self.files.get(ordinal).parse, Parse::Stale))
             .collect();
-        round.files_parsed = stale.len() as u64;
-        round.parse_cache_hits = (self.files.0.len() - stale.len()) as u64;
         let recover = self.recover;
-        let files = &self.files;
+        let (files, records) = (&self.files, &self.file_records);
         let fresh = par_map(self.jobs, &stale, |&ordinal| {
-            parse_file(files.get(ordinal), recover)
+            let file = files.get(ordinal);
+            let record = records.get(&(file.fingerprint, recover));
+            match record.and_then(|record| restore_file(record)) {
+                Some(restored) => (restored, Restore::Restored),
+                None if record.is_some() => (parse_file(file, recover), Restore::Rejected),
+                None => (parse_file(file, recover), Restore::Parsed),
+            }
         });
-        for (&ordinal, parse) in stale.iter().zip(fresh) {
-            self.files.get_mut(ordinal).parse = parse;
+        for (&ordinal, (parse, how)) in stale.iter().zip(fresh) {
+            let file = self.files.get_mut(ordinal);
+            file.parse = parse;
+            if how != Restore::Restored {
+                round.files_parsed += 1;
+            }
+            if how == Restore::Rejected {
+                // Parsed instead, and encoded afresh by the next save.
+                self.file_records.remove(&(file.fingerprint, recover));
+            }
         }
+        round.parse_cache_hits = self.files.0.len() as u64 - round.files_parsed;
         round.parse_time = t.elapsed();
         // Only a dirty file can have failed, and the dirty set is in
         // project order.
@@ -608,35 +667,40 @@ impl Workspace {
         // fingerprint is new; their slots replace the old ones.
         let t = Instant::now();
         let mut retired_keys = RetiredKeys::default();
-        let winners: Vec<(&Name, Pos, &ClassUnit)> = changed
+        let winners: Vec<(&Name, Pos)> = changed
             .iter()
-            .filter_map(|name| {
-                let &pos = self.definitions.get(name)?.last()?;
-                Some((name, pos, self.files.unit(pos)))
-            })
+            .filter_map(|name| Some((name, *self.definitions.get(name)?.last()?)))
             .collect();
+        // A new winner's products come from the extraction cache, else
+        // from its file record, else from extracting it.
         let mut entries: Vec<Option<Arc<ExtractEntry>>> = winners
             .iter()
-            .map(|(_, _, unit)| self.extract_cache.get(&unit.fingerprint).cloned())
+            .map(|&(_, pos)| {
+                let unit = self.files.unit(pos);
+                let cached = self.extract_cache.get(&unit.fingerprint);
+                cached.or(unit.restored.as_ref()).cloned()
+            })
             .collect();
         let missing: Vec<usize> = (0..winners.len())
             .filter(|&i| entries[i].is_none())
             .collect();
         round.extracted = missing.len() as u64;
+        let lazy = self.load_asts(missing.iter().map(|&i| winners[i].1), &mut round);
+        let files = &self.files;
         let fresh = par_map(self.jobs, &missing, |&i| {
-            Arc::new(run_extract(winners[i].2))
+            Arc::new(run_extract(files.unit(winners[i].1)))
         });
         for (&i, entry) in missing.iter().zip(fresh) {
-            self.extract_cache
-                .insert(winners[i].2.fingerprint, entry.clone());
             entries[i] = Some(entry);
         }
         let winners: Vec<(&Name, Pos, u64, Arc<ExtractEntry>)> = winners
             .into_iter()
             .zip(entries)
-            .map(|((name, pos, unit), entry)| {
+            .map(|((name, pos), entry)| {
                 let entry = entry.expect("every new winner was extracted");
-                (name, pos, unit.fingerprint, entry)
+                let fingerprint = self.files.unit(pos).fingerprint;
+                self.extract_cache.insert(fingerprint, entry.clone());
+                (name, pos, fingerprint, entry)
             })
             .collect();
         for name in &changed {
@@ -677,7 +741,7 @@ impl Workspace {
             rerun.push((pos, name.clone()));
         }
         round.extract_cache_hits = (self.slots.len() - missing.len()) as u64;
-        round.extract_time = t.elapsed();
+        round.extract_time = t.elapsed() - lazy;
 
         // Phase 4: dependency fingerprints of the new `@sys` winners and
         // of every class that instantiates a changed name; each whose key
@@ -737,7 +801,19 @@ impl Workspace {
         });
 
         // Phase 5: resolution + lints + verification for the classes whose
-        // key missed.
+        // key missed. The lints read the AST, so a class the disk cache
+        // cannot answer needs its file parsed.
+        let need_ast: Vec<Pos> = missing
+            .iter()
+            .map(|name| &self.slots[name])
+            .filter(|slot| {
+                !self
+                    .disk_cache
+                    .contains_key(&(slot.fingerprint, slot.dep_fingerprint))
+            })
+            .map(|slot| slot.pos)
+            .collect();
+        let lazy = self.load_asts(need_ast, &mut round);
         let backend = self.backend;
         let disk_cache = &self.disk_cache;
         let spec_index = &self.spec_index;
@@ -756,9 +832,9 @@ impl Workspace {
                     true,
                 ),
                 None => {
-                    let unit = files.unit(slot.pos);
+                    let solo = files.unit(slot.pos).solo();
                     (
-                        Arc::new(run_verify(extraction, unit, spec_index, backend)),
+                        Arc::new(run_verify(extraction, solo, spec_index, backend)),
                         false,
                     )
                 }
@@ -774,7 +850,7 @@ impl Workspace {
                 .insert((slot.fingerprint, slot.dep_fingerprint), entry.clone());
             slot.verify = Some(entry);
         }
-        round.verify_time = t.elapsed();
+        round.verify_time = t.elapsed() - lazy;
 
         // Phase 6: merge the new runs into the kept report, and drop the
         // cache entries no live class uses any more.
@@ -839,7 +915,13 @@ impl Workspace {
                 }
                 match old.next_if(|o| o.start == unit.start) {
                     Some(same) if same.fingerprint == unit.fingerprint => {
-                        kept.push(same);
+                        // The same class: whichever of the two has an AST
+                        // or restored products keeps them.
+                        kept.push(ClassUnit {
+                            solo: unit.solo.or(same.solo),
+                            restored: unit.restored.or(same.restored),
+                            ..same
+                        });
                         continue;
                     }
                     Some(gone) => {
@@ -905,6 +987,60 @@ impl Workspace {
             }
         }
         changed
+    }
+
+    /// Parses the files of the classes at `positions` whose units were
+    /// restored without an AST, and gives every unit of those files its
+    /// single-class module. A lazily parsed file counts in
+    /// [`WorkspaceStats::files_parsed`] and its time in
+    /// [`WorkspaceStats::parse_time`]; returns that time, which the
+    /// calling phase leaves out of its own.
+    fn load_asts(
+        &mut self,
+        positions: impl IntoIterator<Item = Pos>,
+        round: &mut WorkspaceStats,
+    ) -> Duration {
+        let mut ordinals: Vec<u64> = positions
+            .into_iter()
+            .filter(|&pos| self.files.unit(pos).solo.is_none())
+            .map(|(ordinal, _)| ordinal)
+            .collect();
+        if ordinals.is_empty() {
+            return Duration::ZERO;
+        }
+        let t = Instant::now();
+        ordinals.sort_unstable();
+        ordinals.dedup();
+        let (files, recover) = (&self.files, self.recover);
+        let parsed = par_map(self.jobs, &ordinals, |&ordinal| {
+            let file = files.get(ordinal);
+            let module = if recover {
+                parse_module_recover(&file.source)
+            } else {
+                parse_module(&file.source)
+                    .expect("a restored file's text parsed when its record was written")
+            };
+            class_units(file, recover, &module)
+        });
+        for (&ordinal, units) in ordinals.iter().zip(parsed) {
+            let registered = &mut self.files.get_mut(ordinal).registered;
+            debug_assert!(
+                registered.len() == units.len()
+                    && registered.iter().zip(&units).all(|(r, u)| {
+                        (&r.name, r.start, r.fingerprint) == (&u.name, u.start, u.fingerprint)
+                    }),
+                "a lazily parsed file has the classes its record restored"
+            );
+            for (unit, parsed) in registered.iter_mut().zip(units) {
+                unit.solo = parsed.solo;
+            }
+        }
+        let n = ordinals.len() as u64;
+        round.files_parsed += n;
+        round.parse_cache_hits -= n;
+        let elapsed = t.elapsed();
+        round.parse_time += elapsed;
+        elapsed
     }
 
     /// Takes a replaced slot out of the spec index, the dependents index
@@ -976,45 +1112,93 @@ impl Workspace {
 
     /// Seeds the workspace from a persistent cache file written by
     /// [`save_disk_cache`](Self::save_disk_cache). Subsequent
-    /// [`check`](Self::check) rounds restore matching classes instead of
-    /// re-running the expensive analyses, counting each restore in
+    /// [`check`](Self::check) rounds restore matching files from their
+    /// file records instead of parsing them (see the
+    /// [module docs](self)), and matching classes instead of re-running
+    /// the expensive analyses, counting each restore in
     /// [`WorkspaceStats::verify_disk_hits`].
     ///
     /// Loading never fails: corrupt or version-mismatched files degrade
     /// to a smaller (possibly empty) cache — see [`crate::persist`].
     pub fn load_disk_cache(&mut self, path: impl AsRef<std::path::Path>) -> persist::LoadOutcome {
-        let outcome = persist::load(path.as_ref());
+        let outcome = persist::load_on(path.as_ref(), self.jobs);
         for (key, saved) in &outcome.entries {
             self.disk_cache.insert(*key, saved.clone());
+        }
+        for (key, record) in &outcome.files {
+            self.file_records.insert(*key, record.clone());
         }
         outcome
     }
 
     /// Atomically persists the verify-stage products of every class of
-    /// the last completed round, so a future process can
+    /// the last completed round, and one file record for every file it
+    /// registered, so a future process can
     /// [`load_disk_cache`](Self::load_disk_cache) them. Returns the
-    /// number of records written.
+    /// number of verify records written.
     pub fn save_disk_cache(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
-        let records: Vec<((u64, u64), SavedVerify)> = self
+        /// One record to write.
+        enum Item<'a> {
+            Verify((u64, u64), &'a VerifyEntry),
+            File(&'a FileState),
+        }
+        let verify = self
             .verify_cache
             .iter()
-            .map(|(&key, entry)| {
-                (
-                    key,
-                    SavedVerify {
-                        lint_diags: entry.lint_diags.clone(),
-                        verdict_diags: entry.verdict.diagnostics.clone(),
-                        usage_violations: entry.verdict.usage_violations.clone(),
-                        claim_violations: entry.verdict.claim_violations.clone(),
-                        fast_path_skips: entry.verdict.fast_path_skips,
-                    },
-                )
-            })
+            .map(|(&key, entry)| Item::Verify(key, entry));
+        // A dirty file's registered classes are not those of its text.
+        let files = self
+            .files
+            .0
+            .iter()
+            .filter(|f| !self.dirty.contains(&f.ordinal))
+            .map(Item::File);
+        let items: Vec<Item> = verify.chain(files).collect();
+        // The records are independent, so chunks of them are written on
+        // the pool and committed in order.
+        let chunks: Vec<&[Item]> = items
+            .chunks(items.len().div_ceil(self.jobs * 4).max(1))
             .collect();
-        persist::save(
-            path.as_ref(),
-            records.iter().map(|(key, saved)| (*key, saved)),
-        )
+        let written = par_map(self.jobs, &chunks, |chunk| {
+            let mut lines = RecordLines::default();
+            for item in *chunk {
+                match *item {
+                    Item::Verify(key, entry) => lines.verify(
+                        key,
+                        &SavedVerify {
+                            lint_diags: entry.lint_diags.clone(),
+                            verdict_diags: entry.verdict.diagnostics.clone(),
+                            usage_violations: entry.verdict.usage_violations.clone(),
+                            claim_violations: entry.verdict.claim_violations.clone(),
+                            fast_path_skips: entry.verdict.fast_path_skips,
+                        },
+                    ),
+                    Item::File(file) => self.file_record(file, &mut lines),
+                }
+            }
+            lines
+        });
+        persist::commit(path.as_ref(), written)
+    }
+
+    /// Writes the file record of a registered file: the loaded record it
+    /// was restored from, unchanged, or else a fresh encoding with the
+    /// extraction products of its winning definitions.
+    fn file_record(&self, file: &FileState, lines: &mut RecordLines) {
+        let key = (file.fingerprint, self.recover);
+        if let Some(record) = self.file_records.get(&key) {
+            lines.saved_file(key, record);
+            return;
+        }
+        lines.file(key, |out| {
+            let units = file.registered.iter().map(|unit| {
+                let slot = self.slots.get(&unit.name);
+                let winner = slot.filter(|s| s.pos == (file.ordinal, unit.start));
+                let entry = winner.map(|s| &*s.extract);
+                (&*unit.name, unit.start, unit.fingerprint, entry)
+            });
+            persist::encode_file(out, &file.degraded, units);
+        });
     }
 
     fn finish_round(&mut self, round: WorkspaceStats) {
@@ -1066,6 +1250,39 @@ thread_local! {
 #[cfg(test)]
 pub(crate) fn slots_visited() -> usize {
     SLOTS_VISITED.with(std::cell::Cell::get)
+}
+
+/// How phase 1 brought a stale file up to date.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Restore {
+    /// From its file record.
+    Restored,
+    /// Parsed: it had no file record.
+    Parsed,
+    /// Parsed because its file record did not decode.
+    Rejected,
+}
+
+/// The class units of a file as its record holds them, without ASTs;
+/// `None` if the record does not decode, or lists its classes out of
+/// source order.
+fn restore_file(record: &FileRecord) -> Option<Parse> {
+    let saved = record.decode()?;
+    if !saved.units.windows(2).all(|w| w[0].start < w[1].start) {
+        return None;
+    }
+    let units = saved
+        .units
+        .into_iter()
+        .map(|unit| ClassUnit {
+            name: Name::from(unit.name),
+            start: unit.start,
+            fingerprint: unit.fingerprint,
+            solo: None,
+            restored: unit.extract.map(Arc::new),
+        })
+        .collect();
+    Some(Parse::Pending(Box::new((units, saved.degraded))))
 }
 
 /// Parses one file under the given grammar into its class units.
@@ -1258,9 +1475,10 @@ fn class_units(file: &FileState, recover: bool, module: &Module) -> Vec<ClassUni
                 &[u8::from(recover)],
                 &file.source.as_bytes()[class.span.start..class.span.end],
             ]),
-            solo: Arc::new(Module {
+            solo: Some(Arc::new(Module {
                 body: vec![Stmt::ClassDef(class.clone())],
-            }),
+            })),
+            restored: None,
         })
         .collect()
 }
@@ -1268,7 +1486,7 @@ fn class_units(file: &FileState, recover: bool, module: &Module) -> Vec<ClassUni
 /// The extraction stage of one class: pass 1 plus spec validation.
 fn run_extract(unit: &ClassUnit) -> ExtractEntry {
     let class = unit
-        .solo
+        .solo()
         .classes()
         .next()
         .expect("solo modules hold exactly one class");
@@ -1290,7 +1508,7 @@ fn run_extract(unit: &ClassUnit) -> ExtractEntry {
 /// typestate lint and the inclusion fast path share one analysis.
 fn run_verify(
     extraction: ClassExtraction,
-    unit: &ClassUnit,
+    solo: &Module,
     spec_index: &BTreeMap<String, ClassSpec>,
     backend: Backend,
 ) -> VerifyEntry {
@@ -1301,7 +1519,7 @@ fn run_verify(
     // subsystems, never their resolved systems, so spec-only stand-ins
     // keep the stage independent of every other class's resolution. The
     // other lint passes only inspect the class under analysis (the scope's
-    // one class present in `unit.solo`), so the widened scope still
+    // one class present in `solo`), so the widened scope still
     // reproduces the module-level run exactly.
     let mut verify_scope: Vec<Arc<System>> = vec![system.clone()];
     if let SystemKind::Composite(info) = &system.kind {
@@ -1326,7 +1544,7 @@ fn run_verify(
 
     let mut lint_diags = Diagnostics::new();
     let ctx = LintContext {
-        module: &unit.solo,
+        module: solo,
         systems: &verify_scope,
     };
     let proven = lint_class(&ctx, &system, &mut lint_diags);
@@ -1388,7 +1606,11 @@ fn run_verify_restored(
 /// rounds allocate from: with glibc's per-thread arenas and only spawned
 /// workers, the freed cold-round products left holes nothing reused, and
 /// the daemon's resident set grew faster under edits.
-fn par_map<T: Sync, R: Send>(jobs: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+pub(crate) fn par_map<T: Sync, R: Send>(
+    jobs: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     if jobs <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
@@ -1501,6 +1723,104 @@ pub(crate) mod tests {
 
         ws.check().unwrap();
         assert_eq!(analyses_run() - before, composites);
+    }
+
+    /// Whether two extraction entries are equal, alphabets compared by
+    /// their names in intern order.
+    fn same_entry(a: &ExtractEntry, b: &ExtractEntry) -> bool {
+        let same_extraction = match (&a.extraction, &b.extraction) {
+            (Some(x), Some(y)) => {
+                let names = |x: &ClassExtraction| -> Vec<String> {
+                    x.alphabet.iter().map(|(_, n)| n.to_string()).collect()
+                };
+                x.name == y.name
+                    && x.kind == y.kind
+                    && x.claims == y.claims
+                    && x.spec == y.spec
+                    && x.methods == y.methods
+                    && names(x) == names(y)
+                    && x.declared_fields == y.declared_fields
+                    && x.init_classes == y.init_classes
+            }
+            (None, None) => true,
+            _ => false,
+        };
+        same_extraction
+            && a.extract_diags == b.extract_diags
+            && a.validate_diags == b.validate_diags
+    }
+
+    /// Checks `files` in recovery mode, saves the cache, and decodes every
+    /// file record it wrote: each gives back the file's `W014` run, its
+    /// units, and the extraction entry of every winning definition.
+    fn assert_file_records_round_trip(files: &[(String, String)]) -> usize {
+        let path = std::env::temp_dir().join(format!(
+            "shelley-file-records-{}-{}.ndjson",
+            std::process::id(),
+            files.len()
+        ));
+        let mut ws = Workspace::with_config(LintConfig::default(), 2);
+        ws.set_recover(true);
+        for (name, text) in files {
+            ws.set_file(name.clone(), text.clone());
+        }
+        ws.check().unwrap();
+        ws.save_disk_cache(&path).unwrap();
+        let outcome = persist::load(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(outcome.skipped_lines, 0);
+        assert_eq!(outcome.files.len(), files.len());
+        let mut entries = 0;
+        for file in &ws.files.0 {
+            let saved = outcome.files[&(file.fingerprint, true)]
+                .decode()
+                .unwrap_or_else(|| panic!("the record of {} decodes", file.name));
+            assert_eq!(saved.degraded, file.degraded, "{}", file.name);
+            assert_eq!(saved.units.len(), file.registered.len(), "{}", file.name);
+            for (saved, unit) in saved.units.iter().zip(&file.registered) {
+                assert_eq!(
+                    (saved.name.as_str(), saved.start, saved.fingerprint),
+                    (&*unit.name, unit.start, unit.fingerprint)
+                );
+                let slot = &ws.slots[&unit.name];
+                if slot.pos == (file.ordinal, unit.start) {
+                    let entry = saved.extract.as_ref().expect("a winner's entry");
+                    assert!(
+                        same_entry(entry, &slot.extract),
+                        "{}: {entry:#?}\n!=\n{:#?}",
+                        unit.name,
+                        slot.extract
+                    );
+                    entries += 1;
+                } else {
+                    assert!(saved.extract.is_none(), "a shadowed definition");
+                }
+            }
+        }
+        entries
+    }
+
+    /// A file record gives back every extraction entry exactly, on the
+    /// paper examples, the 1000-class serve project and the real-world
+    /// corpus, all under recovery mode.
+    #[test]
+    fn file_record_round_trips_every_extraction() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples_py");
+        let mut examples: Vec<(String, String)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read_to_string(&path).unwrap())
+            })
+            .collect();
+        examples.sort();
+        assert!(assert_file_records_round_trip(&examples) > 0);
+        assert_eq!(
+            assert_file_records_round_trip(&shelley_bench::serve_project(1000)),
+            1000
+        );
+        assert!(assert_file_records_round_trip(&shelley_bench::realworld_corpus(200)) > 200);
     }
 
     /// Work-count gate: a round visits the class slots its edit touched

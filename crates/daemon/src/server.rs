@@ -7,6 +7,13 @@
 //! shared daemon. Replies for one request are fully buffered before
 //! they are written, so a slow client never holds the engine lock.
 //!
+//! Replies are coalesced: a connection writes through a buffer that is
+//! flushed only when the client has no further complete request waiting
+//! to be read (or the session ends). A pipelined burst of requests thus
+//! gets its replies in a few large writes instead of one per reply, while
+//! a client that waits for a reply before sending more — or that has sent
+//! only part of its next request — still gets every reply it is owed.
+//!
 //! A request line may hold at most [`MAX_REQUEST_BYTES`]; a longer one is
 //! answered with an error and skipped without being buffered, and the
 //! connection keeps serving.
@@ -14,7 +21,7 @@
 use crate::engine::{Engine, Outcome};
 use serde::json;
 use shelley_core::{Reply, ReplyBody, Request};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,7 +40,7 @@ pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 pub fn serve_stdio(engine: Engine) -> io::Result<()> {
     let engine = Mutex::new(engine);
     let stop = AtomicBool::new(false);
-    let stdin = io::stdin().lock();
+    let stdin = BufReader::new(io::stdin().lock());
     let stdout = io::stdout().lock();
     serve_connection(&engine, stdin, stdout, &stop)?;
     lock(&engine).persist()?;
@@ -82,14 +89,26 @@ pub fn serve_socket(engine: Engine, socket: &Path) -> io::Result<()> {
 /// Reads newline-delimited requests from `reader` and writes the replies
 /// to `writer` until `shutdown`, end of input, or an I/O error. Sets
 /// `stop` when the client asked the whole daemon to shut down.
+///
+/// Replies are flushed when `reader` holds no complete request line yet
+/// (see the [module docs](self)).
 fn serve_connection(
     engine: &Mutex<Engine>,
-    mut reader: impl BufRead,
-    mut writer: impl Write,
+    mut reader: BufReader<impl Read>,
+    writer: impl Write,
     stop: &AtomicBool,
 ) -> io::Result<()> {
+    let mut writer = BufWriter::new(writer);
     let mut buf = Vec::new();
-    while let Some(fits) = read_request_line(&mut reader, &mut buf)? {
+    loop {
+        // Before a read that would block, or find only part of a
+        // request: the client may be waiting for the replies so far.
+        if !reader.buffer().contains(&b'\n') {
+            writer.flush()?;
+        }
+        let Some(fits) = read_request_line(&mut reader, &mut buf)? else {
+            break;
+        };
         let request = if fits {
             match std::str::from_utf8(&buf) {
                 Ok(line) if line.trim().is_empty() => continue,
@@ -116,7 +135,6 @@ fn serve_connection(
             writer.write_all(json::to_string(reply).as_bytes())?;
             writer.write_all(b"\n")?;
         }
-        writer.flush()?;
         if outcome == Outcome::Shutdown {
             stop.store(true, Ordering::SeqCst);
             break;
@@ -127,7 +145,7 @@ fn serve_connection(
             break;
         }
     }
-    Ok(())
+    writer.flush()
 }
 
 /// Locks the engine. [`Engine::handle`] contains handler panics, so the
@@ -211,7 +229,131 @@ mod tests {
         client.shutdown().unwrap();
         server.join().unwrap().unwrap();
         let saved = std::fs::read_to_string(&cache).unwrap();
-        assert_eq!(saved.lines().count(), 3, "a header and two records");
+        assert_eq!(
+            saved.lines().count(),
+            5,
+            "a header, two verify records and two file records"
+        );
+    }
+
+    /// Starts a daemon on a socket in a temporary directory of its own;
+    /// returns the socket path and the server thread.
+    fn spawn_daemon(name: &str) -> (std::path::PathBuf, std::thread::JoinHandle<io::Result<()>>) {
+        let dir =
+            std::env::temp_dir().join(format!("shelley-daemon-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("daemon.sock");
+        let _ = std::fs::remove_file(&socket);
+        let engine = Engine::new(Checker::new().jobs(1));
+        let server = {
+            let socket = socket.clone();
+            std::thread::spawn(move || serve_socket(engine, &socket))
+        };
+        while !socket.exists() {
+            std::thread::yield_now();
+        }
+        (socket, server)
+    }
+
+    fn request_line(id: u64, method: shelley_core::Method) -> String {
+        json::to_string(&Request { id, method }) + "\n"
+    }
+
+    fn open_line(id: u64) -> String {
+        request_line(
+            id,
+            shelley_core::Method::Open {
+                path: format!("f{id}.py"),
+                text: LED.replace("Led", &format!("Led{id}")),
+            },
+        )
+    }
+
+    fn read_reply(reader: &mut impl BufRead) -> Reply {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "a reply");
+        json::from_str(line.trim_end()).unwrap()
+    }
+
+    /// A pipelined burst of 1000 requests gets its replies, in order,
+    /// though they are written in a few coalesced writes.
+    #[test]
+    fn a_pipelined_burst_gets_every_reply_in_order() {
+        let (socket, server) = spawn_daemon("burst");
+        let stream = UnixStream::connect(&socket).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let burst: String = (1..=1000).map(open_line).collect();
+        let writer = {
+            let mut stream = stream.try_clone().unwrap();
+            std::thread::spawn(move || stream.write_all(burst.as_bytes()))
+        };
+        for id in 1..=1000 {
+            let reply = read_reply(&mut reader);
+            assert_eq!(reply.id, id);
+            assert!(matches!(reply.body, ReplyBody::Ok), "{:?}", reply.body);
+        }
+        writer.join().unwrap().unwrap();
+        let mut client = Client::new(reader, stream);
+        client.hello().unwrap();
+        assert_eq!(client.check().unwrap().systems.len(), 1000);
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+    }
+
+    /// A reply is flushed while only part of the next request has
+    /// arrived, and a request written in two halves with a pause in
+    /// between is answered.
+    #[test]
+    fn a_request_split_across_writes_is_answered() {
+        let (socket, server) = spawn_daemon("split");
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .unwrap();
+        let second = open_line(2);
+        let (head, tail) = second.split_at(second.len() / 2);
+        stream
+            .write_all(format!("{}{head}", open_line(1)).as_bytes())
+            .unwrap();
+        assert_eq!(
+            read_reply(&mut reader).id,
+            1,
+            "answered before the rest arrives"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        stream.write_all(tail.as_bytes()).unwrap();
+        assert_eq!(read_reply(&mut reader).id, 2);
+        Client::new(reader, stream).shutdown().unwrap();
+        server.join().unwrap().unwrap();
+    }
+
+    /// A client that disconnects in the middle of a burst, its replies
+    /// unread and its last request cut short, leaves the daemon serving
+    /// the next client.
+    #[test]
+    fn a_client_disconnecting_mid_burst_leaves_the_daemon_serving() {
+        let (socket, server) = spawn_daemon("disconnect");
+        {
+            let mut stream = UnixStream::connect(&socket).unwrap();
+            let burst: String = (1..=200).map(open_line).collect();
+            stream
+                .write_all(&burst.as_bytes()[..burst.len() - 40])
+                .unwrap();
+        }
+        let mut client = Client::connect(&socket).unwrap();
+        client.hello().unwrap();
+        client.open("led.py", LED).unwrap();
+        client.open("panel.py", PANEL).unwrap();
+        let summary = client.check().unwrap();
+        assert!(summary.passed);
+        assert!(
+            summary.systems.iter().any(|s| s == "Panel"),
+            "{:?}",
+            summary.systems
+        );
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
     }
 
     /// The rebuilt workspace is not persisted before it finishes a round:

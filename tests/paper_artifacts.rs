@@ -343,7 +343,7 @@ fn theorems_on_the_extracted_badsector_behaviors() {
     let checked = Checker::new().check_source(PAPER).unwrap();
     let bs = checked.systems.get("BadSector").unwrap();
     let info = bs.composite().unwrap();
-    for (name, lowered) in &info.methods {
+    for (name, lowered) in info.methods.iter() {
         let behavior = infer(&lowered.program);
         let checker = TraceChecker::new(&lowered.program);
         let dfa = Dfa::from_nfa(&Nfa::from_regex(
