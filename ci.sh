@@ -84,24 +84,29 @@ cargo test --release --manifest-path perfbench/Cargo.toml -q
 echo "==> langbench builds (release)"
 cargo build -p langbench --release -q
 
-echo "==> differential backend suite (explicit vs symbolic, checked against LTLf trace semantics)"
-# Both claim-checking engines must return identical verdicts (and equal
-# witness lengths) on 1800 random system/claim pairs; every witness must
-# be a model word (regex derivatives) violating the claim under the LTLf
-# trace semantics, and every Holds verdict is confirmed on all model
-# words up to length 5.
-cargo test -p shelley-symbolic --test differential -q
+echo "==> one-engine differential suite (usage and claims against the path oracle)"
+# The one inclusion search must return exactly the word of the least
+# violating path that a brute-force enumeration finds (fewest events,
+# then NFA edge order), judged by Brzozowski membership for usage and by
+# the LTLf trace semantics for claims: on random regex pairs with and
+# without markers (proptest and an ε-heavy LCG suite), on 1800 random
+# system/claim pairs (every Holds also confirmed on all model words up to
+# length 5), and on every examples_py class under a claim battery.
+cargo test -p shelley-regular --test path_oracle -q
+cargo test -p shelley-ltlf --test differential -q
+cargo test -p shelley-core --test claims_oracle -q
 
-echo "==> langbench gates (lazy-vs-eager, state-engine counters, antichain 2x, dataflow skip rate, symbolic backend)"
+echo "==> langbench gates (lazy-vs-eager, state-engine counters, inclusion counters, dataflow skip rate, exponential-frontier claims)"
 # Writes BENCH_lang.json / BENCH_perf.json / BENCH_sym.json and asserts
 # every gate in them: the lazy engine separation; the deterministic
 # state-engine counters on the 2^n family (subset construction finds
 # 2^n + 1 DFA states, the exhaustive joint BFS visits 2^(n+1) - 2 product
-# states, Hopcroft reaches 2^n minimal states); the antichain inclusion
-# engine beating the classic exhaustive search >= 2x at n >= 10; the
-# typestate fast path proving a positive share of the synthetic 100-class
-# workspace; and the symbolic backend deciding the 2^n-frontier claim
-# family past the explicit engine's 100k-state budget (>= 1x at n >= 12).
+# states, Hopcroft reaches 2^n minimal states); the inclusion search's
+# exact kept/pruned counts on the included-model family in both union
+# orders; the typestate fast path proving a positive share of the
+# synthetic 100-class workspace; and the search deciding the n = 16
+# exponential-frontier claim at witness length 16, past the unpruned
+# search's 100k-state budget, with exact kept/pruned counts at every n.
 cargo run -p langbench --release -q -- BENCH_lang.json BENCH_perf.json BENCH_sym.json > /dev/null
 
 echo "==> servebench gate (warm restart >= 2x cold on the 1k-class workspace)"

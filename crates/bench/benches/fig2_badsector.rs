@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use micropython_parser::parse_module;
 use shelley_bench::PAPER_SOURCE;
-use shelley_core::verify::claims::check_claims;
+use shelley_core::verify::claims::claim_violations;
 use shelley_core::verify::usage::check_usage;
 use shelley_core::{build_integration, build_systems, Checker};
 
@@ -35,12 +35,7 @@ fn bench_fig2(c: &mut Criterion) {
     c.bench_function("fig2/claim_check_with_counterexample", |b| {
         b.iter(|| {
             let mut diags = shelley_core::Diagnostics::new();
-            let violations = check_claims(
-                badsector,
-                Some(&integration),
-                shelley_core::Backend::Explicit,
-                &mut diags,
-            );
+            let violations = claim_violations(badsector, Some(&integration), &mut diags);
             assert_eq!(violations.len(), 1);
             violations[0].counterexample.len()
         })

@@ -12,8 +12,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use shelley_bench::adversarial_claim;
 use shelley_ltlf::{check_claim, to_dfa, MonitorView};
-use shelley_regular::lang::{self, NfaView};
-use shelley_regular::{ops, Alphabet, Dfa, Nfa, Regex, Symbol};
+use shelley_regular::antichain::joint_search;
+use shelley_regular::lang::{self, Complement, NfaView};
+use shelley_regular::{Alphabet, Dfa, Nfa, Regex, Symbol};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -44,9 +45,9 @@ fn bench_lang_views(c: &mut Criterion) {
     // Pin the separation before timing anything: the lazy joint search
     // explores a constant-ish product region, the eager monitor is
     // exponential in N.
-    let lazy_visited =
-        ops::shortest_joint_word_counted(&model, &MonitorView::new(&bad, ab.clone()), &markers)
-            .visited;
+    let lazy_visited = joint_search(&model, &MonitorView::new(&bad, ab.clone()), &markers)
+        .stats
+        .frontier;
     let eager_states = to_dfa(&bad, ab.clone()).num_states();
     assert!(
         lazy_visited * 10 <= eager_states,
@@ -64,14 +65,18 @@ fn bench_lang_views(c: &mut Criterion) {
     group.bench_function("eager_check", |b| {
         b.iter(|| {
             let monitor = to_dfa(&bad, ab.clone());
-            ops::shortest_joint_word(&model, &monitor, &markers).expect("claim is violated")
+            joint_search(&model, &monitor, &markers)
+                .witness
+                .expect("claim is violated")
         })
     });
     group.finish();
 }
 
 /// The bitset state engine on the two hot paths it exists for: subset
-/// construction and the exhaustive joint 0-1 BFS. `devtools/langbench`
+/// construction and the exhaustive joint 0-1 BFS (the inclusion search
+/// against the determinized spec, whose states cover only themselves, so
+/// nothing is pruned). `devtools/langbench`
 /// runs the same workloads across a sweep of `n` and gates their state
 /// counts into `BENCH_perf.json`; here we pin equivalence once and let
 /// Criterion time the n = 10 point.
@@ -91,16 +96,10 @@ fn bench_state_engine(c: &mut Criterion) {
 
     // Model `a ; (a+b)^(n-1)` is included in the spec, so the inclusion
     // search exhausts the reachable product.
-    let a = Symbol::from_index(0);
-    let b = Symbol::from_index(1);
-    let sigma = Regex::union(Regex::sym(a), Regex::sym(b));
-    let mut model_re = Regex::sym(a);
-    for _ in 1..EXP_N {
-        model_re = Regex::concat(model_re, sigma.clone());
-    }
-    let model = Nfa::from_regex(&model_re, ab);
+    let model = included_model(EXP_N, ab, false);
     let markers = BTreeSet::new();
-    assert!(ops::projected_subset(&model, &NfaView::new(&spec), &markers).is_ok());
+    let complement = eager.complement();
+    assert_eq!(joint_search(&model, &complement, &markers).witness, None);
 
     let mut group = c.benchmark_group("state_engine");
     group.sample_size(10);
@@ -108,57 +107,77 @@ fn bench_state_engine(c: &mut Criterion) {
         bench.iter(|| Dfa::from_nfa(&spec).num_states())
     });
     group.bench_function("joint_bfs/bitset", |bench| {
-        bench.iter(|| ops::projected_subset(&model, &NfaView::new(&spec), &markers).is_ok())
+        bench.iter(|| {
+            let complement = Dfa::from_nfa(&spec).complement();
+            joint_search(&model, &complement, &markers)
+                .witness
+                .is_none()
+        })
     });
     group.finish();
 }
 
-/// Antichain-pruned inclusion vs the classic exhaustive joint search on
-/// the `Σ*·a·Σ^(n-1)` spec family with an *included* model: the classic
-/// engine must enumerate the exponential reachable product while the
-/// antichain keeps an O(n) frontier. `devtools/langbench` sweeps `n` and
-/// gates ≥ 2× at n ≥ 10 into `BENCH_perf.json`; here we pin the frontier
-/// separation once and let Criterion time the n = 10 point.
-fn bench_inclusion_engine(c: &mut Criterion) {
-    use shelley_regular::antichain;
+/// `a ; (a+b)^(n-1)`, or `a ; (b+a)^(n-1)` with `b_first`: included in
+/// the exponential spec, so an inclusion search must drain its product.
+fn included_model(n: usize, ab: Arc<Alphabet>, b_first: bool) -> Nfa {
+    let (a, b) = (
+        Regex::sym(Symbol::from_index(0)),
+        Regex::sym(Symbol::from_index(1)),
+    );
+    let sigma = if b_first {
+        Regex::union(b, a.clone())
+    } else {
+        Regex::union(a.clone(), b)
+    };
+    let mut re = a;
+    for _ in 1..n {
+        re = Regex::concat(re, sigma.clone());
+    }
+    Nfa::from_regex(&re, ab)
+}
 
+/// The inclusion search over the lazy subset view (pruned by `⊇` on spec
+/// macrostates) vs the same search over the determinized spec (unpruned)
+/// on the `Σ*·a·Σ^(n-1)` spec family with an *included* model. Pruning
+/// happens at push time against pairs kept earlier, so it pays off when
+/// the smaller macrostate of a model state is discovered first: with each
+/// `b` edge before its `a` edge the frontier stays O(n); with `a` first it
+/// does not shrink. `devtools/langbench` sweeps `n` and records both
+/// counters in `BENCH_perf.json`; here we pin the separation once and let
+/// Criterion time the n = 10 point.
+fn bench_inclusion_engine(c: &mut Criterion) {
     const EXP_N: usize = 10;
     let (ab, spec) = exponential_nfa(EXP_N);
-
-    let a = Symbol::from_index(0);
-    let b = Symbol::from_index(1);
-    let sigma = Regex::union(Regex::sym(a), Regex::sym(b));
-    let mut model_re = Regex::sym(a);
-    for _ in 1..EXP_N {
-        model_re = Regex::concat(model_re, sigma.clone());
-    }
-    let model = Nfa::from_regex(&model_re, ab);
     let markers = BTreeSet::new();
+    let complement = Dfa::from_nfa(&spec).complement();
+    let lazy = Complement::new(NfaView::new(&spec));
 
-    // Both engines agree the model conforms, and the antichain's frontier
-    // stays far below the classic engine's visited product region.
-    let (verdict, stats) =
-        antichain::projected_subset_counted(&model, &NfaView::new(&spec), &markers);
-    assert!(verdict.is_ok());
-    let classic_visited = ops::shortest_joint_word_counted(
-        &model,
-        &lang::Complement::new(NfaView::new(&spec)),
-        &markers,
-    )
-    .visited;
+    let b_first = included_model(EXP_N, ab.clone(), true);
+    let a_first = included_model(EXP_N, ab, false);
+    let pruned = joint_search(&b_first, &lazy, &markers);
+    let unpruned = joint_search(&b_first, &complement, &markers);
+    assert_eq!((pruned.witness, unpruned.witness), (None, None));
     assert!(
-        stats.frontier * 4 < classic_visited,
-        "antichain frontier {} vs classic visited {classic_visited}",
-        stats.frontier
+        pruned.stats.frontier * 4 < unpruned.stats.frontier,
+        "pruned frontier {} vs unpruned {}",
+        pruned.stats.frontier,
+        unpruned.stats.frontier
     );
 
     let mut group = c.benchmark_group("inclusion_engine");
     group.sample_size(10);
-    group.bench_function("antichain", |bench| {
-        bench.iter(|| antichain::projected_subset(&model, &NfaView::new(&spec), &markers).is_ok())
+    group.bench_function("pruned/b_first", |bench| {
+        bench.iter(|| joint_search(&b_first, &lazy, &markers).witness.is_none())
     });
-    group.bench_function("classic", |bench| {
-        bench.iter(|| ops::projected_subset(&model, &NfaView::new(&spec), &markers).is_ok())
+    group.bench_function("pruned/a_first", |bench| {
+        bench.iter(|| joint_search(&a_first, &lazy, &markers).witness.is_none())
+    });
+    group.bench_function("unpruned/b_first", |bench| {
+        bench.iter(|| {
+            joint_search(&b_first, &complement, &markers)
+                .witness
+                .is_none()
+        })
     });
     group.finish();
 }

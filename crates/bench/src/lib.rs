@@ -509,12 +509,13 @@ mod tests {
         // per subset of alive disjuncts), the lazy search region is not.
         let eager = shelley_ltlf::to_dfa(&claim.negate(), ab.clone()).num_states();
         assert!(eager >= 1 << 8, "eager monitor unexpectedly small: {eager}");
-        let lazy = shelley_regular::ops::shortest_joint_word_counted(
+        let lazy = shelley_regular::antichain::joint_search(
             &model,
             &shelley_ltlf::MonitorView::new(&claim.negate(), ab),
             &markers,
         )
-        .visited;
+        .stats
+        .frontier;
         assert!(lazy * 10 <= eager, "lazy {lazy} vs eager {eager}");
     }
 }

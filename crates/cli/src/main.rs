@@ -27,13 +27,15 @@
 //! lines and `#` comments ignored) and checks it against the class's
 //! model — offline runtime verification of an execution log.
 
+use micropython_parser::SourceFile;
 use shelley_core::extract::dependency::DependencyGraph;
 use shelley_core::{
-    build_integration, integration_diagram, spec_diagram, Backend, Checker, LintConfig, LintLevel,
+    build_integration, integration_diagram, spec_diagram, Checker, LintConfig, LintLevel,
     INPUT_NAME,
 };
 use shelley_daemon::{Client, Engine};
 use shelley_smv::nfa_to_smv;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
@@ -61,15 +63,13 @@ const USAGE: &str = "usage:
   shelleyc check <file.py> [more.py ...]
       [-A <code>] [-W <code>] [-D <code>|-D warnings] [--deny-warnings]
       [--format text|json|sarif] [--jobs N] [--recover]
-      [--backend auto|explicit|symbolic]
   shelleyc corpus <dir> [--recover] [--json <path>]
       [--min-parse <pct>] [--min-extract <pct>] [--min-verify <pct>] [--jobs N]
-  shelleyc watch <file.py> [more.py ...] [--jobs N] [--recover] [--backend <name>]
+  shelleyc watch <file.py> [more.py ...] [--jobs N] [--recover]
       (then `check` or `quit` on stdin)
   shelleyc serve [--socket <path>] [--cache <path>] [--jobs N] [--recover]
-      [--backend <name>]
       (JSON protocol on stdin/stdout, or many clients on the socket)
-  shelleyc connect <socket> [file.py ...] [--shutdown] [--recover] [--backend <name>]
+  shelleyc connect <socket> [file.py ...] [--shutdown] [--recover]
       [--stats] [--format text|json]
   shelleyc diagram <file.py> <Class>
   shelleyc deps <file.py> <Class>
@@ -108,7 +108,6 @@ struct Options {
     min_parse: Option<f64>,
     min_extract: Option<f64>,
     min_verify: Option<f64>,
-    backend: Backend,
     stats: bool,
 }
 
@@ -126,7 +125,6 @@ impl Default for Options {
             min_parse: None,
             min_extract: None,
             min_verify: None,
-            backend: Backend::Auto,
             stats: false,
         }
     }
@@ -285,16 +283,6 @@ const FLAGS: &[Flag] = &[
             Ok(())
         },
     },
-    Flag {
-        names: &["--backend"],
-        value: Some("backend name"),
-        apply: |opts, _, value| {
-            opts.backend = value
-                .parse()
-                .map_err(|e: shelley_core::ParseBackendError| CliError::Usage(e.to_string()))?;
-            Ok(())
-        },
-    },
 ];
 
 fn parse_percentage(flag: &str, value: &str) -> Result<f64, CliError> {
@@ -356,8 +344,7 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
     let checker = Checker::new()
         .lints(opts.config.clone())
         .jobs(opts.jobs)
-        .recover(opts.recover)
-        .backend(opts.backend);
+        .recover(opts.recover);
     if cmd == "watch" {
         return run_watch(&args[1..], checker);
     }
@@ -603,10 +590,11 @@ fn run_check(paths: &[String], format: Format, checker: Checker) -> Result<Strin
     let round = workspace.check();
     let (out, passed) = match &round {
         Ok(checked) => {
-            // Machine formats cannot attribute merged-project spans to
-            // their files, so positions are only emitted for single files.
+            // A single file resolves every span in its own text. In a
+            // project only diagnostics that name their file (`W014`) can be
+            // positioned: the others' spans are not attributed to a file.
             let position_source = (!multi_file).then(|| {
-                micropython_parser::SourceFile::new(
+                SourceFile::new(
                     path.clone(),
                     workspace
                         .source(INPUT_NAME)
@@ -615,9 +603,26 @@ fn run_check(paths: &[String], format: Format, checker: Checker) -> Result<Strin
             });
             let position_source = position_source.as_ref();
             let report = &checked.report;
+            let named: BTreeSet<&str> = report
+                .diagnostics
+                .iter()
+                .filter(|_| multi_file)
+                .filter_map(|d| d.file.as_deref())
+                .collect();
+            let project: BTreeMap<&str, SourceFile> = named
+                .into_iter()
+                .filter_map(|name| Some((name, SourceFile::new(name, workspace.source(name)?))))
+                .collect();
+            let source_of = |d: &shelley_core::Diagnostic| match position_source {
+                Some(file) => Some(file),
+                None => d.file.as_deref().and_then(|name| project.get(name)),
+            };
             let out = match format {
                 Format::Text => {
-                    let mut out = report.render(position_source);
+                    let mut out = match position_source {
+                        Some(file) => report.render(Some(file)),
+                        None => report.render_project(|name| project.get(name)),
+                    };
                     if report.passed() {
                         out.push_str(&format!(
                             "OK: {} system(s) verified\n",
@@ -626,8 +631,8 @@ fn run_check(paths: &[String], format: Format, checker: Checker) -> Result<Strin
                     }
                     out
                 }
-                Format::Json => report.diagnostics.render_json(position_source),
-                Format::Sarif => report.diagnostics.render_sarif(position_source),
+                Format::Json => report.diagnostics.render_json_by(source_of),
+                Format::Sarif => report.diagnostics.render_sarif_by(source_of),
             };
             (out, report.passed())
         }
@@ -891,8 +896,8 @@ fn run_connect(args: &[String], opts: &Options) -> Result<String, CliError> {
         .map_err(|e| CliError::Usage(format!("cannot connect to {socket}: {e}")))?;
     let fail = |e: std::io::Error| CliError::Usage(format!("daemon request failed: {e}"));
     client.hello().map_err(fail)?;
-    if opts.recover || opts.backend != Backend::Auto {
-        client.configure(opts.recover, opts.backend).map_err(fail)?;
+    if opts.recover {
+        client.configure(true).map_err(fail)?;
     }
     let mut files = Vec::new();
     for path in &args[1..] {

@@ -615,6 +615,49 @@ fn w014_reaches_sarif_with_a_rule_catalog_entry() {
     assert!(stdout.contains("construct-degraded"), "{stdout}");
 }
 
+#[test]
+fn w014_names_its_file_in_a_multi_file_project() {
+    // Two files degrade a statement at the same offset. Each warning keeps
+    // its own file and position, in text and in JSON; before, the two
+    // collapsed into one warning with neither.
+    let a = write_temp("w014_project_a.py", DEGRADABLE);
+    let b = write_temp(
+        "w014_project_b.py",
+        &DEGRADABLE.replace("class Led", "class Lamp"),
+    );
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let (stdout, _, code) = shelleyc(&["check", "--recover", a, b]);
+    assert_eq!(code, Some(0), "{stdout}");
+    let warnings: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("warning [W014]"))
+        .collect();
+    assert_eq!(
+        warnings,
+        [
+            format!("warning [W014]: {a}:6:9: construct degraded to `skip`: expected an expression, found `=`"),
+            format!("warning [W014]: {b}:6:9: construct degraded to `skip`: expected an expression, found `=`"),
+        ],
+        "{stdout}"
+    );
+    assert!(stdout.ends_with("OK: 2 system(s) verified\n"), "{stdout}");
+
+    let (stdout, _, code) = shelleyc(&["check", "--recover", "--format", "json", a, b]);
+    assert_eq!(code, Some(0), "{stdout}");
+    for file in [a, b] {
+        let at = format!("\"file\": {file:?},\n      \"line\": 6,\n      \"column\": 9");
+        assert!(stdout.contains(&at), "{file}: {stdout}");
+    }
+    assert_eq!(stdout.matches("\"code\": \"W014\"").count(), 2, "{stdout}");
+
+    // Alone, the file renders with its snippet, as before.
+    let (stdout, _, _) = shelleyc(&["check", "--recover", a]);
+    assert!(
+        stdout.starts_with(&format!("{a}:6:9: warning [W014]")),
+        "{stdout}"
+    );
+}
+
 fn corpus_dir(name: &str, files: &[(&str, &str)]) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("shelleyc-tests").join(name);
     let _ = std::fs::remove_dir_all(&dir);
@@ -717,7 +760,6 @@ fn usage_string_agrees_with_the_flag_table() {
         "--min-extract",
         "--min-verify",
         "--stats",
-        "--backend",
     ];
     for flag in flags {
         assert!(
@@ -735,27 +777,30 @@ fn usage_string_agrees_with_the_flag_table() {
 }
 
 #[test]
-fn check_accepts_every_backend_with_identical_verdicts() {
+fn the_removed_backend_flag_is_a_usage_error() {
+    // One engine decides every claim: `--backend` is an unknown flag to
+    // every command, whatever value follows it.
     let path = write_temp("paper_backend.py", PAPER);
-    let auto = shelleyc(&["check", path.to_str().unwrap()]);
-    for backend in ["auto", "explicit", "symbolic"] {
-        let run = shelleyc(&["check", path.to_str().unwrap(), "--backend", backend]);
-        assert_eq!(run, auto, "--backend {backend} diverged");
+    let file = path.to_str().unwrap();
+    let (usage_stdout, usage, _) = shelleyc(&["frobnicate"]);
+    assert!(usage_stdout.is_empty());
+    assert!(!usage.contains("--backend"), "{usage}");
+    for args in [
+        vec!["check", file, "--backend", "auto"],
+        vec!["check", file, "--backend", "symbolic"],
+        vec!["check", file, "--backend=explicit"],
+        vec!["watch", file, "--backend", "auto"],
+        vec!["serve", "--backend", "auto"],
+        vec!["connect", "/nonexistent.sock", "--backend", "auto"],
+    ] {
+        let (stdout, stderr, code) = shelleyc(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(
+            stderr.contains("unknown flag `--backend"),
+            "{args:?}: {stderr}"
+        );
     }
-    let (_, stderr, code) = shelleyc(&["check", path.to_str().unwrap(), "--backend", "nusmv"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("unknown backend `nusmv`"), "{stderr}");
-}
-
-#[test]
-fn the_removed_smv_backend_is_a_usage_error() {
-    // `smv` names the NuSMV export command, not a claim engine.
-    let path = write_temp("paper_smv_backend.py", PAPER);
-    let (stdout, stderr, code) = shelleyc(&["check", path.to_str().unwrap(), "--backend", "smv"]);
-    assert_eq!(code, Some(2), "{stdout}{stderr}");
-    assert!(stdout.is_empty(), "{stdout}");
-    assert!(stderr.contains("unknown backend `smv`"), "{stderr}");
-    assert!(stderr.contains("auto, explicit, or symbolic"), "{stderr}");
 }
 
 #[test]

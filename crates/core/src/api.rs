@@ -18,9 +18,9 @@
 //! clients can surface per-file results as they arrive:
 //!
 //! ```text
-//! → {"id":1,"method":{"hello":{"version":5}}}
-//! ← {"id":1,"body":{"hello":{"version":5,"server":"shelleyc"}}}
-//! → {"id":2,"method":{"configure":{"recover":true,"backend":"auto"}}}
+//! → {"id":1,"method":{"hello":{"version":6}}}
+//! ← {"id":1,"body":{"hello":{"version":6,"server":"shelleyc"}}}
+//! → {"id":2,"method":{"configure":{"recover":true}}}
 //! ← {"id":2,"body":"ok"}
 //! → {"id":3,"method":{"open":{"path":"valve.py","text":"..."}}}
 //! ← {"id":3,"body":"ok"}
@@ -30,14 +30,14 @@
 //! ```
 //!
 //! Version 2 added the `configure` method (recovery mode). Version 3
-//! extended `configure` with the claim-checking `backend`
-//! ([`crate::backend::Backend`]). Version 4 added the antichain
-//! inclusion-engine counters (`antichain_frontier`/`antichain_pruned`) to
-//! [`WorkspaceStats`], carried by the `stats` and `check` replies.
+//! extended `configure` with the claim-checking `backend`. Version 4
+//! added the antichain inclusion-engine counters
+//! (`antichain_frontier`/`antichain_pruned`) to [`WorkspaceStats`],
+//! carried by the `stats` and `check` replies.
 //! Version 5 dropped `"smv"` from the `backend` values `configure`
-//! accepts; everything else is unchanged.
+//! accepted. Version 6 removed the `backend` field: one engine decides
+//! every claim, and a request field no method declares is an error.
 
-use crate::backend::Backend;
 use crate::checker::CheckError;
 use crate::diagnostics::{resolved_file, Diagnostic, Diagnostics, Severity};
 use crate::pipeline::{CheckReport, Checked};
@@ -50,7 +50,7 @@ use micropython_parser::SourceFile;
 ///
 /// Bump on any incompatible change to the types in this module; the
 /// daemon rejects `hello` requests carrying a different version.
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// The server name announced in [`ReplyBody::Hello`].
 pub const SERVER_NAME: &str = "shelleyc";
@@ -64,9 +64,10 @@ pub struct Request {
     pub method: Method,
 }
 
-/// The requests a verification daemon understands.
+/// The requests a verification daemon understands. A field no variant
+/// declares (such as a version-5 `configure`'s `backend`) fails to decode.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[serde(rename_all = "snake_case", deny_unknown_fields)]
 pub enum Method {
     /// Handshake: the client announces the protocol version it speaks.
     Hello {
@@ -94,15 +95,11 @@ pub enum Method {
         path: String,
     },
     /// Reconfigures the workspace. Switching `recover` re-parses every
-    /// open file under the new grammar on the next `check`; switching
-    /// `backend` only changes which engine decides claims (cached
-    /// verdicts stay valid — all backends agree).
+    /// open file under the new grammar on the next `check`.
     Configure {
         /// Recovery mode: total parsing with degrade-to-`skip` (`W014`)
         /// instead of strict subset errors.
         recover: bool,
-        /// The claim-checking engine (see [`crate::backend`]).
-        backend: Backend,
     },
     /// Runs one verification round over the current file set.
     Check,
@@ -436,19 +433,16 @@ mod tests {
             (
                 Request {
                     id: 1,
-                    method: Method::Hello { version: 5 },
+                    method: Method::Hello { version: 6 },
                 },
-                r#"{"id":1,"method":{"hello":{"version":5}}}"#,
+                r#"{"id":1,"method":{"hello":{"version":6}}}"#,
             ),
             (
                 Request {
                     id: 6,
-                    method: Method::Configure {
-                        recover: true,
-                        backend: Backend::Symbolic,
-                    },
+                    method: Method::Configure { recover: true },
                 },
-                r#"{"id":6,"method":{"configure":{"recover":true,"backend":"symbolic"}}}"#,
+                r#"{"id":6,"method":{"configure":{"recover":true}}}"#,
             ),
             (
                 Request {
@@ -499,7 +493,7 @@ mod tests {
                         server: SERVER_NAME.into(),
                     },
                 },
-                r#"{"id":1,"body":{"hello":{"version":5,"server":"shelleyc"}}}"#,
+                r#"{"id":1,"body":{"hello":{"version":6,"server":"shelleyc"}}}"#,
             ),
             (
                 Reply {

@@ -28,7 +28,6 @@
 //! [caching model](crate::workspace#caching-model)), and a module without
 //! its text would have nothing to key on.
 
-use crate::backend::Backend;
 use crate::lint::LintConfig;
 use crate::pipeline::Checked;
 use crate::project::ProjectFile;
@@ -76,7 +75,6 @@ pub struct Checker {
     lints: LintConfig,
     jobs: usize,
     recover: bool,
-    backend: Backend,
 }
 
 impl Checker {
@@ -106,16 +104,6 @@ impl Checker {
     /// the same constructs with a parse error.
     pub fn recover(mut self, recover: bool) -> Self {
         self.recover = recover;
-        self
-    }
-
-    /// Selects the engine that decides temporal claims: the explicit
-    /// joint search, the symbolic BDD fixpoint, or the NuSMV-encoding
-    /// evaluator (see [`crate::backend`]). The default [`Backend::Auto`]
-    /// resolves per claim by monitor-size estimate; all backends decide
-    /// identical verdicts.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -156,7 +144,6 @@ impl Checker {
     pub fn into_workspace(self) -> Workspace {
         let mut workspace = Workspace::with_config(self.lints, self.jobs);
         workspace.set_recover(self.recover);
-        workspace.set_backend(self.backend);
         workspace
     }
 }

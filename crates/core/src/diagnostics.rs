@@ -336,7 +336,7 @@ impl Diagnostic {
 
     /// Renders the diagnostic, with a source snippet when a file is given.
     pub fn render(&self, source: Option<&SourceFile>) -> String {
-        let mut out = match (self.span, source) {
+        let out = match (self.span, source) {
             (Some(span), Some(file)) => file.render_diagnostic(
                 span,
                 &format!("{} [{}]", self.severity, self.code),
@@ -344,6 +344,31 @@ impl Diagnostic {
             ),
             _ => format!("{} [{}]: {}", self.severity, self.code, self.message),
         };
+        self.with_notes(out)
+    }
+
+    /// Renders the diagnostic for a multi-file report, on one line that
+    /// starts with its severity and code like every other line there:
+    /// `severity [code]: file:line:col: message`, the position resolved in
+    /// `source` (the text of the diagnostic's own file). A diagnostic with
+    /// no file of its own renders as [`render`](Self::render) does without
+    /// a source.
+    pub fn render_located(&self, source: Option<&SourceFile>) -> String {
+        let place = match (&self.file, self.span, source) {
+            (Some(_), Some(span), Some(file)) => {
+                let (line, col) = file.line_col(span.start);
+                format!("{}:{line}:{col}: ", file.name())
+            }
+            (Some(name), _, _) => format!("{name}: "),
+            (None, _, _) => String::new(),
+        };
+        self.with_notes(format!(
+            "{} [{}]: {place}{}",
+            self.severity, self.code, self.message
+        ))
+    }
+
+    fn with_notes(&self, mut out: String) -> String {
         for note in &self.notes {
             out.push_str("\n  ");
             out.push_str(note);
@@ -400,26 +425,31 @@ impl serde::Deserialize for Diagnostic {
     }
 }
 
-/// The order [`Diagnostics::normalize`] sorts by: `(file, span, code)`,
-/// ties broken by severity, message, and notes. It compares every field,
-/// so two diagnostics compare equal exactly when they are equal.
+/// The order [`Diagnostics::normalize`] sorts by: `(span, code)`, ties
+/// broken by severity, message, notes, and last the file. It compares every
+/// field, so two diagnostics compare equal exactly when they are equal.
+///
+/// The file comes last so that attributing a diagnostic to its file never
+/// moves it: a project report stays in span order, and two diagnostics
+/// that differ only in their file (the same `W014` in two files) sit next
+/// to each other.
 pub(crate) fn normalized_order(a: &Diagnostic, b: &Diagnostic) -> std::cmp::Ordering {
     type SortKey<'a> = (
-        Option<&'a str>,
         Option<(usize, usize)>,
         &'a str,
         Severity,
         &'a str,
         &'a [String],
+        Option<&'a str>,
     );
     fn key(d: &Diagnostic) -> SortKey<'_> {
         (
-            d.file.as_deref(),
             d.span.map(|s| (s.start, s.end)),
             d.code,
             d.severity,
             &d.message,
             &d.notes,
+            d.file.as_deref(),
         )
     }
     key(a).cmp(&key(b))
@@ -502,13 +532,22 @@ impl Diagnostics {
     ///
     /// Shape: `{"tool": "shelleyc", "diagnostics": [{code, severity,
     /// message, notes, file?, line?, column?}]}`. Positions are resolved
-    /// against `source` when given (and the diagnostic carries no file of
-    /// its own).
+    /// against `source` when given.
     pub fn render_json(&self, source: Option<&SourceFile>) -> String {
+        self.render_json_by(|_| source)
+    }
+
+    /// [`render_json`](Self::render_json) with each diagnostic's
+    /// positions resolved against the file `source` gives for it (a
+    /// multi-file project's own file of each diagnostic).
+    pub fn render_json_by<'s>(
+        &self,
+        source: impl Fn(&Diagnostic) -> Option<&'s SourceFile>,
+    ) -> String {
         let diags = self
             .items
             .iter()
-            .map(|d| serde::Serialize::serialize(&crate::api::WireDiagnostic::new(d, source)))
+            .map(|d| serde::Serialize::serialize(&crate::api::WireDiagnostic::new(d, source(d))))
             .collect();
         let doc = obj(vec![
             ("tool", s("shelleyc")),
@@ -525,6 +564,15 @@ impl Diagnostics {
     /// each diagnostic becomes one result whose message text includes the
     /// notes (counterexamples, per-subsystem details).
     pub fn render_sarif(&self, source: Option<&SourceFile>) -> String {
+        self.render_sarif_by(|_| source)
+    }
+
+    /// [`render_sarif`](Self::render_sarif) with each diagnostic's
+    /// positions resolved against the file `source` gives for it.
+    pub fn render_sarif_by<'s>(
+        &self,
+        source: impl Fn(&Diagnostic) -> Option<&'s SourceFile>,
+    ) -> String {
         let rules = REGISTRY
             .iter()
             .map(|info| {
@@ -553,7 +601,7 @@ impl Diagnostics {
                     ("level", s(sarif_level(d.severity))),
                     ("message", obj(vec![("text", Value::Str(text))])),
                 ];
-                if let Some(location) = sarif_location(d, source) {
+                if let Some(location) = sarif_location(d, source(d)) {
                     fields.push(("locations", Value::Seq(vec![location])));
                 }
                 obj(fields)
@@ -611,11 +659,13 @@ fn s(text: &str) -> Value {
     Value::Str(text.to_owned())
 }
 
-/// The file a diagnostic belongs to: its own, else the rendered source's.
+/// The file a diagnostic is shown in: the source it is rendered against,
+/// else its own. A renderer only ever passes the diagnostic's own file (or
+/// the one file of a single-file check, which shows under its path).
 pub(crate) fn resolved_file(d: &Diagnostic, source: Option<&SourceFile>) -> Option<String> {
-    d.file
-        .clone()
-        .or_else(|| source.map(|f| f.name().to_owned()))
+    source
+        .map(|f| f.name().to_owned())
+        .or_else(|| d.file.clone())
 }
 
 /// A SARIF `location` object, when a position is known.
@@ -723,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn normalize_sorts_by_file_span_code_and_dedupes() {
+    fn normalize_sorts_by_span_code_then_file_and_dedupes() {
         let mut ds = Diagnostics::new();
         ds.push(
             Diagnostic::warning(codes::IMPLICIT_RETURN, "later span")
@@ -753,6 +803,12 @@ mod tests {
                 .with_file("b.py")
                 .with_span(Span::new(3, 7)),
         );
+        // Equal but for the file: both kept, the file breaks the tie.
+        ds.push(
+            Diagnostic::error(codes::UNDEFINED_OPERATION, "earlier span")
+                .with_file("a.py")
+                .with_span(Span::new(3, 7)),
+        );
         ds.normalize();
         let order: Vec<(Option<&str>, &str)> =
             ds.iter().map(|d| (d.file.as_deref(), d.code)).collect();
@@ -760,13 +816,14 @@ mod tests {
             order,
             vec![
                 (None, "E006"),
-                (Some("a.py"), "W002"),
+                (Some("a.py"), "E001"),
                 (Some("b.py"), "E001"),
                 (Some("b.py"), "W008"),
                 (Some("b.py"), "W003"),
+                (Some("a.py"), "W002"),
             ]
         );
-        assert_eq!(ds.len(), 5, "duplicate must be removed");
+        assert_eq!(ds.len(), 6, "duplicate must be removed");
     }
 
     #[test]

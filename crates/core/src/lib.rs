@@ -73,6 +73,7 @@
 
 pub mod annotations;
 pub mod api;
+#[doc(hidden)]
 pub mod backend;
 pub mod checker;
 pub mod dataflow;
@@ -92,7 +93,8 @@ pub mod workspace;
 
 pub use annotations::{Claim, ClassAnnotations, ClassKind, OpKind};
 pub use api::{CheckSummary, Method, Reply, ReplyBody, Request, WireDiagnostic, PROTOCOL_VERSION};
-pub use backend::{Backend, ParseBackendError, AUTO_SYMBOLIC_THRESHOLD};
+#[doc(hidden)]
+pub use backend::Backend;
 pub use checker::{CheckError, Checker, INPUT_NAME};
 pub use dataflow::typestate::{analyze_class, TypestateFinding, TypestateReport};
 pub use dataflow::{solve, Analysis, Direction, Solution};
@@ -110,6 +112,6 @@ pub use system::{
     build_systems, extract_class, resolve_class, validate_spec, ClassExtraction, System,
     SystemKind, SystemSet,
 };
-pub use verify::claims::{check_claims, ClaimViolation};
+pub use verify::claims::{check_claims, claim_violations, ClaimViolation};
 pub use verify::usage::{check_usage, FailureReason, SubsystemError, UsageViolation};
 pub use workspace::{Workspace, WorkspaceStats};

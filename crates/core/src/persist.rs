@@ -57,8 +57,8 @@
 //! records an old build keyed or computed differently. Format 3, for
 //! example, keys each class by its own source bytes where format 2 keyed
 //! it by its printed AST, which missed comment and whitespace edits that
-//! move spans; format 4 adds the per-record checksum, and format 5 the
-//! file records.
+//! move spans; format 4 adds the per-record checksum, format 5 the file
+//! records, and format 6 the file name on each `W014` a file record holds.
 //!
 //! A verify record's payload is field-named JSON. A file record's is
 //! positional (see `file_record`): arrays instead of objects, spans as
@@ -103,7 +103,7 @@ pub const CACHE_MAGIC: &str = "shelleyc-cache";
 ///
 /// A loaded file with a different version is ignored wholesale — the
 /// cache is a pure accelerator, so "ignore and rebuild" is always safe.
-pub const CACHE_FORMAT: u32 = 5;
+pub const CACHE_FORMAT: u32 = 6;
 
 /// The analysis version a cache file is stamped with: FNV-1a over the
 /// crate version and every `(code, default severity)` pair of the

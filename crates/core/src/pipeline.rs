@@ -4,13 +4,12 @@
 //! subsystem usage → temporal claims`, producing a [`CheckReport`] with all
 //! structural diagnostics and the paper's two specification errors.
 
-use crate::backend::Backend;
 use crate::dataflow::typestate::analyze_class;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::integration::{build_integration, Integration};
 use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
 use crate::system::{build_systems, System, SystemSet};
-use crate::verify::claims::{check_claims, ClaimViolation};
+use crate::verify::claims::{claim_violations, ClaimViolation};
 use crate::verify::usage::{check_usage_counted, UsageViolation};
 use micropython_parser::ast::{ClassDef, Module};
 use micropython_parser::SourceFile;
@@ -40,6 +39,18 @@ impl CheckReport {
     /// Renders the whole report: specification errors in the paper's
     /// format, then the remaining diagnostics.
     pub fn render(&self, source: Option<&SourceFile>) -> String {
+        self.render_with(|d| d.render(source))
+    }
+
+    /// Renders a multi-file project's report: like [`render`](Self::render)
+    /// without a source, except that each diagnostic with a file of its own
+    /// shows its position in that file, whose text `source` gives
+    /// ([`Diagnostic::render_located`]).
+    pub fn render_project<'s>(&self, source: impl Fn(&str) -> Option<&'s SourceFile>) -> String {
+        self.render_with(|d| d.render_located(d.file.as_deref().and_then(&source)))
+    }
+
+    fn render_with(&self, diagnostic: impl Fn(&Diagnostic) -> String) -> String {
         let mut out = String::new();
         for (class, v) in &self.usage_violations {
             out.push_str(&format!("[{class}] "));
@@ -52,7 +63,7 @@ impl CheckReport {
             out.push('\n');
         }
         for d in self.diagnostics.iter() {
-            out.push_str(&d.render(source));
+            out.push_str(&diagnostic(d));
             out.push('\n');
         }
         out
@@ -96,7 +107,7 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
 
     for system in systems.iter() {
         let proven = lint_class(&ctx, system, &mut diagnostics);
-        let verdict = verify_system(system, &systems, &proven, Backend::Auto);
+        let verdict = verify_system(system, &systems, &proven);
         diagnostics.extend(verdict.diagnostics);
         for v in verdict.usage_violations {
             usage_violations.push((system.name.clone(), v));
@@ -147,10 +158,10 @@ pub struct SystemVerdict {
     /// Subsystem fields whose inclusion check was skipped because the
     /// typestate analysis already proved it passes (the fast path).
     pub fast_path_skips: usize,
-    /// Pairs the antichain inclusion engine kept on its frontier across
-    /// this class's usage checks (see [`shelley_regular::antichain`]).
+    /// Pairs the inclusion search kept across this class's usage checks
+    /// (see [`shelley_regular::antichain`]).
     pub antichain_frontier: u64,
-    /// Frontier candidates the antichain engine discarded as ⊆-subsumed.
+    /// Discovered pairs the inclusion search discarded as covered.
     pub antichain_pruned: u64,
 }
 
@@ -179,14 +190,11 @@ pub fn proven_fields(
 ///
 /// `proven` lists subsystem fields whose usage inclusion is already
 /// established (see [`proven_fields`]); their checks are skipped and
-/// counted in [`SystemVerdict::fast_path_skips`]. `backend` selects the
-/// claim-checking engine (see [`crate::backend`]); every backend decides
-/// the same verdicts.
+/// counted in [`SystemVerdict::fast_path_skips`].
 pub fn verify_system(
     system: &System,
     systems: &SystemSet,
     proven: &BTreeSet<String>,
-    backend: Backend,
 ) -> SystemVerdict {
     let mut verdict = SystemVerdict::default();
     if let Some(info) = system.composite() {
@@ -215,12 +223,7 @@ pub fn verify_system(
             verdict.usage_violations.push(v);
         }
     }
-    for v in check_claims(
-        system,
-        integration.as_ref(),
-        backend,
-        &mut verdict.diagnostics,
-    ) {
+    for v in claim_violations(system, integration.as_ref(), &mut verdict.diagnostics) {
         verdict.diagnostics.push(
             Diagnostic::error(
                 codes::FAIL_TO_MEET_REQUIREMENT,
@@ -390,7 +393,7 @@ class GoodSector:
         let good = systems.get("GoodSector").unwrap();
         let proven = proven_fields(module.class("GoodSector"), good, &systems);
         assert_eq!(proven.iter().collect::<Vec<_>>(), ["a"]);
-        let verdict = verify_system(good, &systems, &proven, crate::backend::Backend::Auto);
+        let verdict = verify_system(good, &systems, &proven);
         assert_eq!(verdict.fast_path_skips, 1);
         assert!(verdict.usage_violations.is_empty());
         // The full pipeline agrees with the skipped check.

@@ -15,8 +15,9 @@
 use crate::integration::Integration;
 use crate::spec::{spec_automaton, ClassSpec};
 use crate::system::{Subsystem, System, SystemSet};
-use shelley_regular::antichain::{self, InclusionStats};
-use shelley_regular::{ops, Dfa, Symbol, Word};
+use shelley_regular::antichain::{joint_search, InclusionStats};
+use shelley_regular::lang::Complement;
+use shelley_regular::{Dfa, Symbol, Word};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One subsystem's explanation of why a trace is invalid.
@@ -118,20 +119,15 @@ pub fn check_usage(
     check_usage_counted(system, systems, integration, proven).0
 }
 
-/// [`check_usage`] plus the antichain inclusion-engine counters summed
-/// over every subsystem checked.
+/// [`check_usage`] plus the inclusion-search counters summed over every
+/// subsystem checked.
 ///
-/// Each inclusion runs on the antichain engine
-/// ([`antichain::projected_subset_counted`]): the search never expands a
-/// spec macrostate when a ⊆-smaller one was kept at the same or smaller
-/// distance, which is what keeps batch verification from paying full
-/// determinization per subsystem. When a violation is found, the classic
-/// engine ([`ops::projected_subset`]) re-derives the witness: it is the
-/// differential oracle (debug builds assert the verdicts and witness
-/// lengths agree) and its shortlex-least word keeps the reported
-/// counterexamples byte-identical to the paper's. The oracle only ever
-/// runs on violating (small, already-diagnosed) instances — the hot path
-/// of conforming code is antichain-only.
+/// Each inclusion runs on the one inclusion search
+/// ([`shelley_regular::antichain::joint_search`]) against the complement of
+/// the subsystem's lazily determinized spec: a pair is discarded when a
+/// kept pair at the same integration state has a ⊆-smaller spec
+/// macrostate, so conforming code never pays full determinization, and the
+/// witness it returns is the reported counterexample.
 pub fn check_usage_counted(
     system: &System,
     systems: &SystemSet,
@@ -168,17 +164,9 @@ pub fn check_usage_counted(
             .symbols()
             .filter(|s| !sub_events.contains(s))
             .collect();
-        let view = auto.view();
-        let (included, stats) =
-            antichain::projected_subset_counted(&integration.nfa, &view, &invisible);
-        antichain::absorb_stats(&mut search, stats);
-        if let Err(pruned_word) = included {
-            // Canonical witness from the classic oracle (shortlex-least);
-            // the antichain word is length-equal but may spell a different
-            // violation of the same length.
-            let word = ops::projected_subset(&integration.nfa, &view, &invisible)
-                .expect_err("antichain found a violation the classic engine must confirm");
-            debug_assert_eq!(pruned_word.len(), word.len());
+        let found = joint_search(&integration.nfa, &Complement::new(auto.view()), &invisible);
+        search.absorb(found.stats);
+        if let Some(word) = found.witness {
             let better = match &best {
                 None => true,
                 Some((w, _, _)) => word.len() < w.len(),

@@ -124,7 +124,6 @@
 mod reference;
 mod report;
 
-use crate::backend::Backend;
 use crate::checker::CheckError;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
@@ -172,12 +171,12 @@ pub struct WorkspaceStats {
     /// Subsystem inclusion checks skipped because the typestate analysis
     /// proved them (fast path), across freshly verified classes.
     pub fast_path_proven: u64,
-    /// Pairs the antichain inclusion engine kept on its frontier across
-    /// freshly verified classes' usage checks
-    /// (see [`shelley_regular::antichain`]).
+    /// Pairs the inclusion search kept across freshly verified classes'
+    /// usage checks (see [`shelley_regular::antichain`]).
     pub antichain_frontier: u64,
-    /// Frontier candidates the antichain engine discarded as ⊆-subsumed —
-    /// spec macrostates batch verification never had to expand.
+    /// Discovered pairs the inclusion search discarded because a kept
+    /// pair covered them — spec macrostates batch verification never had
+    /// to expand.
     pub antichain_pruned: u64,
     /// [`Workspace::class_stats`] calls that computed statistics afresh.
     pub stats_computed: u64,
@@ -389,8 +388,6 @@ pub struct Workspace {
     /// [`parse_module_recover`] (total), degrading out-of-subset
     /// constructs to spanned `skip` nodes reported as `W014`.
     recover: bool,
-    /// The engine that decides temporal claims (see [`crate::backend`]).
-    backend: Backend,
     files: Files,
     /// `file name → ordinal`.
     file_index: HashMap<String, u64>,
@@ -463,7 +460,6 @@ impl Workspace {
                 n => n,
             },
             recover: false,
-            backend: Backend::Auto,
             files: Files::default(),
             file_index: HashMap::new(),
             next_ordinal: 0,
@@ -502,21 +498,6 @@ impl Workspace {
     /// Whether recovery mode is on.
     pub fn recover(&self) -> bool {
         self.recover
-    }
-
-    /// Selects the claim-checking backend for subsequent rounds (see
-    /// [`crate::backend`]). All backends decide identical verdicts — the
-    /// differential suite pins this — so switching does **not** invalidate
-    /// cached verify results: an entry computed under one backend answers
-    /// for any other. (A violation witness is whichever shortest
-    /// counterexample the computing engine picked.)
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The claim-checking backend in effect.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Adds a file, or replaces its source if the name is already
@@ -814,7 +795,6 @@ impl Workspace {
             .map(|slot| slot.pos)
             .collect();
         let lazy = self.load_asts(need_ast, &mut round);
-        let backend = self.backend;
         let disk_cache = &self.disk_cache;
         let spec_index = &self.spec_index;
         let slots = &self.slots;
@@ -833,10 +813,7 @@ impl Workspace {
                 ),
                 None => {
                     let solo = files.unit(slot.pos).solo();
-                    (
-                        Arc::new(run_verify(extraction, solo, spec_index, backend)),
-                        false,
-                    )
+                    (Arc::new(run_verify(extraction, solo, spec_index)), false)
                 }
             }
         });
@@ -1207,10 +1184,11 @@ impl Workspace {
     }
 }
 
-/// One `W014` per construct recovery mode degraded to `skip`: the model
-/// claims nothing about the skipped region, so every downstream verdict
-/// is conditional on the region being irrelevant to the protocol.
-fn degraded_diags(module: &Module) -> Diagnostics {
+/// One `W014` per construct recovery mode degraded to `skip` in the file
+/// `name`: the model claims nothing about the skipped region, so every
+/// downstream verdict is conditional on the region being irrelevant to the
+/// protocol.
+fn degraded_diags(name: &str, module: &Module) -> Diagnostics {
     let mut out = Diagnostics::new();
     for d in collect_degraded(module) {
         out.push(
@@ -1218,6 +1196,7 @@ fn degraded_diags(module: &Module) -> Diagnostics {
                 codes::CONSTRUCT_DEGRADED,
                 format!("construct degraded to `skip`: {}", d.reason),
             )
+            .with_file(name)
             .with_span(d.span)
             .with_note(
                 "the model treats this region as doing nothing; verification \
@@ -1289,7 +1268,10 @@ fn restore_file(record: &FileRecord) -> Option<Parse> {
 fn parse_file(file: &FileState, recover: bool) -> Parse {
     let parsed = if recover {
         let module = parse_module_recover(&file.source);
-        (class_units(file, recover, &module), degraded_diags(&module))
+        (
+            class_units(file, recover, &module),
+            degraded_diags(&file.name, &module),
+        )
     } else {
         match parse_module(&file.source) {
             Ok(module) => (class_units(file, recover, &module), Diagnostics::new()),
@@ -1510,7 +1492,6 @@ fn run_verify(
     extraction: ClassExtraction,
     solo: &Module,
     spec_index: &BTreeMap<String, ClassSpec>,
-    backend: Backend,
 ) -> VerifyEntry {
     let mut resolve_diags = Diagnostics::new();
     let system = Arc::new(resolve_class(extraction, spec_index, &mut resolve_diags));
@@ -1548,7 +1529,7 @@ fn run_verify(
         systems: &verify_scope,
     };
     let proven = lint_class(&ctx, &system, &mut lint_diags);
-    let verdict = verify_system(&system, &verify_scope, &proven, backend);
+    let verdict = verify_system(&system, &verify_scope, &proven);
 
     VerifyEntry {
         system,

@@ -176,17 +176,21 @@ proptest! {
         );
     }
 
-    /// The lazy usage check (spec driven as an on-the-fly subset view) and
-    /// the eager oracle (spec determinized up front) give byte-identical
-    /// verdicts and counterexamples on generated composites — conforming
-    /// or not.
+    /// The usage counterexample is the least violating path of the
+    /// integration automaton: a brute-force path enumeration, judging each
+    /// projected word by Brzozowski membership in the spec's regex (state
+    /// elimination, no subset construction), finds the same word as the
+    /// inclusion search over the lazy spec view (pruned) and over the
+    /// determinized spec (unpruned), and the pipeline reports it.
     #[test]
-    fn lazy_usage_check_matches_eager_oracle(
+    fn usage_witness_is_the_least_violating_path(
         spec in arb_spec(),
         calls in proptest::collection::vec(0usize..6, 0..5)
     ) {
         use shelley_core::spec::spec_automaton as build_auto;
-        use shelley_regular::ops;
+        use shelley_regular::antichain::joint_search;
+        use shelley_regular::lang::Complement;
+        use shelley_regular::ops::strip_markers;
         use std::collections::BTreeSet;
         // An arbitrary call sequence over the spec's operations: it may be
         // a legal usage, an ordering violation, or an incomplete trace.
@@ -221,45 +225,26 @@ proptest! {
             .filter(|s| !sub_events.contains(s))
             .collect();
 
-        let lazy = ops::projected_subset(&integration.nfa, &auto.view(), &invisible);
-        let eager = ops::projected_subset(
-            &integration.nfa,
-            &Dfa::from_nfa(auto.nfa()),
-            &invisible,
-        );
-        prop_assert_eq!(&lazy, &eager, "engines disagree on:\n{}", src);
-        // Third engine: the antichain-pruned joint search that the
-        // verification hot path actually runs. Same verdict; on a
-        // violation, a witness exactly as short as the classic one that
-        // replays against the integration automaton.
         let pruned =
-            shelley_regular::antichain::projected_subset(&integration.nfa, &auto.view(), &invisible);
-        match (&lazy, &pruned) {
-            (Ok(()), Ok(())) => {}
-            (Err(c), Err(p)) => {
-                prop_assert_eq!(c.len(), p.len(), "witness lengths diverge on:\n{}", src);
-                prop_assert!(
-                    integration.nfa.accepts(p),
-                    "antichain witness does not replay on:\n{}",
-                    src
-                );
-            }
-            (c, p) => {
-                prop_assert!(false, "classic vs antichain: {:?} vs {:?} on:\n{}", c, p, src);
-            }
+            joint_search(&integration.nfa, &Complement::new(auto.view()), &invisible).witness;
+        let complement = Dfa::from_nfa(auto.nfa()).complement();
+        let unpruned = joint_search(&integration.nfa, &complement, &invisible).witness;
+        prop_assert_eq!(&pruned, &unpruned, "pruning changed the witness on:\n{}", src);
+        let spec_regex = auto.nfa().to_regex();
+        let least = integration
+            .nfa
+            .least_path_word(8, |w| !spec_regex.matches(&strip_markers(w, &invisible)));
+        match &pruned {
+            Some(w) if w.len() > 8 => prop_assert_eq!(&least, &None, "on:\n{}", src),
+            _ => prop_assert_eq!(&pruned, &least, "witness is not the least path on:\n{}", src),
         }
-        // The pipeline's own verdict matches the dual-engine result.
+        // The pipeline reports exactly this verdict and counterexample.
         prop_assert_eq!(
-            checked.report.usage_violations.is_empty(),
-            lazy.is_ok(),
-            "report disagrees with direct check on:\n{}",
+            checked.report.usage_violations.first().map(|(_, v)| &v.counterexample),
+            pruned.as_ref(),
+            "report disagrees with the search on:\n{}",
             src
         );
-        if let (Err(w), Some((_, v))) =
-            (&lazy, checked.report.usage_violations.first())
-        {
-            prop_assert_eq!(w, &v.counterexample);
-        }
     }
 
     /// The integration automaton of a conforming single-call composite

@@ -193,7 +193,7 @@ proptest! {
         };
 
         // The oracle: full verification with the fast path disabled.
-        let verdict = verify_system(user, &systems, &BTreeSet::new(), shelley_core::Backend::Auto);
+        let verdict = verify_system(user, &systems, &BTreeSet::new());
         let full_check_passes = verdict.usage_violations.is_empty();
 
         // 1. No definite-violation false positives: E009 implies the full

@@ -4,7 +4,7 @@
 
 use serde::json;
 use shelley_core::api::CheckSummary;
-use shelley_core::{Backend, Method, Reply, ReplyBody, Request, WorkspaceStats, PROTOCOL_VERSION};
+use shelley_core::{Method, Reply, ReplyBody, Request, WorkspaceStats, PROTOCOL_VERSION};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -91,11 +91,10 @@ impl<R: BufRead, W: Write> Client<R, W> {
         }
     }
 
-    /// Switches the daemon's recovery mode and claim-checking backend
-    /// (see [`Workspace::set_recover`](shelley_core::Workspace::set_recover)
-    /// and [`Workspace::set_backend`](shelley_core::Workspace::set_backend)).
-    pub fn configure(&mut self, recover: bool, backend: Backend) -> io::Result<()> {
-        match self.call(Method::Configure { recover, backend })? {
+    /// Switches the daemon's recovery mode (see
+    /// [`Workspace::set_recover`](shelley_core::Workspace::set_recover)).
+    pub fn configure(&mut self, recover: bool) -> io::Result<()> {
+        match self.call(Method::Configure { recover })? {
             bodies if matches!(bodies.last(), Some(ReplyBody::Ok)) => Ok(()),
             bodies => Err(reply_error(&bodies)),
         }

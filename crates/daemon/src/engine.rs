@@ -126,12 +126,7 @@ impl Engine {
     /// texts read back from a workspace whose round panicked are intact.
     fn replace_workspace(&mut self) {
         let old = &self.workspace;
-        let mut fresh = self
-            .checker
-            .clone()
-            .recover(old.recover())
-            .backend(old.backend())
-            .into_workspace();
+        let mut fresh = self.checker.clone().recover(old.recover()).into_workspace();
         if let Some(path) = &self.cache_path {
             fresh.load_disk_cache(path);
         }
@@ -169,9 +164,8 @@ impl Engine {
                 self.workspace.remove_file(&path);
                 reply(ReplyBody::Ok);
             }
-            Method::Configure { recover, backend } => {
+            Method::Configure { recover } => {
                 self.workspace.set_recover(recover);
-                self.workspace.set_backend(backend);
                 reply(ReplyBody::Ok);
             }
             Method::Check => self.run_check(id, emit),

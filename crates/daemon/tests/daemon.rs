@@ -316,10 +316,7 @@ fn configure_switches_recovery_mode_mid_session() {
     engine.handle(
         Request {
             id: 3,
-            method: Method::Configure {
-                recover: true,
-                backend: shelley_core::Backend::Auto,
-            },
+            method: Method::Configure { recover: true },
         },
         &mut |r| replies.push(r),
     );
@@ -479,20 +476,62 @@ impl RawSession {
 }
 
 #[test]
-fn configure_with_the_removed_smv_backend_is_an_error_reply() {
-    let mut session = RawSession::start("smv-backend");
-    session.send_line(br#"{"id":2,"method":{"configure":{"recover":false,"backend":"smv"}}}"#);
-    match session.read_reply() {
-        Reply {
-            body: ReplyBody::Error { message },
-            ..
-        } => assert!(message.contains("unknown variant `smv`"), "{message}"),
-        other => panic!("expected an error reply, got {other:?}"),
+fn a_version_5_configure_with_a_backend_is_an_error_reply() {
+    // Protocol 6 has no `backend` field; each value version 5 accepted,
+    // and the `smv` it had already dropped, is refused the same way.
+    let mut session = RawSession::start("v5-configure");
+    for backend in ["auto", "explicit", "symbolic", "smv"] {
+        let line = format!(
+            r#"{{"id":2,"method":{{"configure":{{"recover":false,"backend":"{backend}"}}}}}}"#
+        );
+        session.send_line(line.as_bytes());
+        match session.read_reply() {
+            Reply {
+                body: ReplyBody::Error { message },
+                ..
+            } => assert!(message.contains("unknown field `backend`"), "{message}"),
+            other => panic!("expected an error reply, got {other:?}"),
+        }
     }
     // The connection survives and still answers a check.
     let summary = session.open_and_check();
     assert!(summary.passed, "{summary:?}");
     assert_eq!(summary.systems, ["Valve"]);
+    session.shut_down();
+}
+
+#[test]
+fn a_version_5_hello_is_refused_and_the_connection_keeps_serving() {
+    let mut session = RawSession::start("v5-hello");
+    session.send(&Request {
+        id: 1,
+        method: Method::Hello { version: 5 },
+    });
+    match session.read_reply() {
+        Reply {
+            id: 1,
+            body: ReplyBody::Error { message },
+        } => assert!(
+            message.contains("client speaks 5, server speaks 6"),
+            "{message}"
+        ),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    session.send(&Request {
+        id: 2,
+        method: Method::Hello {
+            version: shelley_core::PROTOCOL_VERSION,
+        },
+    });
+    assert!(matches!(
+        session.read_reply(),
+        Reply {
+            id: 2,
+            body: ReplyBody::Hello { version: 6, .. }
+        }
+    ));
+    let summary = session.open_and_check();
+    assert!(summary.passed, "{summary:?}");
     session.shut_down();
 }
 

@@ -186,6 +186,56 @@ impl Lang for MonitorView {
     fn is_accepting(&self, state: &Formula) -> bool {
         accepts_empty(state)
     }
+
+    /// States are canonical DNFs: `cand` implies `kept` when every clause
+    /// of `cand` contains (as a set of literals) some clause of `kept`.
+    fn covers(&self, kept: &Formula, cand: &Formula) -> bool {
+        kept == cand
+            || clauses(cand).all(|c| clauses(kept).any(|k| literals(k).all(|l| has_literal(c, l))))
+    }
+}
+
+/// The parts of an n-ary connective: its operands, or the formula itself.
+enum Parts<'a> {
+    Many(std::collections::btree_set::Iter<'a, Formula>),
+    One(Option<&'a Formula>),
+}
+
+impl<'a> Iterator for Parts<'a> {
+    type Item = &'a Formula;
+
+    fn next(&mut self) -> Option<&'a Formula> {
+        match self {
+            Parts::Many(iter) => iter.next(),
+            Parts::One(item) => item.take(),
+        }
+    }
+}
+
+/// The clauses of a canonical DNF (`false` has none).
+fn clauses(f: &Formula) -> Parts<'_> {
+    match f {
+        Formula::False => Parts::One(None),
+        Formula::Or(items) => Parts::Many(items.iter()),
+        clause => Parts::One(Some(clause)),
+    }
+}
+
+/// The literals of a DNF clause (`true` has none).
+fn literals(clause: &Formula) -> Parts<'_> {
+    match clause {
+        Formula::True => Parts::One(None),
+        Formula::And(items) => Parts::Many(items.iter()),
+        literal => Parts::One(Some(literal)),
+    }
+}
+
+/// Whether the DNF clause `clause` has `literal` among its literals.
+fn has_literal(clause: &Formula, literal: &Formula) -> bool {
+    match clause {
+        Formula::And(items) => items.contains(literal),
+        other => other == literal,
+    }
 }
 
 /// Compiles `formula` into a complete DFA over `alphabet` accepting exactly
@@ -306,6 +356,32 @@ mod tests {
             }
             assert_eq!(view.is_accepting(&state), dfa.accepts(&w), "word {w:?}");
         }
+    }
+
+    #[test]
+    fn covering_states_accept_more() {
+        let (ab, a, b, c) = setup();
+        let view = MonitorView::new(&Formula::tt(), ab.clone());
+        let fa = Formula::eventually(Formula::atom(a));
+        let fb = Formula::eventually(Formula::atom(b));
+        let fc = Formula::eventually(Formula::atom(c));
+        let both = MonitorView::new(&Formula::and(fa.clone(), fb.clone()), ab.clone()).start();
+        let one = MonitorView::new(&fa, ab.clone()).start();
+        let either = MonitorView::new(&Formula::or(fa.clone(), fc.clone()), ab.clone()).start();
+        // F a ∧ F b implies F a, which implies F a ∨ F c; never the reverse.
+        assert!(view.covers(&one, &both));
+        assert!(!view.covers(&both, &one));
+        assert!(view.covers(&either, &one));
+        assert!(view.covers(&either, &both));
+        assert!(!view.covers(&one, &either));
+        // `true` covers everything and `false` is covered by everything.
+        assert!(view.covers(&Formula::tt(), &both));
+        assert!(view.covers(&both, &Formula::ff()));
+        assert!(!view.covers(&Formula::ff(), &both));
+        // Sound on words: whatever `both` accepts, `either` accepts.
+        let dfa_both = to_dfa(&Formula::and(fa.clone(), fb), ab.clone());
+        let dfa_either = to_dfa(&Formula::or(fa, fc), ab);
+        assert!(dfa_both.subset_of(&dfa_either).is_ok());
     }
 
     #[test]

@@ -3,20 +3,19 @@
 //! A *model* is any automaton whose language is the set of complete event
 //! traces a system can produce (in Shelley, the integration automaton of a
 //! composite class). A claim `φ` holds iff every model trace satisfies it:
-//! `L(M) ⊆ L(φ)`, decided via emptiness of `L(M) ∩ L(¬φ)` with a shortest
-//! violating trace as counterexample.
+//! `L(M) ⊆ L(φ)`, decided by the inclusion search of
+//! [`shelley_regular::antichain`] with the `¬φ` monitor as the complement.
 //!
-//! The `¬φ` monitor is driven **lazily** through its
-//! [`MonitorView`]: only the formula states reachable along the model's
-//! traces are ever progressed, so an adversarial claim with an exponential
-//! monitor DFA costs nothing beyond what the model can reach. The eager
-//! compile-then-search pipeline ([`to_dfa`](crate::to_dfa) +
-//! [`ops::shortest_joint_word`]) remains the differential-testing oracle.
+//! The monitor is driven **lazily** through its [`MonitorView`]: only the
+//! formula states reachable along the model's traces are ever progressed,
+//! and a state is discarded when a kept one at the same model state is
+//! implied by it (conjunct containment), so an adversarial claim with an
+//! exponential monitor DFA costs only what the antichain keeps.
 
 use crate::automaton::MonitorView;
 use crate::syntax::Formula;
-use shelley_regular::lang::{self, Product};
-use shelley_regular::{ops, Dfa, Nfa, Symbol, Word};
+use shelley_regular::antichain::{joint_search, InclusionStats};
+use shelley_regular::{Nfa, Symbol, Word};
 use std::collections::BTreeSet;
 
 /// The result of checking one claim against a model.
@@ -47,20 +46,27 @@ impl ClaimOutcome {
 /// Panics if `model`'s alphabet differs from the alphabet the claim monitor
 /// is built over (they must share one `Alphabet`).
 pub fn check_claim(model: &Nfa, claim: &Formula, markers: &BTreeSet<Symbol>) -> ClaimOutcome {
-    let bad = MonitorView::new(&claim.negate(), model.alphabet().clone());
-    match ops::shortest_joint_word(model, &bad, markers) {
-        None => ClaimOutcome::Holds,
-        Some(counterexample) => ClaimOutcome::Violated { counterexample },
-    }
+    check_claim_counted(model, claim, markers).0
 }
 
-/// Checks a claim against a DFA model with no markers.
-pub fn check_claim_dfa(model: &Dfa, claim: &Formula) -> ClaimOutcome {
+/// [`check_claim`] plus the inclusion search's kept and pruned pair
+/// counts.
+///
+/// # Panics
+///
+/// Same contract as [`check_claim`].
+pub fn check_claim_counted(
+    model: &Nfa,
+    claim: &Formula,
+    markers: &BTreeSet<Symbol>,
+) -> (ClaimOutcome, InclusionStats) {
     let bad = MonitorView::new(&claim.negate(), model.alphabet().clone());
-    match lang::shortest_accepted(&Product::intersection(model, &bad)) {
+    let search = joint_search(model, &bad, markers);
+    let outcome = match search.witness {
         None => ClaimOutcome::Holds,
         Some(counterexample) => ClaimOutcome::Violated { counterexample },
-    }
+    };
+    (outcome, search.stats)
 }
 
 #[cfg(test)]
@@ -133,8 +139,9 @@ mod tests {
 
     #[test]
     fn lazy_check_matches_eager_oracle() {
-        // The eager oracle: compile the ¬φ monitor DFA up front, then run
-        // the same searches. Counterexamples must be byte-identical.
+        // The eager oracle: compile the ¬φ monitor DFA up front (whose
+        // states cover only themselves, so the search runs unpruned), then
+        // run the same searches. Counterexamples must be byte-identical.
         let mut ab = Alphabet::new();
         let claim = parse_formula("(!a.open) W b.open", &mut ab).unwrap();
         let model_re =
@@ -142,32 +149,10 @@ mod tests {
         let ab = Arc::new(ab);
         let model = Nfa::from_regex(&model_re, ab.clone());
         let eager_bad = crate::automaton::to_dfa(&claim.negate(), ab.clone());
-        let eager =
-            match shelley_regular::ops::shortest_joint_word(&model, &eager_bad, &BTreeSet::new()) {
-                None => ClaimOutcome::Holds,
-                Some(counterexample) => ClaimOutcome::Violated { counterexample },
-            };
-        assert_eq!(check_claim(&model, &claim, &BTreeSet::new()), eager);
-
-        let dfa_model = Dfa::from_nfa(&model);
-        let eager_dfa = match dfa_model.intersect(&eager_bad).shortest_accepted() {
+        let eager = match joint_search(&model, &eager_bad, &BTreeSet::new()).witness {
             None => ClaimOutcome::Holds,
             Some(counterexample) => ClaimOutcome::Violated { counterexample },
         };
-        assert_eq!(check_claim_dfa(&dfa_model, &claim), eager_dfa);
-    }
-
-    #[test]
-    fn dfa_variant_agrees() {
-        let mut ab = Alphabet::new();
-        let claim = parse_formula("F b", &mut ab).unwrap();
-        let model_re = parse_regex("a ; a", &mut ab).unwrap();
-        let ab = Arc::new(ab);
-        let nfa = Nfa::from_regex(&model_re, ab);
-        let dfa = Dfa::from_nfa(&nfa);
-        let r1 = check_claim(&nfa, &claim, &BTreeSet::new());
-        let r2 = check_claim_dfa(&dfa, &claim);
-        assert_eq!(r1.holds(), r2.holds());
-        assert!(!r1.holds());
+        assert_eq!(check_claim(&model, &claim, &BTreeSet::new()), eager);
     }
 }

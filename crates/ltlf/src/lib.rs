@@ -17,7 +17,8 @@
 //! * [`MonitorView`] — the formula's monitor as a *lazy*
 //!   [`Lang`](shelley_regular::lang::Lang) view driven by progression, with
 //!   [`to_dfa`] (= [`MonitorView::materialize`]) as the eager escape hatch;
-//! * [`check_claim`] — language-inclusion model checking with shortest
+//! * [`check_claim`] — language-inclusion model checking on the one
+//!   inclusion search of [`shelley_regular::antichain`], with shortest
 //!   counterexamples, marker-aware so Shelley's annotated traces
 //!   (`open_a, a.test, a.open`) survive into error messages; the monitor is
 //!   never compiled up front.
@@ -49,7 +50,7 @@ mod simplify;
 mod syntax;
 
 pub use automaton::{to_dfa, MonitorView};
-pub use check::{check_claim, check_claim_dfa, ClaimOutcome};
+pub use check::{check_claim, check_claim_counted, ClaimOutcome};
 pub use parser::{parse_formula, ParseFormulaError};
 pub use semantics::{accepts_empty, eval, eval_direct, progress};
 pub use simplify::simplify;

@@ -172,8 +172,9 @@ proptest! {
         w1 in arb_word(),
         w2 in arb_word()
     ) {
-        use shelley_ltlf::{check_claim, check_claim_dfa, ClaimOutcome};
-        use shelley_regular::{ops, Dfa, Nfa, Regex};
+        use shelley_ltlf::{check_claim, ClaimOutcome};
+        use shelley_regular::antichain::joint_search;
+        use shelley_regular::{Nfa, Regex};
         use std::collections::BTreeSet;
         let ab = alphabet();
         // A small model: the union of two concrete traces.
@@ -182,36 +183,29 @@ proptest! {
         let markers = BTreeSet::new();
 
         let eager_bad = to_dfa(&f.negate(), ab.clone());
-        let eager = match ops::shortest_joint_word(&model, &eager_bad, &markers) {
+        let eager = match joint_search(&model, &eager_bad, &markers).witness {
             None => ClaimOutcome::Holds,
             Some(counterexample) => ClaimOutcome::Violated { counterexample },
         };
         prop_assert_eq!(check_claim(&model, &f, &markers), eager);
-
-        let dfa_model = Dfa::from_nfa(&model);
-        let eager_dfa = match dfa_model.intersect(&eager_bad).shortest_accepted() {
-            None => ClaimOutcome::Holds,
-            Some(counterexample) => ClaimOutcome::Violated { counterexample },
-        };
-        prop_assert_eq!(check_claim_dfa(&dfa_model, &f), eager_dfa);
     }
 
-    /// Claim checks over a model determinized by the bitset subset
-    /// construction agree with the trace semantics: the model is the two
+    /// Claim checks agree with the trace semantics: the model is the two
     /// words `{w1, w2}`, so the claim holds exactly when `eval` accepts
     /// both, and a counterexample is one of them that `eval` rejects.
     #[test]
-    fn claim_checks_agree_across_state_engines(
+    fn claim_checks_agree_with_the_trace_semantics(
         f in arb_formula(),
         w1 in arb_word(),
         w2 in arb_word()
     ) {
-        use shelley_ltlf::{check_claim_dfa, ClaimOutcome};
-        use shelley_regular::{Dfa, Nfa, Regex};
+        use shelley_ltlf::{check_claim, ClaimOutcome};
+        use shelley_regular::{Nfa, Regex};
+        use std::collections::BTreeSet;
         let ab = alphabet();
         let model_re = Regex::union(Regex::word(&w1), Regex::word(&w2));
-        let model = Dfa::from_nfa(&Nfa::from_regex(&model_re, ab));
-        match check_claim_dfa(&model, &f) {
+        let model = Nfa::from_regex(&model_re, ab);
+        match check_claim(&model, &f, &BTreeSet::new()) {
             ClaimOutcome::Holds => prop_assert!(eval(&f, &w1) && eval(&f, &w2)),
             ClaimOutcome::Violated { counterexample } => {
                 prop_assert!(counterexample == w1 || counterexample == w2);

@@ -1,323 +1,175 @@
-//! Antichain-pruned inclusion checking over lazy language views.
+//! The inclusion search: one antichain-pruned joint search for `L(M) ⊆ L(B)`.
 //!
-//! The classic inclusion checks ([`lang::subset_of`]
-//! and [`ops::projected_subset`](crate::ops::projected_subset)) determinize
-//! the spec side on the fly: the product search distinguishes every
-//! reachable spec macrostate, which on adversarial specs (`Σ*·a·Σ^n`) means
-//! `2^n` macrostates even when the model side is tiny. The antichain
-//! algorithm of De Wulf, Doyen, Henzinger & Raskin (CAV'06) observes that
-//! an inclusion search only needs the **⊆-minimal** macrostates: a pair
-//! `(q, S)` can reach a violation — a word the model accepts while the spec
-//! macrostate holds no accepting state — only if `(q, S')` with `S' ⊆ S`
-//! can, at the same or smaller distance, because macrostate successors are
-//! monotone under `⊆` and a smaller macrostate rejects everything a larger
-//! one rejects. The searches here therefore keep, per model state, an
-//! *antichain* of kept spec macrostates and discard every newly discovered
-//! pair that a kept pair subsumes (same model state, `⊆`-smaller macrostate,
-//! no larger distance).
+//! Both of Shelley's specification errors ask whether every word of a model
+//! NFA `M` (an integration automaton, or a base class's specification) lies
+//! in a language `B`. [`joint_search`] answers by looking for a word of `M`
+//! whose marker-erased projection a *monitor* of the complement of `B`
+//! accepts: the [`Complement`](crate::lang::Complement) of the spec's
+//! [`NfaView`](crate::lang::NfaView) for subsystem usage, the progression
+//! monitor of `¬φ` for a temporal claim. The word it returns, markers
+//! included, is the counterexample the error message prints.
 //!
-//! Two guarantees survive the pruning, both pinned by differential property
-//! suites against the classic engines:
+//! The traversal is a 0-1 breadth-first search over `(NFA state, monitor
+//! state)` pairs: edges in NFA edge order, a FIFO deque, ε-edges pushed at
+//! the front with cost 0, symbol and marker edges pushed at the back with
+//! cost 1. Marker edges advance the NFA only.
 //!
-//! * **Witnesses replay.** A kept pair's macrostate is always the *exact*
-//!   subset-construction state of its discovery word — pruning discards
-//!   whole pairs, it never approximates a macrostate — so an extracted
-//!   counterexample is a genuine violation, not an artifact.
-//! * **Witness length is preserved.** Every pruned pair is dominated by a
-//!   kept pair at equal-or-smaller distance that rejects at least as much,
-//!   so the first violation dequeued is as short as the classic engine's.
-//!   Only the shortlex tie-break may differ: the ⊆-minimal representative
-//!   that survives pruning may spell a different word of the same length.
+//! # Pruning
 //!
-//! The spec side is always an [`NfaView`] here — the antichain order *is*
-//! the `⊆` order on its [`StateSet`] macrostates, tested with the
-//! word-parallel block kernels of [`StateSet`]. The model side of
-//! [`subset_of`] is any [`Lang`]; [`projected_subset`] mirrors the
-//! marker-aware 0-1 BFS of [`ops`](crate::ops) over an explicit [`Nfa`].
+//! Following the antichains of De Wulf, Doyen, Henzinger and Raskin
+//! (CAV 2006), a newly discovered pair `(q, s)` is discarded when a pair
+//! `(q, k)` the search already kept covers it ([`Lang::covers`]): every
+//! continuation the monitor accepts from `s` it also accepts from `k`, so
+//! any violation reachable from `(q, s)` is reachable from `(q, k)` by the
+//! same remaining path. Complemented subset views cover by `⊇` on spec
+//! macrostates — a smaller macrostate rejects more — which keeps the spec
+//! side polynomial on families whose determinization is exponential; LTLf
+//! monitors cover by conjunct containment. Views with no order cover only
+//! equal states, and the search is then the plain deduplicating one.
+//!
+//! # Witness
+//!
+//! Pruning happens only when a pair is pushed, and only against pairs kept
+//! earlier; nothing is skipped when it is popped. Unpruned, the search
+//! returns the word of the least violating path in the order
+//! [`Nfa::least_path_word`] enumerates (fewest symbols, then NFA edge
+//! order). Pruning never removes a prefix of that path: the kept pair that
+//! would cover it was discovered along a path that precedes the prefix,
+//! and that path followed by the rest of the least one would be a smaller
+//! violating path. So the pruned search reports the same counterexample as
+//! the unpruned one; the oracle suites check this word for word.
 
-use crate::lang::{self, Lang, NfaView};
+use crate::lang::{self, Lang};
 use crate::nfa::{Label, Nfa, StateId};
-use crate::stateset::StateSet;
 use crate::symbol::{Symbol, Word};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-/// Search counters of one antichain inclusion check.
+/// Search counters of one inclusion check.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InclusionStats {
-    /// Pairs kept on the frontier (discovered and not subsumed).
+    /// Pairs the search kept (discovered and not covered).
     pub frontier: usize,
-    /// Candidate pairs discarded because a kept pair with a strictly
-    /// smaller macrostate subsumed them.
+    /// Discovered pairs discarded because a kept pair with a different
+    /// monitor state covered them (exact re-discoveries are not counted).
     pub pruned: usize,
 }
 
 impl InclusionStats {
-    fn absorb(&mut self, other: InclusionStats) {
+    /// Adds `other`'s counters to these.
+    pub fn absorb(&mut self, other: InclusionStats) {
         self.frontier += other.frontier;
         self.pruned += other.pruned;
     }
 }
 
-/// The per-model-state antichain: kept spec macrostates plus the distance
-/// each was discovered at.
-#[derive(Default)]
-struct Frontier {
-    sets: Vec<StateSet>,
-    labels: Vec<u32>,
+/// The outcome of a [`joint_search`]: the witness, if any, and the
+/// search's counters.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JointSearch {
+    /// The least word (markers included) that `nfa` accepts and whose
+    /// marker-erased projection the monitor accepts; `None` when there is
+    /// none.
+    pub witness: Option<Word>,
+    /// Kept and pruned pair counts.
+    pub stats: InclusionStats,
 }
 
-impl Frontier {
-    /// Whether `cand` (at distance `label`) is subsumed by a kept entry.
-    /// Returns `None` to keep, `Some(proper)` to discard — `proper` is
-    /// `false` for an exact re-discovery (plain dedup, not pruning).
-    fn subsumes(&self, cand: &StateSet, label: u32) -> Option<bool> {
-        self.sets
-            .iter()
-            .zip(self.labels.iter())
-            .find(|(kept, &kept_label)| kept_label <= label && kept.is_subset_of(cand))
-            .map(|(kept, _)| kept != cand)
-    }
-
-    /// Whether a *strictly* smaller kept entry at equal-or-smaller distance
-    /// dominates `cand` — the pop-time test. A pair can be kept before the
-    /// ⊆-minimal representative of its level is discovered; skipping its
-    /// expansion once a dominator exists is what keeps the frontier an
-    /// antichain in effect. The strict-subset requirement keeps an entry
-    /// from dominating itself (sets are deduped at push, so equality means
-    /// "same entry").
-    fn dominated(&self, cand: &StateSet, label: u32) -> bool {
-        self.sets
-            .iter()
-            .zip(self.labels.iter())
-            .any(|(kept, &kept_label)| {
-                kept_label <= label && kept != cand && kept.is_subset_of(cand)
-            })
-    }
-
-    fn keep(&mut self, set: StateSet, label: u32) {
-        self.sets.push(set);
-        self.labels.push(label);
-    }
-}
-
-/// Checks `L(a) ⊆ L(b)` with antichain pruning; on failure returns a
-/// violating word no longer than the classic engine's shortest witness.
+/// Searches for a word accepted by `nfa` whose projection without the
+/// symbols in `markers` is accepted by `monitor` (see the
+/// [module docs](self) for the order and the pruning).
 ///
-/// The classic [`lang::subset_of`] stays available
-/// as the unpruned oracle (and produces the canonical shortlex witness).
-///
-/// # Panics
-///
-/// Panics if the alphabets differ.
-pub fn subset_of<A: Lang>(a: &A, b: &NfaView<'_>) -> Result<(), Word> {
-    subset_of_counted(a, b).0
-}
-
-/// [`subset_of`] plus the antichain frontier/pruned counters.
-///
-/// # Panics
-///
-/// Panics if the alphabets differ.
-pub fn subset_of_counted<A: Lang>(a: &A, b: &NfaView<'_>) -> (Result<(), Word>, InclusionStats) {
-    assert_eq!(
-        **a.alphabet(),
-        **b.alphabet(),
-        "inclusion check of language views over different alphabets"
-    );
-    let compiled = b.compiled();
-    let nsyms = a.alphabet().len();
-    let mut stats = InclusionStats::default();
-
-    // Discovered pairs, indexed; `parents` spells the discovery word.
-    let mut a_states: Vec<A::State> = Vec::new();
-    let mut b_sets: Vec<StateSet> = Vec::new();
-    let mut parents: Vec<Option<(usize, Symbol)>> = Vec::new();
-    let mut store: HashMap<A::State, Frontier> = HashMap::new();
-
-    let start_a = a.start();
-    let start_b = compiled.start_set();
-    store
-        .entry(start_a.clone())
-        .or_default()
-        .keep(start_b.clone(), 0);
-    a_states.push(start_a);
-    b_sets.push(start_b);
-    parents.push(None);
-
-    let mut queue: VecDeque<(usize, u32)> = VecDeque::from([(0, 0)]);
-    let mut a_scratch = a.start();
-    let mut b_scratch = compiled.empty_set();
-    while let Some((idx, label)) = queue.pop_front() {
-        if a.is_accepting(&a_states[idx]) && !compiled.is_accepting(&b_sets[idx]) {
-            stats.frontier = a_states.len();
-            return (Err(spell(&parents, idx)), stats);
-        }
-        // Pop-time antichain skip: a strictly smaller macrostate kept at
-        // equal-or-smaller distance rejects at least as much, so its
-        // expansion dominates this one's. (Acceptance was tested above, so
-        // a violation at this level is never lost.)
-        if store[&a_states[idx]].dominated(&b_sets[idx], label) {
-            stats.pruned += 1;
-            continue;
-        }
-        for sym_idx in 0..nsyms {
-            let sym = Symbol::from_index(sym_idx);
-            a.step_into(&a_states[idx], sym, &mut a_scratch);
-            compiled.step_into(&b_sets[idx], sym, &mut b_scratch);
-            let frontier = store.entry(a_scratch.clone()).or_default();
-            // Plain BFS discovers in distance order, so every kept label is
-            // already ≤ label + 1: the scan is the pure block-wise
-            // subsumption kernel.
-            match b_scratch.position_of_subset(frontier.sets.iter()) {
-                Some(i) => {
-                    if frontier.sets[i] != b_scratch {
-                        stats.pruned += 1;
-                    }
-                }
-                None => {
-                    frontier.keep(b_scratch.clone(), label + 1);
-                    let id = a_states.len();
-                    a_states.push(a_scratch.clone());
-                    b_sets.push(b_scratch.clone());
-                    parents.push(Some((idx, sym)));
-                    queue.push_back((id, label + 1));
-                }
-            }
-        }
-    }
-    stats.frontier = a_states.len();
-    (Ok(()), stats)
-}
-
-/// Checks `π(L(nfa)) ⊆ L(spec)` (with `π` erasing `markers`) by the same
-/// marker-aware 0-1 BFS as [`ops::projected_subset`](crate::ops::projected_subset),
-/// pruning the frontier with the antichain order on spec macrostates; on
-/// failure returns a violating word (markers preserved) of the same length
-/// as the classic engine's shortest witness.
+/// To check `π(L(nfa)) ⊆ L(spec)`, pass the complement of `spec` as the
+/// monitor: a witness is a violation.
 ///
 /// # Panics
 ///
 /// Panics if the automata are over different alphabets, or if `markers`
-/// contains a symbol outside the shared alphabet.
-pub fn projected_subset(
-    nfa: &Nfa,
-    spec: &NfaView<'_>,
-    markers: &BTreeSet<Symbol>,
-) -> Result<(), Word> {
-    projected_subset_counted(nfa, spec, markers).0
-}
-
-/// [`projected_subset`] plus the antichain frontier/pruned counters.
-///
-/// # Panics
-///
-/// Same contract as [`projected_subset`].
-pub fn projected_subset_counted(
-    nfa: &Nfa,
-    spec: &NfaView<'_>,
-    markers: &BTreeSet<Symbol>,
-) -> (Result<(), Word>, InclusionStats) {
+/// contains a symbol outside the shared alphabet (a symbol interned into
+/// some other [`Alphabet`](crate::Alphabet)).
+pub fn joint_search<L: Lang>(nfa: &Nfa, monitor: &L, markers: &BTreeSet<Symbol>) -> JointSearch {
     assert_eq!(
         **nfa.alphabet(),
-        **spec.alphabet(),
+        **monitor.alphabet(),
         "joint search over different alphabets"
     );
     lang::assert_markers_in_alphabet(markers, nfa.alphabet());
-    let compiled = spec.compiled();
     let mut stats = InclusionStats::default();
 
-    // Discovered pairs; `parents` records the consumed symbol (`None` for
-    // ε-edges), exactly like the classic joint search.
-    let mut nfa_states: Vec<StateId> = Vec::new();
-    let mut spec_sets: Vec<StateSet> = Vec::new();
-    let mut parents: Vec<Option<(usize, Option<Symbol>)>> = Vec::new();
-    let mut store: HashMap<StateId, Frontier> = HashMap::new();
+    // Kept pairs in discovery order; `parents` records the symbol each
+    // was reached by (`None` for ε-edges), which spells the witness.
+    let mut nfa_states: Vec<StateId> = vec![nfa.start()];
+    let mut monitor_states: Vec<L::State> = vec![monitor.start()];
+    let mut parents: Vec<Option<(usize, Option<Symbol>)>> = vec![None];
+    // The kept pairs at each NFA state: the antichain a candidate is
+    // tested against.
+    let mut kept_at: Vec<Vec<usize>> = vec![Vec::new(); nfa.num_states()];
+    kept_at[nfa.start()].push(0);
 
-    let start_set = compiled.start_set();
-    store
-        .entry(nfa.start())
-        .or_default()
-        .keep(start_set.clone(), 0);
-    nfa_states.push(nfa.start());
-    spec_sets.push(start_set);
-    parents.push(None);
-
-    let mut deque: VecDeque<(usize, u32)> = VecDeque::from([(0, 0)]);
-    let mut scratch = compiled.empty_set();
-    while let Some((idx, label)) = deque.pop_front() {
-        let qn = nfa_states[idx];
-        // Violation: the model accepts while the spec macrostate rejects.
-        if nfa.is_accepting(qn) && !compiled.is_accepting(&spec_sets[idx]) {
+    let mut deque: VecDeque<usize> = VecDeque::from([0]);
+    // One scratch successor reused across steps: a monitor state is
+    // cloned only when a new pair is kept.
+    let mut scratch = monitor.start();
+    while let Some(idx) = deque.pop_front() {
+        let q = nfa_states[idx];
+        if nfa.is_accepting(q) && monitor.is_accepting(&monitor_states[idx]) {
             stats.frontier = nfa_states.len();
-            let word = spell_joint(&parents, idx);
-            return (Err(word), stats);
+            return JointSearch {
+                witness: Some(spell(&parents, idx)),
+                stats,
+            };
         }
-        // Pop-time antichain skip, as in [`subset_of_counted`].
-        if store[&qn].dominated(&spec_sets[idx], label) {
-            stats.pruned += 1;
-            continue;
-        }
-        for &(edge, dst) in nfa.edges_from(qn) {
-            let (consumed, cost, stepped) = match edge {
-                Label::Eps => (None, 0, false),
-                Label::Sym(s) if markers.contains(&s) => (Some(s), 1, false),
+        for &(label, dst) in nfa.edges_from(q) {
+            let (consumed, stepped) = match label {
+                Label::Eps => (None, false),
+                Label::Sym(s) if markers.contains(&s) => (Some(s), false),
                 Label::Sym(s) => {
-                    compiled.step_into(&spec_sets[idx], s, &mut scratch);
-                    (Some(s), 1, true)
+                    monitor.step_into(&monitor_states[idx], s, &mut scratch);
+                    (Some(s), true)
                 }
             };
-            let cand = if stepped { &scratch } else { &spec_sets[idx] };
-            let next_label = label + cost;
-            let frontier = store.entry(dst).or_default();
-            match frontier.subsumes(cand, next_label) {
-                Some(proper) => {
-                    if proper {
-                        stats.pruned += 1;
-                    }
-                }
+            let cand = if stepped {
+                &scratch
+            } else {
+                &monitor_states[idx]
+            };
+            let cover = kept_at[dst]
+                .iter()
+                .copied()
+                .find(|&k| monitor.covers(&monitor_states[k], cand));
+            match cover {
+                Some(k) => stats.pruned += usize::from(monitor_states[k] != *cand),
                 None => {
                     let owned = cand.clone();
-                    frontier.keep(owned.clone(), next_label);
                     let id = nfa_states.len();
+                    // Whatever a kept pair covered by the new one would
+                    // discard, the new one discards too (covering is
+                    // inclusion, which is transitive): the scan list stays
+                    // an antichain.
+                    kept_at[dst].retain(|&k| !monitor.covers(&owned, &monitor_states[k]));
+                    kept_at[dst].push(id);
                     nfa_states.push(dst);
-                    spec_sets.push(owned);
+                    monitor_states.push(owned);
                     parents.push(Some((idx, consumed)));
-                    // 0-1 BFS: ε-edges keep the distance, symbol edges
-                    // extend it — the classic engine's exact discipline.
-                    if cost == 0 {
-                        deque.push_front((id, next_label));
+                    if label == Label::Eps {
+                        deque.push_front(id);
                     } else {
-                        deque.push_back((id, next_label));
+                        deque.push_back(id);
                     }
                 }
             }
         }
     }
     stats.frontier = nfa_states.len();
-    (Ok(()), stats)
-}
-
-/// Sums the counters of per-subsystem checks into one total.
-pub fn absorb_stats(total: &mut InclusionStats, one: InclusionStats) {
-    total.absorb(one);
-}
-
-fn spell(parents: &[Option<(usize, Symbol)>], mut idx: usize) -> Word {
-    let mut word = Vec::new();
-    while let Some((prev, sym)) = parents[idx] {
-        word.push(sym);
-        idx = prev;
+    JointSearch {
+        witness: None,
+        stats,
     }
-    word.reverse();
-    word
 }
 
-fn spell_joint(parents: &[Option<(usize, Option<Symbol>)>], mut idx: usize) -> Word {
+fn spell(parents: &[Option<(usize, Option<Symbol>)>], mut idx: usize) -> Word {
     let mut word = Vec::new();
     while let Some((prev, sym)) = parents[idx] {
-        if let Some(s) = sym {
-            word.push(s);
-        }
+        word.extend(sym);
         idx = prev;
     }
     word.reverse();
@@ -328,42 +180,125 @@ fn spell_joint(parents: &[Option<(usize, Option<Symbol>)>], mut idx: usize) -> W
 mod tests {
     use super::*;
     use crate::dfa::Dfa;
-    use crate::ops;
+    use crate::lang::{Complement, NfaView};
+    use crate::ops::strip_markers;
     use crate::parser::parse_regex;
     use crate::regex::Regex;
     use crate::symbol::Alphabet;
     use std::sync::Arc;
 
-    fn pair(left: &str, right: &str) -> (Nfa, Nfa) {
-        let mut ab = Alphabet::new();
-        let l = parse_regex(left, &mut ab).unwrap();
-        let r = parse_regex(right, &mut ab).unwrap();
-        let ab = Arc::new(ab);
-        (Nfa::from_regex(&l, ab.clone()), Nfa::from_regex(&r, ab))
+    /// `π(L(model)) ⊆ L(spec)` through the search, as usage checks run it.
+    fn violation(model: &Nfa, spec: &Nfa, markers: &BTreeSet<Symbol>) -> JointSearch {
+        joint_search(model, &Complement::new(NfaView::new(spec)), markers)
     }
 
     #[test]
-    fn agrees_with_classic_subset_on_inclusion_and_violation() {
-        let (small, big) = pair("a ; b", "(a ; b) + (a ; c)");
-        assert_eq!(
-            subset_of(&NfaView::new(&small), &NfaView::new(&big)),
-            Ok(())
+    fn witnesses_keep_markers_in_place() {
+        // NFA language: m·a·m·b. Monitor accepts exactly a·b.
+        let mut ab = Alphabet::new();
+        let m = ab.intern("m");
+        let a = ab.intern("a");
+        let b = ab.intern("b");
+        let ab = Arc::new(ab);
+        let nfa = Nfa::from_regex(&Regex::word(&[m, a, m, b]), ab.clone());
+        let monitor = Dfa::from_nfa(&Nfa::from_regex(&Regex::word(&[a, b]), ab));
+        let markers = BTreeSet::from([m]);
+        let w = joint_search(&nfa, &monitor, &markers).witness.unwrap();
+        assert_eq!(w, vec![m, a, m, b]);
+        assert_eq!(strip_markers(&w, &markers), vec![a, b]);
+    }
+
+    #[test]
+    fn detects_a_violation_and_passes_conforming_behaviour() {
+        let mut ab = Alphabet::new();
+        let m = ab.intern("m");
+        let a = ab.intern("a");
+        let b = ab.intern("b");
+        let ab = Arc::new(ab);
+        let markers = BTreeSet::from([m]);
+        let spec = Nfa::from_regex(&Regex::word(&[a, b]), ab.clone());
+        let bad = Nfa::from_regex(&Regex::word(&[m, a]), ab.clone());
+        assert_eq!(violation(&bad, &spec, &markers).witness, Some(vec![m, a]));
+        let good = Nfa::from_regex(&Regex::word(&[m, a, b]), ab);
+        assert_eq!(violation(&good, &spec, &markers).witness, None);
+    }
+
+    #[test]
+    fn witnesses_follow_nfa_edge_order_not_symbol_order() {
+        // `c + a`: both words have one symbol; `c`'s edge comes first.
+        let mut ab = Alphabet::new();
+        let model = parse_regex("c + a", &mut ab).unwrap();
+        let ab = Arc::new(ab);
+        let model = Nfa::from_regex(&model, ab.clone());
+        let void = Nfa::from_regex(&Regex::Empty, ab.clone());
+        let w = violation(&model, &void, &BTreeSet::new()).witness.unwrap();
+        assert_eq!(ab.render_word(&w), "c");
+    }
+
+    #[test]
+    fn finds_the_fewest_symbols_first() {
+        let mut ab = Alphabet::new();
+        let a = ab.intern("a");
+        let b = ab.intern("b");
+        let ab = Arc::new(ab);
+        let nfa = Nfa::from_regex(
+            &Regex::union(Regex::word(&[a, a, a]), Regex::sym(b)),
+            ab.clone(),
         );
-        let classic = lang::subset_of(&NfaView::new(&big), &NfaView::new(&small)).unwrap_err();
-        let (result, stats) = subset_of_counted(&NfaView::new(&big), &NfaView::new(&small));
-        let witness = result.unwrap_err();
-        assert_eq!(witness.len(), classic.len());
-        // The witness replays as a genuine violation.
-        let (db, ds) = (Dfa::from_nfa(&big), Dfa::from_nfa(&small));
-        assert!(db.accepts(&witness) && !ds.accepts(&witness));
-        assert!(stats.frontier >= 1);
+        let sigma = Regex::star(Regex::union(Regex::sym(a), Regex::sym(b)));
+        let monitor = Dfa::from_nfa(&Nfa::from_regex(&sigma, ab));
+        let w = joint_search(&nfa, &monitor, &BTreeSet::new()).witness;
+        assert_eq!(w, Some(vec![b]));
+    }
+
+    #[test]
+    fn lazy_and_eager_monitors_give_one_witness() {
+        // An eager DFA monitor covers only equal states, the lazy subset
+        // view covers by ⊇: the witness is the same word.
+        let mut ab = Alphabet::new();
+        let m = ab.intern("m");
+        let a = ab.intern("a");
+        let b = ab.intern("b");
+        let ab = Arc::new(ab);
+        let markers = BTreeSet::from([m]);
+        let model = Nfa::from_regex(
+            &Regex::union(Regex::word(&[m, a, b]), Regex::word(&[m, b, a])),
+            ab.clone(),
+        );
+        let spec = Nfa::from_regex(&Regex::word(&[a, b]), ab);
+        let eager = joint_search(&model, &Dfa::from_nfa(&spec).complement(), &markers);
+        let lazy = violation(&model, &spec, &markers);
+        assert_eq!(eager.witness, lazy.witness);
+        assert_eq!(lazy.witness, Some(vec![m, b, a]));
+    }
+
+    #[test]
+    fn marker_only_traces_need_an_empty_accepting_spec() {
+        // The model's only word is pure markers: m·m. Its projection is ε,
+        // so inclusion holds iff the spec accepts ε.
+        let mut ab = Alphabet::new();
+        let m = ab.intern("m");
+        let a = ab.intern("a");
+        let ab = Arc::new(ab);
+        let markers = BTreeSet::from([m]);
+        let model = Nfa::from_regex(&Regex::word(&[m, m]), ab.clone());
+        let strict = Nfa::from_regex(&Regex::sym(a), ab.clone());
+        assert_eq!(
+            violation(&model, &strict, &markers).witness,
+            Some(vec![m, m])
+        );
+        let lenient = Nfa::from_regex(&Regex::star(Regex::sym(a)), ab);
+        assert_eq!(violation(&model, &lenient, &markers).witness, None);
     }
 
     #[test]
     fn prunes_subsumed_macrostates_on_the_blowup_family() {
-        // Spec Σ*·a·Σ^(n-1): classic determinization distinguishes 2^n
-        // macrostates; the model a·(a+b)^(n-1) is included. The antichain
-        // keeps one ⊆-minimal macrostate per position.
+        // Spec Σ*·a·Σ^(n-1): determinization distinguishes 2^n macrostates;
+        // the model a·(b+a)^(n-1) is included. The unpruned search (an
+        // eager monitor covers only equal states) drains the exponential
+        // product; the antichain keeps a frontier far below it. Each `b`
+        // edge comes before its `a` edge, so the smaller macrostate is
+        // kept first and covers the larger one discovered after it.
         let n = 8;
         let mut ab = Alphabet::new();
         let a = ab.intern("a");
@@ -374,100 +309,88 @@ mod tests {
         let mut model = Regex::sym(a);
         for _ in 0..n - 1 {
             spec = Regex::concat(spec, sigma.clone());
-            model = Regex::concat(model, sigma.clone());
+            model = Regex::concat(model, Regex::union(Regex::sym(b), Regex::sym(a)));
         }
         let spec = Nfa::from_regex(&spec, ab.clone());
         let model = Nfa::from_regex(&model, ab);
-        let (result, stats) = subset_of_counted(&NfaView::new(&model), &NfaView::new(&spec));
-        assert_eq!(result, Ok(()));
-        assert!(stats.pruned > 0, "no pruning on the blowup family");
-        // Classic explores the exponential macrostate space; the antichain
-        // frontier stays far below it.
-        let (_, classic_visited) = lang::shortest_accepted_counted(&lang::Product::difference(
-            NfaView::new(&model),
-            NfaView::new(&spec),
-        ));
+        let none = BTreeSet::new();
+        let pruned = violation(&model, &spec, &none);
+        assert_eq!(pruned.witness, None);
+        assert!(pruned.stats.pruned > 0, "no pruning on the blowup family");
+        let exhaustive = joint_search(&model, &Dfa::from_nfa(&spec).complement(), &none);
+        assert_eq!(exhaustive.witness, None);
+        assert_eq!(exhaustive.stats.pruned, 0);
         assert!(
-            stats.frontier * 4 < classic_visited,
-            "frontier {} vs classic {classic_visited}",
-            stats.frontier
+            pruned.stats.frontier * 4 < exhaustive.stats.frontier,
+            "frontier {} vs exhaustive {}",
+            pruned.stats.frontier,
+            exhaustive.stats.frontier
         );
     }
 
     #[test]
-    fn projected_agrees_with_classic_joint_search() {
-        let mut ab = Alphabet::new();
-        let m = ab.intern("m");
-        let a = ab.intern("a");
-        let b = ab.intern("b");
-        let ab = Arc::new(ab);
-        let markers = BTreeSet::from([m]);
-        let model = Nfa::from_regex(&Regex::word(&[m, a]), ab.clone());
-        let spec = Nfa::from_regex(&Regex::word(&[a, b]), ab.clone());
-        let classic = ops::projected_subset(&model, &NfaView::new(&spec), &markers).unwrap_err();
-        let (result, _) = projected_subset_counted(&model, &NfaView::new(&spec), &markers);
-        let witness = result.unwrap_err();
-        assert_eq!(witness.len(), classic.len());
-        assert_eq!(ops::strip_markers(&witness, &markers), vec![a]);
-        // Conforming behavior passes under both engines.
-        let good = Nfa::from_regex(&Regex::word(&[m, a, b]), ab);
-        assert!(projected_subset(&good, &NfaView::new(&spec), &markers).is_ok());
-        assert!(ops::projected_subset(&good, &NfaView::new(&spec), &markers).is_ok());
-    }
-
-    #[test]
-    fn empty_alphabet_inclusion() {
+    fn empty_alphabet_search() {
+        // Over an empty alphabet the only word is ε.
         let ab = Arc::new(Alphabet::new());
         let eps = Nfa::from_regex(&Regex::Epsilon, ab.clone());
         let void = Nfa::from_regex(&Regex::Empty, ab);
-        assert_eq!(subset_of(&NfaView::new(&void), &NfaView::new(&eps)), Ok(()));
-        let witness = subset_of(&NfaView::new(&eps), &NfaView::new(&void)).unwrap_err();
-        assert!(witness.is_empty());
-        assert!(projected_subset(&void, &NfaView::new(&eps), &BTreeSet::new()).is_ok());
+        let none = BTreeSet::new();
+        let accept_eps = Dfa::from_nfa(&eps);
+        assert_eq!(joint_search(&eps, &accept_eps, &none).witness, Some(vec![]));
+        assert_eq!(joint_search(&void, &accept_eps, &none).witness, None);
+        assert_eq!(violation(&void, &eps, &none).witness, None);
+        assert_eq!(violation(&eps, &void, &none).witness, Some(vec![]));
+    }
+
+    #[test]
+    fn counters_count_kept_pairs() {
+        let mut ab = Alphabet::new();
+        let a = ab.intern("a");
+        let b = ab.intern("b");
+        let ab = Arc::new(ab);
+        let nfa = Nfa::from_regex(&Regex::word(&[a, b]), ab.clone());
+        let monitor = Dfa::from_nfa(&Nfa::from_regex(&Regex::word(&[a, b]), ab));
+        let search = joint_search(&nfa, &monitor, &BTreeSet::new());
+        assert_eq!(search.witness, Some(vec![a, b]));
+        assert_eq!(search.stats.frontier, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the shared alphabet")]
+    fn markers_must_belong_to_the_alphabet() {
+        // A marker interned into a *different* alphabet is a caller bug:
+        // the search panics instead of silently never matching it.
+        let mut ab = Alphabet::new();
+        let a = ab.intern("a");
+        let ab = Arc::new(ab);
+        let nfa = Nfa::from_regex(&Regex::sym(a), ab);
+        let foreign = Symbol::from_index(99);
+        let _ = joint_search(&nfa, &Dfa::from_nfa(&nfa), &BTreeSet::from([foreign]));
     }
 
     #[test]
     #[should_panic(expected = "different alphabets")]
     fn rejects_mismatched_alphabets() {
-        let (n1, _) = {
-            let mut ab = Alphabet::new();
-            let r = parse_regex("a", &mut ab).unwrap();
-            let ab = Arc::new(ab);
-            (Nfa::from_regex(&r, ab.clone()), ab)
-        };
-        let mut other = Alphabet::new();
-        let r = parse_regex("a ; b", &mut other).unwrap();
-        let n2 = Nfa::from_regex(&r, Arc::new(other));
-        let _ = subset_of(&NfaView::new(&n1), &NfaView::new(&n2));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the shared alphabet")]
-    fn rejects_foreign_markers() {
-        let mut ab = Alphabet::new();
-        let r = parse_regex("a", &mut ab).unwrap();
-        let nfa = Nfa::from_regex(&r, Arc::new(ab));
-        let foreign = Symbol::from_index(99);
-        let _ = projected_subset(&nfa, &NfaView::new(&nfa), &BTreeSet::from([foreign]));
+        let mut ab1 = Alphabet::new();
+        let a = ab1.intern("a");
+        let nfa = Nfa::from_regex(&Regex::sym(a), Arc::new(ab1));
+        let mut ab2 = Alphabet::new();
+        let b = ab2.intern("b");
+        let monitor = Dfa::from_nfa(&Nfa::from_regex(&Regex::sym(b), Arc::new(ab2)));
+        let _ = joint_search(&nfa, &monitor, &BTreeSet::new());
     }
 
     #[test]
     fn stats_absorb_sums() {
         let mut total = InclusionStats::default();
-        absorb_stats(
-            &mut total,
-            InclusionStats {
-                frontier: 3,
-                pruned: 1,
-            },
-        );
-        absorb_stats(
-            &mut total,
-            InclusionStats {
-                frontier: 2,
-                pruned: 4,
-            },
-        );
+        total.absorb(InclusionStats {
+            frontier: 3,
+            pruned: 1,
+        });
+        total.absorb(InclusionStats {
+            frontier: 2,
+            pruned: 4,
+        });
         assert_eq!(
             total,
             InclusionStats {

@@ -5,6 +5,7 @@
 //! semantics (Theorem 2 direction), and vice versa.
 
 use crate::dfa::Dfa;
+use crate::nfa::{Label, Nfa};
 use crate::symbol::{Symbol, Word};
 use std::collections::VecDeque;
 
@@ -94,10 +95,92 @@ impl Dfa {
     }
 }
 
+impl Nfa {
+    /// The word of the least accepting path whose word satisfies `pred`,
+    /// among paths with at most `max_len` symbol edges — a brute-force
+    /// oracle for the witness searches, sharing no code with them.
+    ///
+    /// Paths are ordered by their number of symbol edges first. Equal
+    /// counts compare edge by edge from the start state: at each state its
+    /// symbol edges come first, in ascending edge index, then its ε-edges
+    /// in *descending* edge index, and a path precedes its extensions.
+    /// That is the order in which a 0-1 breadth-first search visits paths
+    /// when it appends symbol successors to the back of its deque and
+    /// pushes ε-successors to the front. A path that revisits a state
+    /// without consuming a symbol in between repeats a configuration and
+    /// is never considered.
+    ///
+    /// The enumeration is exhaustive (exponential in `max_len`): keep the
+    /// automaton and the bound small.
+    pub fn least_path_word(
+        &self,
+        max_len: usize,
+        mut pred: impl FnMut(&[Symbol]) -> bool,
+    ) -> Option<Word> {
+        let mut best: Option<Word> = None;
+        let mut word = Vec::new();
+        let mut run = vec![self.start()];
+        self.least_path_from(
+            self.start(),
+            max_len,
+            &mut word,
+            &mut run,
+            &mut pred,
+            &mut best,
+        );
+        best
+    }
+
+    fn least_path_from(
+        &self,
+        q: usize,
+        max_len: usize,
+        word: &mut Word,
+        run: &mut Vec<usize>,
+        pred: &mut impl FnMut(&[Symbol]) -> bool,
+        best: &mut Option<Word>,
+    ) {
+        // A path found earlier with as few symbols precedes this one.
+        if best.as_ref().is_some_and(|b| b.len() <= word.len()) {
+            return;
+        }
+        if self.is_accepting(q) && pred(word) {
+            *best = Some(word.clone());
+            return;
+        }
+        let edges = self.edges_from(q);
+        let symbols = edges.iter().filter_map(|&(label, dst)| match label {
+            Label::Sym(s) => Some((Some(s), dst)),
+            Label::Eps => None,
+        });
+        let epsilons = edges
+            .iter()
+            .rev()
+            .filter(|(label, _)| *label == Label::Eps)
+            .map(|&(_, dst)| (None, dst));
+        for (sym, dst) in symbols.chain(epsilons) {
+            match sym {
+                Some(s) if word.len() < max_len => {
+                    let saved = std::mem::replace(run, vec![dst]);
+                    word.push(s);
+                    self.least_path_from(dst, max_len, word, run, pred, best);
+                    word.pop();
+                    *run = saved;
+                }
+                None if !run.contains(&dst) => {
+                    run.push(dst);
+                    self.least_path_from(dst, max_len, word, run, pred, best);
+                    run.pop();
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nfa::Nfa;
     use crate::regex::Regex;
     use crate::symbol::Alphabet;
     use std::sync::Arc;

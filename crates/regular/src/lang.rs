@@ -90,6 +90,21 @@ pub trait Lang {
 
     /// Whether `state` accepts.
     fn is_accepting(&self, state: &Self::State) -> bool;
+
+    /// Whether every word accepted from `cand` is also accepted from
+    /// `kept`: a sound, possibly incomplete test of `L(cand) ⊆ L(kept)`.
+    ///
+    /// The inclusion search in [`crate::antichain`] discards a newly
+    /// discovered pair when a pair it already kept at the same model state
+    /// covers it. That is sound for any test with this contract: residual
+    /// languages are monotone under one step (`L(cand) ⊆ L(kept)` implies
+    /// `e⁻¹L(cand) ⊆ e⁻¹L(kept)` for every symbol `e`), so whatever
+    /// continuation reaches acceptance from the discarded pair reaches it
+    /// from the kept one. The default is `kept == cand`, plain
+    /// deduplication; views with an ordered state space override it.
+    fn covers(&self, kept: &Self::State, cand: &Self::State) -> bool {
+        kept == cand
+    }
 }
 
 /// A reference to a view is itself a view (lets combinators borrow).
@@ -114,6 +129,10 @@ impl<L: Lang + ?Sized> Lang for &L {
 
     fn is_accepting(&self, state: &Self::State) -> bool {
         (**self).is_accepting(state)
+    }
+
+    fn covers(&self, kept: &Self::State, cand: &Self::State) -> bool {
+        (**self).covers(kept, cand)
     }
 }
 
@@ -198,6 +217,11 @@ impl Lang for NfaView<'_> {
 
     fn is_accepting(&self, state: &Self::State) -> bool {
         self.compiled.is_accepting(state)
+    }
+
+    /// A subset accepts a subset of the words: `cand ⊆ kept`.
+    fn covers(&self, kept: &Self::State, cand: &Self::State) -> bool {
+        cand.is_subset_of(kept)
     }
 }
 
@@ -326,6 +350,11 @@ impl<L: Lang> Lang for Complement<L> {
     fn is_accepting(&self, state: &Self::State) -> bool {
         !self.inner.is_accepting(state)
     }
+
+    /// Complement reverses inclusion.
+    fn covers(&self, kept: &Self::State, cand: &Self::State) -> bool {
+        self.inner.covers(cand, kept)
+    }
 }
 
 /// A view that is blind to a set of marker symbols.
@@ -382,6 +411,10 @@ impl<L: Lang> Lang for EraseMarkers<L> {
 
     fn is_accepting(&self, state: &Self::State) -> bool {
         self.inner.is_accepting(state)
+    }
+
+    fn covers(&self, kept: &Self::State, cand: &Self::State) -> bool {
+        self.inner.covers(kept, cand)
     }
 }
 
@@ -464,11 +497,9 @@ pub fn is_empty<L: Lang>(lang: &L) -> bool {
 /// Checks `L(a) ⊆ L(b)` lazily; on failure returns a shortest word in the
 /// difference (byte-identical to [`Dfa::subset_of`]'s witness).
 ///
-/// This is the *classic* engine: it distinguishes every reachable product
-/// state, exponential when `b` is a blowing-up [`NfaView`]. The pruned
-/// engine in [`crate::antichain`] decides the same question while
-/// discarding ⊆-subsumed spec macrostates; this one stays as the
-/// differential oracle and the source of canonical shortlex witnesses.
+/// It distinguishes every reachable product state, exponential when `b` is
+/// a blowing-up [`NfaView`]; the verification checks run the pruned search
+/// of [`crate::antichain`] instead.
 ///
 /// # Panics
 ///

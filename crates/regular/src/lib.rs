@@ -27,16 +27,16 @@
 //!   [Hopcroft minimization](Dfa::minimize), shortlex
 //!   [word enumeration](Dfa::enumerate_words), all over one flat row-major
 //!   `u32` transition table plus an accepting [`StateSet`].
-//! * [`antichain`] — inclusion checking that prunes ⊆-subsumed spec
-//!   macrostates (De Wulf–Doyen–Henzinger–Raskin), the engine under the
-//!   verification hot path; the classic search in [`ops`] re-derives the
-//!   canonical shortlex witness on violation.
+//! * [`antichain`] — the one inclusion search under both verification
+//!   checks: a marker-aware 0-1 BFS over (NFA state, monitor state) pairs
+//!   that discards pairs a kept pair covers (De Wulf–Doyen–Henzinger–
+//!   Raskin antichains), returning the paper's annotated counterexamples
+//!   (`open_a, a.test, a.open`).
 //! * [`lang`] — lazy language views: a [`lang::Lang`] trait with on-the-fly
 //!   combinators (product, complement, marker erasure) and generic searches
 //!   that explore only reachable states, with
 //!   [`lang::materialize`] as the eager escape hatch for export.
-//! * [`ops`] — marker-aware product searches used to produce the paper's
-//!   annotated counterexamples (`open_a, a.test, a.open`).
+//! * [`ops`] — marker stripping and sub-alphabet projection of words.
 //! * DOT rendering for the behavior diagrams of Figures 1–3.
 //!
 //! # Example

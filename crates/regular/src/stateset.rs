@@ -181,24 +181,6 @@ impl StateSet {
             .sum()
     }
 
-    /// Index of the first candidate that is a subset of `self` — the fused
-    /// subsumption scan feeding antichain frontiers
-    /// ([`crate::antichain`]): each candidate is tested block-wise
-    /// (`cand & !self == 0`) with early exit on the first differing block,
-    /// so a scan over `k` candidates touches at most `k · ⌈n/64⌉` words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any scanned candidate's capacity differs from `self`'s.
-    pub fn position_of_subset<'a, I>(&self, candidates: I) -> Option<usize>
-    where
-        I: IntoIterator<Item = &'a StateSet>,
-    {
-        candidates
-            .into_iter()
-            .position(|cand| cand.is_subset_of(self))
-    }
-
     /// Whether the sets share at least one state.
     ///
     /// # Panics
@@ -422,27 +404,6 @@ mod tests {
         let a = StateSet::new(64);
         let b = StateSet::new(128);
         let _ = a.difference_count(&b);
-    }
-
-    #[test]
-    fn position_of_subset_scans_in_order() {
-        let mut a = StateSet::new(100);
-        a.insert(3);
-        a.insert(70);
-        let mut sub = StateSet::new(100);
-        sub.insert(70);
-        let mut other = StateSet::new(100);
-        other.insert(4);
-        // First subset wins; non-subsets are skipped.
-        assert_eq!(
-            a.position_of_subset([&other, &sub, &a].into_iter()),
-            Some(1)
-        );
-        assert_eq!(a.position_of_subset([&other].into_iter()), None);
-        assert_eq!(a.position_of_subset(std::iter::empty()), None);
-        // The empty set is a subset of everything.
-        let empty = StateSet::new(100);
-        assert_eq!(a.position_of_subset([&empty].into_iter()), Some(0));
     }
 
     #[test]

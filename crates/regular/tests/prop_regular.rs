@@ -380,50 +380,6 @@ proptest! {
             prop_assert_eq!(bitset.row(q), direct.row(q));
         }
     }
-
-    /// Marker-aware joint search (the generic 0-1 BFS of `ops`) returns
-    /// witnesses that derivative membership confirms: a joint word is in
-    /// the model's regex and its marker-free projection in the spec's; a
-    /// projected-inclusion counterexample is in the model's regex and its
-    /// projection outside the spec's. When a search finds nothing, no word
-    /// up to length 5 contradicts it.
-    #[test]
-    fn joint_search_agrees_across_engines(
-        r1 in arb_regex(),
-        r2 in arb_regex(),
-        marker in 0..NSYMS
-    ) {
-        use shelley_regular::lang::NfaView;
-        use shelley_regular::ops::{self, strip_markers};
-        use std::collections::BTreeSet;
-        let ab = alphabet();
-        let model = Nfa::from_regex(&r1, ab.clone());
-        let spec = Nfa::from_regex(&r2, ab);
-        let markers = BTreeSet::from([Symbol::from_index(marker)]);
-        let in_spec = |w: &[Symbol]| r2.matches(&strip_markers(w, &markers));
-        match ops::shortest_joint_word(&model, &NfaView::new(&spec), &markers) {
-            Some(w) => {
-                prop_assert!(r1.matches(&w), "joint word {:?} not in the model", w);
-                prop_assert!(in_spec(&w), "joint word {:?} not in the spec", w);
-            }
-            None => {
-                for w in words_up_to(5) {
-                    prop_assert!(!(r1.matches(&w) && in_spec(&w)), "missed joint word {:?}", w);
-                }
-            }
-        }
-        match ops::projected_subset(&model, &NfaView::new(&spec), &markers) {
-            Err(w) => {
-                prop_assert!(r1.matches(&w), "counterexample {:?} not in the model", w);
-                prop_assert!(!in_spec(&w), "counterexample {:?} inside the spec", w);
-            }
-            Ok(()) => {
-                for w in words_up_to(5) {
-                    prop_assert!(!r1.matches(&w) || in_spec(&w), "missed counterexample {:?}", w);
-                }
-            }
-        }
-    }
 }
 
 proptest! {
@@ -522,64 +478,5 @@ proptest! {
         let back = dfa.to_regex();
         let d2 = Dfa::from_nfa(&Nfa::from_regex(&back, ab));
         prop_assert!(dfa.equivalent(&d2).is_ok());
-    }
-}
-
-proptest! {
-    /// The antichain inclusion engine and the classic product search give
-    /// the same verdict on every generated pair of languages, and when
-    /// both find a violation the antichain's witness is exactly as short
-    /// as the classic shortlex-minimal one and replays as a genuine
-    /// counterexample (accepted by the model, rejected by the spec).
-    #[test]
-    fn antichain_subset_matches_classic(r1 in arb_regex(), r2 in arb_regex()) {
-        use shelley_regular::lang::{self, NfaView};
-        use shelley_regular::antichain;
-        let ab = alphabet();
-        let n1 = Nfa::from_regex(&r1, ab.clone());
-        let n2 = Nfa::from_regex(&r2, ab);
-        let classic = lang::subset_of(&NfaView::new(&n1), &NfaView::new(&n2));
-        let pruned = antichain::subset_of(&NfaView::new(&n1), &NfaView::new(&n2));
-        match (classic, pruned) {
-            (Ok(()), Ok(())) => {}
-            (Err(c), Err(p)) => {
-                prop_assert_eq!(c.len(), p.len(), "witness lengths diverge");
-                prop_assert!(n1.accepts(&p), "witness not in the model");
-                prop_assert!(!n2.accepts(&p), "witness not outside the spec");
-            }
-            (c, p) => prop_assert!(false, "verdicts diverge: {:?} vs {:?}", c, p),
-        }
-    }
-
-    /// Marker-aware inclusion: the antichain joint search agrees with the
-    /// classic 0-1 BFS of `ops` on verdict and witness length, and its
-    /// witnesses replay — the model accepts the word, the spec rejects its
-    /// marker-erased projection.
-    #[test]
-    fn antichain_projected_matches_classic(
-        r1 in arb_regex(),
-        r2 in arb_regex(),
-        marker in 0..NSYMS
-    ) {
-        use shelley_regular::lang::NfaView;
-        use shelley_regular::{antichain, ops};
-        use std::collections::BTreeSet;
-        let ab = alphabet();
-        let model = Nfa::from_regex(&r1, ab.clone());
-        let spec = Nfa::from_regex(&r2, ab);
-        let markers = BTreeSet::from([Symbol::from_index(marker)]);
-        let classic = ops::projected_subset(&model, &NfaView::new(&spec), &markers);
-        let pruned = antichain::projected_subset(&model, &NfaView::new(&spec), &markers);
-        match (classic, pruned) {
-            (Ok(()), Ok(())) => {}
-            (Err(c), Err(p)) => {
-                prop_assert_eq!(c.len(), p.len(), "witness lengths diverge");
-                prop_assert!(model.accepts(&p), "witness not in the model");
-                let stripped: Vec<Symbol> =
-                    p.iter().copied().filter(|s| !markers.contains(s)).collect();
-                prop_assert!(!spec.accepts(&stripped), "projection not outside the spec");
-            }
-            (c, p) => prop_assert!(false, "verdicts diverge: {:?} vs {:?}", c, p),
-        }
     }
 }

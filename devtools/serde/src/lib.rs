@@ -160,6 +160,16 @@ pub fn __field<T: Deserialize>(map: &[(String, Value)], key: &str, ty: &str) -> 
     }
 }
 
+/// Errors naming `ty` if `map` has a key outside `fields`
+/// (`#[serde(deny_unknown_fields)]`).
+#[doc(hidden)]
+pub fn __deny_unknown(map: &[(String, Value)], fields: &[&str], ty: &str) -> Result<(), Error> {
+    match map.iter().find(|(k, _)| !fields.contains(&k.as_str())) {
+        Some((key, _)) => Err(Error::new(format!("unknown field `{key}` of `{ty}`"))),
+        None => Ok(()),
+    }
+}
+
 /// Deserializes optional field `key` (missing or `null` becomes `None`).
 #[doc(hidden)]
 pub fn __opt_field<T: Deserialize>(

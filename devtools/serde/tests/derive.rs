@@ -29,6 +29,20 @@ enum Command {
     SetLevel { level: Option<u32> },
 }
 
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case", deny_unknown_fields)]
+enum Strict {
+    Set { on: bool },
+    Reset,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct StrictPair {
+    left: u64,
+    right: Option<u64>,
+}
+
 fn sample() -> Outer {
     Outer {
         name: "dev".into(),
@@ -120,4 +134,35 @@ fn value_accessors() {
     assert_eq!(v.get("a"), Some(&Value::UInt(1)));
     assert_eq!(v.get("b").unwrap().as_str(), Some("s"));
     assert_eq!(v.get("missing"), None);
+}
+
+#[test]
+fn deny_unknown_fields_rejects_extra_keys() {
+    let set: Strict = json::from_str(r#"{"set":{"on":true}}"#).unwrap();
+    assert_eq!(set, Strict::Set { on: true });
+    let reset: Strict = json::from_str(r#""reset""#).unwrap();
+    assert_eq!(reset, Strict::Reset);
+    let e = json::from_str::<Strict>(r#"{"set":{"on":true,"mode":"x"}}"#).unwrap_err();
+    assert!(
+        e.to_string()
+            .contains("unknown field `mode` of `Strict::Set`"),
+        "{e}"
+    );
+    let pair: StrictPair = json::from_str(r#"{"left":1}"#).unwrap();
+    assert_eq!(
+        pair,
+        StrictPair {
+            left: 1,
+            right: None
+        }
+    );
+    let e = json::from_str::<StrictPair>(r#"{"left":1,"extra":2}"#).unwrap_err();
+    assert!(
+        e.to_string()
+            .contains("unknown field `extra` of `StrictPair`"),
+        "{e}"
+    );
+    // Without the attribute, extra keys are ignored.
+    let inner: Inner = json::from_str(r#"{"label":"x","count":1,"extra":2}"#).unwrap();
+    assert_eq!(inner.count, 1);
 }

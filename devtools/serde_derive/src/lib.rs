@@ -10,7 +10,9 @@
 //!   wire-type convention the protocol goldens pin);
 //! * enums with unit and named-field variants, encoded externally tagged
 //!   exactly like real serde (`"variant"` / `{"variant": {fields}}`);
-//! * the container attribute `#[serde(rename_all = "snake_case")]`.
+//! * the container attributes `#[serde(rename_all = "snake_case")]` and
+//!   `#[serde(deny_unknown_fields)]` (on an enum: the fields of every
+//!   named-field variant).
 //!
 //! Generics, tuple variants, and field-level attributes are not supported
 //! and produce a compile error naming the limitation.
@@ -72,27 +74,31 @@ enum Shape {
 struct Item {
     name: String,
     snake_variants: bool,
+    deny_unknown: bool,
     shape: Shape,
 }
 
-/// Skips one `#[...]` attribute, reporting whether it was
-/// `#[serde(rename_all = "snake_case")]`.
-fn eat_attribute(iter: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> bool {
+/// Skips one `#[...]` attribute, returning its text without spaces.
+fn eat_attribute(iter: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> String {
     iter.next(); // '#'
     let Some(TokenTree::Group(g)) = iter.next() else {
-        return false;
+        return String::new();
     };
-    let text = g.stream().to_string().replace(' ', "");
-    text.starts_with("serde(") && text.contains("rename_all=\"snake_case\"")
+    g.stream().to_string().replace(' ', "")
 }
 
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let mut iter = input.into_iter().peekable();
     let mut snake_variants = false;
+    let mut deny_unknown = false;
     loop {
         match iter.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                snake_variants |= eat_attribute(&mut iter);
+                let text = eat_attribute(&mut iter);
+                if text.starts_with("serde(") {
+                    snake_variants |= text.contains("rename_all=\"snake_case\"");
+                    deny_unknown |= text.contains("deny_unknown_fields");
+                }
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                 iter.next();
@@ -135,6 +141,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     Ok(Item {
         name,
         snake_variants,
+        deny_unknown,
         shape,
     })
 }
@@ -277,6 +284,19 @@ fn ser_fields(fields: &[Field], prefix: &str) -> String {
     out
 }
 
+/// With `deny_unknown`, a statement rejecting `__map` keys that name none
+/// of `fields`; otherwise nothing.
+fn deny_unknown_fields(fields: &[Field], ty: &str, deny_unknown: bool) -> String {
+    if !deny_unknown {
+        return String::new();
+    }
+    let names: Vec<String> = fields.iter().map(|f| format!("{:?}", f.name)).collect();
+    format!(
+        "::serde::__deny_unknown(__map, &[{}], \"{ty}\")?;\n",
+        names.join(", ")
+    )
+}
+
 /// `name: ...?` initializers deserializing each field from `__map`.
 fn de_fields(fields: &[Field], ty: &str) -> String {
     let mut out = String::new();
@@ -336,8 +356,9 @@ fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
         Shape::Struct(fields) => format!(
-            "let __map = ::serde::__as_map(__value, \"{name}\")?;\n\
+            "let __map = ::serde::__as_map(__value, \"{name}\")?;\n{}\
              ::core::result::Result::Ok({name} {{\n{}}})",
+            deny_unknown_fields(fields, name, item.deny_unknown),
             de_fields(fields, name)
         ),
         Shape::Enum(variants) => {
@@ -353,12 +374,16 @@ fn gen_deserialize(item: &Item) -> String {
                     None => unit_arms.push_str(&format!(
                         "\"{wire}\" => ::core::result::Result::Ok({name}::{vname}),\n"
                     )),
-                    Some(fields) => tagged_arms.push_str(&format!(
-                        "\"{wire}\" => {{\n\
-                         let __map = ::serde::__as_map(__inner, \"{name}::{vname}\")?;\n\
-                         ::core::result::Result::Ok({name}::{vname} {{\n{}}})\n}}\n",
-                        de_fields(fields, &format!("{name}::{vname}"))
-                    )),
+                    Some(fields) => {
+                        let ty = format!("{name}::{vname}");
+                        tagged_arms.push_str(&format!(
+                            "\"{wire}\" => {{\n\
+                             let __map = ::serde::__as_map(__inner, \"{ty}\")?;\n{}\
+                             ::core::result::Result::Ok({ty} {{\n{}}})\n}}\n",
+                            deny_unknown_fields(fields, &ty, item.deny_unknown),
+                            de_fields(fields, &ty)
+                        ))
+                    }
                 }
             }
             format!(
