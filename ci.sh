@@ -22,8 +22,16 @@ echo "==> one typestate analysis per class (work-count gate, shared-report diffe
 # counter), and lint_class -- the one-analysis path that feeds both the
 # E009/W012/W013 lint and the inclusion fast path -- must match run_lints
 # followed by proven_fields on every examples_py class and on random
-# composites: same diagnostics, same order, same proven set.
+# composites: same diagnostics, same order, same proven set. The same
+# round builds exactly one CFG per method and at most one dataflow solve
+# per (method, field); serve_project(1000) builds its 50 dependency DFAs
+# once each, not once per app (950). Every relational typestate solve is
+# held against a per-entry-state solve on those classes and on a
+# dependency with more than 64 DFA states, and the differential suite
+# against full verification also runs on such dependencies.
 cargo test -p shelley-core --lib -q one_analysis
+cargo test -p shelley-core --lib -q relational_rows_span_words_beyond_64_states
+cargo test -p shelley-core --test prop_typestate -q
 
 echo "==> parse phase on the worker pool (job-count determinism)"
 # A multi-file project parses its changed files on par_map: a recovering

@@ -7,13 +7,13 @@
 //! boundary fact, and a per-node transfer function, and [`solve`] runs the
 //! classic worklist iteration to the least fixpoint, forward or backward.
 //! Clients can veto individual edges (the typestate analysis drops the
-//! `match` fall-through edges that §3.2's lowering does not have) and hook
-//! [`Analysis::widen`] when their lattice has unbounded ascending chains —
-//! the automaton-valued lattices used here are finite, so the default
-//! no-op widening already terminates.
+//! `match` fall-through edges that §3.2's lowering does not have). Every
+//! lattice here has finite height, so the iteration terminates without
+//! widening.
 //!
-//! The flagship client is [`typestate`]: per-program-point sets of
-//! dependency-automaton states, the static characterization of admissible
+//! The flagship client is [`typestate`]: per-program-point relations
+//! between the dependency-automaton state a method was entered in and the
+//! states it may be in now, the static characterization of admissible
 //! traces that powers the protocol-violation lints and the verification
 //! fast path.
 
@@ -35,9 +35,8 @@ pub enum Direction {
 ///
 /// Correctness contract: [`join`](Self::join) computes a least upper bound
 /// and [`transfer`](Self::transfer) is monotone in the fact argument;
-/// together with a finite-height lattice (or a stabilizing
-/// [`widen`](Self::widen)) this makes [`solve`] terminate at the least
-/// fixpoint.
+/// together with a finite-height lattice this makes [`solve`] terminate at
+/// the least fixpoint.
 pub trait Analysis {
     /// The lattice element attached to each program point.
     type Fact: Clone;
@@ -66,13 +65,6 @@ pub trait Analysis {
     fn keep_edge(&self, _cfg: &Cfg, _from: NodeId, _index: usize, _to: NodeId) -> bool {
         true
     }
-
-    /// Widening hook, applied whenever a join grows the fact at `node`.
-    /// The default keeps the joined fact unchanged, which terminates for
-    /// every finite-height lattice.
-    fn widen(&self, _node: NodeId, _old: &Self::Fact, new: Self::Fact) -> Self::Fact {
-        new
-    }
 }
 
 /// The per-node fixpoint of an [`Analysis`], in *flow* order: `input[n]`
@@ -87,11 +79,29 @@ pub struct Solution<F> {
     pub input: Vec<F>,
     /// Fact after each node's transfer.
     pub output: Vec<F>,
+    /// Whether the flow reaches each node from the boundary node along
+    /// kept edges: exactly the nodes whose transfer ran.
+    pub reached: Vec<bool>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`solve`] on this thread: the counter behind the
+    /// one-solve-per-(method, field) work gate.
+    static SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times [`solve`] has run on the calling thread so far.
+#[cfg(test)]
+pub(crate) fn solves_run() -> usize {
+    SOLVES.with(std::cell::Cell::get)
 }
 
 /// Runs `analysis` over `cfg` to its least fixpoint with a deterministic
 /// FIFO worklist.
 pub fn solve<A: Analysis>(analysis: &A, cfg: &Cfg) -> Solution<A::Fact> {
+    #[cfg(test)]
+    SOLVES.with(|n| n.set(n.get() + 1));
     let n = cfg.num_nodes();
     // Flow adjacency honoring direction and the edge filter.
     let mut flow: Vec<Vec<NodeId>> = vec![Vec::new(); n];
@@ -137,18 +147,17 @@ pub fn solve<A: Analysis>(analysis: &A, cfg: &Cfg) -> Solution<A::Fact> {
         queued[node] = false;
         output[node] = analysis.transfer(cfg, node, &input[node]);
         for &to in &flow[node] {
-            let old = input[to].clone();
-            if analysis.join(&mut input[to], &output[node]) {
-                let grown = input[to].clone();
-                input[to] = analysis.widen(to, &old, grown);
-                if !queued[to] {
-                    queued[to] = true;
-                    queue.push_back(to);
-                }
+            if analysis.join(&mut input[to], &output[node]) && !queued[to] {
+                queued[to] = true;
+                queue.push_back(to);
             }
         }
     }
-    Solution { input, output }
+    Solution {
+        input,
+        output,
+        reached,
+    }
 }
 
 #[cfg(test)]

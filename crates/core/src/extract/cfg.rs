@@ -18,7 +18,7 @@
 //! `self.f = ...`), so definite-assignment dataflow runs directly on the
 //! graph.
 
-use micropython_parser::ast::{Expr, ExprKind, Stmt};
+use micropython_parser::ast::{ClassDef, Expr, ExprKind, Stmt};
 use micropython_parser::Span;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -106,10 +106,26 @@ pub struct Cfg {
     phantom_from: BTreeMap<NodeId, usize>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Graphs [`Cfg::of_body`] built on this thread: the counter behind
+    /// the one-graph-per-method work gate.
+    static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many graphs [`Cfg::of_body`] has built on the calling thread so
+/// far.
+#[cfg(test)]
+pub(crate) fn cfgs_built() -> usize {
+    BUILT.with(std::cell::Cell::get)
+}
+
 impl Cfg {
     /// Builds the graph of `body`, tracking reads/writes of `fields`.
     /// Pass an empty set when only reachability matters.
     pub fn of_body(body: &[Stmt], fields: &BTreeSet<String>) -> Cfg {
+        #[cfg(test)]
+        BUILT.with(|n| n.set(n.get() + 1));
         let mut b = Builder {
             nodes: vec![
                 CfgNode {
@@ -147,6 +163,16 @@ impl Cfg {
             dead: b.dead,
             phantom_from: b.phantom_from,
         }
+    }
+
+    /// One graph per method of `class`, in [`ClassDef::methods`] order
+    /// (a redefined name keeps every definition), tracking `fields`.
+    /// The dead statements of a graph do not depend on `fields`.
+    pub(crate) fn of_methods(class: &ClassDef, fields: &BTreeSet<String>) -> Vec<Cfg> {
+        class
+            .methods()
+            .map(|func| Cfg::of_body(&func.body, fields))
+            .collect()
     }
 
     /// The entry node.

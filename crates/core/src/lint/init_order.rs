@@ -18,8 +18,6 @@ use super::{LintContext, LintPass};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::extract::cfg::{assignment_flow, Cfg, NodeKind};
 use crate::system::System;
-use micropython_parser::ast::ClassDef;
-use std::collections::BTreeSet;
 
 /// See the module docs.
 pub struct InitOrder;
@@ -35,27 +33,32 @@ impl LintPass for InitOrder {
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
         for (class, system) in ctx.classes() {
-            check_class(class, system, out);
+            let fields = system.subsystem_fields();
+            let init = class
+                .method("__init__")
+                .map(|init| Cfg::of_body(&init.body, &fields));
+            check_class(system, init.as_ref(), out);
         }
     }
 }
 
-/// The pass on one class.
-pub(super) fn check_class(class: &ClassDef, system: &System, out: &mut Diagnostics) {
+/// The pass on one class, given the graph of its `__init__` tracking the
+/// subsystem fields. A redefined `__init__` is checked by its last
+/// definition, the one Python binds and extraction reads
+/// ([`ClassDef::method`](micropython_parser::ast::ClassDef::method)).
+pub(super) fn check_class(system: &System, init: Option<&Cfg>, out: &mut Diagnostics) {
     let Some(info) = system.composite() else {
         return;
     };
-    let fields: BTreeSet<String> = info.subsystems.iter().map(|s| s.field.clone()).collect();
+    let fields = system.subsystem_fields();
     if fields.is_empty() {
         return;
     }
-    let Some(init) = class.method("__init__") else {
+    let Some(cfg) = init else {
         // No __init__ at all: resolution already reported E005.
         return;
     };
-
-    let cfg = Cfg::of_body(&init.body, &fields);
-    let flow = assignment_flow(&cfg, &fields);
+    let flow = assignment_flow(cfg, &fields);
 
     // Reads inside __init__, against the facts at each statement.
     for (id, node) in cfg.nodes() {
@@ -100,7 +103,7 @@ pub(super) fn check_class(class: &ClassDef, system: &System, out: &mut Diagnosti
 
     // Fields not definitely assigned when __init__ finishes, used
     // by operations.
-    let (must_exit, may_exit) = flow.at_exit(&cfg);
+    let (must_exit, may_exit) = flow.at_exit(cfg);
     for field in &fields {
         if must_exit.contains(field) || !may_exit.contains(field) {
             // Definitely assigned, or never assigned (E005).
@@ -193,6 +196,42 @@ mod tests {
                     .count(),
             0
         );
+    }
+
+    /// Python binds the last of two `__init__` definitions, so extraction
+    /// (E005) and this pass (E008/W010) must both read that one: a class
+    /// redefining `__init__` reports what the class with only its last
+    /// definition reports.
+    #[test]
+    fn redefined_init_is_checked_by_its_last_definition() {
+        let class = |inits: &[&str]| {
+            let inits: String = inits
+                .iter()
+                .map(|body| format!("    def __init__(self):\n        {body}\n\n"))
+                .collect();
+            format!(
+                "{VALVE}\n@sys([\"a\"])\nclass S:\n{inits}    @op_initial_final\n    def go(self):\n        \
+                 self.a.test()\n        return []\n"
+            )
+        };
+        let report = |src: String| {
+            let checked = Checker::new().check_source(&src).unwrap();
+            let codes: Vec<(&str, String)> = checked
+                .report
+                .diagnostics
+                .iter()
+                .map(|d| (d.code, d.message.clone()))
+                .collect();
+            (checked.report.passed(), format!("{codes:?}"))
+        };
+        let (assign, use_first) = ("self.a = Valve()", "self.a.test()");
+        let last_uses = report(class(&[assign, use_first]));
+        assert_eq!(last_uses, report(class(&[use_first])));
+        assert!(!last_uses.0, "{}", last_uses.1);
+        assert!(last_uses.1.contains("E005"), "{}", last_uses.1);
+        let last_assigns = report(class(&[use_first, assign]));
+        assert_eq!(last_assigns, report(class(&[assign])));
+        assert!(last_assigns.0, "{}", last_assigns.1);
     }
 
     #[test]

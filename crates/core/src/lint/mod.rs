@@ -13,16 +13,19 @@
 //! codes explicitly set to `Warn` (which act like rustc's `--force-warn`).
 //!
 //! The passes themselves ([`default_passes`]) run between system building
-//! and verification. They are flow-sensitive: each builds or reuses the
-//! control-flow graph of [`crate::extract::cfg`] over method bodies,
-//! which the regular-language lowering of §3.2 deliberately erases.
+//! and verification. They are flow-sensitive: they read the control-flow
+//! graph of [`crate::extract::cfg`] over method bodies, which the
+//! regular-language lowering of §3.2 deliberately erases.
 //!
 //! Each pass is a per-class function behind its [`LintPass`] impl.
 //! Verification does not run the passes through [`run_lints`] but through
 //! the crate-internal `lint_class`: it applies the same passes to one
 //! class in the same order and returns the typestate analysis's proven
 //! fields, so the E009/W012/W013 lint and the inclusion fast path share a
-//! single [`analyze_class`] run.
+//! single [`analyze_class`](crate::analyze_class) run. It also builds one
+//! graph per method, tracking the composite's subsystem fields, and hands
+//! that table to W009, E008/W010 and the typestate analysis; a pass run
+//! on its own builds the graphs it needs.
 
 mod init_order;
 mod self_calls;
@@ -34,12 +37,15 @@ pub use self_calls::SelfCalls;
 pub use typestate::Typestate;
 pub use unreachable::UnreachableCode;
 
-use crate::dataflow::typestate::analyze_class;
+use crate::dataflow::typestate::analyze;
 use crate::diagnostics::{code_info, Diagnostics, Severity, REGISTRY};
+use crate::extract::cfg::Cfg;
 use crate::system::{System, SystemSet};
 use micropython_parser::ast::{ClassDef, Module};
+use shelley_regular::Dfa;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// How diagnostics with a given code are treated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,20 +206,25 @@ pub fn run_lints(module: &Module, systems: &SystemSet, out: &mut Diagnostics) {
 ///
 /// The findings equal those [`run_lints`] emits for this system over a
 /// module holding only its class, and the proven set equals
-/// [`crate::pipeline::proven_fields`], but [`analyze_class`] runs once
-/// for both.
+/// [`crate::pipeline::proven_fields`], but [`crate::analyze_class`] runs
+/// once for both, each method's graph is built once for every pass, and
+/// the typestate analysis takes each dependency's DFA from `dfa_of` (see
+/// `dataflow::typestate::dependency_dfa`).
 pub(crate) fn lint_class(
     ctx: &LintContext<'_>,
     system: &System,
+    dfa_of: &dyn Fn(&System) -> Arc<Dfa>,
     out: &mut Diagnostics,
 ) -> BTreeSet<String> {
     let Some(class) = ctx.module.class(&system.name) else {
         return BTreeSet::new();
     };
-    unreachable::check_class(class, system, out);
-    init_order::check_class(class, system, out);
+    let cfgs = Cfg::of_methods(class, &system.subsystem_fields());
+    unreachable::check_class(class, system, &cfgs, out);
+    let init = class.method_index("__init__").map(|i| &cfgs[i]);
+    init_order::check_class(system, init, out);
     self_calls::check_class(class, system, out);
-    let Some(report) = analyze_class(class, system, ctx.systems) else {
+    let Some(report) = analyze(class, system, ctx.systems, &cfgs, dfa_of) else {
         return BTreeSet::new();
     };
     typestate::render(&report, class, system, ctx.systems, out);
@@ -336,13 +347,17 @@ mod tests {
     /// the same diagnostics in the same order and the same proven set.
     /// The class is also linted inside the whole module (the shape
     /// `check_module_direct` uses), which must not change the result.
-    /// Returns the number of composite classes compared.
-    fn assert_one_analysis_matches_two(module: &Module) -> usize {
+    /// Each class's relational typestate solves are also held against
+    /// the per-entry-state definition (`per_state::assert_matches`).
+    /// Returns the number of composite classes compared and the number of
+    /// per-state solves they were held against.
+    fn assert_one_analysis_matches_two(module: &Module) -> (usize, usize) {
+        use crate::dataflow::typestate::{dependency_dfa, per_state};
         use crate::pipeline::proven_fields;
         use micropython_parser::ast::Stmt;
 
         let (systems, _) = crate::system::build_systems(module);
-        let mut composites = 0;
+        let (mut composites, mut solves) = (0, 0);
         for system in systems.iter() {
             let Some(class) = module.class(&system.name) else {
                 continue;
@@ -361,12 +376,14 @@ mod tests {
                     systems: &systems,
                 };
                 let mut shared = Diagnostics::new();
-                let proven = lint_class(&ctx, system, &mut shared);
+                let dfa_of = |dep: &System| Arc::new(dependency_dfa(&dep.spec));
+                let proven = lint_class(&ctx, system, &dfa_of, &mut shared);
                 assert_eq!(shared, separate, "diagnostics of `{}`", system.name);
                 assert_eq!(proven, separate_proven, "proven set of `{}`", system.name);
             }
+            solves += per_state::assert_matches(class, system, &systems);
         }
-        composites
+        (composites, solves)
     }
 
     #[test]
@@ -379,18 +396,22 @@ mod tests {
             .collect();
         files.sort();
         assert!(!files.is_empty(), "no examples under {dir}");
-        let mut composites = 0;
+        let (mut composites, mut solves) = (0, 0);
+        let mut compare = |module: &Module| {
+            let (c, s) = assert_one_analysis_matches_two(module);
+            composites += c;
+            solves += s;
+        };
         for path in &files {
             let source = std::fs::read_to_string(path).unwrap();
             let module = micropython_parser::parse_module(&source)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
-            composites += assert_one_analysis_matches_two(&module);
+            compare(&module);
         }
-        let paper = micropython_parser::parse_module(crate::pipeline::tests::PAPER_SOURCE).unwrap();
-        composites += assert_one_analysis_matches_two(&paper);
+        compare(&micropython_parser::parse_module(crate::pipeline::tests::PAPER_SOURCE).unwrap());
         assert!(
-            composites >= 3,
-            "only {composites} composite classes compared"
+            composites >= 3 && solves > 0,
+            "only {composites} composite classes and {solves} per-state solves compared"
         );
     }
 
@@ -488,7 +509,7 @@ mod tests {
             ) {
                 let src = render(&exits, &items, &helper);
                 let module = micropython_parser::parse_module(&src).expect("generated source parses");
-                prop_assert_eq!(assert_one_analysis_matches_two(&module), 1);
+                prop_assert_eq!(assert_one_analysis_matches_two(&module).0, 1);
             }
         }
     }

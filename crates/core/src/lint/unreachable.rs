@@ -26,16 +26,17 @@ impl LintPass for UnreachableCode {
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
         for (class, system) in ctx.classes() {
-            check_class(class, system, out);
+            let cfgs = Cfg::of_methods(class, &BTreeSet::new());
+            check_class(class, system, &cfgs, out);
         }
     }
 }
 
-/// The pass on one class.
-pub(super) fn check_class(class: &ClassDef, system: &System, out: &mut Diagnostics) {
-    let no_fields = BTreeSet::new();
-    for func in class.methods() {
-        let cfg = Cfg::of_body(&func.body, &no_fields);
+/// The pass on one class, given one graph per method in
+/// [`ClassDef::methods`] order (over any field set: dead statements do
+/// not depend on it).
+pub(super) fn check_class(class: &ClassDef, system: &System, cfgs: &[Cfg], out: &mut Diagnostics) {
+    for (func, cfg) in class.methods().zip(cfgs) {
         for &span in cfg.dead_code() {
             out.push(
                 Diagnostic::warning(

@@ -58,7 +58,9 @@
 //! example, keys each class by its own source bytes where format 2 keyed
 //! it by its printed AST, which missed comment and whitespace edits that
 //! move spans; format 4 adds the per-record checksum, format 5 the file
-//! records, and format 6 the file name on each `W014` a file record holds.
+//! records, format 6 the file name on each `W014` a file record holds, and
+//! format 7 reads a redefined `__init__` by its last definition in
+//! extraction and E008/W010, where format 6 read the first.
 //!
 //! A verify record's payload is field-named JSON. A file record's is
 //! positional (see `file_record`): arrays instead of objects, spans as
@@ -103,7 +105,7 @@ pub const CACHE_MAGIC: &str = "shelleyc-cache";
 ///
 /// A loaded file with a different version is ignored wholesale — the
 /// cache is a pure accelerator, so "ignore and rebuild" is always safe.
-pub const CACHE_FORMAT: u32 = 6;
+pub const CACHE_FORMAT: u32 = 7;
 
 /// The analysis version a cache file is stamped with: FNV-1a over the
 /// crate version and every `(code, default severity)` pair of the
@@ -583,6 +585,55 @@ mod tests {
         assert_eq!(ws.last_round().verify_disk_hits, 0);
         assert_eq!(ws.last_round().verified, 4);
         assert_eq!(checked.report.render(None), cold.report.render(None));
+    }
+
+    /// A class redefining `__init__`: the second definition, the one
+    /// Python binds, uses `self.a` without assigning it.
+    const REDEFINED_INIT: &str = "@sys\nclass V:\n    @op_initial_final\n    def go(self):\n        \
+        return []\n\n@sys([\"a\"])\nclass S:\n    def __init__(self):\n        self.a = V()\n\n    \
+        def __init__(self):\n        self.a.go()\n\n    @op_initial_final\n    def run(self):\n        \
+        self.a.go()\n        return []\n";
+
+    /// Format 6 read a redefined `__init__` by its first definition, so a
+    /// format-6 file may hold the extraction and E008/W010 results of the
+    /// wrong `__init__` under the right keys: a warm restart on it must
+    /// restore nothing and report what a cold check reports.
+    #[test]
+    fn a_format_6_file_is_not_replayed_for_a_redefined_init() {
+        use crate::lint::LintConfig;
+        use crate::workspace::Workspace;
+
+        let path = temp_path("format6");
+        let fresh = || {
+            let mut ws = Workspace::with_config(LintConfig::default(), 1);
+            ws.set_file("a.py", REDEFINED_INIT);
+            ws
+        };
+        let mut ws = fresh();
+        let cold = ws.check().unwrap().report.render(None);
+        assert!(cold.contains("E005"), "{cold}");
+        assert_eq!(ws.save_disk_cache(&path).unwrap(), 2);
+
+        // The same records under this build's header are replayed ...
+        let mut warm = fresh();
+        assert!(warm.load_disk_cache(&path).rejected.is_none());
+        assert_eq!(warm.check().unwrap().report.render(None), cold);
+        assert_eq!(warm.last_round().verify_disk_hits, 2);
+        assert_eq!(warm.last_round().files_parsed, 0);
+
+        // ... and under the format-6 header they are not.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let current = format!("\"format\":{CACHE_FORMAT}");
+        assert!(text.contains(&current), "{text}");
+        std::fs::write(&path, text.replacen(&current, "\"format\":6", 1)).unwrap();
+        let mut warm = fresh();
+        let outcome = warm.load_disk_cache(&path);
+        assert!(outcome.entries.is_empty() && outcome.files.is_empty());
+        let reason = outcome.rejected.expect("a format-6 file is rejected");
+        assert!(reason.contains("cache format 6"), "{reason}");
+        assert_eq!(warm.check().unwrap().report.render(None), cold);
+        assert_eq!(warm.last_round().verify_disk_hits, 0);
+        assert_eq!(warm.last_round().files_parsed, 1);
     }
 
     #[test]

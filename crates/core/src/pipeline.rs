@@ -4,7 +4,7 @@
 //! subsystem usage → temporal claims`, producing a [`CheckReport`] with all
 //! structural diagnostics and the paper's two specification errors.
 
-use crate::dataflow::typestate::analyze_class;
+use crate::dataflow::typestate::{analyze_class, dependency_dfa};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::integration::{build_integration, Integration};
 use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
@@ -106,7 +106,12 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
     let mut integrations = Vec::new();
 
     for system in systems.iter() {
-        let proven = lint_class(&ctx, system, &mut diagnostics);
+        let proven = lint_class(
+            &ctx,
+            system,
+            &|dep: &System| Arc::new(dependency_dfa(&dep.spec)),
+            &mut diagnostics,
+        );
         let verdict = verify_system(system, &systems, &proven);
         diagnostics.extend(verdict.diagnostics);
         for v in verdict.usage_violations {
@@ -411,15 +416,18 @@ class GoodSector:
     }
 
     /// Work-count gate: the lint and the fast path share one typestate
-    /// analysis per composite class.
+    /// analysis per composite class, and every pass shares one graph per
+    /// method (`Valve`'s 4, each user's 2).
     #[test]
     fn one_analysis_per_composite_class_in_check_module_direct() {
         use crate::dataflow::typestate::analyses_run;
+        use crate::extract::cfg::cfgs_built;
 
         let module =
             micropython_parser::parse_module(&crate::workspace::tests::composites_project(5))
                 .unwrap();
         let before = analyses_run();
+        let cfgs_before = cfgs_built();
         let checked = super::check_module_direct(&module, &crate::lint::LintConfig::default());
         let composites = checked.systems.iter().filter(|s| s.is_composite()).count();
         assert_eq!(composites, 5);
@@ -430,6 +438,7 @@ class GoodSector:
             .next()
             .is_some());
         assert_eq!(analyses_run() - before, composites);
+        assert_eq!(cfgs_built() - cfgs_before, 4 + 2 * composites);
     }
 
     #[test]

@@ -77,6 +77,14 @@ impl System {
             SystemKind::Base => None,
         }
     }
+
+    /// The resolved subsystem fields (none for a base system): the fields
+    /// the flow-sensitive lints and the typestate analysis track.
+    pub(crate) fn subsystem_fields(&self) -> BTreeSet<String> {
+        self.composite()
+            .map(|info| info.subsystems.iter().map(|s| s.field.clone()).collect())
+            .unwrap_or_default()
+    }
 }
 
 /// All systems of a module, in declaration order.
@@ -286,6 +294,15 @@ pub fn resolve_class(
     spec_index: &BTreeMap<String, ClassSpec>,
     diagnostics: &mut Diagnostics,
 ) -> System {
+    resolve_class_with(extraction, |name| spec_index.get(name), diagnostics)
+}
+
+/// [`resolve_class`] against any spec lookup (`spec_of(class name)`).
+pub(crate) fn resolve_class_with<'s>(
+    extraction: ClassExtraction,
+    spec_of: impl Fn(&str) -> Option<&'s ClassSpec>,
+    diagnostics: &mut Diagnostics,
+) -> System {
     let ClassExtraction {
         name,
         kind,
@@ -317,7 +334,7 @@ pub fn resolve_class(
                     ));
                     continue;
                 };
-                let Some(sub_spec) = spec_index.get(class_name) else {
+                let Some(sub_spec) = spec_of(class_name) else {
                     diagnostics.push(Diagnostic::error(
                         codes::UNKNOWN_SUBSYSTEM,
                         format!(
@@ -346,7 +363,7 @@ pub fn resolve_class(
                 markers.insert(alphabet.intern(&op.name));
             }
             for sub in &subsystems {
-                if let Some(sub_spec) = spec_index.get(&sub.class_name) {
+                if let Some(sub_spec) = spec_of(&sub.class_name) {
                     intern_spec_events(sub_spec, Some(&sub.field), &mut alphabet);
                 }
             }

@@ -56,11 +56,13 @@ pub fn claim_violations(
     if system.claims.is_empty() {
         return violations;
     }
-    // Model + marker set + alphabet, by system kind.
-    let (model, markers): (Nfa, BTreeSet<shelley_regular::Symbol>) = match &system.kind {
+    // Model + marker set + alphabet, by system kind. A composite's model
+    // is borrowed from its integration.
+    let base_model;
+    let (model, markers): (&Nfa, &BTreeSet<shelley_regular::Symbol>) = match &system.kind {
         SystemKind::Composite(_) => {
             let integration = integration.expect("integration built for composites");
-            (integration.nfa.clone(), integration.markers.clone())
+            (&integration.nfa, &integration.markers)
         }
         SystemKind::Base => {
             // Claims over a base class speak its own operation names. The
@@ -73,13 +75,16 @@ pub fn claim_violations(
                 // reported in the main loop below.
                 let _ = parse_formula(&claim.formula, &mut ab);
             }
-            let auto = spec_automaton(&system.spec, None, Arc::new(ab));
-            (auto.nfa().clone(), BTreeSet::new())
+            base_model = (
+                spec_automaton(&system.spec, None, Arc::new(ab)),
+                BTreeSet::new(),
+            );
+            (base_model.0.nfa(), &base_model.1)
         }
     };
 
     for claim in &system.claims {
-        let violation = check_one_claim(system, &model, &markers, claim, diagnostics);
+        let violation = check_one_claim(system, model, markers, claim, diagnostics);
         violations.extend(violation);
     }
     violations
@@ -141,15 +146,21 @@ fn check_one_claim(
             .with_span(claim.span),
         );
     }
-    // Rebuild the model over the (possibly extended) alphabet: symbol ids
-    // are preserved because interning is append-only.
-    let scratch = Arc::new(scratch);
-    let model = rebuild_over(model, scratch.clone());
-    match check_claim(&model, &formula, markers) {
+    // A claim that grew the alphabet needs the model rebuilt over it:
+    // symbol ids are preserved because interning is append-only. Any
+    // other claim checks the model as it is.
+    let rebuilt;
+    let model = if scratch.len() > model.alphabet().len() {
+        rebuilt = rebuild_over(model, Arc::new(scratch));
+        &rebuilt
+    } else {
+        model
+    };
+    match check_claim(model, &formula, markers) {
         ClaimOutcome::Holds => None,
         ClaimOutcome::Violated { counterexample } => {
             let events = strip_markers(&counterexample, markers);
-            let counterexample_text = scratch.render_word(&events);
+            let counterexample_text = model.alphabet().render_word(&events);
             Some(ClaimViolation {
                 formula: claim.formula.clone(),
                 counterexample: events,

@@ -9,7 +9,8 @@
 //! # Caching model
 //!
 //! The pipeline decomposes into per-class stages
-//! ([`extract_class`] → [`validate_spec`] → [`resolve_class`] → lints →
+//! ([`extract_class`] → [`validate_spec`] →
+//! [`resolve_class`](crate::system::resolve_class) → lints →
 //! [`verify_system`]), and each stage's
 //! products are cached under a **content fingerprint**:
 //!
@@ -125,6 +126,7 @@ mod reference;
 mod report;
 
 use crate::checker::CheckError;
+use crate::dataflow::typestate::dependency_dfa;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
 use crate::persist::{self, FileKey, FileRecord, RecordLines, SavedVerify};
@@ -132,15 +134,17 @@ use crate::pipeline::{verify_system, Checked, SystemVerdict};
 use crate::spec::ClassSpec;
 use crate::stats::{system_stats, SystemStats};
 use crate::system::{
-    extract_class, resolve_class, validate_spec, ClassExtraction, System, SystemKind, SystemSet,
+    extract_class, resolve_class_with, validate_spec, ClassExtraction, System, SystemKind,
+    SystemSet,
 };
 use micropython_parser::ast::{Module, Stmt};
 use micropython_parser::visit::collect_degraded;
 use micropython_parser::{parse_module, parse_module_recover, ParseError};
 use report::{ClassRuns, KeptReport};
+use shelley_regular::Dfa;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Cache-hit/miss counters and per-phase wall-clock timings of a
@@ -367,6 +371,32 @@ pub(crate) struct ExtractEntry {
     pub(crate) validate_diags: Diagnostics,
 }
 
+/// One live `@sys` class in the spec index: its spec, and the dependency
+/// DFA the typestate analysis of every class instantiating it steps
+/// ([`dependency_dfa`]). The DFA is built on first use and dropped with
+/// the entry when the spec changes or leaves, so it is a function of the
+/// spec alone.
+#[derive(Debug)]
+struct SpecEntry {
+    spec: ClassSpec,
+    dfa: OnceLock<Arc<Dfa>>,
+}
+
+impl SpecEntry {
+    fn new(spec: ClassSpec) -> SpecEntry {
+        SpecEntry {
+            spec,
+            dfa: OnceLock::new(),
+        }
+    }
+
+    fn dfa(&self) -> Arc<Dfa> {
+        self.dfa
+            .get_or_init(|| Arc::new(dependency_dfa(&self.spec)))
+            .clone()
+    }
+}
+
 /// Verification-stage products of one class (keyed by class fingerprint +
 /// dependency fingerprint).
 #[derive(Debug)]
@@ -421,9 +451,10 @@ pub struct Workspace {
     /// read the subsystem specs.
     stats_cache: HashMap<(u64, u64), Arc<SystemStats>>,
     /// `class name → spec` of every live `@sys` class: the index
-    /// resolution reads subsystem specs from. Kept in step with the class
-    /// slots, so a round copies only the specs of re-extracted classes.
-    spec_index: BTreeMap<String, ClassSpec>,
+    /// resolution reads subsystem specs from, and the typestate analysis
+    /// their DFAs. Kept in step with the class slots, so a round copies
+    /// only the specs of re-extracted classes.
+    spec_index: BTreeMap<String, SpecEntry>,
     /// Verify-stage products restored from disk
     /// ([`Self::load_disk_cache`]), consulted when the in-memory
     /// `verify_cache` misses. Kept across rounds: a key that is stale now
@@ -694,7 +725,8 @@ impl Workspace {
         let mut rerun: Vec<(Pos, Name)> = Vec::with_capacity(winners.len());
         for (name, pos, fingerprint, extract) in winners {
             if let Some(x) = &extract.extraction {
-                self.spec_index.insert(name.to_string(), x.spec.clone());
+                self.spec_index
+                    .insert(name.to_string(), SpecEntry::new(x.spec.clone()));
                 for dep in x.dependencies() {
                     match self.dependents.get_mut(dep) {
                         Some(dependents) => {
@@ -1491,10 +1523,14 @@ fn run_extract(unit: &ClassUnit) -> ExtractEntry {
 fn run_verify(
     extraction: ClassExtraction,
     solo: &Module,
-    spec_index: &BTreeMap<String, ClassSpec>,
+    spec_index: &BTreeMap<String, SpecEntry>,
 ) -> VerifyEntry {
     let mut resolve_diags = Diagnostics::new();
-    let system = Arc::new(resolve_class(extraction, spec_index, &mut resolve_diags));
+    let system = Arc::new(resolve_class_with(
+        extraction,
+        |name| spec_index.get(name).map(|entry| &entry.spec),
+        &mut resolve_diags,
+    ));
 
     // Usage verification and the typestate lints read the *specs* of the
     // subsystems, never their resolved systems, so spec-only stand-ins
@@ -1511,11 +1547,11 @@ fn run_verify(
             if verify_scope.iter().any(|s| s.name == sub.class_name) {
                 continue;
             }
-            if let Some(spec) = spec_index.get(&sub.class_name) {
+            if let Some(entry) = spec_index.get(&sub.class_name) {
                 verify_scope.push(Arc::new(System {
                     name: sub.class_name.clone(),
                     kind: SystemKind::Base,
-                    spec: spec.clone(),
+                    spec: entry.spec.clone(),
                     claims: Vec::new(),
                 }));
             }
@@ -1528,7 +1564,10 @@ fn run_verify(
         module: solo,
         systems: &verify_scope,
     };
-    let proven = lint_class(&ctx, &system, &mut lint_diags);
+    // Every system in scope is a live `@sys` class, so its DFA is taken
+    // from (and built at most once into) its spec-index entry.
+    let dfa_of = |dep: &System| spec_index[&dep.name].dfa();
+    let proven = lint_class(&ctx, &system, &dfa_of, &mut lint_diags);
     let verdict = verify_system(&system, &verify_scope, &proven);
 
     VerifyEntry {
@@ -1551,11 +1590,15 @@ fn run_verify(
 /// compute.
 fn run_verify_restored(
     extraction: ClassExtraction,
-    spec_index: &BTreeMap<String, ClassSpec>,
+    spec_index: &BTreeMap<String, SpecEntry>,
     saved: &SavedVerify,
 ) -> VerifyEntry {
     let mut resolve_diags = Diagnostics::new();
-    let system = resolve_class(extraction, spec_index, &mut resolve_diags);
+    let system = resolve_class_with(
+        extraction,
+        |name| spec_index.get(name).map(|entry| &entry.spec),
+        &mut resolve_diags,
+    );
     let integration = system
         .is_composite()
         .then(|| Arc::new(crate::integration::build_integration(&system)));
@@ -1689,21 +1732,66 @@ pub(crate) mod tests {
     }
 
     /// Work-count gate: a cold round analyses each composite class once,
-    /// for the typestate lint and the inclusion fast path together; a
-    /// warm round analyses nothing.
+    /// for the typestate lint and the inclusion fast path together,
+    /// builds one graph per method of each `@sys` class for every pass
+    /// (`Valve`'s 4, each user's `__init__` and `run`), and solves each
+    /// user's one operation once for its one field — at most one solve
+    /// per (method, field), and none for `__init__`, which nothing asks a
+    /// summary of. A warm round does none of it.
     #[test]
     fn one_analysis_per_composite_class_in_a_cold_workspace_round() {
+        use crate::dataflow::solves_run;
+        use crate::extract::cfg::cfgs_built;
+
+        let counts = || (analyses_run(), cfgs_built(), solves_run());
         let mut ws = Workspace::with_config(LintConfig::default(), 1);
         ws.set_file("a.py", composites_project(6));
-        let before = analyses_run();
+        let before = counts();
         let checked = ws.check().unwrap();
         let composites = checked.systems.iter().filter(|s| s.is_composite()).count();
         assert_eq!(composites, 6);
         assert_eq!(ws.last_round().fast_path_proven, 3);
-        assert_eq!(analyses_run() - before, composites);
+        let after = counts();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+            (composites, 4 + 2 * composites, composites)
+        );
 
         ws.check().unwrap();
-        assert_eq!(analyses_run() - before, composites);
+        assert_eq!(counts(), after);
+    }
+
+    /// Work-count gate: every dependency DFA is built once per spec-index
+    /// entry. `serve_project(1000)` has 50 devices shared by 950 apps, so
+    /// a cold round builds 50 DFAs (one per app, 950, without the index);
+    /// re-specifying one device rebuilds its DFA alone, for the apps that
+    /// use it.
+    #[test]
+    fn one_analysis_builds_each_dependency_dfa_once() {
+        use crate::dataflow::typestate::dfas_built;
+
+        let mut ws = Workspace::with_config(LintConfig::default(), 1);
+        let files = shelley_bench::serve_project(1000);
+        for (name, source) in &files {
+            ws.set_file(name, source.clone());
+        }
+        let before = dfas_built();
+        let checked = ws.check().unwrap();
+        assert_eq!(
+            checked.systems.iter().filter(|s| s.is_composite()).count(),
+            950
+        );
+        assert_eq!(dfas_built() - before, 50);
+
+        let (name, source) = &files[0];
+        ws.set_file(
+            name,
+            source.replace("return [\"stop\"]", "return [\"stop\", \"work\"]"),
+        );
+        let before = dfas_built();
+        ws.check().unwrap();
+        assert_eq!(ws.last_round().verified, 1 + 19);
+        assert_eq!(dfas_built() - before, 1);
     }
 
     /// Whether two extraction entries are equal, alphabets compared by

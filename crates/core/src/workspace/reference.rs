@@ -35,8 +35,13 @@ impl Workspace {
                 entry
             })
             .collect();
+        let spec_index: BTreeMap<String, ClassSpec> = self
+            .spec_index
+            .iter()
+            .map(|(name, entry)| (name.clone(), entry.spec.clone()))
+            .collect();
         assert_eq!(
-            self.spec_index,
+            spec_index,
             spec_index_of(&extract_entries),
             "the incremental spec index drifted from the extraction cache"
         );

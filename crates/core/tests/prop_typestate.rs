@@ -11,15 +11,20 @@
 //! * **Fast-path skips are sound** — a field the analysis proves
 //!   conforming passes the full projected-subset check.
 //! * The lint layer and the raw report agree on which codes fire.
+//!
+//! A second generator draws long chain protocols whose DFA has more than
+//! 64 states, so the analysis's bitset rows span several words.
 
 use proptest::prelude::*;
 use shelley_core::analyze_class;
 use shelley_core::annotations::OpKind;
 use shelley_core::pipeline::verify_system;
-use shelley_core::spec::{ClassSpec, ExitSpec, OperationSpec};
+use shelley_core::spec::{intern_spec_events, spec_automaton, ClassSpec, ExitSpec, OperationSpec};
 use shelley_core::system::build_systems;
+use shelley_regular::Alphabet;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A random, structurally sane spec, as in `prop_core.rs`: `n` operations
 /// with next-sets over defined operations; op 0 initial, last op final.
@@ -29,37 +34,58 @@ fn arb_spec() -> impl Strategy<Value = ClassSpec> {
             let exits = proptest::collection::vec(proptest::collection::vec(0..n, 0..3), n);
             (Just(n), exits)
         })
-        .prop_map(|(n, exit_targets)| {
-            let operations = (0..n)
-                .map(|i| {
-                    let kind = if i == 0 && i == n - 1 {
-                        OpKind::InitialFinal
-                    } else if i == 0 {
-                        OpKind::Initial
-                    } else if i == n - 1 {
-                        OpKind::Final
-                    } else {
-                        OpKind::Middle
-                    };
-                    let next: Vec<String> =
-                        exit_targets[i].iter().map(|&t| format!("op{t}")).collect();
-                    OperationSpec {
-                        name: format!("op{i}"),
-                        kind,
-                        exits: vec![ExitSpec {
-                            next,
-                            span: None,
-                            implicit: false,
-                        }],
-                        span: None,
-                    }
-                })
-                .collect();
-            ClassSpec {
-                name: "Gen".into(),
-                operations,
+        .prop_map(|(n, exit_targets)| spec_of(n, &exit_targets))
+}
+
+/// A chain protocol `op0 → op1 → … → op{n-1}` of 65 to 79 operations,
+/// each also allowed to jump to random others. Every operation is
+/// reachable and has one exit, so the DFA has `n + 2` states (start and
+/// sink included): more than 64.
+fn arb_long_spec() -> impl Strategy<Value = ClassSpec> {
+    (65usize..80)
+        .prop_flat_map(|n| {
+            let jumps = proptest::collection::vec(proptest::collection::vec(0..n, 0..2), n);
+            (Just(n), jumps)
+        })
+        .prop_map(|(n, mut targets)| {
+            for (i, next) in targets.iter_mut().enumerate().take(n - 1) {
+                next.push(i + 1);
+            }
+            spec_of(n, &targets)
+        })
+}
+
+/// The spec `Gen` of `n` operations where `op{i}` may be followed by
+/// `op{t}` for every `t` in `exit_targets[i]`.
+fn spec_of(n: usize, exit_targets: &[Vec<usize>]) -> ClassSpec {
+    let operations = (0..n)
+        .map(|i| {
+            let kind = if i == 0 && i == n - 1 {
+                OpKind::InitialFinal
+            } else if i == 0 {
+                OpKind::Initial
+            } else if i == n - 1 {
+                OpKind::Final
+            } else {
+                OpKind::Middle
+            };
+            let next: Vec<String> = exit_targets[i].iter().map(|&t| format!("op{t}")).collect();
+            OperationSpec {
+                name: format!("op{i}"),
+                kind,
+                exits: vec![ExitSpec {
+                    next,
+                    span: None,
+                    implicit: false,
+                }],
+                span: None,
             }
         })
+        .collect();
+    ClassSpec {
+        name: "Gen".into(),
+        operations,
+    }
 }
 
 /// One statement of the generated composite body.
@@ -71,20 +97,22 @@ enum Item {
     Branch(Vec<usize>, Vec<usize>),
     /// `self.aux()` — routes through the interprocedural summary.
     Helper,
-    /// `while c: self.x.op{i}()` — exercises the loop/widening path.
+    /// `while c: self.x.op{i}()` — exercises the loop back edge.
     Loop(usize),
 }
 
-fn arb_item() -> impl Strategy<Value = Item> {
+/// One statement calling operations drawn from `0..ops` (reduced modulo
+/// the spec's operation count when rendered).
+fn arb_item(ops: usize) -> impl Strategy<Value = Item> {
     prop_oneof![
-        4 => (0usize..6).prop_map(Item::Call),
+        4 => (0..ops).prop_map(Item::Call),
         2 => (
-            proptest::collection::vec(0usize..6, 0..3),
-            proptest::collection::vec(0usize..6, 0..3),
+            proptest::collection::vec(0..ops, 0..3),
+            proptest::collection::vec(0..ops, 0..3),
         )
             .prop_map(|(t, e)| Item::Branch(t, e)),
         1 => Just(Item::Helper),
-        1 => (0usize..6).prop_map(Item::Loop),
+        1 => (0..ops).prop_map(Item::Loop),
     ]
 }
 
@@ -168,63 +196,86 @@ fn render_user(n_ops: usize, items: &[Item], helper: &[usize]) -> String {
     out
 }
 
+/// The three properties of the module docs on one generated composite.
+fn check_against_full_verification(
+    spec: &ClassSpec,
+    items: &[Item],
+    helper: &[usize],
+) -> Result<(), TestCaseError> {
+    let src = format!(
+        "{}\n{}",
+        render_spec_class(spec),
+        render_user(spec.operations.len(), items, helper)
+    );
+    let module = micropython_parser::parse_module(&src).expect("generated source parses");
+    let (systems, _) = build_systems(&module);
+    let Some(user) = systems.get("User") else {
+        return Ok(()); // spec failed validation; nothing to compare
+    };
+    let class = module.class("User").expect("class present");
+    let Some(report) = analyze_class(class, user, &systems) else {
+        return Ok(());
+    };
+
+    // The oracle: full verification with the fast path disabled.
+    let verdict = verify_system(user, &systems, &BTreeSet::new());
+    let full_check_passes = verdict.usage_violations.is_empty();
+
+    // 1. No definite-violation false positives: E009 implies the full
+    //    check also rejects the class.
+    let definite = report.findings.iter().any(|f| f.definite);
+    if definite {
+        prop_assert!(
+            !full_check_passes,
+            "definite finding on a class full verification accepts:\n{src}\n{:#?}",
+            report.findings
+        );
+    }
+
+    // 2. Fast-path soundness: a proven field passes the full check.
+    if report.proven.contains("x") {
+        prop_assert!(
+            full_check_passes,
+            "field `x` proven conforming but full verification rejects:\n{src}"
+        );
+        prop_assert!(
+            report.findings.iter().all(|f| !f.definite),
+            "proven field with a definite finding:\n{src}"
+        );
+    }
+
+    // 3. Every witness trace a definite finding carries is nonempty
+    //    prose, never an unrendered placeholder.
+    for f in report.findings.iter().filter(|f| f.definite) {
+        if let Some(w) = &f.witness {
+            prop_assert!(!w.is_empty());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn typestate_never_contradicts_full_verification(
         spec in arb_spec(),
-        items in proptest::collection::vec(arb_item(), 0..6),
+        items in proptest::collection::vec(arb_item(6), 0..6),
         helper in proptest::collection::vec(0usize..6, 0..3),
     ) {
-        let src = format!(
-            "{}\n{}",
-            render_spec_class(&spec),
-            render_user(spec.operations.len(), &items, &helper)
-        );
-        let module = micropython_parser::parse_module(&src).expect("generated source parses");
-        let (systems, _) = build_systems(&module);
-        let Some(user) = systems.get("User") else {
-            return Ok(()); // spec failed validation; nothing to compare
-        };
-        let class = module.class("User").expect("class present");
-        let Some(report) = analyze_class(class, user, &systems) else {
-            return Ok(());
-        };
+        check_against_full_verification(&spec, &items, &helper)?;
+    }
 
-        // The oracle: full verification with the fast path disabled.
-        let verdict = verify_system(user, &systems, &BTreeSet::new());
-        let full_check_passes = verdict.usage_violations.is_empty();
-
-        // 1. No definite-violation false positives: E009 implies the full
-        //    check also rejects the class.
-        let definite = report.findings.iter().any(|f| f.definite);
-        if definite {
-            prop_assert!(
-                !full_check_passes,
-                "definite finding on a class full verification accepts:\n{src}\n{:#?}",
-                report.findings
-            );
-        }
-
-        // 2. Fast-path soundness: a proven field passes the full check.
-        if report.proven.contains("x") {
-            prop_assert!(
-                full_check_passes,
-                "field `x` proven conforming but full verification rejects:\n{src}"
-            );
-            prop_assert!(
-                report.findings.iter().all(|f| !f.definite),
-                "proven field with a definite finding:\n{src}"
-            );
-        }
-
-        // 3. Every witness trace a definite finding carries is nonempty
-        //    prose, never an unrendered placeholder.
-        for f in report.findings.iter().filter(|f| f.definite) {
-            if let Some(w) = &f.witness {
-                prop_assert!(!w.is_empty());
-            }
-        }
+    #[test]
+    fn typestate_never_contradicts_full_verification_beyond_64_states(
+        spec in arb_long_spec(),
+        items in proptest::collection::vec(arb_item(80), 0..8),
+        helper in proptest::collection::vec(0usize..80, 0..4),
+    ) {
+        let mut alphabet = Alphabet::new();
+        intern_spec_events(&spec, None, &mut alphabet);
+        let dfa = spec_automaton(&spec, None, Arc::new(alphabet)).materialize();
+        prop_assert!(dfa.num_states() > 64);
+        check_against_full_verification(&spec, &items, &helper)?;
     }
 }

@@ -119,9 +119,21 @@ impl ClassDef {
         })
     }
 
-    /// Finds a method by name.
+    /// Finds a method by name. A redefined name finds its last
+    /// definition, the one Python binds.
     pub fn method(&self, name: &str) -> Option<&FuncDef> {
-        self.methods().find(|m| m.name.node == name)
+        self.method_index(name).and_then(|i| self.methods().nth(i))
+    }
+
+    /// The position in [`methods`](Self::methods) of the last
+    /// definition of `name`: the one Python binds, which
+    /// [`method`](Self::method) finds.
+    pub fn method_index(&self, name: &str) -> Option<usize> {
+        self.methods()
+            .enumerate()
+            .filter(|(_, m)| m.name.node == name)
+            .last()
+            .map(|(i, _)| i)
     }
 }
 
