@@ -81,6 +81,13 @@ cargo test -p shelley-bench --test restart -q
 cargo test -p shelley-core --lib -q file_record
 cargo test -p shelley-daemon --lib -q server::tests
 
+echo "==> memory gate (live bytes after a cold round)"
+# A counting global allocator, in a test binary of its own: a cold
+# jobs(1) round on serve_project(1000), and one in recovery mode on
+# realworld_corpus(200), must leave at most 5% more requested bytes live
+# than recorded (workspace and returned report included).
+cargo test -p shelley-bench --test memory -q
+
 echo "==> benches compile"
 cargo bench --workspace --no-run -q
 

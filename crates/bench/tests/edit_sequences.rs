@@ -131,14 +131,8 @@ fn outcome(round: &Result<Checked, CheckError>) -> String {
         Ok(checked) => {
             let report = &checked.report;
             let systems: Vec<&str> = checked.systems.iter().map(|s| s.name.as_str()).collect();
-            let integrations: Vec<&str> = checked
-                .integrations
-                .iter()
-                .map(|(n, _)| n.as_str())
-                .collect();
             format!(
-                "{}{}{:?}\nsystems {systems:?}\nintegrations {integrations:?}\n\
-                 usage {:?}\nclaims {:?}\n",
+                "{}{}{:?}\nsystems {systems:?}\nusage {:?}\nclaims {:?}\n",
                 report.render(None),
                 report.diagnostics.render_json(None),
                 report.diagnostics,

@@ -371,9 +371,13 @@ impl<'a> ClassAnalysis<'a> {
         let mut ret_spans = BTreeMap::new();
         for (func, cfg) in class.methods().zip(cfgs) {
             let name = func.name.node.as_str();
+            // A redefined name binds its last definition: its graph, its
+            // loop jumps and its return spans all replace the earlier ones.
             by_name.insert(name, cfg);
             if has_loop_jump(&func.body) {
                 loop_jump.insert(name);
+            } else {
+                loop_jump.remove(name);
             }
             let mut spans = BTreeSet::new();
             return_spans(&func.body, &mut spans);

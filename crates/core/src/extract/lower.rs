@@ -15,11 +15,12 @@
 //! * The body is wrapped as `body; return` at a synthetic *implicit exit*
 //!   so falling off the end is modeled as `return []` (Python's `None`).
 
+use crate::system::NameMap;
 use micropython_parser::ast::{Expr, ExprKind, FuncDef, Pattern, Stmt};
 use micropython_parser::Span;
 use shelley_ir::{ExitId, Program};
 use shelley_regular::{Alphabet, Symbol};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The statically-recognized shape of a `return` value (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -495,14 +496,15 @@ pub fn split_event(name: &str) -> Option<(&str, &str)> {
 
 /// Builds the map from subsystem field names to the class they are
 /// instantiated with, by scanning `__init__` for `self.x = Class()`
-/// assignments.
-pub fn subsystem_classes(func: &FuncDef) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
+/// assignments. A field assigned more than once maps to its last
+/// assignment.
+pub fn subsystem_classes(func: &FuncDef) -> NameMap<String> {
+    let mut out = Vec::new();
     collect_field_inits(&func.body, &mut out);
-    out
+    out.into_iter().collect()
 }
 
-fn collect_field_inits(stmts: &[Stmt], out: &mut BTreeMap<String, String>) {
+fn collect_field_inits(stmts: &[Stmt], out: &mut Vec<(String, String)>) {
     for stmt in stmts {
         match stmt {
             Stmt::Assign(a) => {
@@ -516,7 +518,7 @@ fn collect_field_inits(stmts: &[Stmt], out: &mut BTreeMap<String, String>) {
                     continue;
                 };
                 if let ExprKind::Name(class_name) = &func.kind {
-                    out.insert(attr.node.clone(), class_name.clone());
+                    out.push((attr.node.clone(), class_name.clone()));
                 }
             }
             Stmt::If(ifs) => {
@@ -746,7 +748,7 @@ class S:
         assert_eq!(map.get("a"), Some(&"Valve".to_string()));
         assert_eq!(map.get("b"), Some(&"Valve".to_string()));
         assert_eq!(map.get("pin"), Some(&"Pin".to_string()));
-        assert!(!map.contains_key("count"));
+        assert_eq!(map.get("count"), None);
     }
 
     #[test]

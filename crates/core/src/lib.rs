@@ -109,7 +109,7 @@ pub use project::ProjectFile;
 pub use spec::{ClassSpec, ExitSpec, OperationSpec, SpecAutomaton};
 pub use stats::{system_stats, SystemStats};
 pub use system::{
-    build_systems, extract_class, resolve_class, validate_spec, ClassExtraction, System,
+    build_systems, extract_class, resolve_class, validate_spec, ClassExtraction, NameMap, System,
     SystemKind, SystemSet,
 };
 pub use verify::claims::{check_claims, claim_violations, ClaimViolation};

@@ -192,6 +192,51 @@ class App:
         );
     }
 
+    /// A redefined operation is analysed by its last definition alone: a
+    /// `break` in an earlier definition neither degrades it to unknown
+    /// nor hides its finding.
+    #[test]
+    fn redefined_operation_is_analysed_by_its_last_definition() {
+        let last = "
+    @op_initial_final
+    def run(self):
+        self.a.test()
+        self.a.test()
+        self.a.open()
+        return []
+";
+        let app = format!(
+            "{VALVE}
+@sys([\"a\"])
+class App:
+    def __init__(self):
+        self.a = Valve()
+"
+        );
+        let e009 = |src: &str| -> Vec<String> {
+            lint(src)
+                .iter()
+                .filter(|d| d.code == codes::DEFINITE_PROTOCOL_VIOLATION)
+                .map(|d| d.message.clone())
+                .collect()
+        };
+        let single = e009(&format!("{app}{last}"));
+        assert_eq!(single.len(), 1, "{single:?}");
+        assert!(
+            single[0].contains("shortest violating trace: test, test"),
+            "{}",
+            single[0]
+        );
+        let first = "
+    @op_initial_final
+    def run(self):
+        while c:
+            break
+        return []
+";
+        assert_eq!(e009(&format!("{app}{first}{last}")), single);
+    }
+
     #[test]
     fn dead_operation_warns_per_unused_dependency_op() {
         let src = format!(

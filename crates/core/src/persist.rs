@@ -58,9 +58,12 @@
 //! example, keys each class by its own source bytes where format 2 keyed
 //! it by its printed AST, which missed comment and whitespace edits that
 //! move spans; format 4 adds the per-record checksum, format 5 the file
-//! records, format 6 the file name on each `W014` a file record holds, and
+//! records, format 6 the file name on each `W014` a file record holds,
 //! format 7 reads a redefined `__init__` by its last definition in
-//! extraction and E008/W010, where format 6 read the first.
+//! extraction and E008/W010, where format 6 read the first, and format 8
+//! decides the typestate analysis's loop-jump approximation of a
+//! redefined method by its last definition, where format 7 applied it if
+//! any definition had a `break` or `continue`.
 //!
 //! A verify record's payload is field-named JSON. A file record's is
 //! positional (see `file_record`): arrays instead of objects, spans as
@@ -105,7 +108,7 @@ pub const CACHE_MAGIC: &str = "shelleyc-cache";
 ///
 /// A loaded file with a different version is ignored wholesale — the
 /// cache is a pure accelerator, so "ignore and rebuild" is always safe.
-pub const CACHE_FORMAT: u32 = 7;
+pub const CACHE_FORMAT: u32 = 8;
 
 /// The analysis version a cache file is stamped with: FNV-1a over the
 /// crate version and every `(code, default severity)` pair of the

@@ -33,7 +33,6 @@ use crate::workspace::ExtractEntry;
 use micropython_parser::Span;
 use shelley_ir::Program;
 use shelley_regular::{Alphabet, Symbol};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -238,7 +237,7 @@ impl Writer<'_> {
         self.0.push(',');
         self.strs(&x.declared_fields);
         self.0.push(',');
-        self.seq(&x.init_classes, |w, (field, class)| {
+        self.seq(x.init_classes.iter(), |w, (field, class)| {
             w.0.push('[');
             w.str(field);
             w.0.push(',');
@@ -605,7 +604,7 @@ impl Reader<'_> {
             methods: Arc::new(methods.into_iter().collect()),
             alphabet,
             declared_fields,
-            init_classes: init_classes.into_iter().collect::<BTreeMap<_, _>>(),
+            init_classes: init_classes.into_iter().collect(),
         })
     }
 

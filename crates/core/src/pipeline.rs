@@ -6,7 +6,7 @@
 
 use crate::dataflow::typestate::{analyze_class, dependency_dfa};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
-use crate::integration::{build_integration, Integration};
+use crate::integration::build_integration;
 use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
 use crate::system::{build_systems, System, SystemSet};
 use crate::verify::claims::{claim_violations, ClaimViolation};
@@ -70,15 +70,16 @@ impl CheckReport {
     }
 }
 
-/// The verified systems plus everything the verifier computed for them.
+/// The verified systems and their report.
+///
+/// A composite's integration automaton is built, used for its usage and
+/// claim checks, and dropped; a caller that wants it builds it again with
+/// [`build_integration`].
 #[derive(Debug, Clone)]
 pub struct Checked {
     /// All systems of the module. Shared, so cloning a `Checked` copies
     /// no list.
     pub systems: Arc<SystemSet>,
-    /// Integration automata of composite systems, by class name. Shared,
-    /// like [`Self::systems`].
-    pub integrations: Arc<Vec<(String, Arc<Integration>)>>,
     /// The report.
     pub report: CheckReport,
 }
@@ -103,7 +104,6 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
     };
     let mut usage_violations = Vec::new();
     let mut claim_violations = Vec::new();
-    let mut integrations = Vec::new();
 
     for system in systems.iter() {
         let proven = lint_class(
@@ -120,9 +120,6 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
         for v in verdict.claim_violations {
             claim_violations.push((system.name.clone(), v));
         }
-        if let Some(integ) = verdict.integration {
-            integrations.push((system.name.clone(), integ));
-        }
     }
 
     config.apply(&mut diagnostics);
@@ -135,7 +132,6 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
 
     Checked {
         systems: Arc::new(systems),
-        integrations: Arc::new(integrations),
         report: CheckReport {
             diagnostics,
             usage_violations,
@@ -152,8 +148,6 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
 /// the caching seam [`crate::workspace::Workspace`] exploits.
 #[derive(Debug, Clone, Default)]
 pub struct SystemVerdict {
-    /// The integration automaton, for composite systems.
-    pub integration: Option<Arc<Integration>>,
     /// `E100`/`E101` findings plus claim-parse diagnostics.
     pub diagnostics: Diagnostics,
     /// `INVALID SUBSYSTEM USAGE` failures of this class.
@@ -190,8 +184,8 @@ pub fn proven_fields(
 }
 
 /// Verifies one system against the others: builds the integration
-/// automaton (for composites), checks subsystem usage inclusion, and
-/// checks every temporal claim.
+/// automaton (for composites), checks subsystem usage inclusion and every
+/// temporal claim on it, and drops it.
 ///
 /// `proven` lists subsystem fields whose usage inclusion is already
 /// established (see [`proven_fields`]); their checks are skipped and
@@ -241,7 +235,6 @@ pub fn verify_system(
         );
         verdict.claim_violations.push(v);
     }
-    verdict.integration = integration.map(Arc::new);
     verdict
 }
 
@@ -332,7 +325,10 @@ class BadSector:
         assert_eq!(cv.formula, "(!a.open) W b.open");
         // Valve itself is fine; both systems built.
         assert_eq!(checked.systems.len(), 2);
-        assert_eq!(checked.integrations.len(), 1);
+        assert_eq!(
+            checked.systems.iter().filter(|s| s.is_composite()).count(),
+            1
+        );
         // The rendered report shows both paper error blocks.
         let text = checked.report.render(None);
         assert!(text.contains("INVALID SUBSYSTEM USAGE"));

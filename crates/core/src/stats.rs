@@ -101,8 +101,8 @@ pub fn system_stats(system: &System) -> SystemStats {
             let integration = build_integration(system);
             let behavior_nodes = info
                 .methods
-                .values()
-                .map(|m| {
+                .iter()
+                .map(|(_, m)| {
                     let (_, exits) = denote_exits(&m.program);
                     exits.iter().map(|(_, r)| r.size()).sum::<usize>() + infer(&m.program).size()
                 })

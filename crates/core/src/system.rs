@@ -18,6 +18,64 @@ use shelley_regular::{Alphabet, Label, Nfa, StateId, Symbol};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
+/// A small map from names to values, held as one boxed slice sorted by
+/// name: the per-class tables (operations to lowered bodies, subsystem
+/// fields to classes) that are built once and then only looked up and
+/// walked. A class with one operation costs one allocation of one entry,
+/// where a `BTreeMap` leaf reserves room for eleven.
+///
+/// Collecting from an iterator keeps the last value given for a name, as
+/// repeated `BTreeMap::insert`s do: a redefined method binds its last
+/// definition.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NameMap<V> {
+    entries: Box<[(String, V)]>,
+}
+
+impl<V> NameMap<V> {
+    /// The value of `name`, if present.
+    pub fn get(&self, name: &str) -> Option<&V> {
+        self.entries
+            .binary_search_by(|(key, _)| key.as_str().cmp(name))
+            .ok()
+            .map(|i| &self.entries[i].1)
+    }
+
+    /// The entries in name order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &V)> {
+        self.entries
+            .iter()
+            .map(|(key, value)| (key.as_str(), value))
+    }
+}
+
+impl<V> Default for NameMap<V> {
+    fn default() -> Self {
+        NameMap {
+            entries: Box::default(),
+        }
+    }
+}
+
+impl<V> FromIterator<(String, V)> for NameMap<V> {
+    fn from_iter<I: IntoIterator<Item = (String, V)>>(iter: I) -> Self {
+        let mut entries: Vec<(String, V)> = iter.into_iter().collect();
+        // Stable, so each run of one name is in insertion order; the
+        // dedup then moves the run's last value into its first slot.
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        NameMap {
+            entries: entries.into_boxed_slice(),
+        }
+    }
+}
+
 /// A subsystem instance of a composite class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subsystem {
@@ -43,7 +101,7 @@ pub struct CompositeInfo {
     pub subsystems: Vec<Subsystem>,
     /// Lowered bodies of the `@op*` methods, keyed by operation name;
     /// shared with the extraction they were resolved from.
-    pub methods: Arc<BTreeMap<String, LoweredMethod>>,
+    pub methods: Arc<NameMap<LoweredMethod>>,
     /// The composite's alphabet: its own operation names (markers) plus the
     /// qualified events of every subsystem, plus claim atoms.
     pub alphabet: Arc<Alphabet>,
@@ -153,10 +211,10 @@ pub struct ClassExtraction {
     pub(crate) spec: ClassSpec,
     /// Shared, so cloning an extraction for resolution copies no method
     /// body.
-    pub(crate) methods: Arc<BTreeMap<String, LoweredMethod>>,
+    pub(crate) methods: Arc<NameMap<LoweredMethod>>,
     pub(crate) alphabet: Alphabet,
     pub(crate) declared_fields: Vec<String>,
-    pub(crate) init_classes: BTreeMap<String, String>,
+    pub(crate) init_classes: NameMap<String>,
 }
 
 impl ClassExtraction {
@@ -199,7 +257,7 @@ pub fn extract_class(
     let field_set: BTreeSet<String> = declared_fields.iter().cloned().collect();
     let mut alphabet = Alphabet::new();
     let mut operations = Vec::new();
-    let mut methods = BTreeMap::new();
+    let mut methods = Vec::new();
 
     for func in class.methods() {
         let Some((op_kind, _)) = op_annotation(func, diagnostics) else {
@@ -259,7 +317,7 @@ pub fn extract_class(
             exits,
             span: Some(func.name.span),
         });
-        methods.insert(func.name.node.clone(), lowered);
+        methods.push((func.name.node.clone(), lowered));
     }
 
     let init_classes = class
@@ -279,7 +337,7 @@ pub fn extract_class(
             name: class.name.node.clone(),
             operations,
         },
-        methods: Arc::new(methods),
+        methods: Arc::new(methods.into_iter().collect()),
         alphabet,
         declared_fields,
         init_classes,
@@ -776,6 +834,43 @@ class Valve:
         let v = systems.get("V").unwrap();
         assert_eq!(v.spec.operation("a").unwrap().exits.len(), 2);
         assert!(v.spec.operation("a").unwrap().exits[1].implicit);
+    }
+
+    #[test]
+    fn name_map_keeps_the_last_value_in_name_order() {
+        let map: NameMap<u32> = [("b", 1), ("a", 2), ("c", 3), ("b", 4), ("a", 5)]
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect();
+        assert_eq!(
+            map.iter().collect::<Vec<_>>(),
+            [("a", &5), ("b", &4), ("c", &3)]
+        );
+        assert_eq!(map.get("b"), Some(&4));
+        assert_eq!(map.get("d"), None);
+        assert_eq!(map.get(""), None);
+        let empty = NameMap::<u32>::default();
+        assert_eq!(empty.get("a"), None);
+        assert_eq!(empty.iter().len(), 0);
+    }
+
+    #[test]
+    fn redefined_operation_binds_its_last_definition() {
+        let src = format!(
+            "{VALVE}\n\n@sys([\"v\"])\nclass User:\n    def __init__(self):\n        self.v = Mystery()\n        self.v = Valve()\n\n    @op_initial_final\n    def run(self):\n        self.v.test()\n        return []\n\n    @op_initial_final\n    def idle(self):\n        return []\n\n    @op_initial_final\n    def run(self):\n        self.v.test()\n        self.v.clean()\n        return []\n"
+        );
+        let m = parse_module(&src).unwrap();
+        let (systems, _) = build_systems(&m);
+        let user = systems.get("User").unwrap();
+        let info = user.composite().unwrap();
+        // The class's last `run`, with both calls, in name order after
+        // `idle`; `run` is listed once.
+        let names: Vec<&str> = info.methods.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["idle", "run"]);
+        assert_eq!(info.methods.get("run").unwrap().calls.len(), 2);
+        assert!(info.methods.get("__init__").is_none());
+        // The field's last assignment names its class.
+        assert_eq!(info.subsystems[0].class_name, "Valve");
     }
 
     #[test]

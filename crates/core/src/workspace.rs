@@ -35,8 +35,10 @@
 //! callers (and tests) can observe exactly that.
 //!
 //! The per-class products are shared, never copied: a cached verify entry
-//! holds its [`System`] and integration automaton behind an [`Arc`], and
-//! the [`Checked`] a round returns holds `Arc`s into the cache.
+//! holds its [`System`] behind an [`Arc`], and the [`Checked`] a round
+//! returns holds `Arc`s into the cache. A composite's integration
+//! automaton is not kept: verification builds it, checks usage and claims
+//! on it, and drops it.
 //!
 //! # Rounds in O(edit)
 //!
@@ -45,9 +47,9 @@
 //! and the `E004` run of each shadowed name), each class's dependency
 //! fingerprint, a reverse index `class name → the classes instantiating
 //! it`, the spec index, and the report itself, built from one run per
-//! class (its diagnostics with the lint config applied, its system,
-//! integration and violations), one `W014` run per file and one `E004` run
-//! per shadowed name.
+//! class (its diagnostics with the lint config applied, its system and
+//! its violations), one `W014` run per file and one `E004` run per
+//! shadowed name.
 //!
 //! [`set_file`](Workspace::set_file), [`remove_file`](Workspace::remove_file)
 //! and [`set_recover`](Workspace::set_recover) only mark files dirty. A
@@ -331,11 +333,29 @@ impl Files {
     /// The unit of the class defined at `pos`.
     fn unit(&self, (ordinal, start): Pos) -> &ClassUnit {
         let units = &self.get(ordinal).registered;
-        let i = units
-            .binary_search_by_key(&start, |u| u.start)
-            .expect("a registered class starts at its position");
-        &units[i]
+        &units[unit_index(units, start)]
     }
+
+    fn unit_mut(&mut self, (ordinal, start): Pos) -> &mut ClassUnit {
+        let units = &mut self.get_mut(ordinal).registered;
+        let i = unit_index(units, start);
+        &mut units[i]
+    }
+}
+
+/// The index in `units` of the class starting at `start`.
+fn unit_index(units: &[ClassUnit], start: usize) -> usize {
+    units
+        .binary_search_by_key(&start, |u| u.start)
+        .expect("a registered class starts at its position")
+}
+
+/// Whether `unit`, defined at `pos`, is the winning definition of a class
+/// without `@sys`, whose AST no stage reads once it is extracted.
+fn ast_unread(slots: &HashMap<Name, ClassSlot>, pos: Pos, unit: &ClassUnit) -> bool {
+    slots.get(&unit.name).is_some_and(|slot| {
+        (slot.pos, slot.fingerprint) == (pos, unit.fingerprint) && slot.extract.extraction.is_none()
+    })
 }
 
 /// The products of the winning definition of one class name.
@@ -371,15 +391,18 @@ pub(crate) struct ExtractEntry {
     pub(crate) validate_diags: Diagnostics,
 }
 
-/// One live `@sys` class in the spec index: its spec, and the dependency
-/// DFA the typestate analysis of every class instantiating it steps
-/// ([`dependency_dfa`]). The DFA is built on first use and dropped with
-/// the entry when the spec changes or leaves, so it is a function of the
-/// spec alone.
+/// One live `@sys` class in the spec index: its spec, and what the
+/// verification of every class instantiating it reads besides: the
+/// dependency DFA the typestate analysis steps ([`dependency_dfa`]), and
+/// the spec-only stand-in system usage verification and the typestate
+/// analysis look the class up as. Both are built on first use and
+/// dropped with the entry when the spec changes or leaves, so they are
+/// functions of the spec alone.
 #[derive(Debug)]
 struct SpecEntry {
     spec: ClassSpec,
     dfa: OnceLock<Arc<Dfa>>,
+    stand_in: OnceLock<Arc<System>>,
 }
 
 impl SpecEntry {
@@ -387,12 +410,26 @@ impl SpecEntry {
         SpecEntry {
             spec,
             dfa: OnceLock::new(),
+            stand_in: OnceLock::new(),
         }
     }
 
     fn dfa(&self) -> Arc<Dfa> {
         self.dfa
             .get_or_init(|| Arc::new(dependency_dfa(&self.spec)))
+            .clone()
+    }
+
+    fn stand_in(&self) -> Arc<System> {
+        self.stand_in
+            .get_or_init(|| {
+                Arc::new(System {
+                    name: self.spec.name.clone(),
+                    kind: SystemKind::Base,
+                    spec: self.spec.clone(),
+                    claims: Vec::new(),
+                })
+            })
             .clone()
     }
 }
@@ -739,6 +776,11 @@ impl Workspace {
                         }
                     }
                 }
+            } else {
+                // No later stage reads the AST of a class without `@sys`;
+                // should the class win again after its entry is dropped,
+                // `load_asts` parses its file anew.
+                self.files.unit_mut(pos).solo = None;
             }
             self.slots.insert(
                 name.clone(),
@@ -925,9 +967,15 @@ impl Workspace {
                 match old.next_if(|o| o.start == unit.start) {
                     Some(same) if same.fingerprint == unit.fingerprint => {
                         // The same class: whichever of the two has an AST
-                        // or restored products keeps them.
+                        // or restored products keeps them, unless its AST
+                        // is unread.
+                        let unread = ast_unread(&self.slots, (ordinal, same.start), &same);
                         kept.push(ClassUnit {
-                            solo: unit.solo.or(same.solo),
+                            solo: if unread {
+                                None
+                            } else {
+                                unit.solo.or(same.solo)
+                            },
                             restored: unit.restored.or(same.restored),
                             ..same
                         });
@@ -1041,7 +1089,9 @@ impl Workspace {
                 "a lazily parsed file has the classes its record restored"
             );
             for (unit, parsed) in registered.iter_mut().zip(units) {
-                unit.solo = parsed.solo;
+                if !ast_unread(&self.slots, (ordinal, unit.start), unit) {
+                    unit.solo = parsed.solo;
+                }
             }
         }
         let n = ordinals.len() as u64;
@@ -1416,11 +1466,6 @@ fn class_runs(kept: KeptViolations, slot: &ClassSlot) -> ClassRuns {
     ClassRuns {
         diagnostics,
         system: Some(entry.system.clone()),
-        integration: entry
-            .verdict
-            .integration
-            .as_ref()
-            .map(|integ| (name.clone(), integ.clone())),
         usage: if kept.usage {
             entry
                 .verdict
@@ -1534,26 +1579,18 @@ fn run_verify(
 
     // Usage verification and the typestate lints read the *specs* of the
     // subsystems, never their resolved systems, so spec-only stand-ins
-    // keep the stage independent of every other class's resolution. The
-    // other lint passes only inspect the class under analysis (the scope's
-    // one class present in `solo`), so the widened scope still
-    // reproduces the module-level run exactly.
+    // (shared through the spec index) keep the stage independent of every
+    // other class's resolution. The other lint passes only inspect the
+    // class under analysis (the scope's one class present in `solo`), so
+    // the widened scope still reproduces the module-level run exactly.
     let mut verify_scope: Vec<Arc<System>> = vec![system.clone()];
     if let SystemKind::Composite(info) = &system.kind {
         for sub in &info.subsystems {
-            if sub.class_name == system.name {
-                continue;
-            }
             if verify_scope.iter().any(|s| s.name == sub.class_name) {
                 continue;
             }
             if let Some(entry) = spec_index.get(&sub.class_name) {
-                verify_scope.push(Arc::new(System {
-                    name: sub.class_name.clone(),
-                    kind: SystemKind::Base,
-                    spec: entry.spec.clone(),
-                    claims: Vec::new(),
-                }));
+                verify_scope.push(entry.stand_in());
             }
         }
     }
@@ -1579,10 +1616,10 @@ fn run_verify(
 }
 
 /// The verification stage restored from an on-disk cache hit: re-runs
-/// only the cheap, deterministic reconstruction (resolution, and the
-/// integration automaton for composites) and replays the persisted
+/// only the cheap, deterministic resolution and replays the persisted
 /// results of the expensive analyses — lints, the typestate fast-path
-/// proof, usage inclusion, and claim checking all stay skipped.
+/// proof, the integration automaton, usage inclusion, and claim checking
+/// all stay skipped.
 ///
 /// Soundness rests on the cache key: the `(class fingerprint, dependency
 /// fingerprint)` pair covers every input those analyses read, so a hit
@@ -1599,13 +1636,9 @@ fn run_verify_restored(
         |name| spec_index.get(name).map(|entry| &entry.spec),
         &mut resolve_diags,
     );
-    let integration = system
-        .is_composite()
-        .then(|| Arc::new(crate::integration::build_integration(&system)));
     VerifyEntry {
         system: Arc::new(system),
         verdict: SystemVerdict {
-            integration,
             diagnostics: saved.verdict_diags.clone(),
             usage_violations: saved.usage_violations.clone(),
             claim_violations: saved.claim_violations.clone(),

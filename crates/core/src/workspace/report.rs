@@ -2,13 +2,13 @@
 //! patched run by run.
 //!
 //! Every class contributes one *run* to the report: its applied and
-//! normalized diagnostics, plus — for `@sys` classes — its system, its
-//! integration automaton and its usage and claim violations. Every file
+//! normalized diagnostics, plus — for `@sys` classes — its system and its
+//! usage and claim violations. Every file
 //! contributes its `W014` run, and every shadowed class name its `E004`
 //! run. A round retires the runs of the classes it re-checked and adds
 //! their new runs; nothing else is read.
 //!
-//! The positional lists (systems, integrations, violations) follow class
+//! The positional lists (systems, violations) follow class
 //! order, so each keeps a parallel list of the [`Pos`] every item came
 //! from. The diagnostics are a set in normalized order: workspace
 //! diagnostics carry no file, so two classes can produce the same one,
@@ -18,7 +18,6 @@
 
 use super::Pos;
 use crate::diagnostics::{normalized_order, Diagnostic};
-use crate::integration::Integration;
 use crate::pipeline::{CheckReport, Checked};
 use crate::system::System;
 use crate::verify::claims::ClaimViolation;
@@ -30,7 +29,6 @@ use std::sync::Arc;
 pub(super) struct ClassRuns {
     pub(super) diagnostics: Vec<Diagnostic>,
     pub(super) system: Option<Arc<System>>,
-    pub(super) integration: Option<(String, Arc<Integration>)>,
     pub(super) usage: Vec<(String, UsageViolation)>,
     pub(super) claims: Vec<(String, ClaimViolation)>,
 }
@@ -40,7 +38,6 @@ pub(super) struct ClassRuns {
 pub(super) struct KeptReport {
     checked: Checked,
     system_pos: Vec<Pos>,
-    integration_pos: Vec<Pos>,
     usage_pos: Vec<Pos>,
     claim_pos: Vec<Pos>,
     /// How many runs produce each diagnostic of `checked`.
@@ -58,11 +55,9 @@ impl Default for KeptReport {
         KeptReport {
             checked: Checked {
                 systems: Arc::default(),
-                integrations: Arc::default(),
                 report: CheckReport::default(),
             },
             system_pos: Vec::new(),
-            integration_pos: Vec::new(),
             usage_pos: Vec::new(),
             claim_pos: Vec::new(),
             counts: Vec::new(),
@@ -124,9 +119,6 @@ impl KeptReport {
             pos,
             runs.system.into_iter().collect(),
         );
-        let integrations = Arc::make_mut(&mut self.checked.integrations);
-        let integration = runs.integration.into_iter().collect();
-        splice(&mut self.integration_pos, integrations, pos, integration);
         let report = &mut self.checked.report;
         splice(
             &mut self.usage_pos,

@@ -13,7 +13,9 @@
 //!   synthesized battery of claims over its own alphabet.
 
 use shelley_core::spec::{intern_spec_events, spec_automaton};
-use shelley_core::{claim_violations, Checker, Diagnostics, ProjectFile, SystemKind};
+use shelley_core::{
+    build_integration, claim_violations, Checker, Diagnostics, ProjectFile, SystemKind,
+};
 use shelley_ltlf::{check_claim, eval, parse_formula, ClaimOutcome};
 use shelley_regular::ops::strip_markers;
 use shelley_regular::{Nfa, Word};
@@ -43,11 +45,7 @@ fn class_models(checked: &shelley_core::Checked) -> Vec<(String, Nfa)> {
     for system in checked.systems.iter() {
         let model = match &system.kind {
             SystemKind::Composite(_) => {
-                let (_, integration) = checked
-                    .integrations
-                    .iter()
-                    .find(|(n, _)| n == &system.name)
-                    .expect("composites that verify have an integration");
+                let integration = build_integration(system);
                 integration.nfa.erase_symbols(&integration.markers)
             }
             SystemKind::Base => {
@@ -88,14 +86,10 @@ fn declared_claims_equal_the_path_oracle_on_every_example() {
     let mut claims = 0;
     for example in EXAMPLES {
         let checked = check_example(example);
-        for system in checked.systems.iter() {
-            let Some((_, integration)) =
-                checked.integrations.iter().find(|(n, _)| n == &system.name)
-            else {
-                continue;
-            };
+        for system in checked.systems.iter().filter(|s| s.is_composite()) {
+            let integration = build_integration(system);
             let mut diagnostics = Diagnostics::default();
-            let violations = claim_violations(system, Some(integration), &mut diagnostics);
+            let violations = claim_violations(system, Some(&integration), &mut diagnostics);
             for claim in &system.claims {
                 claims += 1;
                 let found = violations

@@ -614,7 +614,7 @@ fn measure_dataflow() -> DataflowRow {
         checked.report.render(None)
     );
     let classes = checked.systems.len();
-    let composites = checked.integrations.len();
+    let composites = checked.systems.iter().filter(|s| s.is_composite()).count();
     let fast_path_proven = ws.last_round().fast_path_proven;
 
     // Timed: the typestate analysis alone, over every class of the

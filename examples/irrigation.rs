@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --example irrigation`.
 
-use shelley::core::Checker;
+use shelley::core::{build_integration, Checker};
 use shelley::regular::ops::strip_markers;
 use shelley::regular::Dfa;
 use std::collections::HashMap;
@@ -152,11 +152,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sample complete schedules from the verified integration model and
     // replay them against the physical simulation.
-    let (_, integration) = checked
-        .integrations
-        .iter()
-        .find(|(name, _)| name == "Sector")
-        .expect("Sector is composite");
+    let sector = checked
+        .systems
+        .get("Sector")
+        .expect("Sector is a @sys class");
+    let integration = build_integration(sector);
     let alphabet = integration.nfa.alphabet().clone();
     let dfa = Dfa::from_nfa(&integration.nfa);
     let schedules = dfa.enumerate_words(12, 40);

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The extracted behavior of the composite's operation.
     let blinker = checked.systems.get("Blinker").expect("Blinker exists");
     let info = blinker.composite().expect("Blinker is composite");
-    let lowered = &info.methods["blink"];
+    let lowered = info.methods.get("blink").expect("blink is an operation");
     let behavior = shelley::ir::infer(&lowered.program);
     println!("== inferred behavior of Blinker.blink ==");
     println!("{}", behavior.display(&info.alphabet));
