@@ -99,14 +99,20 @@ cargo test --release --manifest-path perfbench/Cargo.toml -q
 echo "==> langbench builds (release)"
 cargo build -p langbench --release -q
 
-echo "==> one-engine differential suite (usage and claims against the path oracle)"
-# The one inclusion search must return exactly the word of the least
-# violating path that a brute-force enumeration finds (fewest events,
-# then NFA edge order), judged by Brzozowski membership for usage and by
-# the LTLf trace semantics for claims: on random regex pairs with and
-# without markers (proptest and an ε-heavy LCG suite), on 1800 random
-# system/claim pairs (every Holds also confirmed on all model words up to
-# length 5), and on every examples_py class under a claim battery.
+echo "==> one-engine differential suite (language views against membership, usage and claims against the path oracle)"
+# Brzozowski membership (Regex::matches) judges the language views: on
+# random regex pairs, the subset view, its complement and the three
+# products must each return the shortlex-first member of length <= 5 as
+# their shortest word, and materialize to a table accepting exactly the
+# members of length <= 4. The one inclusion search must return exactly
+# the word of the least violating path that a brute-force enumeration
+# finds (fewest events, then NFA edge order), judged by Brzozowski
+# membership for usage and by the LTLf trace semantics for claims: on
+# random regex pairs with and without markers (proptest and an ε-heavy
+# LCG suite), on 1800 random system/claim pairs (every Holds also
+# confirmed on all model words up to length 5), and on every examples_py
+# class under a claim battery.
+cargo test -p shelley-regular --test prop_regular -q
 cargo test -p shelley-regular --test path_oracle -q
 cargo test -p shelley-ltlf --test differential -q
 cargo test -p shelley-core --test claims_oracle -q

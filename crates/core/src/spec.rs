@@ -223,7 +223,6 @@ pub fn qualify(prefix: Option<&str>, name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shelley_regular::Dfa;
 
     /// The Valve specification of Listing 2.1.
     pub(crate) fn valve_spec() -> ClassSpec {
@@ -360,14 +359,5 @@ mod tests {
         for w in dfa.enumerate_words(5, 200) {
             assert!(auto.nfa().accepts(&w));
         }
-    }
-
-    #[test]
-    fn materialize_matches_eager_subset_construction() {
-        let (_, auto) = valve_automaton(Some("a"));
-        let lazy = auto.materialize();
-        let eager = Dfa::from_nfa(auto.nfa());
-        assert_eq!(lazy.num_states(), eager.num_states());
-        assert!(lazy.equivalent(&eager).is_ok());
     }
 }

@@ -1,406 +1,10 @@
-//! AST traversal utilities.
+//! AST traversal: finding the regions recovery-mode parsing degraded.
 //!
-//! [`Visitor`] walks every statement and expression of a module in source
-//! order with overridable hooks; [`walk_exprs`] and [`walk_stmts`] are the
-//! closure-based shortcuts most analyses need (Shelley's extraction uses
-//! dedicated recursion for precise evaluation order, but downstream tools —
-//! linters, metrics, call-graph extractors — build on these).
+//! Shelley's extraction and control-flow graphs recurse over the AST
+//! themselves, in the evaluation order each needs; [`collect_degraded`] is
+//! the one shared walk.
 
 use crate::ast::*;
-
-/// A read-only AST visitor with default deep traversal.
-///
-/// Override the hooks you need; call the `walk_*` free functions from an
-/// override to keep descending.
-pub trait Visitor {
-    /// Called for every statement, before descending.
-    fn visit_stmt(&mut self, stmt: &Stmt) {
-        walk_stmt(self, stmt);
-    }
-
-    /// Called for every expression, before descending.
-    fn visit_expr(&mut self, expr: &Expr) {
-        walk_expr(self, expr);
-    }
-
-    /// Called for every class definition, before its body.
-    fn visit_class(&mut self, class: &ClassDef) {
-        walk_class(self, class);
-    }
-
-    /// Called for every function definition, before its body.
-    fn visit_func(&mut self, func: &FuncDef) {
-        walk_func(self, func);
-    }
-
-    /// Called for every match pattern.
-    fn visit_pattern(&mut self, pattern: &Pattern) {
-        walk_pattern(self, pattern);
-    }
-}
-
-/// Visits every statement of a module.
-pub fn walk_module<V: Visitor + ?Sized>(v: &mut V, module: &Module) {
-    for stmt in &module.body {
-        v.visit_stmt(stmt);
-    }
-}
-
-/// Default traversal of one statement.
-pub fn walk_stmt<V: Visitor + ?Sized>(v: &mut V, stmt: &Stmt) {
-    match stmt {
-        Stmt::ClassDef(c) => v.visit_class(c),
-        Stmt::FuncDef(f) => v.visit_func(f),
-        Stmt::Return(r) => {
-            if let Some(value) = &r.value {
-                v.visit_expr(value);
-            }
-        }
-        Stmt::If(ifs) => {
-            for (cond, body) in &ifs.branches {
-                v.visit_expr(cond);
-                for s in body {
-                    v.visit_stmt(s);
-                }
-            }
-            if let Some(body) = &ifs.orelse {
-                for s in body {
-                    v.visit_stmt(s);
-                }
-            }
-        }
-        Stmt::Match(ms) => {
-            v.visit_expr(&ms.subject);
-            for case in &ms.cases {
-                v.visit_pattern(&case.pattern);
-                for s in &case.body {
-                    v.visit_stmt(s);
-                }
-            }
-        }
-        Stmt::While(ws) => {
-            v.visit_expr(&ws.cond);
-            for s in &ws.body {
-                v.visit_stmt(s);
-            }
-        }
-        Stmt::For(fs) => {
-            v.visit_expr(&fs.target);
-            v.visit_expr(&fs.iter);
-            for s in &fs.body {
-                v.visit_stmt(s);
-            }
-        }
-        Stmt::Assign(a) => {
-            v.visit_expr(&a.target);
-            v.visit_expr(&a.value);
-        }
-        Stmt::Expr(e) => v.visit_expr(&e.expr),
-        Stmt::Try(t) => {
-            for s in &t.body {
-                v.visit_stmt(s);
-            }
-            for h in &t.handlers {
-                if let Some(exc) = &h.exc {
-                    v.visit_expr(exc);
-                }
-                for s in &h.body {
-                    v.visit_stmt(s);
-                }
-            }
-            for body in t.orelse.iter().chain(t.finally.iter()) {
-                for s in body {
-                    v.visit_stmt(s);
-                }
-            }
-        }
-        Stmt::With(w) => {
-            for item in &w.items {
-                v.visit_expr(&item.context);
-                if let Some(t) = &item.target {
-                    v.visit_expr(t);
-                }
-            }
-            for s in &w.body {
-                v.visit_stmt(s);
-            }
-        }
-        Stmt::Raise(r) => {
-            for e in r.exc.iter().chain(r.cause.iter()) {
-                v.visit_expr(e);
-            }
-        }
-        Stmt::Pass(_)
-        | Stmt::Break(_)
-        | Stmt::Continue(_)
-        | Stmt::Import(_)
-        | Stmt::Degraded(_) => {}
-    }
-}
-
-/// Default traversal of a class definition.
-pub fn walk_class<V: Visitor + ?Sized>(v: &mut V, class: &ClassDef) {
-    for dec in &class.decorators {
-        v.visit_expr(&dec.expr);
-    }
-    for base in &class.bases {
-        v.visit_expr(base);
-    }
-    for stmt in &class.body {
-        v.visit_stmt(stmt);
-    }
-}
-
-/// Default traversal of a function definition.
-pub fn walk_func<V: Visitor + ?Sized>(v: &mut V, func: &FuncDef) {
-    for dec in &func.decorators {
-        v.visit_expr(&dec.expr);
-    }
-    for stmt in &func.body {
-        v.visit_stmt(stmt);
-    }
-}
-
-/// Default traversal of one expression.
-pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, expr: &Expr) {
-    match &expr.kind {
-        ExprKind::Attribute { value, .. } => v.visit_expr(value),
-        ExprKind::Call { func, args } => {
-            v.visit_expr(func);
-            for a in args {
-                v.visit_expr(a);
-            }
-        }
-        ExprKind::Subscript { value, index } => {
-            v.visit_expr(value);
-            v.visit_expr(index);
-        }
-        ExprKind::List(items) | ExprKind::Tuple(items) | ExprKind::Set(items) => {
-            for i in items {
-                v.visit_expr(i);
-            }
-        }
-        ExprKind::Dict(pairs) => {
-            for (k, val) in pairs {
-                v.visit_expr(k);
-                v.visit_expr(val);
-            }
-        }
-        ExprKind::BinOp { left, right, .. } => {
-            v.visit_expr(left);
-            v.visit_expr(right);
-        }
-        ExprKind::UnaryOp { operand, .. } => v.visit_expr(operand),
-        ExprKind::Await(operand) => v.visit_expr(operand),
-        ExprKind::Lambda { body, .. } => v.visit_expr(body),
-        ExprKind::Starred { value, .. } => v.visit_expr(value),
-        ExprKind::Comp {
-            element,
-            value,
-            clauses,
-            ..
-        } => {
-            for c in clauses {
-                v.visit_expr(&c.target);
-                v.visit_expr(&c.iter);
-                for cond in &c.ifs {
-                    v.visit_expr(cond);
-                }
-            }
-            v.visit_expr(element);
-            if let Some(val) = value {
-                v.visit_expr(val);
-            }
-        }
-        ExprKind::Name(_)
-        | ExprKind::Str(_)
-        | ExprKind::Int(_)
-        | ExprKind::Float(_)
-        | ExprKind::Bool(_)
-        | ExprKind::NoneLit
-        | ExprKind::FString(_) => {}
-    }
-}
-
-/// Default traversal of a pattern.
-pub fn walk_pattern<V: Visitor + ?Sized>(v: &mut V, pattern: &Pattern) {
-    match pattern {
-        Pattern::Literal(e) => v.visit_expr(e),
-        Pattern::List(items, _) | Pattern::Tuple(items, _) => {
-            for p in items {
-                v.visit_pattern(p);
-            }
-        }
-        Pattern::Capture(_) | Pattern::Wildcard(_) => {}
-    }
-}
-
-/// Collects every expression satisfying `pred`, in source order.
-///
-/// (The [`Visitor`] trait passes anonymous-lifetime references, so
-/// reference-collecting analyses use this direct recursion instead.)
-pub fn collect_exprs(module: &Module, pred: impl Fn(&Expr) -> bool) -> Vec<&Expr> {
-    fn rec<'m>(expr: &'m Expr, pred: &impl Fn(&Expr) -> bool, out: &mut Vec<&'m Expr>) {
-        if pred(expr) {
-            out.push(expr);
-        }
-        match &expr.kind {
-            ExprKind::Attribute { value, .. } => rec(value, pred, out),
-            ExprKind::Call { func, args } => {
-                rec(func, pred, out);
-                for a in args {
-                    rec(a, pred, out);
-                }
-            }
-            ExprKind::Subscript { value, index } => {
-                rec(value, pred, out);
-                rec(index, pred, out);
-            }
-            ExprKind::List(items) | ExprKind::Tuple(items) | ExprKind::Set(items) => {
-                for i in items {
-                    rec(i, pred, out);
-                }
-            }
-            ExprKind::Dict(pairs) => {
-                for (k, v) in pairs {
-                    rec(k, pred, out);
-                    rec(v, pred, out);
-                }
-            }
-            ExprKind::BinOp { left, right, .. } => {
-                rec(left, pred, out);
-                rec(right, pred, out);
-            }
-            ExprKind::UnaryOp { operand, .. } => rec(operand, pred, out),
-            ExprKind::Await(operand) => rec(operand, pred, out),
-            ExprKind::Lambda { body, .. } => rec(body, pred, out),
-            ExprKind::Starred { value, .. } => rec(value, pred, out),
-            ExprKind::Comp {
-                element,
-                value,
-                clauses,
-                ..
-            } => {
-                for c in clauses {
-                    rec(&c.target, pred, out);
-                    rec(&c.iter, pred, out);
-                    for cond in &c.ifs {
-                        rec(cond, pred, out);
-                    }
-                }
-                rec(element, pred, out);
-                if let Some(val) = value {
-                    rec(val, pred, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    fn stmt_rec<'m>(stmt: &'m Stmt, pred: &impl Fn(&Expr) -> bool, out: &mut Vec<&'m Expr>) {
-        match stmt {
-            Stmt::ClassDef(c) => {
-                for d in &c.decorators {
-                    rec(&d.expr, pred, out);
-                }
-                for s in &c.body {
-                    stmt_rec(s, pred, out);
-                }
-            }
-            Stmt::FuncDef(f) => {
-                for d in &f.decorators {
-                    rec(&d.expr, pred, out);
-                }
-                for s in &f.body {
-                    stmt_rec(s, pred, out);
-                }
-            }
-            Stmt::Return(r) => {
-                if let Some(v) = &r.value {
-                    rec(v, pred, out);
-                }
-            }
-            Stmt::If(ifs) => {
-                for (c, body) in &ifs.branches {
-                    rec(c, pred, out);
-                    for s in body {
-                        stmt_rec(s, pred, out);
-                    }
-                }
-                if let Some(body) = &ifs.orelse {
-                    for s in body {
-                        stmt_rec(s, pred, out);
-                    }
-                }
-            }
-            Stmt::Match(ms) => {
-                rec(&ms.subject, pred, out);
-                for case in &ms.cases {
-                    for s in &case.body {
-                        stmt_rec(s, pred, out);
-                    }
-                }
-            }
-            Stmt::While(ws) => {
-                rec(&ws.cond, pred, out);
-                for s in &ws.body {
-                    stmt_rec(s, pred, out);
-                }
-            }
-            Stmt::For(fs) => {
-                rec(&fs.target, pred, out);
-                rec(&fs.iter, pred, out);
-                for s in &fs.body {
-                    stmt_rec(s, pred, out);
-                }
-            }
-            Stmt::Assign(a) => {
-                rec(&a.target, pred, out);
-                rec(&a.value, pred, out);
-            }
-            Stmt::Expr(e) => rec(&e.expr, pred, out),
-            Stmt::Try(t) => {
-                for s in &t.body {
-                    stmt_rec(s, pred, out);
-                }
-                for h in &t.handlers {
-                    if let Some(exc) = &h.exc {
-                        rec(exc, pred, out);
-                    }
-                    for s in &h.body {
-                        stmt_rec(s, pred, out);
-                    }
-                }
-                for body in t.orelse.iter().chain(t.finally.iter()) {
-                    for s in body {
-                        stmt_rec(s, pred, out);
-                    }
-                }
-            }
-            Stmt::With(w) => {
-                for item in &w.items {
-                    rec(&item.context, pred, out);
-                    if let Some(t) = &item.target {
-                        rec(t, pred, out);
-                    }
-                }
-                for s in &w.body {
-                    stmt_rec(s, pred, out);
-                }
-            }
-            Stmt::Raise(r) => {
-                for e in r.exc.iter().chain(r.cause.iter()) {
-                    rec(e, pred, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut out = Vec::new();
-    for stmt in &module.body {
-        stmt_rec(stmt, &pred, &mut out);
-    }
-    out
-}
 
 /// Collects every [`Stmt::Degraded`] node of a module, in source order.
 ///
@@ -462,107 +66,56 @@ pub fn collect_degraded(module: &Module) -> Vec<&DegradedStmt> {
     out
 }
 
-/// Convenience: walk statements with a closure (pre-order).
-pub fn walk_stmts(module: &Module, mut f: impl FnMut(&Stmt)) {
-    struct W<F>(F);
-    impl<F: FnMut(&Stmt)> Visitor for W<F> {
-        fn visit_stmt(&mut self, stmt: &Stmt) {
-            (self.0)(stmt);
-            walk_stmt(self, stmt);
-        }
-    }
-    walk_module(&mut W(&mut f), module);
-}
-
-/// Convenience: walk expressions with a closure (pre-order).
-pub fn walk_exprs(module: &Module, mut f: impl FnMut(&Expr)) {
-    struct W<F>(F);
-    impl<F: FnMut(&Expr)> Visitor for W<F> {
-        fn visit_expr(&mut self, expr: &Expr) {
-            (self.0)(expr);
-            walk_expr(self, expr);
-        }
-    }
-    walk_module(&mut W(&mut f), module);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_module;
+    use crate::parse_module_recover;
 
-    const SRC: &str = r#"
-@sys
+    #[test]
+    fn collect_degraded_finds_every_nested_region_in_source_order() {
+        // `dN = = N` is a broken statement: recovery degrades it alone and
+        // keeps the enclosing construct.
+        let src = "\
+d0 = = 0
 class C:
+    d1 = = 1
     def m(self):
-        match self.a.test():
-            case ["open"]:
-                self.a.open(1 + 2)
-                return ["x"]
-        while ready:
-            for i in items:
-                print(i)
-"#;
-
-    #[test]
-    fn walk_stmts_visits_everything() {
-        let module = parse_module(SRC).unwrap();
-        let mut kinds = Vec::new();
-        walk_stmts(&module, |s| {
-            kinds.push(match s {
-                Stmt::ClassDef(_) => "class",
-                Stmt::FuncDef(_) => "def",
-                Stmt::Match(_) => "match",
-                Stmt::Expr(_) => "expr",
-                Stmt::Return(_) => "return",
-                Stmt::While(_) => "while",
-                Stmt::For(_) => "for",
-                _ => "other",
-            });
-        });
-        assert_eq!(
-            kinds,
-            vec!["class", "def", "match", "expr", "return", "while", "for", "expr"]
-        );
-    }
-
-    #[test]
-    fn walk_exprs_counts_calls() {
-        let module = parse_module(SRC).unwrap();
-        let mut calls = 0;
-        walk_exprs(&module, |e| {
-            if matches!(e.kind, ExprKind::Call { .. }) {
-                calls += 1;
-            }
-        });
-        // sys (decorator name is a bare Name, not a call), a.test(),
-        // a.open(...), print(i).
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn collect_exprs_finds_int_literals() {
-        let module = parse_module(SRC).unwrap();
-        let ints = collect_exprs(&module, |e| matches!(e.kind, ExprKind::Int(_)));
-        assert_eq!(ints.len(), 2); // 1 and 2
-    }
-
-    #[test]
-    fn custom_visitor_overrides() {
-        struct CountStrings(usize);
-        impl Visitor for CountStrings {
-            fn visit_expr(&mut self, expr: &Expr) {
-                if matches!(expr.kind, ExprKind::Str(_)) {
-                    self.0 += 1;
-                }
-                walk_expr(self, expr);
-            }
-        }
-        let module = parse_module(SRC).unwrap();
-        let mut v = CountStrings(0);
-        walk_module(&mut v, &module);
-        // "x" in the return; the pattern "open" is a pattern literal
-        // visited via visit_pattern → default walk → visit_expr.
-        assert_eq!(v.0, 2);
+        if a:
+            d2 = = 2
+        elif b:
+            d3 = = 3
+        else:
+            d4 = = 4
+        match x:
+            case 1:
+                d5 = = 5
+            case _:
+                d6 = = 6
+        while c:
+            d7 = = 7
+        for i in xs:
+            d8 = = 8
+        try:
+            d9 = = 9
+        except E:
+            d10 = = 10
+        else:
+            d11 = = 11
+        finally:
+            d12 = = 12
+        with f() as g:
+            d13 = = 13
+        def inner():
+            d14 = = 14
+        class Inner:
+            d15 = = 15
+";
+        let module = parse_module_recover(src);
+        let found: Vec<&str> = collect_degraded(&module)
+            .iter()
+            .map(|d| src[d.span.start..d.span.end].trim())
+            .collect();
+        let expected: Vec<String> = (0..16).map(|n| format!("d{n} = = {n}")).collect();
+        assert_eq!(found, expected);
     }
 }

@@ -39,9 +39,9 @@
 //! violating path. So the pruned search reports the same counterexample as
 //! the unpruned one; the oracle suites check this word for word.
 
-use crate::lang::{self, Lang};
+use crate::lang::Lang;
 use crate::nfa::{Label, Nfa, StateId};
-use crate::symbol::{Symbol, Word};
+use crate::symbol::{Alphabet, Symbol, Word};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Search counters of one inclusion check.
@@ -85,14 +85,14 @@ pub struct JointSearch {
 ///
 /// Panics if the automata are over different alphabets, or if `markers`
 /// contains a symbol outside the shared alphabet (a symbol interned into
-/// some other [`Alphabet`](crate::Alphabet)).
+/// some other [`Alphabet`]).
 pub fn joint_search<L: Lang>(nfa: &Nfa, monitor: &L, markers: &BTreeSet<Symbol>) -> JointSearch {
     assert_eq!(
         **nfa.alphabet(),
         **monitor.alphabet(),
         "joint search over different alphabets"
     );
-    lang::assert_markers_in_alphabet(markers, nfa.alphabet());
+    assert_markers_in_alphabet(markers, nfa.alphabet());
     let mut stats = InclusionStats::default();
 
     // Kept pairs in discovery order; `parents` records the symbol each
@@ -166,6 +166,20 @@ pub fn joint_search<L: Lang>(nfa: &Nfa, monitor: &L, markers: &BTreeSet<Symbol>)
     }
 }
 
+/// Panics unless every symbol in `markers` belongs to `alphabet`:
+/// out-of-alphabet markers are always a caller bug (a symbol interned into
+/// a *different* alphabet), never a soft condition.
+fn assert_markers_in_alphabet(markers: &BTreeSet<Symbol>, alphabet: &Alphabet) {
+    for &m in markers {
+        assert!(
+            m.index() < alphabet.len(),
+            "marker symbol #{} is outside the shared alphabet ({} symbols)",
+            m.index(),
+            alphabet.len()
+        );
+    }
+}
+
 fn spell(parents: &[Option<(usize, Option<Symbol>)>], mut idx: usize) -> Word {
     let mut word = Vec::new();
     while let Some((prev, sym)) = parents[idx] {
@@ -184,7 +198,6 @@ mod tests {
     use crate::ops::strip_markers;
     use crate::parser::parse_regex;
     use crate::regex::Regex;
-    use crate::symbol::Alphabet;
     use std::sync::Arc;
 
     /// `π(L(model)) ⊆ L(spec)` through the search, as usage checks run it.

@@ -1,11 +1,12 @@
 //! A compiled form of an [`Nfa`] for allocation-free subset stepping.
 //!
-//! Every determinizing traversal — [`Dfa::from_nfa`], the lazy
-//! [`NfaView`](crate::lang::NfaView), and the joint product searches driving
-//! spec monitors — repeats the same two computations in its hot loop:
-//! ε-closure of the states just reached, and the symbol successors of every
-//! state in the current subset. [`CompiledNfa`] hoists both out of the loop,
-//! once per automaton:
+//! Every determinizing traversal — the lazy
+//! [`NfaView`](crate::lang::NfaView), and so
+//! [`Dfa::from_nfa`](crate::Dfa::from_nfa), and the joint product searches
+//! driving spec monitors — repeats the same two computations in its hot
+//! loop: ε-closure of the states just reached, and the symbol successors of
+//! every state in the current subset. [`CompiledNfa`] hoists both out of
+//! the loop, once per automaton:
 //!
 //! * the **ε-closure of each state** as a [`StateSet`] bitset, so closing a
 //!   freshly-stepped subset is a union of precomputed blocks instead of a
@@ -146,11 +147,6 @@ impl CompiledNfa {
     /// The ε-closed start subset (the initial state of determinization).
     pub fn start_set(&self) -> StateSet {
         self.closure[self.start].clone()
-    }
-
-    /// The precomputed ε-closure of a single state.
-    pub fn closure_of(&self, state: StateId) -> &StateSet {
-        &self.closure[state]
     }
 
     /// The symbol successors of `(state, symbol)` from the CSR table.

@@ -1,27 +1,27 @@
 //! Lazy language views: on-the-fly automata combinators.
 //!
 //! Every check in the verification stack reduces to a reachability search
-//! over some product automaton, yet the eager [`Dfa`] algebra forces the
-//! *whole* automaton into existence first — subset construction and monitor
-//! compilation are exponential in the worst case even when the reachable
-//! product is tiny. This module provides the lazy counterpart: a [`Lang`]
-//! trait describing a complete deterministic transition system by
-//! `start`/`step`/`is_accepting` over a hashable state type, combinators
-//! that compose views without materializing them ([`Product`],
-//! [`Complement`], [`EraseMarkers`]), and generic algorithms
-//! ([`shortest_accepted`], [`is_empty`], [`subset_of`], [`materialize`])
-//! that explore **only the reachable states**, memoizing them by hash.
+//! over some product automaton, and building that product eagerly would
+//! force the *whole* automaton into existence first — subset construction
+//! and monitor compilation are exponential in the worst case even when the
+//! reachable product is tiny. This module is the one engine for those
+//! language operations: a [`Lang`] trait describing a complete
+//! deterministic transition system by `start`/`step`/`is_accepting` over a
+//! hashable state type, combinators that compose views without
+//! materializing them ([`Product`], [`Complement`]), and generic algorithms
+//! ([`shortest_accepted`], [`subset_of`], [`materialize`]) that explore
+//! **only the reachable states**, memoizing them by hash.
 //!
-//! The eager algebra stays available as the slow-but-obviously-correct
-//! oracle; property tests assert the two engines agree byte-for-byte. The
-//! algorithms here deliberately mirror the eager traversal order (FIFO
-//! queue, symbols in dense index order, acceptance tested at dequeue) so
-//! shortest witnesses are *identical* to the eager ones — the shortlex-least
-//! shortest word — not merely equal in length.
+//! The searches use one traversal order (FIFO queue, symbols in dense index
+//! order, acceptance tested at dequeue), so a witness is the shortlex-least
+//! shortest word and a materialized automaton is numbered in BFS discovery
+//! order. The property suite judges every view by Brzozowski membership
+//! ([`Regex::matches`](crate::Regex::matches)), which shares no automaton
+//! code with this module.
 //!
-//! Use [`materialize`] only at export boundaries (diagrams, NuSMV models,
-//! statistics): it is the single escape hatch back into the eager [`Dfa`]
-//! world and costs the full reachable state space.
+//! Use [`materialize`] only where a whole table is needed (diagrams,
+//! NuSMV models, statistics, [`Dfa::from_nfa`]): it costs the full
+//! reachable state space.
 //!
 //! # Examples
 //!
@@ -47,7 +47,7 @@ use crate::dfa::{cell, Dfa};
 use crate::nfa::{Nfa, StateId};
 use crate::stateset::StateSet;
 use crate::symbol::{Alphabet, Symbol, Word};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -136,7 +136,7 @@ impl<L: Lang + ?Sized> Lang for &L {
     }
 }
 
-/// An eager DFA is trivially a view: states are its interned ids.
+/// A DFA table is trivially a view: states are its interned ids.
 impl Lang for Dfa {
     type State = StateId;
 
@@ -163,13 +163,12 @@ impl Lang for Dfa {
 /// [`step`](Lang::step) performs one symbol move plus ε-closure by unioning
 /// the [`CompiledNfa`]'s precomputed per-state closures — no `BTreeSet`
 /// allocation, no ε-edge walk. No subset construction happens up front:
-/// only the subsets actually reached by a search are ever built, which is
-/// the whole point — [`Dfa::from_nfa`] enumerates all of them eagerly.
+/// only the subsets actually reached by a search are ever built;
+/// [`materialize`] enumerates all of them, and is how [`Dfa::from_nfa`]
+/// determinizes.
 ///
 /// Construction compiles the NFA once (ε-closures + CSR successor table);
-/// the view is cheap to clone afterwards. [`materialize`]d, this view
-/// yields a [`Dfa`] identical (states and numbering included) to
-/// `Dfa::from_nfa` on the same NFA.
+/// the view is cheap to clone afterwards.
 #[derive(Debug, Clone)]
 pub struct NfaView<'a> {
     nfa: &'a Nfa,
@@ -234,9 +233,6 @@ enum BoolOp {
 }
 
 /// The lazy product of two views; states are pairs explored on demand.
-///
-/// Mirrors the eager [`Dfa::intersect`]/[`Dfa::union`]/[`Dfa::difference`]
-/// triple without building the pair table.
 #[derive(Debug, Clone)]
 pub struct Product<A, B> {
     a: A,
@@ -357,99 +353,12 @@ impl<L: Lang> Lang for Complement<L> {
     }
 }
 
-/// A view that is blind to a set of marker symbols.
-///
-/// Stepping on a marker stays in place, so the wrapped language observes
-/// only the marker-erased projection of each word. This is how a claim
-/// monitor tracks an integration automaton whose words interleave operation
-/// markers with subsystem events: the markers advance the model, not the
-/// monitor.
-#[derive(Debug, Clone)]
-pub struct EraseMarkers<L> {
-    inner: L,
-    markers: BTreeSet<Symbol>,
-}
-
-impl<L: Lang> EraseMarkers<L> {
-    /// Wraps `inner`; symbols in `markers` become invisible self-loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any marker is not a symbol of `inner`'s alphabet.
-    pub fn new(inner: L, markers: BTreeSet<Symbol>) -> Self {
-        assert_markers_in_alphabet(&markers, inner.alphabet());
-        EraseMarkers { inner, markers }
-    }
-}
-
-impl<L: Lang> Lang for EraseMarkers<L> {
-    type State = L::State;
-
-    fn alphabet(&self) -> &Arc<Alphabet> {
-        self.inner.alphabet()
-    }
-
-    fn start(&self) -> Self::State {
-        self.inner.start()
-    }
-
-    fn step(&self, state: &Self::State, symbol: Symbol) -> Self::State {
-        if self.markers.contains(&symbol) {
-            state.clone()
-        } else {
-            self.inner.step(state, symbol)
-        }
-    }
-
-    fn step_into(&self, state: &Self::State, symbol: Symbol, out: &mut Self::State) {
-        if self.markers.contains(&symbol) {
-            out.clone_from(state);
-        } else {
-            self.inner.step_into(state, symbol, out);
-        }
-    }
-
-    fn is_accepting(&self, state: &Self::State) -> bool {
-        self.inner.is_accepting(state)
-    }
-
-    fn covers(&self, kept: &Self::State, cand: &Self::State) -> bool {
-        self.inner.covers(kept, cand)
-    }
-}
-
-/// Panics unless every symbol in `markers` belongs to `alphabet`.
-///
-/// Shared contract between [`EraseMarkers`] and the marker-aware searches in
-/// [`crate::ops`]: out-of-alphabet markers are always a caller bug (a symbol
-/// interned into a *different* alphabet), never a soft condition.
-pub(crate) fn assert_markers_in_alphabet(markers: &BTreeSet<Symbol>, alphabet: &Alphabet) {
-    for &m in markers {
-        assert!(
-            m.index() < alphabet.len(),
-            "marker symbol #{} is outside the shared alphabet ({} symbols)",
-            m.index(),
-            alphabet.len()
-        );
-    }
-}
-
 /// Finds a shortest accepted word by lazy BFS, if the language is nonempty.
 ///
-/// Explores only reachable states, memoized by hash. The traversal mirrors
-/// [`Dfa::shortest_accepted`] exactly — FIFO queue, successors expanded in
-/// dense symbol order, acceptance tested at dequeue — so the witness is the
-/// shortlex-least shortest word, byte-identical to the eager engine's.
+/// Explores only reachable states, memoized by hash: a FIFO queue,
+/// successors expanded in dense symbol order, acceptance tested at dequeue,
+/// so the witness is the shortlex-least shortest word.
 pub fn shortest_accepted<L: Lang>(lang: &L) -> Option<Word> {
-    shortest_accepted_counted(lang).0
-}
-
-/// [`shortest_accepted`] plus the number of distinct states visited.
-///
-/// The count is the size of the explored region (all states *discovered*,
-/// whether or not dequeued), which is what the lazy-vs-eager benchmarks
-/// compare against the materialized automaton's size.
-pub fn shortest_accepted_counted<L: Lang>(lang: &L) -> (Option<Word>, usize) {
     let nsyms = lang.alphabet().len();
     let mut index: HashMap<L::State, usize> = HashMap::new();
     let mut states: Vec<L::State> = Vec::new();
@@ -472,7 +381,7 @@ pub fn shortest_accepted_counted<L: Lang>(lang: &L) -> (Option<Word>, usize) {
                 cur = prev;
             }
             word.reverse();
-            return (Some(word), states.len());
+            return Some(word);
         }
         for sym_idx in 0..nsyms {
             let sym = Symbol::from_index(sym_idx);
@@ -486,16 +395,11 @@ pub fn shortest_accepted_counted<L: Lang>(lang: &L) -> (Option<Word>, usize) {
             }
         }
     }
-    (None, states.len())
+    None
 }
 
-/// Whether the language is empty, by lazy reachability.
-pub fn is_empty<L: Lang>(lang: &L) -> bool {
-    shortest_accepted(lang).is_none()
-}
-
-/// Checks `L(a) ⊆ L(b)` lazily; on failure returns a shortest word in the
-/// difference (byte-identical to [`Dfa::subset_of`]'s witness).
+/// Checks `L(a) ⊆ L(b)` lazily; on failure returns the shortlex-least
+/// shortest word in the difference.
 ///
 /// It distinguishes every reachable product state, exponential when `b` is
 /// a blowing-up [`NfaView`]; the verification checks run the pruned search
@@ -511,13 +415,11 @@ pub fn subset_of<A: Lang, B: Lang>(a: &A, b: &B) -> Result<(), Word> {
     }
 }
 
-/// Materializes a view into an eager [`Dfa`] — the escape hatch back into
-/// the eager world for diagram, NuSMV, and statistics export.
+/// Materializes a view into a [`Dfa`] table, for diagram, NuSMV, and
+/// statistics export.
 ///
 /// States are numbered in BFS discovery order with symbols scanned in dense
-/// index order — the same order as [`Dfa::from_nfa`] — so materializing an
-/// [`NfaView`] reproduces subset construction exactly, golden outputs
-/// included.
+/// index order; materializing an [`NfaView`] is [`Dfa::from_nfa`].
 ///
 /// The reachable state space must be finite (true for every view in this
 /// workspace: NFA subsets, DFA ids, product pairs, and canonicalized LTLf
@@ -535,8 +437,8 @@ pub fn materialize<L: Lang>(lang: &L) -> Dfa {
     states.push(start);
 
     let mut queue: VecDeque<usize> = VecDeque::from([0]);
-    // Scratch successor reused across steps, as in
-    // [`shortest_accepted_counted`]: allocation happens only at interning.
+    // Scratch successor reused across steps, as in [`shortest_accepted`]:
+    // allocation happens only at interning.
     let mut scratch = lang.start();
     while let Some(q) = queue.pop_front() {
         for sym_idx in 0..nsyms {
@@ -574,121 +476,28 @@ mod tests {
     }
 
     #[test]
-    fn nfa_view_agrees_with_subset_construction() {
-        let (nfa, _) = compile("(a ; b)* + (a ; c)");
-        let eager = Dfa::from_nfa(&nfa);
-        let lazy = materialize(&NfaView::new(&nfa));
-        assert_eq!(lazy.num_states(), eager.num_states());
-        assert_eq!(lazy.start(), eager.start());
-        for q in 0..eager.num_states() {
-            assert_eq!(lazy.is_accepting(q), eager.is_accepting(q));
-            for (sym, _) in eager.alphabet().iter() {
-                assert_eq!(lazy.step(q, sym), eager.step(q, sym), "state {q}");
-            }
-        }
-    }
-
-    #[test]
-    fn lazy_witnesses_match_eager_witnesses() {
-        let (nfa, _) = compile("(a ; a ; a) + (b ; c) + c");
-        let eager = Dfa::from_nfa(&nfa);
-        assert_eq!(
-            shortest_accepted(&NfaView::new(&nfa)),
-            eager.shortest_accepted()
-        );
-        assert_eq!(is_empty(&NfaView::new(&nfa)), eager.is_empty());
-    }
-
-    #[test]
-    fn product_and_complement_agree_with_dfa_algebra() {
-        let mut ab = Alphabet::new();
-        let re1 = parse_regex("(a + b)*", &mut ab).unwrap();
-        let re2 = parse_regex("a ; (a + b)*", &mut ab).unwrap();
-        let ab = Arc::new(ab);
-        let n1 = Nfa::from_regex(&re1, ab.clone());
-        let n2 = Nfa::from_regex(&re2, ab);
-        let (d1, d2) = (Dfa::from_nfa(&n1), Dfa::from_nfa(&n2));
-        let (v1, v2) = (NfaView::new(&n1), NfaView::new(&n2));
-
-        // Difference witness identical to the eager engine.
-        assert_eq!(
-            shortest_accepted(&Product::difference(&v1, &v2)),
-            d1.difference(&d2).shortest_accepted()
-        );
-        // Intersection / union emptiness agree.
-        assert_eq!(
-            is_empty(&Product::intersection(&v1, &v2)),
-            d1.intersect(&d2).is_empty()
-        );
-        assert_eq!(
-            is_empty(&Product::union(&v1, &v2)),
-            d1.union(&d2).is_empty()
-        );
-        // Complement round-trips.
-        assert_eq!(
-            shortest_accepted(&Complement::new(&v2)),
-            d2.complement().shortest_accepted()
-        );
-    }
-
-    #[test]
-    fn subset_of_matches_dfa_subset_of() {
+    fn subset_of_returns_a_shortest_difference_word() {
         let mut ab = Alphabet::new();
         let small = parse_regex("a ; b", &mut ab).unwrap();
         let big = parse_regex("(a ; b) + (a ; c)", &mut ab).unwrap();
         let ab = Arc::new(ab);
+        let c = ab.lookup("c").unwrap();
+        let a = ab.lookup("a").unwrap();
         let ns = Nfa::from_regex(&small, ab.clone());
         let nb = Nfa::from_regex(&big, ab);
-        let (ds, db) = (Dfa::from_nfa(&ns), Dfa::from_nfa(&nb));
         assert_eq!(subset_of(&NfaView::new(&ns), &NfaView::new(&nb)), Ok(()));
         assert_eq!(
             subset_of(&NfaView::new(&nb), &NfaView::new(&ns)),
-            db.subset_of(&ds)
+            Err(vec![a, c])
         );
     }
 
     #[test]
-    fn erase_markers_makes_symbols_invisible() {
-        let mut ab = Alphabet::new();
-        let m = ab.intern("m");
-        let a = ab.intern("a");
-        let spec = parse_regex("a", &mut ab).unwrap();
-        let ab = Arc::new(ab);
-        let spec = Nfa::from_regex(&spec, ab);
-        // The blind view accepts m·a·m because it only sees `a`.
-        let view = EraseMarkers::new(NfaView::new(&spec), BTreeSet::from([m]));
-        let mut state = view.start();
-        for s in [m, a, m] {
-            state = view.step(&state, s);
-        }
-        assert!(view.is_accepting(&state));
-        assert!(!view.is_accepting(&view.start()));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the shared alphabet")]
-    fn erase_markers_rejects_foreign_symbols() {
-        let (nfa, _) = compile("a");
-        let foreign = Symbol::from_index(99);
-        let _ = EraseMarkers::new(NfaView::new(&nfa), BTreeSet::from([foreign]));
-    }
-
-    #[test]
     #[should_panic(expected = "different alphabets")]
-    fn product_rejects_mismatched_alphabets() {
+    fn mismatched_alphabets_panic_in_product() {
         let (n1, _) = compile("a");
         let (n2, _) = compile("a ; b");
         let _ = Product::intersection(NfaView::new(&n1), NfaView::new(&n2));
-    }
-
-    #[test]
-    fn counted_search_reports_explored_region() {
-        let (nfa, _) = compile("a ; b ; c");
-        let (word, visited) = shortest_accepted_counted(&NfaView::new(&nfa));
-        assert!(word.is_some());
-        // The search cannot have explored more than the full subset space.
-        assert!(visited <= Dfa::from_nfa(&nfa).num_states());
-        assert!(visited >= 1);
     }
 
     #[test]
@@ -699,6 +508,6 @@ mod tests {
         assert_eq!(shortest_accepted(&view), Some(vec![]));
         let dfa = materialize(&view);
         assert!(dfa.accepts(&[]));
-        assert!(is_empty(&Complement::new(&view)));
+        assert_eq!(shortest_accepted(&Complement::new(&view)), None);
     }
 }

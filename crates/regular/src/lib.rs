@@ -16,27 +16,27 @@
 //!   [Brzozowski derivatives](Regex::derivative) and
 //!   [membership](Regex::matches).
 //! * [`Nfa`] — ε-NFAs with Thompson compilation, a builder for
-//!   specification graphs, projection by symbol erasure, shortest-word
-//!   search.
+//!   specification graphs, projection by symbol erasure.
 //! * [`StateSet`] / [`CompiledNfa`] — the bitset state engine: dense
 //!   `u64`-block subsets plus once-per-NFA compiled ε-closures and CSR
 //!   successor tables, powering allocation-free determinized stepping in
 //!   every hot path below.
-//! * [`Dfa`] — complete DFAs with subset construction, boolean algebra,
-//!   inclusion/equivalence with shortest counterexamples,
+//! * [`Dfa`] — complete DFAs as one flat row-major `u32` transition table
+//!   plus an accepting [`StateSet`]: the table form that export,
 //!   [Hopcroft minimization](Dfa::minimize), shortlex
-//!   [word enumeration](Dfa::enumerate_words), all over one flat row-major
-//!   `u32` transition table plus an accepting [`StateSet`].
+//!   [word enumeration](Dfa::enumerate_words) and complementation read.
+//!   Its subset construction, emptiness and inclusion run on [`lang`].
 //! * [`antichain`] — the one inclusion search under both verification
 //!   checks: a marker-aware 0-1 BFS over (NFA state, monitor state) pairs
 //!   that discards pairs a kept pair covers (De Wulf–Doyen–Henzinger–
 //!   Raskin antichains), returning the paper's annotated counterexamples
 //!   (`open_a, a.test, a.open`).
-//! * [`lang`] — lazy language views: a [`lang::Lang`] trait with on-the-fly
-//!   combinators (product, complement, marker erasure) and generic searches
-//!   that explore only reachable states, with
-//!   [`lang::materialize`] as the eager escape hatch for export.
-//! * [`ops`] — marker stripping and sub-alphabet projection of words.
+//! * [`lang`] — lazy language views, the one engine for language
+//!   operations: a [`lang::Lang`] trait with on-the-fly combinators
+//!   (product, complement) and generic searches that explore only
+//!   reachable states, with [`lang::materialize`] building a [`Dfa`] table
+//!   where a whole one is needed.
+//! * [`ops`] — marker stripping of words.
 //! * DOT rendering for the behavior diagrams of Figures 1–3.
 //!
 //! # Example

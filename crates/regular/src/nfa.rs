@@ -8,8 +8,8 @@
 
 use crate::compiled::CompiledNfa;
 use crate::regex::Regex;
-use crate::symbol::{Alphabet, Symbol, Word};
-use std::collections::{BTreeSet, VecDeque};
+use crate::symbol::{Alphabet, Symbol};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Index of an automaton state.
@@ -132,51 +132,6 @@ impl Nfa {
             }
         }
         out
-    }
-
-    /// Finds a shortest accepted word, if the language is nonempty.
-    pub fn shortest_accepted(&self) -> Option<Word> {
-        // BFS over states; ε-edges cost nothing but BFS on (state) with
-        // per-state best word works since all symbol edges cost 1.
-        let mut parent: Vec<Option<(StateId, Option<Symbol>)>> = vec![None; self.edges.len()];
-        let mut visited = vec![false; self.edges.len()];
-        let mut queue = VecDeque::new();
-        visited[self.start] = true;
-        queue.push_back(self.start);
-        // 0-1 BFS: ε edges go to the front.
-        let mut deque: VecDeque<StateId> = queue;
-        while let Some(q) = deque.pop_front() {
-            if self.accepting[q] {
-                let mut word = Vec::new();
-                let mut cur = q;
-                while let Some((prev, sym)) = parent[cur] {
-                    if let Some(s) = sym {
-                        word.push(s);
-                    }
-                    cur = prev;
-                }
-                word.reverse();
-                return Some(word);
-            }
-            for &(label, dst) in &self.edges[q] {
-                if !visited[dst] {
-                    visited[dst] = true;
-                    parent[dst] = Some((q, label_symbol(label)));
-                    match label {
-                        Label::Eps => deque.push_front(dst),
-                        Label::Sym(_) => deque.push_back(dst),
-                    }
-                }
-            }
-        }
-        None
-    }
-}
-
-fn label_symbol(label: Label) -> Option<Symbol> {
-    match label {
-        Label::Eps => None,
-        Label::Sym(s) => Some(s),
     }
 }
 
@@ -308,7 +263,6 @@ mod tests {
         let nfa = Nfa::from_regex(&Regex::empty(), ab);
         assert!(!nfa.accepts(&[]));
         assert!(!nfa.accepts(&[a]));
-        assert_eq!(nfa.shortest_accepted(), None);
     }
 
     #[test]
@@ -320,14 +274,6 @@ mod tests {
         let projected = nfa.erase_symbols(&BTreeSet::from([b]));
         assert!(projected.accepts(&[a, a]));
         assert!(!projected.accepts(&[a, b, a]));
-    }
-
-    #[test]
-    fn shortest_accepted_finds_minimum() {
-        let (ab, a, b, _) = ab3();
-        let r = Regex::union(Regex::word(&[a, b, a]), Regex::word(&[b]));
-        let nfa = Nfa::from_regex(&r, ab);
-        assert_eq!(nfa.shortest_accepted(), Some(vec![b]));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Integration automata interleave *marker symbols* (operation names) with
 //! subsystem events, and the witnesses of [`crate::antichain::joint_search`]
 //! keep them, so error messages print traces exactly as the paper does
-//! (`open_a, a.test, a.open`). These helpers take the markers back out, or
-//! keep only one subsystem's events.
+//! (`open_a, a.test, a.open`). [`strip_markers`] takes the markers back
+//! out.
 
 use crate::symbol::{Symbol, Word};
 use std::collections::BTreeSet;
@@ -17,24 +17,18 @@ pub fn strip_markers(word: &[Symbol], markers: &BTreeSet<Symbol>) -> Word {
         .collect()
 }
 
-/// Keeps only the symbols in `keep` (projection onto a sub-alphabet).
-pub fn project(word: &[Symbol], keep: &BTreeSet<Symbol>) -> Word {
-    word.iter().copied().filter(|s| keep.contains(s)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::symbol::Alphabet;
 
     #[test]
-    fn project_keeps_only_requested_symbols() {
+    fn strip_markers_drops_only_markers() {
         let mut ab = Alphabet::new();
         let a = ab.intern("a");
         let b = ab.intern("b");
         let c = ab.intern("c");
-        let keep = BTreeSet::from([a, c]);
-        assert_eq!(project(&[a, b, c, b, a], &keep), vec![a, c, a]);
-        assert_eq!(strip_markers(&[a, b, c, b, a], &keep), vec![b, b]);
+        let markers = BTreeSet::from([a, c]);
+        assert_eq!(strip_markers(&[a, b, c, b, a], &markers), vec![b, b]);
     }
 }

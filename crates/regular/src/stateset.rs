@@ -143,44 +143,6 @@ impl StateSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Size of the union `self ∪ other` without materializing it — one
-    /// word-parallel pass of `popcount(a | b)` over the blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ (sets from different automata).
-    pub fn union_count(&self, other: &StateSet) -> usize {
-        assert_eq!(
-            self.blocks.len(),
-            other.blocks.len(),
-            "union of state sets with different capacities"
-        );
-        self.blocks
-            .iter()
-            .zip(other.blocks.iter())
-            .map(|(a, b)| (a | b).count_ones() as usize)
-            .sum()
-    }
-
-    /// Size of the difference `self \ other` without materializing it — one
-    /// word-parallel pass of `popcount(a & !b)` over the blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ (sets from different automata).
-    pub fn difference_count(&self, other: &StateSet) -> usize {
-        assert_eq!(
-            self.blocks.len(),
-            other.blocks.len(),
-            "difference of state sets with different capacities"
-        );
-        self.blocks
-            .iter()
-            .zip(other.blocks.iter())
-            .map(|(a, b)| (a & !b).count_ones() as usize)
-            .sum()
-    }
-
     /// Whether the sets share at least one state.
     ///
     /// # Panics
@@ -367,43 +329,6 @@ mod tests {
         assert!(!b.is_subset_of(&a));
         a.insert(4);
         assert!(!a.is_subset_of(&b));
-    }
-
-    #[test]
-    fn union_and_difference_counts_match_materialized_ops() {
-        let mut a = StateSet::new(200);
-        let mut b = StateSet::new(200);
-        for q in [3, 64, 127, 128, 199] {
-            a.insert(q);
-        }
-        for q in [64, 128, 5] {
-            b.insert(q);
-        }
-        let mut union = a.clone();
-        union.union_with(&b);
-        assert_eq!(a.union_count(&b), union.len());
-        let mut diff = a.clone();
-        diff.difference_with(&b);
-        assert_eq!(a.difference_count(&b), diff.len());
-        assert_eq!(b.difference_count(&a), 1); // only 5 survives
-        assert_eq!(a.union_count(&a.clone()), a.len());
-        assert_eq!(a.difference_count(&a.clone()), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "different capacities")]
-    fn union_count_rejects_mismatched_capacity() {
-        let a = StateSet::new(64);
-        let b = StateSet::new(128);
-        let _ = a.union_count(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different capacities")]
-    fn difference_count_rejects_mismatched_capacity() {
-        let a = StateSet::new(64);
-        let b = StateSet::new(128);
-        let _ = a.difference_count(&b);
     }
 
     #[test]

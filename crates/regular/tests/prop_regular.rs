@@ -1,11 +1,13 @@
 //! Property-based tests for the regular-language toolkit.
 //!
 //! The key invariant: every representation of a language (regex via
-//! derivatives, Thompson NFA, subset-construction DFA, minimized DFA) must
-//! agree on membership, and the boolean algebra must satisfy its laws.
+//! derivatives, Thompson NFA, subset-construction DFA, minimized DFA, the
+//! lazy views) must agree with Brzozowski membership ([`Regex::matches`]),
+//! which shares no automaton code with them.
 
 use proptest::prelude::*;
-use shelley_regular::{Alphabet, Dfa, Nfa, Regex, Symbol};
+use shelley_regular::lang::{self, Complement, Lang, NfaView, Product};
+use shelley_regular::{Alphabet, Dfa, Nfa, Regex, Symbol, Word};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -135,17 +137,6 @@ proptest! {
         prop_assert_eq!(m1.num_states(), m2.num_states());
     }
 
-    /// De Morgan over the DFA boolean algebra.
-    #[test]
-    fn de_morgan(r1 in arb_regex(), r2 in arb_regex(), w in arb_word()) {
-        let ab = alphabet();
-        let d1 = Dfa::from_nfa(&Nfa::from_regex(&r1, ab.clone()));
-        let d2 = Dfa::from_nfa(&Nfa::from_regex(&r2, ab));
-        let lhs = d1.intersect(&d2).complement();
-        let rhs = d1.complement().union(&d2.complement());
-        prop_assert_eq!(lhs.accepts(&w), rhs.accepts(&w));
-    }
-
     /// Concatenation of languages corresponds to splitting the word.
     #[test]
     fn concat_splits(r1 in arb_regex(), r2 in arb_regex(), w in arb_word()) {
@@ -213,23 +204,6 @@ proptest! {
                 prop_assert!(d1.accepts(&w));
                 prop_assert!(!d2.accepts(&w));
             }
-        }
-    }
-
-    /// Shortest accepted word from the NFA matches the DFA's.
-    #[test]
-    fn shortest_words_agree(r in arb_regex()) {
-        let ab = alphabet();
-        let nfa = Nfa::from_regex(&r, ab);
-        let dfa = Dfa::from_nfa(&nfa);
-        match (nfa.shortest_accepted(), dfa.shortest_accepted()) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.len(), b.len());
-                prop_assert!(r.matches(&a));
-                prop_assert!(r.matches(&b));
-            }
-            (a, b) => prop_assert!(false, "disagree: {:?} vs {:?}", a, b),
         }
     }
 
@@ -352,113 +326,73 @@ proptest! {
             prop_assert_eq!(hash_of(&rebuilt), hash_of(&set));
         }
     }
+}
 
-    /// The bitset view ([`NfaView`] over `CompiledNfa`) materializes to
-    /// exactly `Dfa::from_nfa`'s automaton — state numbering included —
-    /// and its lazy searches return the eager automaton's witnesses.
+/// Words up to this length judge each view's shortest word; the
+/// materialized table is judged on words one shorter.
+const BOUND: usize = 5;
+
+/// Checks one view against its membership predicate `member`, given in
+/// shortlex order over `words` (every word of length ≤ [`BOUND`]):
+/// [`lang::shortest_accepted`] is the first member, and the
+/// [`lang::materialize`]d table accepts exactly the members of length
+/// ≤ `BOUND - 1`.
+fn assert_view_agrees<L: Lang>(
+    view: &L,
+    words: &[Word],
+    member: &[bool],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let first = words
+        .iter()
+        .zip(member)
+        .find(|(_, &m)| m)
+        .map(|(w, _)| w.clone());
+    match lang::shortest_accepted(view) {
+        // Longer than the enumeration: no member may be shorter.
+        Some(w) if w.len() > BOUND => {
+            prop_assert_eq!(first, None, "{}: missed a shorter word", what)
+        }
+        found => prop_assert_eq!(found, first, "{}: shortest word", what),
+    }
+    let dfa = lang::materialize(view);
+    for (w, &m) in words.iter().zip(member).filter(|(w, _)| w.len() < BOUND) {
+        prop_assert_eq!(dfa.accepts(w), m, "{}: materialized table on {:?}", what, w);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every view and combinator is judged by Brzozowski membership: the
+    /// subset view, its complement, and the three products of two random
+    /// regexes.
     #[test]
-    fn bitset_engine_matches_reference_engine(r1 in arb_regex(), r2 in arb_regex()) {
-        use shelley_regular::lang::{self, NfaView, Product};
+    fn views_agree_with_membership(r1 in arb_regex(), r2 in arb_regex()) {
         let ab = alphabet();
         let n1 = Nfa::from_regex(&r1, ab.clone());
-        let n2 = Nfa::from_regex(&r2, ab.clone());
-        let direct = Dfa::from_nfa(&n1);
-
-        // Witnesses.
-        prop_assert_eq!(lang::shortest_accepted(&NfaView::new(&n1)), direct.shortest_accepted());
-        prop_assert_eq!(
-            lang::shortest_accepted(&Product::difference(NfaView::new(&n1), NfaView::new(&n2))),
-            direct.difference(&Dfa::from_nfa(&n2)).shortest_accepted()
-        );
-
-        // Materialization: identical tables, numbering, acceptance.
-        let bitset = lang::materialize(&NfaView::new(&n1));
-        prop_assert_eq!(bitset.num_states(), direct.num_states());
-        prop_assert_eq!(bitset.start(), direct.start());
-        for q in 0..direct.num_states() {
-            prop_assert_eq!(bitset.is_accepting(q), direct.is_accepting(q));
-            prop_assert_eq!(bitset.row(q), direct.row(q));
-        }
+        let n2 = Nfa::from_regex(&r2, ab);
+        let (v1, v2) = (NfaView::new(&n1), NfaView::new(&n2));
+        let words = words_up_to(BOUND);
+        let in1: Vec<bool> = words.iter().map(|w| r1.matches(w)).collect();
+        let in2: Vec<bool> = words.iter().map(|w| r2.matches(w)).collect();
+        let judge = |f: fn(bool, bool) -> bool| -> Vec<bool> {
+            in1.iter().zip(&in2).map(|(&x, &y)| f(x, y)).collect()
+        };
+        assert_view_agrees(&v1, &words, &in1, "NfaView")?;
+        let complement = Complement::new(&v1);
+        assert_view_agrees(&complement, &words, &judge(|x, _| !x), "complement")?;
+        let and = Product::intersection(&v1, &v2);
+        assert_view_agrees(&and, &words, &judge(|x, y| x && y), "intersection")?;
+        let or = Product::union(&v1, &v2);
+        assert_view_agrees(&or, &words, &judge(|x, y| x || y), "union")?;
+        let diff = Product::difference(&v1, &v2);
+        assert_view_agrees(&diff, &words, &judge(|x, y| x && !y), "difference")?;
     }
 }
 
 proptest! {
-    /// The lazy language-view engine and the eager DFA algebra produce
-    /// byte-identical answers: same subset verdicts, same witnesses, same
-    /// shortest words, on every generated pair of regexes.
-    #[test]
-    fn lazy_engine_matches_eager_engine(r1 in arb_regex(), r2 in arb_regex()) {
-        use shelley_regular::lang::{self, Complement, NfaView, Product};
-        let ab = alphabet();
-        let n1 = Nfa::from_regex(&r1, ab.clone());
-        let n2 = Nfa::from_regex(&r2, ab.clone());
-        let d1 = Dfa::from_nfa(&n1);
-        let d2 = Dfa::from_nfa(&n2);
-
-        // Subset checks: verdict AND witness must be byte-identical.
-        prop_assert_eq!(
-            lang::subset_of(&NfaView::new(&n1), &NfaView::new(&n2)),
-            d1.subset_of(&d2)
-        );
-
-        // Boolean combinators: shortest accepted word must be identical to
-        // the eager product construction's (both are shortlex-minimal).
-        prop_assert_eq!(
-            lang::shortest_accepted(&Product::intersection(NfaView::new(&n1), NfaView::new(&n2))),
-            d1.intersect(&d2).shortest_accepted()
-        );
-        prop_assert_eq!(
-            lang::shortest_accepted(&Product::union(NfaView::new(&n1), NfaView::new(&n2))),
-            d1.union(&d2).shortest_accepted()
-        );
-        prop_assert_eq!(
-            lang::shortest_accepted(&Product::difference(NfaView::new(&n1), NfaView::new(&n2))),
-            d1.difference(&d2).shortest_accepted()
-        );
-        prop_assert_eq!(
-            lang::shortest_accepted(&Complement::new(NfaView::new(&n1))),
-            d1.complement().shortest_accepted()
-        );
-    }
-
-    /// Materializing the lazy subset view reproduces eager subset
-    /// construction exactly: same state numbering, same table, same
-    /// acceptance — not merely an equivalent automaton.
-    #[test]
-    fn materialize_is_identical_to_subset_construction(r in arb_regex(), w in arb_word()) {
-        use shelley_regular::lang::{self, NfaView};
-        let ab = alphabet();
-        let nfa = Nfa::from_regex(&r, ab.clone());
-        let lazy = lang::materialize(&NfaView::new(&nfa));
-        let eager = Dfa::from_nfa(&nfa);
-        prop_assert_eq!(lazy.num_states(), eager.num_states());
-        prop_assert_eq!(lazy.start(), eager.start());
-        for q in 0..lazy.num_states() {
-            prop_assert_eq!(lazy.is_accepting(q), eager.is_accepting(q));
-            for s in ab.symbols() {
-                prop_assert_eq!(lazy.step(q, s), eager.step(q, s));
-            }
-        }
-        prop_assert_eq!(lazy.accepts(&w), r.matches(&w));
-    }
-
-    /// The lazy shortest-word search on a DFA view returns exactly what
-    /// the DFA's own search returns (both shortlex-minimal, same
-    /// tie-breaking).
-    #[test]
-    fn lazy_shortest_accepted_matches_dfa_search(r in arb_regex()) {
-        use shelley_regular::lang;
-        let ab = alphabet();
-        let nfa = Nfa::from_regex(&r, ab.clone());
-        let dfa = Dfa::from_nfa(&nfa);
-        prop_assert_eq!(lang::shortest_accepted(&dfa), dfa.shortest_accepted());
-        prop_assert_eq!(
-            lang::shortest_accepted(&lang::NfaView::new(&nfa)),
-            dfa.shortest_accepted()
-        );
-        prop_assert_eq!(lang::is_empty(&dfa), dfa.shortest_accepted().is_none());
-    }
-
     /// State elimination recovers the same language.
     #[test]
     fn to_regex_roundtrip(r in arb_regex()) {
