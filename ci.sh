@@ -81,6 +81,22 @@ cargo test -p shelley-bench --test restart -q
 cargo test -p shelley-core --lib -q file_record
 cargo test -p shelley-daemon --lib -q server::tests
 
+echo "==> wire codec (byte-identical goldens, round trips, malformed input)"
+# The serde shim streams: derived code writes JSON straight into a
+# Writer and reads it straight from a Reader, with no Value tree in
+# between. The shim's own tests pin the writer's bytes and the reader's
+# nesting cap; every Request, Reply, CheckSummary, SavedVerify and
+# Diagnostic must round-trip, give the same bytes through the dynamic
+# Value path, decode the same in any key order, keep the first of a
+# repeated key and refuse every strict prefix of its encoding; the wire
+# goldens must stay byte-identical with every strict prefix an error; and
+# a 400 KB request nested 200,000 deep must get a malformed-request reply
+# from the daemon, which keeps serving, instead of overflowing its stack.
+cargo test -p serde -q
+cargo test -p shelley-core --test prop_api -q
+cargo test -p shelley-core --lib -q api::tests
+cargo test -p shelley-daemon --test daemon -q a_deeply_nested_request
+
 echo "==> memory gate (live bytes after a cold round)"
 # A counting global allocator, in a test binary of its own: a cold
 # jobs(1) round on serve_project(1000), and one in recovery mode on

@@ -424,12 +424,9 @@ mod tests {
         assert_eq!(line, r#"{"id":3,"method":"check"}"#);
     }
 
-    /// Golden wire fixtures: the exact JSON of representative requests
-    /// and replies. Any change here is a protocol break and must bump
-    /// [`PROTOCOL_VERSION`].
-    #[test]
-    fn golden_wire_fixtures_pin_the_protocol() {
-        let fixtures: Vec<(Request, &str)> = vec![
+    /// Golden request lines: the exact JSON of representative requests.
+    fn request_goldens() -> Vec<(Request, &'static str)> {
+        vec![
             (
                 Request {
                     id: 1,
@@ -477,14 +474,12 @@ mod tests {
                 },
                 r#"{"id":5,"method":"shutdown"}"#,
             ),
-        ];
-        for (request, golden) in fixtures {
-            assert_eq!(json::to_string(&request), golden);
-            let back: Request = json::from_str(golden).unwrap();
-            assert_eq!(back, request);
-        }
+        ]
+    }
 
-        let replies: Vec<(Reply, &str)> = vec![
+    /// Golden reply lines: the exact JSON of representative replies.
+    fn reply_goldens() -> Vec<(Reply, &'static str)> {
+        vec![
             (
                 Reply {
                     id: 1,
@@ -533,11 +528,47 @@ mod tests {
                 },
                 r#"{"id":0,"body":{"error":{"message":"malformed request"}}}"#,
             ),
-        ];
-        for (reply, golden) in replies {
+        ]
+    }
+
+    /// Golden wire fixtures: the exact JSON of representative requests
+    /// and replies. Any change here is a protocol break and must bump
+    /// [`PROTOCOL_VERSION`].
+    #[test]
+    fn golden_wire_fixtures_pin_the_protocol() {
+        for (request, golden) in request_goldens() {
+            assert_eq!(json::to_string(&request), golden);
+            let back: Request = json::from_str(golden).unwrap();
+            assert_eq!(back, request);
+        }
+        for (reply, golden) in reply_goldens() {
             assert_eq!(json::to_string(&reply), golden);
             let back: Reply = json::from_str(golden).unwrap();
             assert_eq!(back, reply);
+        }
+    }
+
+    /// A line cut short anywhere never decodes (and never panics): each
+    /// strict prefix of every golden is an error.
+    #[test]
+    fn golden_wire_prefixes_are_errors() {
+        for (_, golden) in request_goldens() {
+            for (cut, _) in golden.char_indices() {
+                assert!(
+                    json::from_str::<Request>(&golden[..cut]).is_err(),
+                    "{}",
+                    &golden[..cut]
+                );
+            }
+        }
+        for (_, golden) in reply_goldens() {
+            for (cut, _) in golden.char_indices() {
+                assert!(
+                    json::from_str::<Reply>(&golden[..cut]).is_err(),
+                    "{}",
+                    &golden[..cut]
+                );
+            }
         }
     }
 

@@ -382,45 +382,53 @@ impl Diagnostic {
 /// (the daemon's disk cache depends on this). The editor-facing resolved
 /// form is [`crate::api::WireDiagnostic`].
 impl serde::Serialize for Diagnostic {
-    fn serialize(&self) -> Value {
-        let mut fields = vec![
-            (
-                "severity".to_string(),
-                serde::Serialize::serialize(&self.severity),
-            ),
-            ("code".to_string(), Value::Str(self.code.to_string())),
-            ("message".to_string(), Value::Str(self.message.clone())),
-            (
-                "notes".to_string(),
-                serde::Serialize::serialize(&self.notes),
-            ),
-        ];
+    fn serialize(&self, w: &mut serde::json::Writer) {
+        w.begin_object();
+        w.field("severity", &self.severity);
+        w.field("code", self.code);
+        w.field("message", &self.message);
+        w.field("notes", &self.notes);
         if let Some(file) = &self.file {
-            fields.push(("file".to_string(), Value::Str(file.clone())));
+            w.field("file", file);
         }
         if let Some(span) = &self.span {
-            fields.push(("span".to_string(), serde::Serialize::serialize(span)));
+            w.field("span", span);
         }
-        Value::Map(fields)
+        w.end_object();
     }
 }
 
 impl serde::Deserialize for Diagnostic {
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
-        let map = serde::__as_map(value, "Diagnostic")?;
+    fn deserialize(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        const TY: &str = "Diagnostic";
+        r.begin_object(TY)?;
+        let (mut severity, mut code, mut file, mut span, mut message, mut notes) =
+            (None, None::<String>, None, None, None, None);
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "severity" => r.field(&mut severity, "severity", TY)?,
+                "code" => r.field(&mut code, "code", TY)?,
+                "file" => r.field(&mut file, "file", TY)?,
+                "span" => r.field(&mut span, "span", TY)?,
+                "message" => r.field(&mut message, "message", TY)?,
+                "notes" => r.field(&mut notes, "notes", TY)?,
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |key| serde::Error::missing_field(key, TY);
         // The in-memory code is `&'static str`; recover it through the
         // registry so unknown codes fail loudly instead of aliasing.
-        let code: String = serde::__field(map, "code", "Diagnostic")?;
+        let code = code.ok_or_else(|| missing("code"))?;
         let code = code_info(&code)
             .ok_or_else(|| serde::Error::new(format!("unknown diagnostic code `{code}`")))?
             .code;
         Ok(Diagnostic {
-            severity: serde::__field(map, "severity", "Diagnostic")?,
+            severity: severity.ok_or_else(|| missing("severity"))?,
             code,
-            file: serde::__opt_field(map, "file", "Diagnostic")?,
-            span: serde::__opt_field(map, "span", "Diagnostic")?,
-            message: serde::__field(map, "message", "Diagnostic")?,
-            notes: serde::__field(map, "notes", "Diagnostic")?,
+            file: file.unwrap_or(None),
+            span: span.unwrap_or(None),
+            message: message.ok_or_else(|| missing("message"))?,
+            notes: notes.ok_or_else(|| missing("notes"))?,
         })
     }
 }
@@ -544,16 +552,17 @@ impl Diagnostics {
         &self,
         source: impl Fn(&Diagnostic) -> Option<&'s SourceFile>,
     ) -> String {
-        let diags = self
+        let diags: Vec<_> = self
             .items
             .iter()
-            .map(|d| serde::Serialize::serialize(&crate::api::WireDiagnostic::new(d, source(d))))
+            .map(|d| crate::api::WireDiagnostic::new(d, source(d)))
             .collect();
-        let doc = obj(vec![
-            ("tool", s("shelleyc")),
-            ("diagnostics", Value::Seq(diags)),
-        ]);
-        let mut out = serde::json::to_string_pretty(&doc);
+        let mut w = serde::json::Writer::pretty();
+        w.begin_object();
+        w.field("tool", "shelleyc");
+        w.field("diagnostics", &diags);
+        w.end_object();
+        let mut out = w.into_string();
         out.push('\n');
         out
     }
@@ -699,15 +708,15 @@ impl IntoIterator for Diagnostics {
 
 /// A collection serializes as a bare array of its diagnostics.
 impl serde::Serialize for Diagnostics {
-    fn serialize(&self) -> Value {
-        serde::Serialize::serialize(&self.items)
+    fn serialize(&self, w: &mut serde::json::Writer) {
+        serde::Serialize::serialize(&self.items, w);
     }
 }
 
 impl serde::Deserialize for Diagnostics {
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+    fn deserialize(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
         Ok(Diagnostics {
-            items: serde::Deserialize::deserialize(value)?,
+            items: serde::Deserialize::deserialize(r)?,
         })
     }
 }

@@ -558,3 +558,42 @@ fn an_oversized_request_line_is_refused_and_the_connection_keeps_serving() {
     assert_eq!(summary.systems, ["Valve"]);
     session.shut_down();
 }
+
+#[test]
+fn a_deeply_nested_request_is_refused_and_the_connection_keeps_serving() {
+    use shelley_daemon::server::{MALFORMED_ID, MAX_REQUEST_BYTES};
+    let mut session = RawSession::start("deep-nesting");
+    // About 400 KB, far under the line cap: 200,000 nested arrays where
+    // the method goes. Decoding it must not recurse once per bracket.
+    let depth = 200_000;
+    let mut line = br#"{"id":1,"method":"#.to_vec();
+    line.resize(line.len() + depth, b'[');
+    line.resize(line.len() + depth, b']');
+    line.push(b'}');
+    assert!(line.len() < MAX_REQUEST_BYTES);
+    session.send_line(&line);
+    match session.read_reply() {
+        Reply {
+            id: MALFORMED_ID,
+            body: ReplyBody::Error { message },
+        } => assert!(message.starts_with("malformed request"), "{message}"),
+        other => panic!("expected a malformed-request reply, got {other:?}"),
+    }
+    // The same depth under a field the decoder skips.
+    let mut line = br#"{"id":2,"method":"check","extra":"#.to_vec();
+    line.resize(line.len() + depth, b'[');
+    line.resize(line.len() + depth, b']');
+    line.push(b'}');
+    session.send_line(&line);
+    match session.read_reply() {
+        Reply {
+            id: MALFORMED_ID,
+            body: ReplyBody::Error { message },
+        } => assert!(message.contains("nested deeper"), "{message}"),
+        other => panic!("expected a malformed-request reply, got {other:?}"),
+    }
+    let summary = session.open_and_check();
+    assert!(summary.passed, "{summary:?}");
+    assert_eq!(summary.systems, ["Valve"]);
+    session.shut_down();
+}

@@ -42,23 +42,28 @@ impl fmt::Display for Span {
 
 /// Spans serialize as `{"start", "end"}` byte offsets.
 impl serde::Serialize for Span {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                "start".to_string(),
-                serde::Serialize::serialize(&self.start),
-            ),
-            ("end".to_string(), serde::Serialize::serialize(&self.end)),
-        ])
+    fn serialize(&self, w: &mut serde::json::Writer) {
+        w.begin_object();
+        w.field("start", &self.start);
+        w.field("end", &self.end);
+        w.end_object();
     }
 }
 
 impl serde::Deserialize for Span {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = serde::__as_map(value, "Span")?;
+    fn deserialize(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        r.begin_object("Span")?;
+        let (mut start, mut end) = (None, None);
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "start" => r.field(&mut start, "start", "Span")?,
+                "end" => r.field(&mut end, "end", "Span")?,
+                _ => r.skip_value()?,
+            }
+        }
         Ok(Span {
-            start: serde::__field(map, "start", "Span")?,
-            end: serde::__field(map, "end", "Span")?,
+            start: start.ok_or_else(|| serde::Error::missing_field("start", "Span"))?,
+            end: end.ok_or_else(|| serde::Error::missing_field("end", "Span"))?,
         })
     }
 }

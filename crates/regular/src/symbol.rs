@@ -52,14 +52,14 @@ impl fmt::Display for Symbol {
 /// Symbols serialize as their dense index, so a persisted word is only
 /// meaningful alongside the alphabet (or event list) it was interned in.
 impl serde::Serialize for Symbol {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::UInt(u64::from(self.0))
+    fn serialize(&self, w: &mut serde::json::Writer) {
+        w.u64(u64::from(self.0));
     }
 }
 
 impl serde::Deserialize for Symbol {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let n = <u32 as serde::Deserialize>::deserialize(value)
+    fn deserialize(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        let n = <u32 as serde::Deserialize>::deserialize(r)
             .map_err(|_| serde::Error::new("expected symbol index"))?;
         Ok(Symbol(n))
     }

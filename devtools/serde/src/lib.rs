@@ -9,18 +9,25 @@
 //!
 //! Differences from real serde (acceptable for this workspace):
 //!
-//! * Serialization is **tree-building, not visitor-driven**:
-//!   [`Serialize::serialize`] returns a [`Value`], and
-//!   [`Deserialize::deserialize`] reads one. The derive macro targets this
-//!   model directly.
+//! * The codec is **streaming and JSON-only**: [`Serialize::serialize`]
+//!   writes straight into a [`json::Writer`], and
+//!   [`Deserialize::deserialize`] reads straight from a [`json::Reader`]
+//!   over the input text. No document tree is built in between; the
+//!   derive macro emits that straight-line code.
 //! * `Option<T>` **struct fields** are skipped when `None` and default to
-//!   `None` when missing — the convention the wire protocol and the
-//!   `--format json` golden files pin. (Real serde needs
-//!   `skip_serializing_if` + `default` attributes for this.)
-//! * The only container attribute honored is
-//!   `#[serde(rename_all = "snake_case")]`, on enums.
-//! * [`json`] provides `to_string` / `to_string_pretty` / `from_str` over
-//!   the same `Value` model; the pretty form is byte-identical to the
+//!   `None` when missing or `null` — the convention the wire protocol and
+//!   the `--format json` golden files pin. (Real serde needs
+//!   `skip_serializing_if` + `default` attributes for this.) A key that
+//!   occurs twice in one object is read from its first occurrence.
+//! * The only container attributes honored are
+//!   `#[serde(rename_all = "snake_case")]`, on enums, and
+//!   `#[serde(deny_unknown_fields)]`.
+//! * [`Value`] is the dynamic document type, for callers that assemble
+//!   or inspect JSON without a Rust type behind it (the SARIF renderer,
+//!   the benchmark reports). It implements both traits over the same
+//!   writer and reader.
+//! * [`json`] provides `to_string` / `to_string_pretty` / `from_str` /
+//!   `value_from_str`; the pretty form is byte-identical to the
 //!   hand-rolled writer the diagnostics renderers used before this crate
 //!   existed (object keys in declaration order, two-space indent, empty
 //!   containers inline).
@@ -31,14 +38,15 @@ pub use serde_derive::{Deserialize, Serialize};
 
 pub mod json;
 
+use json::{Reader, Writer};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-/// A JSON-shaped document tree: the serialization data model.
+/// A JSON-shaped document tree: the dynamic document type.
 ///
 /// Object keys keep insertion order (a `Vec`, not a map) so writers are
-/// deterministic and field order mirrors struct declaration order.
+/// deterministic and field order mirrors construction order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -68,7 +76,7 @@ impl Value {
         }
     }
 
-    /// Looks up an object field by key.
+    /// Looks up an object field by key (the first, if it repeats).
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_map()?
             .iter()
@@ -116,6 +124,26 @@ impl Error {
             message: message.into(),
         }
     }
+
+    /// A required field `key` of `ty` was absent.
+    pub fn missing_field(key: &str, ty: &str) -> Self {
+        Error::new(format!("missing field `{key}` of `{ty}`"))
+    }
+
+    /// `ty` refuses fields it does not declare, and got `key`.
+    pub fn unknown_field(key: &str, ty: &str) -> Self {
+        Error::new(format!("unknown field `{key}` of `{ty}`"))
+    }
+
+    /// `other` is no variant of the enum `ty`.
+    pub fn unknown_variant(other: &str, ty: &str) -> Self {
+        Error::new(format!("unknown variant `{other}` of `{ty}`"))
+    }
+
+    /// The enum `ty` got neither a string nor a single-key map.
+    pub fn not_an_enum(ty: &str) -> Self {
+        Error::new(format!("expected string or single-key map for enum `{ty}`"))
+    }
 }
 
 impl fmt::Display for Error {
@@ -126,268 +154,241 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can serialize themselves into a [`Value`].
+/// Types that can write themselves as one JSON value.
 pub trait Serialize {
-    /// Builds the value tree for `self`.
-    fn serialize(&self) -> Value;
+    /// Writes `self` into `w`.
+    fn serialize(&self, w: &mut Writer);
 }
 
-/// Types that can rebuild themselves from a [`Value`].
+/// Types that can read themselves back from one JSON value.
 pub trait Deserialize: Sized {
-    /// Reads `self` back out of a value tree.
-    fn deserialize(value: &Value) -> Result<Self, Error>;
-}
-
-// ---------------------------------------------------------------------------
-// Derive-support helpers (referenced by serde_derive's generated code).
-
-/// Extracts the object fields of `value`, or errors naming `ty`.
-#[doc(hidden)]
-pub fn __as_map<'v>(value: &'v Value, ty: &str) -> Result<&'v [(String, Value)], Error> {
-    value
-        .as_map()
-        .ok_or_else(|| Error::new(format!("expected map for `{ty}`")))
-}
-
-/// Deserializes required field `key`, or errors naming `ty`.
-#[doc(hidden)]
-pub fn __field<T: Deserialize>(map: &[(String, Value)], key: &str, ty: &str) -> Result<T, Error> {
-    match map.iter().find(|(k, _)| k == key) {
-        Some((_, v)) => {
-            T::deserialize(v).map_err(|e| Error::new(format!("field `{key}` of `{ty}`: {e}")))
-        }
-        None => Err(Error::new(format!("missing field `{key}` of `{ty}`"))),
-    }
-}
-
-/// Errors naming `ty` if `map` has a key outside `fields`
-/// (`#[serde(deny_unknown_fields)]`).
-#[doc(hidden)]
-pub fn __deny_unknown(map: &[(String, Value)], fields: &[&str], ty: &str) -> Result<(), Error> {
-    match map.iter().find(|(k, _)| !fields.contains(&k.as_str())) {
-        Some((key, _)) => Err(Error::new(format!("unknown field `{key}` of `{ty}`"))),
-        None => Ok(()),
-    }
-}
-
-/// Deserializes optional field `key` (missing or `null` becomes `None`).
-#[doc(hidden)]
-pub fn __opt_field<T: Deserialize>(
-    map: &[(String, Value)],
-    key: &str,
-    ty: &str,
-) -> Result<Option<T>, Error> {
-    match map.iter().find(|(k, _)| k == key) {
-        Some((_, v)) => Option::<T>::deserialize(v)
-            .map_err(|e| Error::new(format!("field `{key}` of `{ty}`: {e}"))),
-        None => Ok(None),
-    }
+    /// Reads `Self` from the next value of `r`.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 // ---------------------------------------------------------------------------
 // Primitive and container impls.
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::new("expected bool")),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.bool()
     }
 }
 
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::UInt(u64::from(*self))
+            fn serialize(&self, w: &mut Writer) {
+                w.u64(*self as u64);
             }
         }
         impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let n = value
-                    .as_u64()
-                    .ok_or_else(|| Error::new("expected non-negative integer"))?;
-                <$t>::try_from(n).map_err(|_| Error::new("integer out of range"))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                <$t>::try_from(r.u64()?).map_err(|_| Error::new("integer out of range"))
             }
         }
     )*};
 }
-impl_uint!(u8, u16, u32, u64);
+impl_uint!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                let n = i64::from(*self);
-                if n >= 0 {
-                    Value::UInt(n as u64)
-                } else {
-                    Value::Int(n)
-                }
+            fn serialize(&self, w: &mut Writer) {
+                w.i64(i64::from(*self));
             }
         }
         impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let n = value
-                    .as_i64()
-                    .ok_or_else(|| Error::new("expected integer"))?;
-                <$t>::try_from(n).map_err(|_| Error::new("integer out of range"))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                <$t>::try_from(r.i64()?).map_err(|_| Error::new("integer out of range"))
             }
         }
     )*};
 }
 impl_int!(i8, i16, i32, i64);
 
-impl Serialize for usize {
-    fn serialize(&self) -> Value {
-        Value::UInt(*self as u64)
-    }
-}
-
-impl Deserialize for usize {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let n = value
-            .as_u64()
-            .ok_or_else(|| Error::new("expected non-negative integer"))?;
-        usize::try_from(n).map_err(|_| Error::new("integer out of range"))
-    }
-}
-
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.f64(*self);
     }
 }
 
 impl Deserialize for f64 {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Float(f) => Ok(*f),
-            Value::Int(n) => Ok(*n as f64),
-            Value::UInt(n) => Ok(*n as f64),
-            _ => Err(Error::new("expected number")),
-        }
-    }
-}
-
-impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| Error::new("expected string"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.f64()
     }
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_owned())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
+    }
+}
+
+impl Serialize for String {
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
+    }
+}
+
+impl Deserialize for String {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.string()
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            Some(v) => v.serialize(),
-            None => Value::Null,
+            Some(v) => v.serialize(w),
+            None => w.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::deserialize(other)?)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.null() {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
+    }
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_array();
+        for item in self {
+            w.element();
+            item.serialize(w);
+        }
+        w.end_array();
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, w: &mut Writer) {
+        self.as_slice().serialize(w);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Seq(items) => items.iter().map(T::deserialize).collect(),
-            _ => Err(Error::new("expected array")),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_array()?;
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::deserialize(r)?);
         }
+        Ok(items)
     }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn serialize(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.serialize()))
-                .collect(),
-        )
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        for (k, v) in self {
+            w.field(k, v);
+        }
+        w.end_object();
     }
 }
 
+/// A key that repeats keeps its last value, as inserting does.
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let fields = value.as_map().ok_or_else(|| Error::new("expected map"))?;
-        fields
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::deserialize(v)?)))
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_object("BTreeMap")?;
+        let mut map = BTreeMap::new();
+        while let Some(key) = r.next_key()? {
+            map.insert(key.into_owned(), V::deserialize(r)?);
+        }
+        Ok(map)
     }
 }
 
 /// Durations serialize as `{"secs": u64, "nanos": u32}`, matching real
 /// serde's `Duration` encoding.
 impl Serialize for Duration {
-    fn serialize(&self) -> Value {
-        Value::Map(vec![
-            ("secs".to_string(), Value::UInt(self.as_secs())),
-            (
-                "nanos".to_string(),
-                Value::UInt(u64::from(self.subsec_nanos())),
-            ),
-        ])
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("secs", &self.as_secs());
+        w.field("nanos", &self.subsec_nanos());
+        w.end_object();
     }
 }
 
 impl Deserialize for Duration {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let map = __as_map(value, "Duration")?;
-        let secs: u64 = __field(map, "secs", "Duration")?;
-        let nanos: u32 = __field(map, "nanos", "Duration")?;
-        Ok(Duration::new(secs, nanos))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        const TY: &str = "Duration";
+        r.begin_object(TY)?;
+        let (mut secs, mut nanos) = (None, None);
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "secs" => r.field(&mut secs, "secs", TY)?,
+                "nanos" => r.field(&mut nanos, "nanos", TY)?,
+                _ => r.skip_value()?,
+            }
+        }
+        Ok(Duration::new(
+            secs.ok_or_else(|| Error::missing_field("secs", TY))?,
+            nanos.ok_or_else(|| Error::missing_field("nanos", TY))?,
+        ))
     }
 }
 
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(n) => w.i64(*n),
+            Value::UInt(n) => w.u64(*n),
+            Value::Float(f) => w.f64(*f),
+            Value::Str(s) => w.str(s),
+            Value::Seq(items) => items.serialize(w),
+            Value::Map(fields) => {
+                w.begin_object();
+                for (k, v) in fields {
+                    w.field(k, v);
+                }
+                w.end_object();
+            }
+        }
     }
 }
 
+/// Non-negative integers read as [`Value::UInt`], negative ones as
+/// [`Value::Int`], anything with a fraction or exponent as
+/// [`Value::Float`]; a repeated object key is kept twice, in order.
 impl Deserialize for Value {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        match r.peek() {
+            Some(b'{') => {
+                r.begin_object("Value")?;
+                let mut fields = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    fields.push((key.into_owned(), Value::deserialize(r)?));
+                }
+                Ok(Value::Map(fields))
+            }
+            Some(b'[') => Vec::deserialize(r).map(Value::Seq),
+            Some(b'"') => r.string().map(Value::Str),
+            Some(b't' | b'f') => r.bool().map(Value::Bool),
+            Some(b'-' | b'0'..=b'9') => r.number(),
+            _ if r.null() => Ok(Value::Null),
+            _ => Err(r.unexpected()),
+        }
     }
 }

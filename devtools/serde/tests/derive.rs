@@ -84,7 +84,7 @@ fn none_fields_are_skipped_and_default() {
 
 #[test]
 fn field_order_is_declaration_order() {
-    let value = json::to_value(&sample());
+    let value = json::value_from_str(&json::to_string(&sample())).unwrap();
     let keys: Vec<&str> = value
         .as_map()
         .unwrap()
@@ -165,4 +165,54 @@ fn deny_unknown_fields_rejects_extra_keys() {
     // Without the attribute, extra keys are ignored.
     let inner: Inner = json::from_str(r#"{"label":"x","count":1,"extra":2}"#).unwrap();
     assert_eq!(inner.count, 1);
+}
+
+#[test]
+fn a_repeated_key_keeps_its_first_value() {
+    let inner: Inner = json::from_str(r#"{"label":"a","count":1,"label":"b"}"#).unwrap();
+    assert_eq!(inner.label, "a");
+    // A `null` first occurrence of an optional field wins too.
+    let pair: StrictPair = json::from_str(r#"{"left":1,"right":null,"right":2}"#).unwrap();
+    assert_eq!(pair.right, None);
+    // The ignored occurrence is still checked to be JSON.
+    assert!(json::from_str::<Inner>(r#"{"label":"a","count":1,"label":[}"#).is_err());
+}
+
+#[test]
+fn unknown_fields_are_skipped_but_must_be_json() {
+    let inner: Inner =
+        json::from_str(r#"{"extra":{"deep":[1,2,{"x":null}]},"count":4,"label":"y"}"#).unwrap();
+    assert_eq!(inner.count, 4);
+    assert!(json::from_str::<Inner>(r#"{"label":"x","count":1,"extra":[1,}"#).is_err());
+    assert!(json::from_str::<Inner>(r#"{"label":"x","count":1,"extra":tru}"#).is_err());
+    assert!(json::from_str::<Inner>(r#"{"label":"x","count":1} {}"#).is_err());
+}
+
+#[test]
+fn errors_name_the_field_and_type() {
+    let e = json::from_str::<Outer>(r#"{"name":3}"#).unwrap_err();
+    assert_eq!(e.to_string(), "field `name` of `Outer`: expected string");
+    let e = json::from_str::<Command>(r#"{"open_file":{"path":"a"}}"#).unwrap_err();
+    assert_eq!(e.to_string(), "missing field `text` of `Command::OpenFile`");
+    let e = json::from_str::<Command>(r#"{"check":{}}"#).unwrap_err();
+    assert_eq!(e.to_string(), "unknown variant `check` of `Command`");
+    let e = json::from_str::<Command>(r#"{"open_file":{"path":"a","text":""},"x":1}"#).unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "expected string or single-key map for enum `Command`"
+    );
+}
+
+#[test]
+fn pretty_output_indents_and_keeps_empty_containers_inline() {
+    let outer = Outer {
+        items: Vec::new(),
+        ..sample()
+    };
+    assert_eq!(
+        json::to_string_pretty(&outer),
+        "{\n  \"name\": \"dev\",\n  \"total\": 3,\n  \"signed\": -7,\n  \"flag\": true,\n  \
+         \"items\": [],\n  \"span\": {\n    \"label\": \"s\",\n    \"count\": 0\n  },\n  \
+         \"elapsed\": {\n    \"secs\": 2,\n    \"nanos\": 125000000\n  }\n}"
+    );
 }

@@ -3,11 +3,16 @@
 //! The build environment has no network access, so — like the `proptest`
 //! and `criterion` shims under `devtools/` — this crate re-implements the
 //! subset of `#[derive(Serialize, Deserialize)]` the workspace uses,
-//! against the [`serde` shim](../serde)'s `Value` data model:
+//! against the [`serde` shim](../serde)'s streaming JSON codec: the
+//! generated `serialize` writes each field straight into a
+//! `serde::json::Writer`, and the generated `deserialize` reads the
+//! object's keys from a `serde::json::Reader`, matching each against the
+//! declared field names, keeping the first value of a repeated key and
+//! skipping unknown ones. Supported shapes:
 //!
 //! * structs with named fields (`Option<T>` fields are skipped when `None`
-//!   on serialize and default to `None` when missing on deserialize — the
-//!   wire-type convention the protocol goldens pin);
+//!   on serialize and default to `None` when missing or `null` on
+//!   deserialize — the wire-type convention the protocol goldens pin);
 //! * enums with unit and named-field variants, encoded externally tagged
 //!   exactly like real serde (`"variant"` / `{"variant": {fields}}`);
 //! * the container attributes `#[serde(rename_all = "snake_case")]` and
@@ -23,14 +28,15 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derives `serde::Serialize` (shim): `fn serialize(&self) -> serde::Value`.
+/// Derives `serde::Serialize` (shim):
+/// `fn serialize(&self, &mut serde::json::Writer)`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, Which::Serialize)
 }
 
 /// Derives `serde::Deserialize` (shim):
-/// `fn deserialize(&serde::Value) -> Result<Self, serde::Error>`.
+/// `fn deserialize(&mut serde::json::Reader) -> Result<Self, serde::Error>`.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, Which::Deserialize)
@@ -62,6 +68,8 @@ fn expand(input: TokenStream, which: Which) -> TokenStream {
 
 struct Field {
     name: String,
+    /// The declared type, as source text.
+    ty: String,
     /// Whether the declared type's head is `Option`.
     optional: bool,
 }
@@ -175,10 +183,11 @@ fn parse_fields(body: TokenStream) -> Result<Vec<Field>, String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => return Err(format!("expected `:` after field name, got {other:?}")),
         }
-        // The type: consume until a comma at angle-bracket depth 0. Only the
-        // head identifier matters (to spot `Option`).
+        // The type: consume until a comma at angle-bracket depth 0, noting
+        // the head identifier (to spot `Option`).
         let mut depth = 0i32;
         let mut head: Option<String> = None;
+        let mut ty = Vec::new();
         for tree in iter.by_ref() {
             match &tree {
                 TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
@@ -199,10 +208,12 @@ fn parse_fields(body: TokenStream) -> Result<Vec<Field>, String> {
             if depth > 0 && head.is_none() {
                 head = Some(String::new());
             }
+            ty.push(tree);
         }
         let optional = head.as_deref() == Some("Option");
         fields.push(Field {
             name: field_name.to_string(),
+            ty: ty.into_iter().collect::<TokenStream>().to_string(),
             optional,
         });
     }
@@ -262,83 +273,100 @@ fn snake_case(name: &str) -> String {
 
 // ---------------------------------------------------------------------------
 // Code generation
+//
+// The generated code drives the shim's `json::Writer` and `json::Reader`
+// directly; see `serde::json` for their contracts.
 
-/// `fields.push(...)` statements serializing `prefix<name>` into `__fields`.
-fn ser_fields(fields: &[Field], prefix: &str) -> String {
-    let mut out = String::new();
+/// Statements writing the object of `fields`, each read from
+/// `prefix<name>`, into `__w`.
+fn ser_object(fields: &[Field], prefix: &str) -> String {
+    let mut out = String::from("__w.begin_object();\n");
     for f in fields {
-        let access = format!("{prefix}{}", f.name);
+        let (name, access) = (&f.name, format!("{prefix}{}", f.name));
         if f.optional {
             out.push_str(&format!(
                 "if let ::core::option::Option::Some(__v) = &{access} {{ \
-                 __fields.push((\"{}\".to_string(), ::serde::Serialize::serialize(__v))); }}\n",
-                f.name
+                 __w.field(\"{name}\", __v); }}\n"
+            ));
+        } else {
+            out.push_str(&format!("__w.field(\"{name}\", &{access});\n"));
+        }
+    }
+    out.push_str("__w.end_object();\n");
+    out
+}
+
+/// A block reading the object of `fields` from `__r` and evaluating to
+/// `Result<ty, serde::Error>`, `ty` being the struct or the enum variant
+/// path. A repeated key keeps its first value; errors name `ty`.
+fn de_object(fields: &[Field], ty: &str, deny_unknown: bool) -> String {
+    let mut out = format!("{{\n__r.begin_object(\"{ty}\")?;\n");
+    for (i, f) in fields.iter().enumerate() {
+        out.push_str(&format!(
+            "let mut __f{i}: ::core::option::Option<{}> = ::core::option::Option::None;\n",
+            f.ty
+        ));
+    }
+    out.push_str(
+        "while let ::core::option::Option::Some(__key) = __r.next_key()? {\nmatch &*__key {\n",
+    );
+    for (i, f) in fields.iter().enumerate() {
+        let name = &f.name;
+        out.push_str(&format!(
+            "\"{name}\" => __r.field(&mut __f{i}, \"{name}\", \"{ty}\")?,\n"
+        ));
+    }
+    if deny_unknown {
+        out.push_str(&format!(
+            "__other => return ::core::result::Result::Err(\
+             ::serde::Error::unknown_field(__other, \"{ty}\")),\n"
+        ));
+    } else {
+        out.push_str("_ => __r.skip_value()?,\n");
+    }
+    out.push_str(&format!("}}\n}}\n::core::result::Result::Ok({ty} {{\n"));
+    for (i, f) in fields.iter().enumerate() {
+        let name = &f.name;
+        if f.optional {
+            out.push_str(&format!(
+                "{name}: __f{i}.unwrap_or(::core::option::Option::None),\n"
             ));
         } else {
             out.push_str(&format!(
-                "__fields.push((\"{}\".to_string(), ::serde::Serialize::serialize(&{access})));\n",
-                f.name
+                "{name}: __f{i}.ok_or_else(|| ::serde::Error::missing_field(\"{name}\", \"{ty}\"))?,\n"
             ));
         }
     }
+    out.push_str("})\n}");
     out
 }
 
-/// With `deny_unknown`, a statement rejecting `__map` keys that name none
-/// of `fields`; otherwise nothing.
-fn deny_unknown_fields(fields: &[Field], ty: &str, deny_unknown: bool) -> String {
-    if !deny_unknown {
-        return String::new();
+/// The wire name of variant `vname`.
+fn wire_name(item: &Item, vname: &str) -> String {
+    if item.snake_variants {
+        snake_case(vname)
+    } else {
+        vname.to_owned()
     }
-    let names: Vec<String> = fields.iter().map(|f| format!("{:?}", f.name)).collect();
-    format!(
-        "::serde::__deny_unknown(__map, &[{}], \"{ty}\")?;\n",
-        names.join(", ")
-    )
-}
-
-/// `name: ...?` initializers deserializing each field from `__map`.
-fn de_fields(fields: &[Field], ty: &str) -> String {
-    let mut out = String::new();
-    for f in fields {
-        let helper = if f.optional { "__opt_field" } else { "__field" };
-        out.push_str(&format!(
-            "{}: ::serde::{helper}(__map, \"{}\", \"{ty}\")?,\n",
-            f.name, f.name
-        ));
-    }
-    out
 }
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
-        Shape::Struct(fields) => format!(
-            "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-             ::std::vec::Vec::new();\n{}::serde::Value::Map(__fields)",
-            ser_fields(fields, "self.")
-        ),
+        Shape::Struct(fields) => ser_object(fields, "self."),
         Shape::Enum(variants) => {
             let mut arms = String::new();
             for (vname, fields) in variants {
-                let wire = if item.snake_variants {
-                    snake_case(vname)
-                } else {
-                    vname.clone()
-                };
+                let wire = wire_name(item, vname);
                 match fields {
-                    None => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Value::Str(\"{wire}\".to_string()),\n"
-                    )),
+                    None => arms.push_str(&format!("{name}::{vname} => __w.str(\"{wire}\"),\n")),
                     Some(fields) => {
-                        let binders: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
+                        let binders: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                         arms.push_str(&format!(
                             "{name}::{vname} {{ {} }} => {{\n\
-                             let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                             ::std::vec::Vec::new();\n{}\
-                             ::serde::Value::Map(vec![(\"{wire}\".to_string(), ::serde::Value::Map(__fields))])\n}}\n",
+                             __w.begin_object();\n__w.key(\"{wire}\");\n{}__w.end_object();\n}}\n",
                             binders.join(", "),
-                            ser_fields(fields, "")
+                            ser_object(fields, "")
                         ));
                     }
                 }
@@ -347,63 +375,63 @@ fn gen_serialize(item: &Item) -> String {
         }
     };
     format!(
-        "impl ::serde::Serialize for {name} {{\n\
-         fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+        "#[automatically_derived]\n\
+         impl ::serde::Serialize for {name} {{\n\
+         fn serialize(&self, __w: &mut ::serde::json::Writer) {{\n{body}\n}}\n}}\n"
     )
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
-        Shape::Struct(fields) => format!(
-            "let __map = ::serde::__as_map(__value, \"{name}\")?;\n{}\
-             ::core::result::Result::Ok({name} {{\n{}}})",
-            deny_unknown_fields(fields, name, item.deny_unknown),
-            de_fields(fields, name)
-        ),
+        Shape::Struct(fields) => de_object(fields, name, item.deny_unknown),
         Shape::Enum(variants) => {
             let mut unit_arms = String::new();
             let mut tagged_arms = String::new();
             for (vname, fields) in variants {
-                let wire = if item.snake_variants {
-                    snake_case(vname)
-                } else {
-                    vname.clone()
-                };
+                let wire = wire_name(item, vname);
+                let ty = format!("{name}::{vname}");
                 match fields {
                     None => unit_arms.push_str(&format!(
-                        "\"{wire}\" => ::core::result::Result::Ok({name}::{vname}),\n"
+                        "\"{wire}\" => ::core::result::Result::Ok({ty}),\n"
                     )),
-                    Some(fields) => {
-                        let ty = format!("{name}::{vname}");
-                        tagged_arms.push_str(&format!(
-                            "\"{wire}\" => {{\n\
-                             let __map = ::serde::__as_map(__inner, \"{ty}\")?;\n{}\
-                             ::core::result::Result::Ok({ty} {{\n{}}})\n}}\n",
-                            deny_unknown_fields(fields, &ty, item.deny_unknown),
-                            de_fields(fields, &ty)
-                        ))
-                    }
+                    Some(fields) => tagged_arms.push_str(&format!(
+                        "\"{wire}\" => {}?,\n",
+                        de_object(fields, &ty, item.deny_unknown)
+                    )),
                 }
             }
+            // An enum without named-field variants has no tagged form.
+            let tagged = if tagged_arms.is_empty() {
+                String::new()
+            } else {
+                format!(
+                    "::core::option::Option::Some(b'{{') => {{\n\
+                     __r.begin_object(\"{name}\")?;\n\
+                     let ::core::option::Option::Some(__tag) = __r.next_key()? else {{\n\
+                     return ::core::result::Result::Err(::serde::Error::not_an_enum(\"{name}\"));\n}};\n\
+                     let __value = match &*__tag {{\n{tagged_arms}\
+                     __other => return ::core::result::Result::Err(\
+                     ::serde::Error::unknown_variant(__other, \"{name}\")),\n}};\n\
+                     if __r.next_key()?.is_some() {{\n\
+                     return ::core::result::Result::Err(::serde::Error::not_an_enum(\"{name}\"));\n}}\n\
+                     ::core::result::Result::Ok(__value)\n}}\n"
+                )
+            };
             format!(
-                "match __value {{\n\
-                 ::serde::Value::Str(__s) => match __s.as_str() {{\n{unit_arms}\
-                 __other => ::core::result::Result::Err(::serde::Error::new(format!(\
-                 \"unknown variant `{{}}` of `{name}`\", __other))),\n}},\n\
-                 ::serde::Value::Map(__m) if __m.len() == 1 => {{\n\
-                 let (__tag, __inner) = &__m[0];\n\
-                 match __tag.as_str() {{\n{tagged_arms}\
-                 __other => ::core::result::Result::Err(::serde::Error::new(format!(\
-                 \"unknown variant `{{}}` of `{name}`\", __other))),\n}}\n}}\n\
-                 _ => ::core::result::Result::Err(::serde::Error::new(\
-                 \"expected string or single-key map for enum `{name}`\".to_string())),\n}}"
+                "match __r.peek() {{\n\
+                 ::core::option::Option::Some(b'\"') => match &*__r.str()? {{\n{unit_arms}\
+                 __other => ::core::result::Result::Err(\
+                 ::serde::Error::unknown_variant(__other, \"{name}\")),\n}},\n\
+                 {tagged}\
+                 _ => ::core::result::Result::Err(::serde::Error::not_an_enum(\"{name}\")),\n}}"
             )
         }
     };
     format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-         fn deserialize(__value: &::serde::Value) \
+        "#[automatically_derived]\n\
+         impl ::serde::Deserialize for {name} {{\n\
+         fn deserialize(__r: &mut ::serde::json::Reader<'_>) \
          -> ::core::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n}}\n"
     )
 }
