@@ -51,7 +51,7 @@ echo "==> class keys cover source bytes (stale-span regression, edit equivalence
 # byte-identical to a cold check.
 cargo test -p shelley-core -p shelley-bench -q class_key
 
-echo "==> O(edit) rounds (work counters flat in project size, edit-sequence equivalence, cache checksum, daemon panic containment)"
+echo "==> O(edit) rounds (work counters flat in project size, edit-sequence equivalence, dense class table, cache checksum, daemon panic containment)"
 # A workspace keeps its class table, dependency keys and report between
 # rounds: a no-edit round visits no class slot, a one-composite edit
 # visits one at 100 and at 400 composites, and a Valve edit visits 1 + n
@@ -61,12 +61,18 @@ echo "==> O(edit) rounds (work counters flat in project size, edit-sequence equi
 # record whose message or key has a flipped digit is rejected by its
 # checksum; and a panicking daemon handler answers with an error, after
 # which the next check reports the cold result and shutdown still works.
+# The class table is dense: a round through a removed middle file, new
+# files, the removed name re-added and renamed classes equals a cold
+# check and every file resolves through the ordinal table, and every
+# spec-index entry shares its extraction's spec, after a cold round and
+# after a file-record restart.
 cargo test -p shelley-core --lib -q rounds_visit
+cargo test -p shelley-core --lib -q -- dense_table workspace::table
 cargo test -p shelley-bench --test edit_sequences -q
 cargo test -p shelley-core --lib -q flipped_digit
 cargo test -p shelley-daemon --lib -q server::tests
 
-echo "==> parse-free restart (file records, lazy ASTs, restart work counters, kill during save, reply coalescing)"
+echo "==> parse-free restart (file records, lazy ASTs, restart work counters, kill during save, byte-stable saves, reply coalescing)"
 # A restarted workspace restores each unchanged file from its file record
 # instead of parsing it: an unchanged restart of serve_project(1000)
 # parses 0 files and extracts 0 classes, an app edit parses 1, and a
@@ -75,11 +81,20 @@ echo "==> parse-free restart (file records, lazy ASTs, restart work counters, ki
 # and realworld_corpus under --recover); a file record with a flipped
 # digit, or one that does not decode, is parsed instead; a leftover
 # cache.tmp or a truncated cache loads as a smaller cache and the next
-# round equals a cold check; and the daemon coalesces replies without
-# starving a client that waits on one, or that disconnects mid-burst.
+# round equals a cold check; a cache save is byte-stable (two saves of a
+# workspace, the save of a workspace restarted from it, and the re-save
+# of the same records in another order are the same bytes); and the
+# daemon coalesces replies without starving a client that waits on one,
+# or that disconnects mid-burst.
 cargo test -p shelley-bench --test restart -q
 cargo test -p shelley-core --lib -q file_record
 cargo test -p shelley-daemon --lib -q server::tests
+
+echo "==> shelleyc CLI (parallel input reads, flags, formats, watch, serve)"
+# The binary's integration tests: among them, check reads its inputs on
+# the worker pool, reports the first unreadable path in argument order at
+# --jobs 1, 2 and 8, and gives byte-identical reports at each.
+cargo test -p shelley-cli --test cli -q
 
 echo "==> wire codec (byte-identical goldens, round trips, malformed input)"
 # The serde shim streams: derived code writes JSON straight into a

@@ -165,3 +165,95 @@ fn a_kill_during_save_leaves_a_smaller_cache_and_a_cold_equal_round() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// A cache save is byte-stable: its verify records come sorted by key,
+/// saving one workspace twice writes the same bytes, as does saving it
+/// after an edit and its undo, a workspace restarted from that file
+/// saves them again, and a cache holding the same records in another
+/// order — verify records were once written in hash-map order — loads in
+/// full and re-saves to the same bytes.
+#[test]
+fn disk_cache_saves_are_byte_stable() {
+    let files = serve_project(1000);
+    let path = cache_path("stable");
+    let mut seed = Checker::new().jobs(2).into_workspace();
+    for (name, text) in &files {
+        seed.set_file(name.clone(), text.clone());
+    }
+    let reference = outcome(&seed.check().unwrap());
+    assert_eq!(seed.save_disk_cache(&path).unwrap(), 1000);
+    let first = std::fs::read(&path).unwrap();
+    let keys: Vec<(u64, u64)> = String::from_utf8_lossy(&first)
+        .lines()
+        .filter_map(|line| {
+            let rest = line.strip_prefix("{\"class_fp\":")?;
+            let (class_fp, rest) = rest.split_once(",\"dep_fp\":")?;
+            let dep_fp = rest.split(',').next()?;
+            Some((class_fp.parse().ok()?, dep_fp.parse().ok()?))
+        })
+        .collect();
+    assert_eq!(keys.len(), 1000);
+    assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "verify records are sorted by key"
+    );
+    seed.save_disk_cache(&path).unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == first,
+        "a second save differs"
+    );
+
+    // The same state reached through an edit of a device and its undo,
+    // which retire and re-insert the keys of the device and its apps.
+    seed.set_file(
+        files[0].0.clone(),
+        edited(&files[0].1, "    def boot(self):\n"),
+    );
+    seed.check().unwrap();
+    seed.set_file(files[0].0.clone(), files[0].1.clone());
+    assert_eq!(outcome(&seed.check().unwrap()), reference);
+    seed.save_disk_cache(&path).unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == first,
+        "a save after an undone edit differs"
+    );
+    drop(seed);
+
+    let mut ws = restarted(&path, &files);
+    assert_eq!(outcome(&ws.check().unwrap()), reference);
+    assert_eq!(counters(&ws), (0, 0, 1000, 1000));
+    ws.save_disk_cache(&path).unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == first,
+        "a restart's save differs"
+    );
+
+    // The same records, every line after the header in reverse order.
+    let text = String::from_utf8(first.clone()).unwrap();
+    let (header, records) = text.split_once('\n').unwrap();
+    let mut lines: Vec<&str> = records.lines().collect();
+    lines.reverse();
+    std::fs::write(&path, format!("{header}\n{}\n", lines.join("\n"))).unwrap();
+    let mut ws = Checker::new().jobs(2).into_workspace();
+    let loaded = ws.load_disk_cache(&path);
+    assert!(loaded.rejected.is_none());
+    assert_eq!(
+        (
+            loaded.entries.len(),
+            loaded.files.len(),
+            loaded.skipped_lines
+        ),
+        (1000, 1000, 0)
+    );
+    for (name, text) in &files {
+        ws.set_file(name.clone(), text.clone());
+    }
+    assert_eq!(outcome(&ws.check().unwrap()), reference);
+    assert_eq!(counters(&ws), (0, 0, 1000, 1000));
+    ws.save_disk_cache(&path).unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == first,
+        "a reordered cache's re-save differs"
+    );
+    let _ = std::fs::remove_file(&path);
+}

@@ -29,6 +29,7 @@
 
 use micropython_parser::SourceFile;
 use shelley_core::extract::dependency::DependencyGraph;
+use shelley_core::workspace::par_map;
 use shelley_core::{
     build_integration, integration_diagram, spec_diagram, Checker, LintConfig, LintLevel,
     INPUT_NAME,
@@ -565,7 +566,9 @@ fn read_source(name: &str) -> Result<String, CliError> {
 /// `shelleyc check`: one verification round over the given files.
 ///
 /// A single file is checked under [`INPUT_NAME`]; more files form a
-/// multi-file project, checked once as a whole. A syntax error is
+/// multi-file project, checked once as a whole. The files are read on the
+/// workspace's worker pool and registered in argument order; the first
+/// unreadable one in that order is the one reported. A syntax error is
 /// positioned in the failing file's own text.
 ///
 /// Once the report is printed the process exits on the spot, without
@@ -579,13 +582,14 @@ fn run_check(paths: &[String], format: Format, checker: Checker) -> Result<Strin
         .ok_or_else(|| CliError::Usage("missing input file".into()))?;
     let multi_file = paths.len() > 1;
     let mut workspace = checker.into_workspace();
-    for name in paths {
+    let sources = par_map(workspace.jobs(), paths, |name| read_source(name));
+    for (name, source) in paths.iter().zip(sources) {
         let key = if multi_file {
             name.as_str()
         } else {
             INPUT_NAME
         };
-        workspace.set_file(key, read_source(name)?);
+        workspace.set_file(key, source?);
     }
     let round = workspace.check();
     let (out, passed) = match &round {

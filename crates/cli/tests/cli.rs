@@ -121,6 +121,68 @@ fn check_jobs_output_is_identical_to_sequential() {
     assert!(sequential.0.contains("INVALID SUBSYSTEM USAGE"));
 }
 
+/// `check` reads its inputs on the worker pool: with the 10th and 40th
+/// of 50 paths missing, every job count reports the 10th, and the report
+/// over the readable files is the same at every job count.
+#[test]
+fn check_reads_inputs_in_parallel_and_reports_the_first_unreadable_path() {
+    let dir = corpus_dir("parallel_reads", &[]);
+    let paths: Vec<String> = (0..50)
+        .map(|i| {
+            let path = dir.join(format!("f{i:02}.py"));
+            if i != 9 && i != 39 {
+                let source = if i == 20 {
+                    PAPER.to_owned()
+                } else {
+                    GOOD.replace("class Led", &format!("class Led{i}"))
+                };
+                std::fs::write(&path, source).unwrap();
+            }
+            path.to_str().unwrap().to_owned()
+        })
+        .collect();
+    let readable: Vec<&str> = paths
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != 9 && i != 39)
+        .map(|(_, p)| p.as_str())
+        .collect();
+    let mut reports: Vec<(String, String, Option<i32>)> = Vec::new();
+    for jobs in ["1", "2", "8"] {
+        let mut args = vec!["check", "--jobs", jobs];
+        args.extend(paths.iter().map(String::as_str));
+        let (stdout, stderr, code) = shelleyc(&args);
+        assert_eq!(code, Some(2), "--jobs {jobs}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "--jobs {jobs}: {stdout}");
+        assert!(
+            stderr.contains(&format!("cannot read {}", paths[9])),
+            "--jobs {jobs}: {stderr}"
+        );
+        assert!(!stderr.contains(&paths[39]), "--jobs {jobs}: {stderr}");
+
+        for format in ["text", "json", "sarif"] {
+            let mut args = vec!["check", "--jobs", jobs, "--format", format];
+            args.extend(&readable);
+            reports.push(shelleyc(&args));
+        }
+    }
+    let (first, rest) = reports.split_at(3);
+    assert_eq!(first[0].2, Some(1), "{}", first[0].0);
+    assert!(
+        first[0].0.contains("INVALID SUBSYSTEM USAGE"),
+        "{}",
+        first[0].0
+    );
+    for (i, report) in rest.iter().enumerate() {
+        assert_eq!(
+            report,
+            &first[i % 3],
+            "job count {} against 1",
+            ["2", "8"][i / 3]
+        );
+    }
+}
+
 #[test]
 fn check_rejects_bad_jobs_value() {
     let path = write_temp("good_jobs.py", GOOD);

@@ -600,7 +600,7 @@ impl Reader<'_> {
             name,
             kind,
             claims,
-            spec,
+            spec: Arc::new(spec),
             methods: Arc::new(methods.into_iter().collect()),
             alphabet,
             declared_fields,

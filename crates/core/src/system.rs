@@ -208,7 +208,9 @@ pub struct ClassExtraction {
     pub(crate) name: String,
     pub(crate) kind: ClassKind,
     pub(crate) claims: Vec<Claim>,
-    pub(crate) spec: ClassSpec,
+    /// Shared with the workspace's spec index, which registers it
+    /// without a copy.
+    pub(crate) spec: Arc<ClassSpec>,
     /// Shared, so cloning an extraction for resolution copies no method
     /// body.
     pub(crate) methods: Arc<NameMap<LoweredMethod>>,
@@ -333,10 +335,10 @@ pub fn extract_class(
             ClassKind::Base
         },
         claims: ann.claims,
-        spec: ClassSpec {
+        spec: Arc::new(ClassSpec {
             name: class.name.node.clone(),
             operations,
-        },
+        }),
         methods: Arc::new(methods.into_iter().collect()),
         alphabet,
         declared_fields,
@@ -348,30 +350,65 @@ pub fn extract_class(
 /// class in scope: subsystem fields bind to their classes, invocation
 /// analysis runs, and the composite alphabet is completed.
 pub fn resolve_class(
-    extraction: ClassExtraction,
+    mut extraction: ClassExtraction,
     spec_index: &BTreeMap<String, ClassSpec>,
     diagnostics: &mut Diagnostics,
 ) -> System {
-    resolve_class_with(extraction, |name| spec_index.get(name), diagnostics)
+    let alphabet = std::mem::take(&mut extraction.alphabet);
+    let kind = resolve_kind(
+        &extraction,
+        move || alphabet,
+        |name| spec_index.get(name),
+        diagnostics,
+    );
+    System {
+        name: extraction.name,
+        kind,
+        spec: Arc::unwrap_or_clone(extraction.spec),
+        claims: extraction.claims,
+    }
 }
 
-/// [`resolve_class`] against any spec lookup (`spec_of(class name)`).
+/// [`resolve_class`] from a borrowed extraction, against any spec lookup
+/// (`spec_of(class name)`). It copies only what the [`System`] owns: the
+/// name, the spec and the claims, plus a composite's alphabet, which it
+/// completes.
 pub(crate) fn resolve_class_with<'s>(
-    extraction: ClassExtraction,
+    extraction: &ClassExtraction,
     spec_of: impl Fn(&str) -> Option<&'s ClassSpec>,
     diagnostics: &mut Diagnostics,
 ) -> System {
+    System {
+        name: extraction.name.clone(),
+        kind: resolve_kind(
+            extraction,
+            || extraction.alphabet.clone(),
+            spec_of,
+            diagnostics,
+        ),
+        spec: ClassSpec::clone(&extraction.spec),
+        claims: extraction.claims.clone(),
+    }
+}
+
+/// The resolved kind of an extracted class; a composite's alphabet is
+/// `alphabet()` completed with the markers and subsystem events.
+fn resolve_kind<'s>(
+    extraction: &ClassExtraction,
+    alphabet: impl FnOnce() -> Alphabet,
+    spec_of: impl Fn(&str) -> Option<&'s ClassSpec>,
+    diagnostics: &mut Diagnostics,
+) -> SystemKind {
     let ClassExtraction {
         name,
         kind,
-        claims,
         spec,
         methods,
-        mut alphabet,
         declared_fields,
         init_classes,
+        ..
     } = extraction;
-    let kind = match kind {
+    match kind {
         // Unconstrained classes were filtered out during extraction.
         ClassKind::Base | ClassKind::Unconstrained => {
             // Base classes speak their own (unqualified) operations.
@@ -380,7 +417,7 @@ pub(crate) fn resolve_class_with<'s>(
         ClassKind::Composite(_) => {
             let mut subsystems = Vec::new();
             let mut sub_specs: BTreeMap<String, &ClassSpec> = BTreeMap::new();
-            for field in &declared_fields {
+            for field in declared_fields {
                 let Some(class_name) = init_classes.get(field) else {
                     diagnostics.push(Diagnostic::error(
                         codes::UNKNOWN_SUBSYSTEM,
@@ -416,6 +453,7 @@ pub(crate) fn resolve_class_with<'s>(
             }
 
             // Complete the alphabet: markers + all subsystem events.
+            let mut alphabet = alphabet();
             let mut markers = BTreeSet::new();
             for op in &spec.operations {
                 markers.insert(alphabet.intern(&op.name));
@@ -427,17 +465,11 @@ pub(crate) fn resolve_class_with<'s>(
             }
             SystemKind::Composite(CompositeInfo {
                 subsystems,
-                methods,
+                methods: methods.clone(),
                 alphabet: Arc::new(alphabet),
                 markers,
             })
         }
-    };
-    System {
-        name,
-        kind,
-        spec,
-        claims,
     }
 }
 
@@ -458,7 +490,7 @@ pub fn build_systems(module: &Module) -> (SystemSet, Diagnostics) {
 
     let spec_index: BTreeMap<String, ClassSpec> = extractions
         .iter()
-        .map(|e| (e.name.clone(), e.spec.clone()))
+        .map(|e| (e.name.clone(), e.spec().clone()))
         .collect();
     for extraction in &extractions {
         validate_spec(&extraction.spec, &mut diagnostics);

@@ -45,11 +45,18 @@
 //! Between rounds the workspace keeps everything a round produces: the
 //! class table (every definition of every class name, the winner of each,
 //! and the `E004` run of each shadowed name), each class's dependency
-//! fingerprint, a reverse index `class name → the classes instantiating
-//! it`, the spec index, and the report itself, built from one run per
-//! class (its diagnostics with the lint config applied, its system and
-//! its violations), one `W014` run per file and one `E004` run per
-//! shadowed name.
+//! fingerprint, a reverse index `class → the classes instantiating it`,
+//! the spec index, and the report itself, built from one run per class
+//! (its diagnostics with the lint config applied, its system and its
+//! violations), one `W014` run per file and one `E004` run per shadowed
+//! name.
+//!
+//! The class table is dense: every class name is interned once per
+//! workspace into a dense `ClassId`, and the per-name state is kept in
+//! tables indexed by it; files sit in a table indexed by their ordinal.
+//! A name keeps its id for the workspace's lifetime, so the tables grow
+//! with the number of distinct names the workspace has seen, never with
+//! the number of rounds.
 //!
 //! [`set_file`](Workspace::set_file), [`remove_file`](Workspace::remove_file)
 //! and [`set_recover`](Workspace::set_recover) only mark files dirty. A
@@ -126,6 +133,7 @@
 #[cfg(debug_assertions)]
 mod reference;
 mod report;
+mod table;
 
 use crate::checker::CheckError;
 use crate::dataflow::typestate::dependency_dfa;
@@ -144,10 +152,11 @@ use micropython_parser::visit::collect_degraded;
 use micropython_parser::{parse_module, parse_module_recover, ParseError};
 use report::{ClassRuns, KeptReport};
 use shelley_regular::Dfa;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+use table::{ClassId, FxHashMap, IdMap, Name, Names};
 
 /// Cache-hit/miss counters and per-phase wall-clock timings of a
 /// [`Workspace`] — one value accumulated over the workspace's lifetime
@@ -240,19 +249,18 @@ impl WorkspaceStats {
     }
 }
 
-/// A class name, shared by the class table's indexes.
-type Name = Arc<str>;
-
 /// A class's place in project order: the ordinal of its file (files are
 /// numbered in the order they were added and a number is never reused, so
 /// removing a file moves no other class) and the class's start offset in
 /// that file.
 type Pos = (u64, usize);
 
-/// One class of one file, ready for the per-class stages.
+/// One class of one file, ready for the per-class stages. `K` names the
+/// class: by its [`Name`] as parsed or restored, by its [`ClassId`] once
+/// the class table registers it.
 #[derive(Debug)]
-struct ClassUnit {
-    name: Name,
+struct ClassUnit<K = ClassId> {
+    class: K,
     /// Start offset of the class in its file.
     start: usize,
     /// Content fingerprint (see [`class_units`]).
@@ -264,6 +272,19 @@ struct ClassUnit {
     /// The extraction products the file record held for the unit, which
     /// spare extracting it when it wins.
     restored: Option<Arc<ExtractEntry>>,
+}
+
+impl ClassUnit<Name> {
+    /// The unit as the class table registers it: under its name's id.
+    fn register(self, names: &mut Names) -> ClassUnit {
+        ClassUnit {
+            class: names.intern(self.class),
+            start: self.start,
+            fingerprint: self.fingerprint,
+            solo: self.solo,
+            restored: self.restored,
+        }
+    }
 }
 
 impl ClassUnit {
@@ -288,7 +309,7 @@ enum Parse {
     Failed(Box<ParseError>),
     /// Parsed or restored from a file record, with its `W014`
     /// diagnostics, but not yet merged into the class table.
-    Pending(Box<(Vec<ClassUnit>, Diagnostics)>),
+    Pending(Box<(Vec<ClassUnit<Name>>, Diagnostics)>),
     /// The class table holds exactly this parse.
     Registered,
 }
@@ -310,24 +331,51 @@ struct FileState {
     degraded: Diagnostics,
 }
 
-/// The registered files, in project order: sorted by ordinal.
+/// The registered files, in a table indexed by ordinal, so project order
+/// is table order. Ordinals are handed out densely and never reused: a
+/// removed file leaves a hole of one empty entry.
 #[derive(Debug, Default)]
-struct Files(Vec<FileState>);
+struct Files {
+    table: Vec<Option<FileState>>,
+}
 
 impl Files {
-    fn index(&self, ordinal: u64) -> usize {
-        self.0
-            .binary_search_by_key(&ordinal, |f| f.ordinal)
-            .expect("a live file's ordinal")
+    /// The ordinal the next new file gets.
+    fn next_ordinal(&self) -> u64 {
+        self.table.len() as u64
     }
 
     fn get(&self, ordinal: u64) -> &FileState {
-        &self.0[self.index(ordinal)]
+        self.table[ordinal as usize]
+            .as_ref()
+            .expect("a live file's ordinal")
     }
 
     fn get_mut(&mut self, ordinal: u64) -> &mut FileState {
-        let i = self.index(ordinal);
-        &mut self.0[i]
+        self.table[ordinal as usize]
+            .as_mut()
+            .expect("a live file's ordinal")
+    }
+
+    /// Adds a file under the next ordinal.
+    fn push(&mut self, file: FileState) {
+        debug_assert_eq!(file.ordinal, self.next_ordinal());
+        self.table.push(Some(file));
+    }
+
+    fn remove(&mut self, ordinal: u64) -> FileState {
+        self.table[ordinal as usize]
+            .take()
+            .expect("a live file's ordinal")
+    }
+
+    /// The live files, in project order.
+    fn iter(&self) -> impl Iterator<Item = &FileState> {
+        self.table.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut FileState> {
+        self.table.iter_mut().flatten()
     }
 
     /// The unit of the class defined at `pos`.
@@ -352,8 +400,8 @@ fn unit_index(units: &[ClassUnit], start: usize) -> usize {
 
 /// Whether `unit`, defined at `pos`, is the winning definition of a class
 /// without `@sys`, whose AST no stage reads once it is extracted.
-fn ast_unread(slots: &HashMap<Name, ClassSlot>, pos: Pos, unit: &ClassUnit) -> bool {
-    slots.get(&unit.name).is_some_and(|slot| {
+fn ast_unread(slots: &IdMap<ClassSlot>, pos: Pos, unit: &ClassUnit) -> bool {
+    slots.get(unit.class).is_some_and(|slot| {
         (slot.pos, slot.fingerprint) == (pos, unit.fingerprint) && slot.extract.extraction.is_none()
     })
 }
@@ -364,6 +412,10 @@ struct ClassSlot {
     pos: Pos,
     fingerprint: u64,
     extract: Arc<ExtractEntry>,
+    /// The ids of the classes a `@sys` class instantiates, one per
+    /// [`ClassExtraction::dependencies`] entry: resolved once, when the
+    /// slot is made.
+    deps: Box<[ClassId]>,
     /// The dependency fingerprint (the class fingerprint for classes
     /// without `@sys`).
     dep_fingerprint: u64,
@@ -391,22 +443,23 @@ pub(crate) struct ExtractEntry {
     pub(crate) validate_diags: Diagnostics,
 }
 
-/// One live `@sys` class in the spec index: its spec, and what the
-/// verification of every class instantiating it reads besides: the
-/// dependency DFA the typestate analysis steps ([`dependency_dfa`]), and
-/// the spec-only stand-in system usage verification and the typestate
-/// analysis look the class up as. Both are built on first use and
+/// One live `@sys` class in the spec index: its spec, shared with the
+/// class's extraction, and what the verification of every class
+/// instantiating it reads besides: the dependency DFA the typestate
+/// analysis steps ([`dependency_dfa`]), and the spec-only stand-in
+/// system usage verification and the typestate analysis look the class
+/// up as. Both are built on first use and
 /// dropped with the entry when the spec changes or leaves, so they are
 /// functions of the spec alone.
 #[derive(Debug)]
 struct SpecEntry {
-    spec: ClassSpec,
+    spec: Arc<ClassSpec>,
     dfa: OnceLock<Arc<Dfa>>,
     stand_in: OnceLock<Arc<System>>,
 }
 
 impl SpecEntry {
-    fn new(spec: ClassSpec) -> SpecEntry {
+    fn new(spec: Arc<ClassSpec>) -> SpecEntry {
         SpecEntry {
             spec,
             dfa: OnceLock::new(),
@@ -426,11 +479,25 @@ impl SpecEntry {
                 Arc::new(System {
                     name: self.spec.name.clone(),
                     kind: SystemKind::Base,
-                    spec: self.spec.clone(),
+                    spec: ClassSpec::clone(&self.spec),
                     claims: Vec::new(),
                 })
             })
             .clone()
+    }
+}
+
+/// The spec index as resolution and verification read it: by class name,
+/// at the cost of one interner lookup.
+#[derive(Clone, Copy)]
+struct Specs<'a> {
+    names: &'a Names,
+    index: &'a IdMap<SpecEntry>,
+}
+
+impl<'a> Specs<'a> {
+    fn get(self, name: &str) -> Option<&'a SpecEntry> {
+        self.index.get(self.names.get(name)?)
     }
 }
 
@@ -458,49 +525,50 @@ pub struct Workspace {
     files: Files,
     /// `file name → ordinal`.
     file_index: HashMap<String, u64>,
-    /// The ordinal the next new file gets.
-    next_ordinal: u64,
     /// Files whose current text the class table does not hold yet: their
     /// parse is stale, failed, or pending.
     dirty: BTreeSet<u64>,
     /// Removed files whose classes the class table still holds until the
     /// next round.
     retired: Vec<FileState>,
-    /// `class name → the positions of its definitions`, in project order:
-    /// the class table. The last definition wins (Python's
-    /// last-definition semantics); the others are shadowed, reported, and
-    /// dropped before any stage runs.
-    definitions: HashMap<Name, Vec<Pos>>,
-    /// `class name → the E004 run reporting its shadowed definitions`,
-    /// config applied, for the names defined more than once.
-    shadowed: HashMap<Name, Vec<Diagnostic>>,
-    /// `class name → products of its winning definition`.
-    slots: HashMap<Name, ClassSlot>,
-    /// `class name → the @sys classes that instantiate it`: whose
+    /// Every class name the workspace has seen, with its dense id: the
+    /// key of the class table's per-name state below.
+    names: Names,
+    /// `class → the positions of its definitions`, in project order: the
+    /// class table. The last definition wins (Python's last-definition
+    /// semantics); the others are shadowed, reported, and dropped before
+    /// any stage runs.
+    definitions: IdMap<Vec<Pos>>,
+    /// `class → the E004 run reporting its shadowed definitions`, config
+    /// applied, for the names defined more than once.
+    shadowed: IdMap<Vec<Diagnostic>>,
+    /// `class → products of its winning definition`.
+    slots: IdMap<ClassSlot>,
+    /// `class → the @sys classes that instantiate it`, in id order: whose
     /// dependency fingerprints change when the name gets a new winner.
-    dependents: HashMap<Name, Vec<Name>>,
+    dependents: IdMap<Vec<ClassId>>,
     /// The last round's report.
     report: KeptReport,
-    extract_cache: HashMap<u64, Arc<ExtractEntry>>,
-    verify_cache: HashMap<(u64, u64), Arc<VerifyEntry>>,
+    extract_cache: FxHashMap<u64, Arc<ExtractEntry>>,
+    verify_cache: FxHashMap<(u64, u64), Arc<VerifyEntry>>,
     /// Per-class [`SystemStats`], keyed like `verify_cache` (class
     /// fingerprint + dependency fingerprint) because composite statistics
     /// read the subsystem specs.
-    stats_cache: HashMap<(u64, u64), Arc<SystemStats>>,
-    /// `class name → spec` of every live `@sys` class: the index
-    /// resolution reads subsystem specs from, and the typestate analysis
-    /// their DFAs. Kept in step with the class slots, so a round copies
-    /// only the specs of re-extracted classes.
-    spec_index: BTreeMap<String, SpecEntry>,
+    stats_cache: FxHashMap<(u64, u64), Arc<SystemStats>>,
+    /// `class → spec` of every live `@sys` class: the index resolution
+    /// reads subsystem specs from, and the typestate analysis their DFAs.
+    /// Kept in step with the class slots; an entry shares its spec with
+    /// the class's extraction, so a round copies no spec.
+    spec_index: IdMap<SpecEntry>,
     /// Verify-stage products restored from disk
     /// ([`Self::load_disk_cache`]), consulted when the in-memory
     /// `verify_cache` misses. Kept across rounds: a key that is stale now
     /// can become live again when a closed file is reopened.
-    disk_cache: HashMap<(u64, u64), Arc<SavedVerify>>,
+    disk_cache: FxHashMap<(u64, u64), Arc<SavedVerify>>,
     /// File records restored from disk, consulted before parsing a stale
     /// file. Kept across rounds like `disk_cache`, so a reopened file
     /// restores too.
-    file_records: HashMap<FileKey, Arc<FileRecord>>,
+    file_records: FxHashMap<FileKey, Arc<FileRecord>>,
     totals: WorkspaceStats,
     last: WorkspaceStats,
 }
@@ -530,20 +598,20 @@ impl Workspace {
             recover: false,
             files: Files::default(),
             file_index: HashMap::new(),
-            next_ordinal: 0,
             dirty: BTreeSet::new(),
             retired: Vec::new(),
-            definitions: HashMap::new(),
-            shadowed: HashMap::new(),
-            slots: HashMap::new(),
-            dependents: HashMap::new(),
+            names: Names::default(),
+            definitions: IdMap::default(),
+            shadowed: IdMap::default(),
+            slots: IdMap::default(),
+            dependents: IdMap::default(),
             report: KeptReport::default(),
-            extract_cache: HashMap::new(),
-            verify_cache: HashMap::new(),
-            stats_cache: HashMap::new(),
-            spec_index: BTreeMap::new(),
-            disk_cache: HashMap::new(),
-            file_records: HashMap::new(),
+            extract_cache: FxHashMap::default(),
+            verify_cache: FxHashMap::default(),
+            stats_cache: FxHashMap::default(),
+            spec_index: IdMap::default(),
+            disk_cache: FxHashMap::default(),
+            file_records: FxHashMap::default(),
             totals: WorkspaceStats::default(),
             last: WorkspaceStats::default(),
         }
@@ -557,7 +625,7 @@ impl Workspace {
             return;
         }
         self.recover = recover;
-        for file in &mut self.files.0 {
+        for file in self.files.iter_mut() {
             file.parse = Parse::Stale;
             self.dirty.insert(file.ordinal);
         }
@@ -566,6 +634,12 @@ impl Workspace {
     /// Whether recovery mode is on.
     pub fn recover(&self) -> bool {
         self.recover
+    }
+
+    /// The number of worker threads each stage fans out over: the count
+    /// given at construction, `0` resolved to the available parallelism.
+    pub fn jobs(&self) -> usize {
+        self.jobs
     }
 
     /// Adds a file, or replaces its source if the name is already
@@ -586,10 +660,9 @@ impl Workspace {
                 }
             }
             None => {
-                let ordinal = self.next_ordinal;
-                self.next_ordinal += 1;
+                let ordinal = self.files.next_ordinal();
                 self.file_index.insert(name.clone(), ordinal);
-                self.files.0.push(FileState {
+                self.files.push(FileState {
                     name,
                     ordinal,
                     fingerprint,
@@ -608,7 +681,7 @@ impl Workspace {
         let Some(ordinal) = self.file_index.remove(name) else {
             return false;
         };
-        let file = self.files.0.remove(self.files.index(ordinal));
+        let file = self.files.remove(ordinal);
         self.dirty.remove(&ordinal);
         if !file.registered.is_empty() || !file.degraded.is_empty() {
             self.retired.push(file);
@@ -618,7 +691,7 @@ impl Workspace {
 
     /// The registered file names, in project order.
     pub fn file_names(&self) -> impl Iterator<Item = &str> {
-        self.files.0.iter().map(|f| f.name.as_str())
+        self.files.iter().map(|f| f.name.as_str())
     }
 
     /// The source text registered for `name` by [`set_file`](Self::set_file);
@@ -688,7 +761,7 @@ impl Workspace {
                 self.file_records.remove(&(file.fingerprint, recover));
             }
         }
-        round.parse_cache_hits = self.files.0.len() as u64 - round.files_parsed;
+        round.parse_cache_hits = self.file_index.len() as u64 - round.files_parsed;
         round.parse_time = t.elapsed();
         // Only a dirty file can have failed, and the dirty set is in
         // project order.
@@ -716,9 +789,9 @@ impl Workspace {
         // fingerprint is new; their slots replace the old ones.
         let t = Instant::now();
         let mut retired_keys = RetiredKeys::default();
-        let winners: Vec<(&Name, Pos)> = changed
+        let winners: Vec<(ClassId, Pos)> = changed
             .iter()
-            .filter_map(|name| Some((name, *self.definitions.get(name)?.last()?)))
+            .filter_map(|&id| Some((id, *self.definitions.get(id)?.last()?)))
             .collect();
         // A new winner's products come from the extraction cache, else
         // from its file record, else from extracting it.
@@ -742,58 +815,59 @@ impl Workspace {
         for (&i, entry) in missing.iter().zip(fresh) {
             entries[i] = Some(entry);
         }
-        let winners: Vec<(&Name, Pos, u64, Arc<ExtractEntry>)> = winners
+        self.extract_cache.reserve(missing.len());
+        let winners: Vec<(ClassId, Pos, u64, Arc<ExtractEntry>)> = winners
             .into_iter()
             .zip(entries)
-            .map(|((name, pos), entry)| {
+            .map(|((id, pos), entry)| {
                 let entry = entry.expect("every new winner was extracted");
                 let fingerprint = self.files.unit(pos).fingerprint;
                 self.extract_cache.insert(fingerprint, entry.clone());
-                (name, pos, fingerprint, entry)
+                (id, pos, fingerprint, entry)
             })
             .collect();
-        for name in &changed {
-            if let Some(old) = self.slots.remove(name) {
-                self.retire_slot(name, old, &mut retired_keys);
+        for &id in &changed {
+            if let Some(old) = self.slots.remove(id) {
+                self.retire_slot(id, old, &mut retired_keys);
             }
         }
-        self.slots.reserve(winners.len());
         // The classes whose report runs this round replaces, by position.
-        let mut rerun: Vec<(Pos, Name)> = Vec::with_capacity(winners.len());
-        for (name, pos, fingerprint, extract) in winners {
-            if let Some(x) = &extract.extraction {
-                self.spec_index
-                    .insert(name.to_string(), SpecEntry::new(x.spec.clone()));
-                for dep in x.dependencies() {
-                    match self.dependents.get_mut(dep) {
-                        Some(dependents) => {
-                            if let Err(i) = dependents.binary_search(name) {
-                                dependents.insert(i, name.clone());
-                            }
-                        }
-                        None => {
-                            self.dependents.insert(Name::from(dep), vec![name.clone()]);
+        let mut rerun: Vec<(Pos, ClassId)> = Vec::with_capacity(winners.len());
+        for (id, pos, fingerprint, extract) in winners {
+            let deps: Box<[ClassId]> = match &extract.extraction {
+                Some(x) => {
+                    self.spec_index.insert(id, SpecEntry::new(x.spec.clone()));
+                    let deps: Box<[ClassId]> =
+                        x.dependencies().map(|dep| self.names.intern(dep)).collect();
+                    for &dep in &deps {
+                        let dependents = self.dependents.get_or_default(dep);
+                        if let Err(i) = dependents.binary_search(&id) {
+                            dependents.insert(i, id);
                         }
                     }
+                    deps
                 }
-            } else {
-                // No later stage reads the AST of a class without `@sys`;
-                // should the class win again after its entry is dropped,
-                // `load_asts` parses its file anew.
-                self.files.unit_mut(pos).solo = None;
-            }
+                None => {
+                    // No later stage reads the AST of a class without
+                    // `@sys`; should the class win again after its entry
+                    // is dropped, `load_asts` parses its file anew.
+                    self.files.unit_mut(pos).solo = None;
+                    Box::default()
+                }
+            };
             self.slots.insert(
-                name.clone(),
+                id,
                 ClassSlot {
                     pos,
                     fingerprint,
                     extract,
+                    deps,
                     dep_fingerprint: fingerprint,
                     verify: None,
                     run: Box::default(),
                 },
             );
-            rerun.push((pos, name.clone()));
+            rerun.push((pos, id));
         }
         round.extract_cache_hits = (self.slots.len() - missing.len()) as u64;
         round.extract_time = t.elapsed() - lazy;
@@ -802,39 +876,34 @@ impl Workspace {
         // of every class that instantiates a changed name; each whose key
         // moved is looked up in the verify cache.
         let t = Instant::now();
-        let mut rekey: Vec<&Name> = Vec::new();
-        for name in &changed {
+        let mut rekey: Vec<ClassId> = Vec::new();
+        for &id in &changed {
             if self
                 .slots
-                .get(name)
+                .get(id)
                 .is_some_and(|s| s.extract.extraction.is_some())
             {
-                rekey.push(name);
+                rekey.push(id);
             }
-            if let Some(dependents) = self.dependents.get(name) {
+            if let Some(dependents) = self.dependents.get(id) {
                 rekey.extend(dependents);
             }
         }
-        let mut missing: Vec<Name> = Vec::new();
+        let mut missing: Vec<ClassId> = Vec::new();
         rekey.sort_unstable();
         rekey.dedup();
-        for &name in &rekey {
-            let slot = &self.slots[name];
-            let x = slot
-                .extract
-                .extraction
-                .as_ref()
-                .expect("only @sys classes are keyed by their dependencies");
-            let dep_fingerprint = dependency_fingerprint(slot.fingerprint, x, &self.slots);
+        for &id in &rekey {
+            let slot = &self.slots[id];
+            let dep_fingerprint = dependency_fingerprint(slot, &self.slots);
             if slot.verify_key() == Some((slot.fingerprint, dep_fingerprint)) {
                 continue;
             }
-            let slot = self.slots.get_mut(name).expect("rekeyed classes are live");
+            let slot = self.slots.get_mut(id).expect("rekeyed classes are live");
             if let Some(key) = slot.verify_key() {
                 self.report.leave(slot.pos);
                 self.report.remove(&slot.run);
-                retired_keys.verify.push((name.clone(), key));
-                rerun.push((slot.pos, name.clone()));
+                retired_keys.verify.push((id, key));
+                rerun.push((slot.pos, id));
             }
             slot.dep_fingerprint = dep_fingerprint;
             slot.verify = self
@@ -842,16 +911,14 @@ impl Workspace {
                 .get(&(slot.fingerprint, dep_fingerprint))
                 .cloned();
             if slot.verify.is_none() {
-                missing.push(name.clone());
+                missing.push(id);
             }
         }
         round.verified = missing.len() as u64;
         round.verify_cache_hits = (self.spec_index.len() - missing.len()) as u64;
         #[cfg(test)]
         SLOTS_VISITED.with(|n| {
-            let rekeyed_only = rekey
-                .iter()
-                .filter(|name| touched.binary_search(name).is_err());
+            let rekeyed_only = rekey.iter().filter(|id| touched.binary_search(id).is_err());
             n.set(n.get() + touched.len() + rekeyed_only.count());
         });
 
@@ -860,7 +927,7 @@ impl Workspace {
         // cannot answer needs its file parsed.
         let need_ast: Vec<Pos> = missing
             .iter()
-            .map(|name| &self.slots[name])
+            .map(|&id| &self.slots[id])
             .filter(|slot| {
                 !self
                     .disk_cache
@@ -870,33 +937,37 @@ impl Workspace {
             .collect();
         let lazy = self.load_asts(need_ast, &mut round);
         let disk_cache = &self.disk_cache;
-        let spec_index = &self.spec_index;
+        let specs = Specs {
+            names: &self.names,
+            index: &self.spec_index,
+        };
         let slots = &self.slots;
         let files = &self.files;
-        let fresh = par_map(self.jobs, &missing, |name| {
-            let slot = &slots[name];
+        let fresh = par_map(self.jobs, &missing, |&id| {
+            let slot = &slots[id];
             let extraction = slot
                 .extract
                 .extraction
-                .clone()
+                .as_ref()
                 .expect("verify stage only runs for @sys classes");
             match disk_cache.get(&(slot.fingerprint, slot.dep_fingerprint)) {
                 Some(saved) => (
-                    Arc::new(run_verify_restored(extraction, spec_index, saved)),
+                    Arc::new(run_verify_restored(extraction, specs, saved)),
                     true,
                 ),
                 None => {
                     let solo = files.unit(slot.pos).solo();
-                    (Arc::new(run_verify(extraction, solo, spec_index)), false)
+                    (Arc::new(run_verify(extraction, solo, specs)), false)
                 }
             }
         });
-        for (name, (entry, from_disk)) in missing.iter().zip(fresh) {
+        self.verify_cache.reserve(missing.len());
+        for (&id, (entry, from_disk)) in missing.iter().zip(fresh) {
             round.fast_path_proven += entry.verdict.fast_path_skips as u64;
             round.antichain_frontier += entry.verdict.antichain_frontier;
             round.antichain_pruned += entry.verdict.antichain_pruned;
             round.verify_disk_hits += u64::from(from_disk);
-            let slot = self.slots.get_mut(name).expect("verified classes are live");
+            let slot = self.slots.get_mut(id).expect("verified classes are live");
             self.verify_cache
                 .insert((slot.fingerprint, slot.dep_fingerprint), entry.clone());
             slot.verify = Some(entry);
@@ -909,10 +980,10 @@ impl Workspace {
         rerun.sort_unstable();
         let (slots, config) = (&mut self.slots, &self.config);
         let kept = KeptViolations::of(config);
-        self.report.finish(rerun.iter().map(|(pos, name)| {
-            let slot = slots.get_mut(name).expect("re-run classes are live");
+        self.report.finish(rerun.iter().map(|&(pos, id)| {
+            let slot = slots.get_mut(id).expect("re-run classes are live");
             slot.run = class_run(config, &slot.extract, slot.verify.as_deref()).into();
-            (*pos, class_runs(kept, slot))
+            (pos, class_runs(kept, slot))
         }));
         self.drop_retired_keys(retired_keys);
         let checked = self.report.checked().clone();
@@ -926,9 +997,9 @@ impl Workspace {
 
     /// Merges the removed and the dirty files into the class table.
     /// Classes a re-parsed file still defines at the same offset with the
-    /// same fingerprint are left alone. Returns the names whose
-    /// definitions changed, sorted.
-    fn register_files(&mut self) -> Vec<Name> {
+    /// same fingerprint are left alone; a new definition's name is
+    /// interned. Returns the classes whose definitions changed, sorted.
+    fn register_files(&mut self) -> Vec<ClassId> {
         let incoming: usize = self
             .dirty
             .iter()
@@ -937,16 +1008,15 @@ impl Workspace {
                 _ => 0,
             })
             .sum();
-        self.definitions.reserve(incoming);
         let mut touched = Vec::with_capacity(incoming);
         for file in std::mem::take(&mut self.retired) {
             for unit in file.registered {
                 undefine(
                     &mut self.definitions,
                     (file.ordinal, unit.start),
-                    &unit.name,
+                    unit.class,
                 );
-                touched.push(unit.name);
+                touched.push(unit.class);
             }
             self.report.remove(&applied(&self.config, &file.degraded));
         }
@@ -961,8 +1031,8 @@ impl Workspace {
             let mut kept = Vec::with_capacity(units.len());
             for unit in units {
                 while let Some(gone) = old.next_if(|o| o.start < unit.start) {
-                    undefine(&mut self.definitions, (ordinal, gone.start), &gone.name);
-                    touched.push(gone.name);
+                    undefine(&mut self.definitions, (ordinal, gone.start), gone.class);
+                    touched.push(gone.class);
                 }
                 match old.next_if(|o| o.start == unit.start) {
                     Some(same) if same.fingerprint == unit.fingerprint => {
@@ -982,20 +1052,21 @@ impl Workspace {
                         continue;
                     }
                     Some(gone) => {
-                        undefine(&mut self.definitions, (ordinal, gone.start), &gone.name);
-                        touched.push(gone.name);
+                        undefine(&mut self.definitions, (ordinal, gone.start), gone.class);
+                        touched.push(gone.class);
                     }
                     None => {}
                 }
-                let defs = self.definitions.entry(unit.name.clone()).or_default();
+                let unit = unit.register(&mut self.names);
+                let defs = self.definitions.get_or_default(unit.class);
                 let pos = (ordinal, unit.start);
                 defs.insert(defs.partition_point(|p| *p < pos), pos);
-                touched.push(unit.name.clone());
+                touched.push(unit.class);
                 kept.push(unit);
             }
             for gone in old {
-                undefine(&mut self.definitions, (ordinal, gone.start), &gone.name);
-                touched.push(gone.name);
+                undefine(&mut self.definitions, (ordinal, gone.start), gone.class);
+                touched.push(gone.class);
             }
             file.registered = kept;
             if file.degraded != degraded {
@@ -1009,17 +1080,18 @@ impl Workspace {
         touched
     }
 
-    /// Re-reports the shadowed definitions of every touched name and
-    /// returns the names whose winner changed: it appeared, disappeared,
+    /// Re-reports the shadowed definitions of every touched class and
+    /// returns the classes whose winner changed: it appeared, disappeared,
     /// moved, or has a new fingerprint.
-    fn settle_winners(&mut self, touched: &[Name]) -> Vec<Name> {
+    fn settle_winners(&mut self, touched: &[ClassId]) -> Vec<ClassId> {
         let mut changed = Vec::new();
-        for name in touched {
-            let defs = self.definitions.get(name).map_or(&[][..], Vec::as_slice);
-            let old = self.shadowed.get(name).map_or(&[][..], Vec::as_slice);
+        for &id in touched {
+            let defs = self.definitions.get(id).map_or(&[][..], Vec::as_slice);
+            let old = self.shadowed.get(id).map_or(&[][..], Vec::as_slice);
             // A name defined at most once, and not shadowed before, has no
             // E004 run before or after.
             let shadowed = if defs.len() > 1 || !old.is_empty() {
+                let name = self.names.name(id);
                 applied(&self.config, &shadow_diags(name, defs, &self.files))
             } else {
                 Vec::new()
@@ -1028,19 +1100,19 @@ impl Workspace {
                 self.report.remove(old);
                 self.report.add(&shadowed);
                 if shadowed.is_empty() {
-                    self.shadowed.remove(name);
+                    self.shadowed.remove(id);
                 } else {
-                    self.shadowed.insert(name.clone(), shadowed);
+                    self.shadowed.insert(id, shadowed);
                 }
             }
             let winner = defs
                 .last()
                 .map(|&pos| (pos, self.files.unit(pos).fingerprint));
             if defs.is_empty() {
-                self.definitions.remove(name);
+                self.definitions.remove(id);
             }
-            if winner != self.slots.get(name).map(|s| (s.pos, s.fingerprint)) {
-                changed.push(name.clone());
+            if winner != self.slots.get(id).map(|s| (s.pos, s.fingerprint)) {
+                changed.push(id);
             }
         }
         changed
@@ -1084,7 +1156,8 @@ impl Workspace {
             debug_assert!(
                 registered.len() == units.len()
                     && registered.iter().zip(&units).all(|(r, u)| {
-                        (&r.name, r.start, r.fingerprint) == (&u.name, u.start, u.fingerprint)
+                        (self.names.name(r.class), r.start, r.fingerprint)
+                            == (&*u.class, u.start, u.fingerprint)
                     }),
                 "a lazily parsed file has the classes its record restored"
             );
@@ -1105,23 +1178,21 @@ impl Workspace {
     /// Takes a replaced slot out of the spec index, the dependents index
     /// and the report; its cache keys are dropped at the end of the round
     /// unless a live class uses them again.
-    fn retire_slot(&mut self, name: &Name, old: ClassSlot, retired: &mut RetiredKeys) {
+    fn retire_slot(&mut self, id: ClassId, old: ClassSlot, retired: &mut RetiredKeys) {
         self.report.leave(old.pos);
         self.report.remove(&old.run);
-        retired.extract.push((name.clone(), old.fingerprint));
+        retired.extract.push((id, old.fingerprint));
         if let Some(key) = old.verify_key() {
-            retired.verify.push((name.clone(), key));
+            retired.verify.push((id, key));
         }
-        if let Some(x) = &old.extract.extraction {
-            self.spec_index.remove(&**name);
-            for dep in x.dependencies() {
-                if let Some(dependents) = self.dependents.get_mut(dep) {
-                    if let Ok(i) = dependents.binary_search(name) {
-                        dependents.remove(i);
-                    }
-                    if dependents.is_empty() {
-                        self.dependents.remove(dep);
-                    }
+        self.spec_index.remove(id);
+        for &dep in &old.deps {
+            if let Some(dependents) = self.dependents.get_mut(dep) {
+                if let Ok(i) = dependents.binary_search(&id) {
+                    dependents.remove(i);
+                }
+                if dependents.is_empty() {
+                    self.dependents.remove(dep);
                 }
             }
         }
@@ -1130,13 +1201,13 @@ impl Workspace {
     /// Drops the cache entries of retired keys no live class uses: the
     /// caches hold exactly the live classes' keys after every round.
     fn drop_retired_keys(&mut self, retired: RetiredKeys) {
-        for (name, fingerprint) in retired.extract {
-            if self.slots.get(&name).map(|s| s.fingerprint) != Some(fingerprint) {
+        for (id, fingerprint) in retired.extract {
+            if self.slots.get(id).map(|s| s.fingerprint) != Some(fingerprint) {
                 self.extract_cache.remove(&fingerprint);
             }
         }
-        for (name, key) in retired.verify {
-            if self.slots.get(&name).and_then(ClassSlot::verify_key) != Some(key) {
+        for (id, key) in retired.verify {
+            if self.slots.get(id).and_then(ClassSlot::verify_key) != Some(key) {
                 self.verify_cache.remove(&key);
                 self.stats_cache.remove(&key);
             }
@@ -1157,7 +1228,7 @@ impl Workspace {
     /// [`WorkspaceStats::stats_cache_hits`] /
     /// [`WorkspaceStats::stats_computed`].
     pub fn class_stats(&mut self, class: &str) -> Option<Arc<SystemStats>> {
-        let slot = self.slots.get(class)?;
+        let slot = self.slots.get(self.names.get(class)?)?;
         let key = slot.verify_key()?;
         if let Some(stats) = self.stats_cache.get(&key) {
             self.totals.stats_cache_hits += 1;
@@ -1195,20 +1266,28 @@ impl Workspace {
     /// registered, so a future process can
     /// [`load_disk_cache`](Self::load_disk_cache) them. Returns the
     /// number of verify records written.
+    ///
+    /// The file is a function of the workspace's state: verify records
+    /// come sorted by key, file records in project order, so saving the
+    /// same workspace twice writes the same bytes.
     pub fn save_disk_cache(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
         /// One record to write.
         enum Item<'a> {
             Verify((u64, u64), &'a VerifyEntry),
             File(&'a FileState),
         }
-        let verify = self
+        let mut verify: Vec<((u64, u64), &VerifyEntry)> = self
             .verify_cache
             .iter()
-            .map(|(&key, entry)| Item::Verify(key, entry));
+            .map(|(&key, entry)| (key, &**entry))
+            .collect();
+        verify.sort_unstable_by_key(|&(key, _)| key);
+        let verify = verify
+            .into_iter()
+            .map(|(key, entry)| Item::Verify(key, entry));
         // A dirty file's registered classes are not those of its text.
         let files = self
             .files
-            .0
             .iter()
             .filter(|f| !self.dirty.contains(&f.ordinal))
             .map(Item::File);
@@ -1251,10 +1330,11 @@ impl Workspace {
         }
         lines.file(key, |out| {
             let units = file.registered.iter().map(|unit| {
-                let slot = self.slots.get(&unit.name);
+                let slot = self.slots.get(unit.class);
                 let winner = slot.filter(|s| s.pos == (file.ordinal, unit.start));
                 let entry = winner.map(|s| &*s.extract);
-                (&*unit.name, unit.start, unit.fingerprint, entry)
+                let name = self.names.name(unit.class);
+                (name, unit.start, unit.fingerprint, entry)
             });
             persist::encode_file(out, &file.degraded, units);
         });
@@ -1293,8 +1373,8 @@ fn degraded_diags(name: &str, module: &Module) -> Diagnostics {
 /// class uses them again.
 #[derive(Default)]
 struct RetiredKeys {
-    extract: Vec<(Name, u64)>,
-    verify: Vec<(Name, (u64, u64))>,
+    extract: Vec<(ClassId, u64)>,
+    verify: Vec<(ClassId, (u64, u64))>,
 }
 
 #[cfg(test)]
@@ -1336,7 +1416,7 @@ fn restore_file(record: &FileRecord) -> Option<Parse> {
         .units
         .into_iter()
         .map(|unit| ClassUnit {
-            name: Name::from(unit.name),
+            class: Name::from(unit.name),
             start: unit.start,
             fingerprint: unit.fingerprint,
             solo: None,
@@ -1363,10 +1443,10 @@ fn parse_file(file: &FileState, recover: bool) -> Parse {
     Parse::Pending(Box::new(parsed))
 }
 
-/// Removes the definition at `pos` of the class `name` from the table.
-fn undefine(definitions: &mut HashMap<Name, Vec<Pos>>, pos: Pos, name: &str) {
+/// Removes the definition at `pos` of the class `id` from the table.
+fn undefine(definitions: &mut IdMap<Vec<Pos>>, pos: Pos, id: ClassId) {
     let defs = definitions
-        .get_mut(name)
+        .get_mut(id)
         .expect("a registered class is defined");
     let i = defs
         .binary_search(&pos)
@@ -1489,18 +1569,19 @@ fn class_runs(kept: KeptViolations, slot: &ClassSlot) -> ClassRuns {
     }
 }
 
-/// The dependency fingerprint of a `@sys` class: its own fingerprint
-/// combined with the name and winning fingerprint of every class it
-/// instantiates (`u64::MAX` for an undefined one).
-fn dependency_fingerprint(
-    fingerprint: u64,
-    extraction: &ClassExtraction,
-    slots: &HashMap<Name, ClassSlot>,
-) -> u64 {
+/// The dependency fingerprint of the `@sys` class in `slot`: its own
+/// fingerprint combined with the name and winning fingerprint of every
+/// class it instantiates (`u64::MAX` for an undefined one).
+fn dependency_fingerprint(slot: &ClassSlot, slots: &IdMap<ClassSlot>) -> u64 {
+    let extraction = slot
+        .extract
+        .extraction
+        .as_ref()
+        .expect("only @sys classes are keyed by their dependencies");
     let mut hash = Fnv1a::new();
-    hash.part(&fingerprint.to_le_bytes());
-    for dep in extraction.dependencies() {
-        let dep_fp = slots.get(dep).map_or(u64::MAX, |s| s.fingerprint);
+    hash.part(&slot.fingerprint.to_le_bytes());
+    for (dep, &id) in extraction.dependencies().zip(&slot.deps) {
+        let dep_fp = slots.get(id).map_or(u64::MAX, |s| s.fingerprint);
         hash.part(dep.as_bytes());
         hash.part(&dep_fp.to_le_bytes());
     }
@@ -1521,12 +1602,17 @@ fn dependency_fingerprint(
 /// allocated to exact capacity, while a moved class keeps the parser's
 /// spare `Vec` capacity alive for as long as the unit is cached (moving
 /// raised the peak RSS of a cold 1000-class `shelleyc check` from 20.5 to
-/// 23.3 MiB).
-fn class_units(file: &FileState, recover: bool, module: &Module) -> Vec<ClassUnit> {
+/// 23.3 MiB). Re-measured on the dense class table (perfbench
+/// `--trace 0`, seed 5, one run each, 2-core VM), moving raised `rss_mb`
+/// from 29.4 to 39.5 MiB (+34%) on `corpus_recover` and from 14.7 to
+/// 17.6 MiB (+19%) on `ci_cold`, past the benchmark's 10% bound, and
+/// saved no time (`verdict_ms_p50_norm` 73.8 → 80.8 ms and 40.0 → 49.9
+/// ms). The move waits for AST sequences allocated to exact capacity.
+fn class_units(file: &FileState, recover: bool, module: &Module) -> Vec<ClassUnit<Name>> {
     module
         .classes()
         .map(|class| ClassUnit {
-            name: Name::from(class.name.node.as_str()),
+            class: Name::from(class.name.node.as_str()),
             start: class.span.start,
             fingerprint: fnv1a(&[
                 file.name.as_bytes(),
@@ -1565,15 +1651,11 @@ fn run_extract(unit: &ClassUnit) -> ExtractEntry {
 /// The verification stage of one class: resolution against the subsystem
 /// specs, the per-class lint passes, and usage/claim verification. The
 /// typestate lint and the inclusion fast path share one analysis.
-fn run_verify(
-    extraction: ClassExtraction,
-    solo: &Module,
-    spec_index: &BTreeMap<String, SpecEntry>,
-) -> VerifyEntry {
+fn run_verify(extraction: &ClassExtraction, solo: &Module, specs: Specs) -> VerifyEntry {
     let mut resolve_diags = Diagnostics::new();
     let system = Arc::new(resolve_class_with(
         extraction,
-        |name| spec_index.get(name).map(|entry| &entry.spec),
+        |name| specs.get(name).map(|entry| &*entry.spec),
         &mut resolve_diags,
     ));
 
@@ -1589,7 +1671,7 @@ fn run_verify(
             if verify_scope.iter().any(|s| s.name == sub.class_name) {
                 continue;
             }
-            if let Some(entry) = spec_index.get(&sub.class_name) {
+            if let Some(entry) = specs.get(&sub.class_name) {
                 verify_scope.push(entry.stand_in());
             }
         }
@@ -1603,7 +1685,12 @@ fn run_verify(
     };
     // Every system in scope is a live `@sys` class, so its DFA is taken
     // from (and built at most once into) its spec-index entry.
-    let dfa_of = |dep: &System| spec_index[&dep.name].dfa();
+    let dfa_of = |dep: &System| {
+        specs
+            .get(&dep.name)
+            .expect("a system in scope is in the spec index")
+            .dfa()
+    };
     let proven = lint_class(&ctx, &system, &dfa_of, &mut lint_diags);
     let verdict = verify_system(&system, &verify_scope, &proven);
 
@@ -1626,14 +1713,14 @@ fn run_verify(
 /// means the persisted products are exactly what a fresh run would
 /// compute.
 fn run_verify_restored(
-    extraction: ClassExtraction,
-    spec_index: &BTreeMap<String, SpecEntry>,
+    extraction: &ClassExtraction,
+    specs: Specs,
     saved: &SavedVerify,
 ) -> VerifyEntry {
     let mut resolve_diags = Diagnostics::new();
     let system = resolve_class_with(
         extraction,
-        |name| spec_index.get(name).map(|entry| &entry.spec),
+        |name| specs.get(name).map(|entry| &*entry.spec),
         &mut resolve_diags,
     );
     VerifyEntry {
@@ -1655,7 +1742,9 @@ fn run_verify_restored(
 
 /// Maps `f` over `items` on a scoped worker pool of at most `jobs`
 /// threads, returning results in input order. `jobs <= 1` (or a single
-/// item) runs inline on the calling thread.
+/// item) runs inline on the calling thread. This is the pool every stage
+/// of a round fans out over; callers outside the crate size it with
+/// [`Workspace::jobs`].
 ///
 /// The calling thread is one of the workers. Besides sparing a spawn,
 /// that leaves part of a cold round's long-lived products in the
@@ -1663,11 +1752,7 @@ fn run_verify_restored(
 /// rounds allocate from: with glibc's per-thread arenas and only spawned
 /// workers, the freed cold-round products left holes nothing reused, and
 /// the daemon's resident set grew faster under edits.
-pub(crate) fn par_map<T: Sync, R: Send>(
-    jobs: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
+pub fn par_map<T: Sync, R: Send>(jobs: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     if jobs <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
@@ -1873,24 +1958,24 @@ pub(crate) mod tests {
         assert_eq!(outcome.skipped_lines, 0);
         assert_eq!(outcome.files.len(), files.len());
         let mut entries = 0;
-        for file in &ws.files.0 {
+        for file in ws.files.iter() {
             let saved = outcome.files[&(file.fingerprint, true)]
                 .decode()
                 .unwrap_or_else(|| panic!("the record of {} decodes", file.name));
             assert_eq!(saved.degraded, file.degraded, "{}", file.name);
             assert_eq!(saved.units.len(), file.registered.len(), "{}", file.name);
             for (saved, unit) in saved.units.iter().zip(&file.registered) {
+                let name = ws.names.name(unit.class);
                 assert_eq!(
                     (saved.name.as_str(), saved.start, saved.fingerprint),
-                    (&*unit.name, unit.start, unit.fingerprint)
+                    (name, unit.start, unit.fingerprint)
                 );
-                let slot = &ws.slots[&unit.name];
+                let slot = &ws.slots[unit.class];
                 if slot.pos == (file.ordinal, unit.start) {
                     let entry = saved.extract.as_ref().expect("a winner's entry");
                     assert!(
                         same_entry(entry, &slot.extract),
-                        "{}: {entry:#?}\n!=\n{:#?}",
-                        unit.name,
+                        "{name}: {entry:#?}\n!=\n{:#?}",
                         slot.extract
                     );
                     entries += 1;
@@ -1923,6 +2008,138 @@ pub(crate) mod tests {
             1000
         );
         assert!(assert_file_records_round_trip(&shelley_bench::realworld_corpus(200)) > 200);
+    }
+
+    /// Everything a round reports, as text.
+    fn outcome(checked: &Checked) -> String {
+        let report = &checked.report;
+        format!(
+            "{}{:?}\n{:?}\n{:?}\n",
+            report.diagnostics.render_json(None),
+            checked.systems.iter().map(|s| &s.name).collect::<Vec<_>>(),
+            report.usage_violations,
+            report.claim_violations,
+        )
+    }
+
+    /// Checks `ws` and a fresh workspace holding its files in its project
+    /// order, and asserts that both report the same, and that every live
+    /// file resolves through the ordinal table.
+    fn assert_round_equals_cold(ws: &mut Workspace) {
+        let checked = ws.check().unwrap();
+        let mut cold = Workspace::with_config(LintConfig::default(), 1);
+        for name in ws.file_names() {
+            cold.set_file(name, ws.source(name).unwrap());
+        }
+        assert_eq!(outcome(&checked), outcome(&cold.check().unwrap()));
+        for (name, &ordinal) in &ws.file_index {
+            let file = ws.files.get(ordinal);
+            assert_eq!((&file.name, file.ordinal), (name, ordinal));
+            for unit in &file.registered {
+                assert_eq!(ws.files.unit((ordinal, unit.start)).start, unit.start);
+            }
+        }
+        assert_eq!(ws.files.iter().count(), ws.file_index.len());
+    }
+
+    /// The dense class table through holes and renames: removing a middle
+    /// file leaves a hole in the ordinal table, new files and the removed
+    /// name re-added go after it, and a renamed class gets a new id while
+    /// the old name keeps its own; every round equals a cold check.
+    #[test]
+    fn dense_table_rounds_through_file_holes_and_renames_equal_a_cold_check() {
+        let user = |i: usize, sub: &str| {
+            format!(
+                "@sys([\"a\"])\nclass User{i}:\n    def __init__(self):\n        \
+                 self.a = {sub}()\n\n    @op_initial_final\n    def run(self):\n        \
+                 self.a.test()\n        self.a.clean()\n        return []\n"
+            )
+        };
+        let valve = composites_project(0);
+        let mut ws = Workspace::with_config(LintConfig::default(), 2);
+        ws.set_file("valve.py", valve.clone());
+        for i in 0..4 {
+            ws.set_file(format!("user{i}.py"), user(i, "Valve"));
+        }
+        ws.set_file("helper.py", "class Helper:\n    pass\n");
+        assert_round_equals_cold(&mut ws);
+        let user1 = ws.names.get("User1").unwrap();
+
+        // A middle file goes: its ordinal becomes a hole.
+        assert!(ws.remove_file("user1.py"));
+        assert_round_equals_cold(&mut ws);
+        assert!(ws.files.table[2].is_none());
+        assert!(ws.slots.get(user1).is_none());
+
+        // New files go after the hole, one of them a second definition.
+        ws.set_file("user4.py", user(4, "Valve"));
+        ws.set_file("again.py", user(3, "Valve"));
+        assert_round_equals_cold(&mut ws);
+
+        // The removed name comes back under a new ordinal, its class
+        // under its old id.
+        ws.set_file("user1.py", user(1, "Valve"));
+        assert_round_equals_cold(&mut ws);
+        assert_eq!(ws.file_names().last(), Some("user1.py"));
+        assert_eq!(ws.files.get(ws.file_index["user1.py"]).ordinal, 8);
+        assert_eq!(ws.names.get("User1"), Some(user1));
+        assert!(ws.slots.get(user1).is_some());
+
+        // Renaming the subsystem class leaves its users with an undefined
+        // dependency, and renaming it back restores them.
+        let valve_id = ws.names.get("Valve").unwrap();
+        ws.set_file("valve.py", valve.replace("class Valve", "class Tap"));
+        assert_round_equals_cold(&mut ws);
+        assert!(ws.slots.get(valve_id).is_none());
+        assert!(ws.dependents[valve_id].len() >= 4);
+        ws.set_file("valve.py", valve);
+        assert_round_equals_cold(&mut ws);
+        assert_eq!(ws.names.get("Valve"), Some(valve_id));
+
+        // A user renamed and pointed at the renamed-away class.
+        ws.set_file("user0.py", user(0, "Tap").replace("User0", "Renamed0"));
+        assert_round_equals_cold(&mut ws);
+        assert!(ws.slots.get(ws.names.get("User0").unwrap()).is_none());
+    }
+
+    /// Every `@sys` class's spec-index entry shares its extraction's spec:
+    /// after a cold round, and after a restart that restores every file
+    /// from its file record.
+    #[test]
+    fn dense_table_spec_entries_share_their_extractions_spec() {
+        fn assert_shared(ws: &Workspace) -> usize {
+            for (id, slot) in ws.slots.iter() {
+                let entry = ws.spec_index.get(id);
+                match &slot.extract.extraction {
+                    Some(x) => assert!(Arc::ptr_eq(&entry.unwrap().spec, &x.spec)),
+                    None => assert!(entry.is_none()),
+                }
+            }
+            ws.spec_index.len()
+        }
+        let files = shelley_bench::serve_project(100);
+        let path = std::env::temp_dir().join(format!(
+            "shelley-shared-specs-{}.ndjson",
+            std::process::id()
+        ));
+        let mut ws = Workspace::with_config(LintConfig::default(), 2);
+        for (name, source) in &files {
+            ws.set_file(name, source.clone());
+        }
+        ws.check().unwrap();
+        assert_eq!(assert_shared(&ws), 100);
+        ws.save_disk_cache(&path).unwrap();
+
+        let mut restarted = Workspace::with_config(LintConfig::default(), 2);
+        restarted.load_disk_cache(&path);
+        let _ = std::fs::remove_file(&path);
+        for (name, source) in &files {
+            restarted.set_file(name, source.clone());
+        }
+        restarted.check().unwrap();
+        let round = restarted.last_round();
+        assert_eq!((round.files_parsed, round.verify_disk_hits), (0, 100));
+        assert_eq!(assert_shared(&restarted), 100);
     }
 
     /// Work-count gate: a round visits the class slots its edit touched

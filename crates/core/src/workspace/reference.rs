@@ -4,10 +4,10 @@
 //! patches all of these in place; this is what the patches must add up
 //! to.
 
-use super::{duplicate_diag, ClassUnit, ExtractEntry, Files, Fnv1a, Name, Parse, Pos, Workspace};
+use super::table::{ClassId, Names};
+use super::{duplicate_diag, ClassUnit, ExtractEntry, Files, Fnv1a, Parse, Pos, Workspace};
 use crate::diagnostics::{codes, Diagnostics};
 use crate::lint::LintLevel;
-use crate::spec::ClassSpec;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -16,7 +16,8 @@ impl Workspace {
     /// report equal their from-scratch reference.
     pub(super) fn assert_matches_reference(&self) {
         assert!(self.dirty.is_empty() && self.retired.is_empty());
-        let (units, duplicate_diags) = class_list(&self.files);
+        let names = &self.names;
+        let (units, duplicate_diags) = class_list(&self.files, names);
 
         // The class table and the extraction cache.
         assert_eq!(self.slots.len(), units.len(), "class table size");
@@ -28,7 +29,7 @@ impl Workspace {
         let extract_entries: Vec<&Arc<ExtractEntry>> = units
             .iter()
             .map(|(pos, unit)| {
-                let slot = &self.slots[&unit.name];
+                let slot = &self.slots[unit.class];
                 assert_eq!((slot.pos, slot.fingerprint), (*pos, unit.fingerprint));
                 let entry = &self.extract_cache[&unit.fingerprint];
                 assert!(Arc::ptr_eq(&slot.extract, entry));
@@ -39,36 +40,55 @@ impl Workspace {
                 entry
             })
             .collect();
-        let spec_index: BTreeMap<String, ClassSpec> = self
-            .spec_index
-            .iter()
-            .map(|(name, entry)| (name.clone(), entry.spec.clone()))
-            .collect();
-        assert_eq!(
-            spec_index,
-            spec_index_of(&extract_entries),
-            "the incremental spec index drifted from the extraction cache"
-        );
-        let mut dependents: HashMap<Name, Vec<Name>> = HashMap::new();
+
+        // The spec index holds the spec of every live `@sys` class,
+        // shared with its extraction, and each slot the ids of the
+        // classes its class instantiates.
+        let mut dependents: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        let mut systems_live = 0;
         for ((_, unit), entry) in units.iter().zip(&extract_entries) {
-            for dep in entry.extraction.iter().flat_map(|x| x.dependencies()) {
+            let Some(x) = &entry.extraction else {
+                assert!(self.spec_index.get(unit.class).is_none());
+                continue;
+            };
+            systems_live += 1;
+            assert_eq!(x.name, names.name(unit.class), "a unit's class id");
+            let spec = &self.spec_index[unit.class].spec;
+            assert!(
+                Arc::ptr_eq(spec, &x.spec),
+                "a spec-index entry shares its extraction's spec"
+            );
+            let deps: Vec<Option<ClassId>> = x.dependencies().map(|d| names.get(d)).collect();
+            let slot_deps = self.slots[unit.class].deps.iter().map(|&id| Some(id));
+            assert!(slot_deps.eq(deps), "a slot's dependency ids");
+            for dep in x.dependencies() {
                 dependents
-                    .entry(Name::from(dep))
+                    .entry(dep)
                     .or_default()
-                    .push(unit.name.clone());
+                    .push(names.name(unit.class));
             }
         }
-        for names in dependents.values_mut() {
-            names.sort();
-            names.dedup();
+        assert_eq!(self.spec_index.len(), systems_live, "spec index size");
+        for classes in dependents.values_mut() {
+            classes.sort_unstable();
+            classes.dedup();
         }
-        assert_eq!(self.dependents, dependents, "the dependents index drifted");
+        let kept: BTreeMap<&str, Vec<&str>> = self
+            .dependents
+            .iter()
+            .map(|(id, ids)| {
+                assert!(
+                    ids.windows(2).all(|w| w[0] < w[1]),
+                    "dependents in id order"
+                );
+                let mut classes: Vec<&str> = ids.iter().map(|&d| names.name(d)).collect();
+                classes.sort_unstable();
+                (names.name(id), classes)
+            })
+            .collect();
+        assert_eq!(kept, dependents, "the dependents index drifted");
 
         // Dependency keys and the verify cache.
-        let systems_live = extract_entries
-            .iter()
-            .filter(|e| e.extraction.is_some())
-            .count();
         assert_eq!(
             self.verify_cache.len(),
             systems_live,
@@ -76,13 +96,13 @@ impl Workspace {
         );
         let fingerprints: HashMap<&str, u64> = units
             .iter()
-            .map(|(_, unit)| (&*unit.name, unit.fingerprint))
+            .map(|(_, unit)| (names.name(unit.class), unit.fingerprint))
             .collect();
         let verify_entries: Vec<_> = units
             .iter()
             .zip(&extract_entries)
             .map(|((_, unit), entry)| {
-                let slot = &self.slots[&unit.name];
+                let slot = &self.slots[unit.class];
                 let Some(x) = &entry.extraction else {
                     assert!(slot.verify.is_none());
                     return None;
@@ -123,7 +143,7 @@ impl Workspace {
             }
             systems.push(entry.system.clone());
         }
-        for file in &self.files.0 {
+        for file in self.files.iter() {
             diagnostics.extend(file.degraded.clone());
         }
         diagnostics.extend(duplicate_diags);
@@ -150,9 +170,8 @@ impl Workspace {
 /// except that a duplicate name resolves to the later definition
 /// (Python's last-definition semantics). Also returns one `E004` per
 /// shadowed definition.
-fn class_list(files: &Files) -> (Vec<(Pos, &ClassUnit)>, Diagnostics) {
+fn class_list<'a>(files: &'a Files, names: &Names) -> (Vec<(Pos, &'a ClassUnit)>, Diagnostics) {
     let all: Vec<(Pos, &str, &ClassUnit)> = files
-        .0
         .iter()
         .flat_map(|file| {
             assert!(matches!(file.parse, Parse::Registered));
@@ -161,28 +180,20 @@ fn class_list(files: &Files) -> (Vec<(Pos, &ClassUnit)>, Diagnostics) {
                 .map(move |unit| ((file.ordinal, unit.start), file.name.as_str(), unit))
         })
         .collect();
-    let mut last_index: HashMap<&str, usize> = HashMap::with_capacity(all.len());
+    let mut last_index: HashMap<ClassId, usize> = HashMap::with_capacity(all.len());
     for (i, (_, _, unit)) in all.iter().enumerate() {
-        last_index.insert(&*unit.name, i);
+        last_index.insert(unit.class, i);
     }
     let mut duplicate_diags = Diagnostics::new();
     let mut units = Vec::with_capacity(last_index.len());
     for (i, &(pos, file, unit)) in all.iter().enumerate() {
-        let winner = last_index[&*unit.name];
+        let winner = last_index[&unit.class];
         if winner == i {
             units.push((pos, unit));
         } else {
-            duplicate_diags.push(duplicate_diag(&unit.name, file, all[winner].1));
+            let name = names.name(unit.class);
+            duplicate_diags.push(duplicate_diag(name, file, all[winner].1));
         }
     }
     (units, duplicate_diags)
-}
-
-/// The spec index a round's extractions define, built from scratch.
-fn spec_index_of(entries: &[&Arc<ExtractEntry>]) -> BTreeMap<String, ClassSpec> {
-    entries
-        .iter()
-        .filter_map(|e| e.extraction.as_ref())
-        .map(|x| (x.name.clone(), x.spec.clone()))
-        .collect()
 }

@@ -7,6 +7,7 @@
 
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -60,6 +61,17 @@ struct Lexer<'s> {
     at_line_start: bool,
     /// Degrade malformed input instead of erroring.
     recover: bool,
+}
+
+/// The text of a numeric literal's digits without its `_` separators,
+/// borrowed from the source when it has none.
+fn digits(bytes: &[u8]) -> Cow<'_, str> {
+    let text = std::str::from_utf8(bytes).expect("ascii digits");
+    if text.contains('_') {
+        Cow::Owned(text.replace('_', ""))
+    } else {
+        Cow::Borrowed(text)
+    }
 }
 
 impl<'s> Lexer<'s> {
@@ -384,9 +396,7 @@ impl<'s> Lexer<'s> {
             while matches!(self.peek(), Some(c) if (c as char).is_digit(radix) || c == b'_') {
                 self.bump();
             }
-            let text: String = std::str::from_utf8(&self.src[digits_start..self.pos])
-                .expect("ascii digits")
-                .replace('_', "");
+            let text = digits(&self.src[digits_start..self.pos]);
             let value = match i64::from_str_radix(&text, radix) {
                 Ok(v) => v,
                 Err(_) if self.recover => 0,
@@ -419,9 +429,7 @@ impl<'s> Lexer<'s> {
                 self.bump();
             }
         }
-        let text: String = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("ascii number")
-            .replace('_', "");
+        let text = digits(&self.src[start..self.pos]);
         if is_float {
             let v: f64 = match text.parse() {
                 Ok(v) => v,
@@ -447,9 +455,8 @@ impl<'s> Lexer<'s> {
         while matches!(self.peek(), Some(c) if c == b'_' || c.is_ascii_alphanumeric()) {
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("ascii identifier")
-            .to_owned();
+        let src = self.src;
+        let text = std::str::from_utf8(&src[start..self.pos]).expect("ascii identifier");
         // A string prefix (`f"..."`, `rb'...'`, …) glues onto the literal.
         let is_prefix = (1..=2).contains(&text.len())
             && text
@@ -459,9 +466,9 @@ impl<'s> Lexer<'s> {
             let fstring = text.bytes().any(|b| b == b'f' || b == b'F');
             return self.lex_string(start, fstring);
         }
-        match Keyword::from_str(&text) {
+        match Keyword::from_str(text) {
             Some(k) => self.push(TokenKind::Keyword(k), start),
-            None => self.push(TokenKind::Ident(text), start),
+            None => self.push(TokenKind::Ident(text.to_owned()), start),
         }
         Ok(())
     }
