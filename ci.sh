@@ -112,12 +112,23 @@ cargo test -p shelley-core --test prop_api -q
 cargo test -p shelley-core --lib -q api::tests
 cargo test -p shelley-daemon --test daemon -q a_deeply_nested_request
 
-echo "==> memory gate (live bytes after a cold round)"
+echo "==> memory and allocation gate (live bytes and allocation calls of a cold round, exact-capacity ASTs)"
 # A counting global allocator, in a test binary of its own: a cold
 # jobs(1) round on serve_project(1000), and one in recovery mode on
 # realworld_corpus(200), must leave at most 5% more requested bytes live
-# than recorded (workspace and returned report included).
+# than recorded (workspace and returned report included) and make at
+# most 2% more allocation calls (alloc, alloc_zeroed, realloc) than
+# recorded. Every Vec of the ASTs the parser builds for examples_py and
+# realworld_corpus(200) must have exactly its length as capacity, since
+# the workspace keeps each parsed class moved, not copied.
 cargo test -p shelley-bench --test memory -q
+cargo test -p shelley-bench --test exact_capacity -q
+
+echo "==> daemon socket path means listening (50 start/stop cycles, connect on sight)"
+# serve_socket binds a staging path and renames it onto the socket path
+# once the socket listens: a client that connects the moment the path
+# exists must never be refused, over 50 start/stop cycles.
+cargo test -p shelley-daemon --test daemon -q the_socket_path_appears_only_once_the_daemon_listens
 
 echo "==> benches compile"
 cargo bench --workspace --no-run -q

@@ -580,9 +580,30 @@ pub(crate) fn dfas_built() -> usize {
 pub(crate) fn dependency_dfa(spec: &ClassSpec) -> Dfa {
     #[cfg(test)]
     DFAS.with(|n| n.set(n.get() + 1));
-    let mut alphabet = Alphabet::new();
+    let mut alphabet = Alphabet::with_capacity(spec.operations.len());
     intern_spec_events(spec, None, &mut alphabet);
     spec_automaton(spec, None, Arc::new(alphabet)).materialize()
+}
+
+/// A dependency's DFA ([`dependency_dfa`]) with its dead states, those
+/// from which it can no longer accept: what the analysis reads of a
+/// subsystem's class for every composite that instantiates it, so a
+/// caller that shares it builds both once per spec.
+#[derive(Debug)]
+pub(crate) struct DependencyDfa {
+    pub(crate) dfa: Dfa,
+    pub(crate) dead: Box<[bool]>,
+}
+
+impl DependencyDfa {
+    /// Builds the DFA of `spec` and classifies its states.
+    pub(crate) fn of(spec: &ClassSpec) -> DependencyDfa {
+        let dfa = dependency_dfa(spec);
+        DependencyDfa {
+            dead: dfa.dead_states().into_boxed_slice(),
+            dfa,
+        }
+    }
 }
 
 /// Runs the typestate analysis on a composite class. Returns `None` for
@@ -595,20 +616,20 @@ pub fn analyze_class(
     system.composite()?;
     let cfgs = Cfg::of_methods(class, &system.subsystem_fields());
     analyze(class, system, systems, &cfgs, &|dep: &System| {
-        Arc::new(dependency_dfa(&dep.spec))
+        Arc::new(DependencyDfa::of(&dep.spec))
     })
 }
 
 /// [`analyze_class`] over graphs and dependency DFAs the caller already
 /// has: `cfgs` holds one graph per method of `class` in
 /// [`ClassDef::methods`] order, tracking the subsystem fields, and
-/// `dfa_of(dep)` is [`dependency_dfa`] of `dep`'s spec.
+/// `dfa_of(dep)` is [`DependencyDfa::of`] `dep`'s spec.
 pub(crate) fn analyze(
     class: &ClassDef,
     system: &System,
     systems: &SystemSet,
     cfgs: &[Cfg],
-    dfa_of: &dyn Fn(&System) -> Arc<Dfa>,
+    dfa_of: &dyn Fn(&System) -> Arc<DependencyDfa>,
 ) -> Option<TypestateReport> {
     let info = system.composite()?;
     #[cfg(test)]
@@ -695,15 +716,14 @@ pub(crate) fn analyze(
         let Some(dep) = systems.get(&sub.class_name) else {
             continue;
         };
-        let dfa = dfa_of(dep);
+        let dependency = dfa_of(dep);
+        let (dfa, dead) = (&dependency.dfa, &dependency.dead);
         let nstates = dfa.num_states();
-        let dead = dfa.dead_states();
-        let accepting = dfa.accepting_set();
 
         let FieldFlow {
             summaries,
             solutions,
-        } = analysis.field_flow(&sub.field, &dfa);
+        } = analysis.field_flow(&sub.field, dfa);
 
         // Fixpoint of abstract dependency states over the spec automaton.
         let mut abs = vec![Relation::empty(nstates, 1); nspec];
@@ -760,7 +780,7 @@ pub(crate) fn analyze(
         // subset check cannot fail.
         let proven = (0..nspec)
             .filter(|&q| fwd[q] && nfa.is_accepting(q))
-            .all(|q| !abs[q].unknown(0) && abs[q].row(0).all(|state| accepting.contains(state)));
+            .all(|q| !abs[q].unknown(0) && abs[q].row(0).all(|state| dfa.is_accepting(state)));
         if proven {
             report.proven.insert(sub.field.clone());
         }
@@ -768,7 +788,7 @@ pub(crate) fn analyze(
         // Findings: walk each operation body under its entry fact, read
         // off the operation's relational solution.
         let flow = MethodFlow {
-            dfa: &dfa,
+            dfa,
             field: &sub.field,
             summaries: &summaries,
         };

@@ -37,12 +37,11 @@ pub use self_calls::SelfCalls;
 pub use typestate::Typestate;
 pub use unreachable::UnreachableCode;
 
-use crate::dataflow::typestate::analyze;
+use crate::dataflow::typestate::{analyze, DependencyDfa};
 use crate::diagnostics::{code_info, Diagnostics, Severity, REGISTRY};
 use crate::extract::cfg::Cfg;
 use crate::system::{System, SystemSet};
 use micropython_parser::ast::{ClassDef, Module};
-use shelley_regular::Dfa;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -209,11 +208,11 @@ pub fn run_lints(module: &Module, systems: &SystemSet, out: &mut Diagnostics) {
 /// [`crate::pipeline::proven_fields`], but [`crate::analyze_class`] runs
 /// once for both, each method's graph is built once for every pass, and
 /// the typestate analysis takes each dependency's DFA from `dfa_of` (see
-/// `dataflow::typestate::dependency_dfa`).
+/// `DependencyDfa::of`).
 pub(crate) fn lint_class(
     ctx: &LintContext<'_>,
     system: &System,
-    dfa_of: &dyn Fn(&System) -> Arc<Dfa>,
+    dfa_of: &dyn Fn(&System) -> Arc<DependencyDfa>,
     out: &mut Diagnostics,
 ) -> BTreeSet<String> {
     let Some(class) = ctx.module.class(&system.name) else {
@@ -352,7 +351,7 @@ mod tests {
     /// Returns the number of composite classes compared and the number of
     /// per-state solves they were held against.
     fn assert_one_analysis_matches_two(module: &Module) -> (usize, usize) {
-        use crate::dataflow::typestate::{dependency_dfa, per_state};
+        use crate::dataflow::typestate::per_state;
         use crate::pipeline::proven_fields;
         use micropython_parser::ast::Stmt;
 
@@ -376,7 +375,7 @@ mod tests {
                     systems: &systems,
                 };
                 let mut shared = Diagnostics::new();
-                let dfa_of = |dep: &System| Arc::new(dependency_dfa(&dep.spec));
+                let dfa_of = |dep: &System| Arc::new(DependencyDfa::of(&dep.spec));
                 let proven = lint_class(&ctx, system, &dfa_of, &mut shared);
                 assert_eq!(shared, separate, "diagnostics of `{}`", system.name);
                 assert_eq!(proven, separate_proven, "proven set of `{}`", system.name);

@@ -4,7 +4,7 @@
 //! subsystem usage → temporal claims`, producing a [`CheckReport`] with all
 //! structural diagnostics and the paper's two specification errors.
 
-use crate::dataflow::typestate::{analyze_class, dependency_dfa};
+use crate::dataflow::typestate::{analyze_class, DependencyDfa};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::integration::build_integration;
 use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
@@ -109,7 +109,7 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
         let proven = lint_class(
             &ctx,
             system,
-            &|dep: &System| Arc::new(dependency_dfa(&dep.spec)),
+            &|dep: &System| Arc::new(DependencyDfa::of(&dep.spec)),
             &mut diagnostics,
         );
         let verdict = verify_system(system, &systems, &proven);

@@ -10,8 +10,8 @@
 use crate::annotations::OpKind;
 use micropython_parser::Span;
 use shelley_regular::lang::{self, NfaView};
-use shelley_regular::{Alphabet, Dfa, Label, Nfa, StateId};
-use std::collections::{BTreeMap, BTreeSet};
+use shelley_regular::{Alphabet, Dfa, Label, Nfa, StateId, Symbol};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One exit point (return site) of an operation.
@@ -83,8 +83,9 @@ impl ClassSpec {
 #[derive(Debug, Clone)]
 pub struct SpecAutomaton {
     nfa: Nfa,
-    /// `(operation index, exit index)` for each exit state id.
-    exit_info: BTreeMap<StateId, (usize, usize)>,
+    /// `(operation index, exit index)` of exit state `q` at `q - 1`: the
+    /// exit states follow the start state, operation by operation.
+    exit_info: Vec<(usize, usize)>,
     start: StateId,
 }
 
@@ -101,7 +102,7 @@ impl SpecAutomaton {
 
     /// Which `(operation, exit)` a state represents, if it is an exit state.
     pub fn exit_at(&self, state: StateId) -> Option<(usize, usize)> {
-        self.exit_info.get(&state).copied()
+        self.exit_info.get(state.checked_sub(1)?).copied()
     }
 
     /// The spec language as a lazy [`Lang`](shelley_regular::lang::Lang)
@@ -136,61 +137,59 @@ pub fn spec_automaton(
     prefix: Option<&str>,
     alphabet: Arc<Alphabet>,
 ) -> SpecAutomaton {
-    let sym_of = |name: &str| {
-        let full = qualify(prefix, name);
-        alphabet
-            .lookup(&full)
-            .unwrap_or_else(|| panic!("operation symbol `{full}` not interned"))
-    };
+    // Each operation's symbol, looked up once.
+    let mut buf = String::new();
+    let syms: Vec<Symbol> = spec
+        .operations
+        .iter()
+        .map(|op| {
+            lookup_qualified(&alphabet, prefix, &op.name, &mut buf)
+                .unwrap_or_else(|| panic!("operation symbol `{buf}` not interned"))
+        })
+        .collect();
 
     let mut b = Nfa::builder(alphabet.clone());
     let start = b.add_state();
     b.set_start(start);
     b.mark_accepting(start);
 
-    // Allocate exit states.
-    let mut exit_state: BTreeMap<(usize, usize), StateId> = BTreeMap::new();
-    let mut exit_info: BTreeMap<StateId, (usize, usize)> = BTreeMap::new();
+    // Allocate exit states: operation `oi`'s exit `ei` is state
+    // `first_exit[oi] + ei`.
+    let mut first_exit = Vec::with_capacity(spec.operations.len());
+    let mut exit_info = Vec::new();
     for (oi, op) in spec.operations.iter().enumerate() {
+        first_exit.push(start + 1 + exit_info.len());
         for ei in 0..op.exits.len() {
             let s = b.add_state();
-            exit_state.insert((oi, ei), s);
-            exit_info.insert(s, (oi, ei));
+            exit_info.push((oi, ei));
             if op.kind.is_final() {
                 b.mark_accepting(s);
             }
         }
     }
+    let exits = |oi: usize| first_exit[oi]..first_exit[oi] + spec.operations[oi].exits.len();
 
     // start --op--> exits of initial ops.
     for (oi, op) in spec.operations.iter().enumerate() {
         if op.kind.is_initial() {
-            let sym = sym_of(&op.name);
-            for ei in 0..op.exits.len() {
-                b.add_edge(start, Label::Sym(sym), exit_state[&(oi, ei)]);
+            for dst in exits(oi) {
+                b.add_edge(start, Label::Sym(syms[oi]), dst);
             }
         }
     }
 
     // exit --op'--> exits of op' for each op' in next(exit).
-    let index_of: BTreeMap<&str, usize> = spec
-        .operations
-        .iter()
-        .enumerate()
-        .map(|(i, o)| (o.name.as_str(), i))
-        .collect();
     for (oi, op) in spec.operations.iter().enumerate() {
         for (ei, exit) in op.exits.iter().enumerate() {
-            let from = exit_state[&(oi, ei)];
+            let from = first_exit[oi] + ei;
             for next_name in &exit.next {
-                let Some(&ni) = index_of.get(next_name.as_str()) else {
+                let Some(ni) = spec.operations.iter().rposition(|o| o.name == *next_name) else {
                     // Undefined next-operations are reported by validation;
                     // the automaton simply omits the edge.
                     continue;
                 };
-                let sym = sym_of(next_name);
-                for nei in 0..spec.operations[ni].exits.len() {
-                    b.add_edge(from, Label::Sym(sym), exit_state[&(ni, nei)]);
+                for dst in exits(ni) {
+                    b.add_edge(from, Label::Sym(syms[ni]), dst);
                 }
             }
         }
@@ -209,6 +208,23 @@ pub fn intern_spec_events(spec: &ClassSpec, prefix: Option<&str>, alphabet: &mut
     for op in &spec.operations {
         alphabet.intern(&qualify(prefix, &op.name));
     }
+}
+
+/// The symbol of operation `name` qualified with `prefix.`, if `alphabet`
+/// holds it; the qualified name is spelled in `buf`.
+pub(crate) fn lookup_qualified(
+    alphabet: &Alphabet,
+    prefix: Option<&str>,
+    name: &str,
+    buf: &mut String,
+) -> Option<Symbol> {
+    buf.clear();
+    if let Some(p) = prefix {
+        buf.push_str(p);
+        buf.push('.');
+    }
+    buf.push_str(name);
+    alphabet.lookup(buf)
 }
 
 /// Qualifies an operation name with an instance prefix (`a` + `open` →

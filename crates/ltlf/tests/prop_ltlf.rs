@@ -246,3 +246,68 @@ proptest! {
         prop_assert_eq!(s1, s2);
     }
 }
+
+/// Every word over the alphabet of length at most `n`, shortest first.
+fn words_up_to(n: usize) -> Vec<Vec<Symbol>> {
+    let mut words = vec![Vec::new()];
+    let mut start = 0;
+    for _ in 0..n {
+        let end = words.len();
+        for i in start..end {
+            for s in 0..NSYMS {
+                let mut next = words[i].clone();
+                next.push(Symbol::from_index(s));
+                words.push(next);
+            }
+        }
+        start = end;
+    }
+    words
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The interned monitor against the trace semantics, on every word of
+    /// length <= 5: the state each word reaches accepts exactly when the
+    /// word satisfies the formula (and the negation monitor exactly when
+    /// it does not), the materialized DFA accepts exactly the satisfying
+    /// words, and `covers` is sound — when the state after `p` covers the
+    /// state after `q`, every continuation `u` that satisfies after `q`
+    /// satisfies after `p`.
+    #[test]
+    fn interned_monitor_agrees_with_the_trace_semantics(f in arb_formula()) {
+        use shelley_ltlf::MonitorView;
+        use shelley_regular::lang::Lang;
+        use std::collections::HashMap;
+        let words = words_up_to(5);
+        let holds: HashMap<&[Symbol], bool> =
+            words.iter().map(|w| (w.as_slice(), eval(&f, w))).collect();
+        let view = MonitorView::new(&f, alphabet());
+        let negation = MonitorView::new(&f.negate(), alphabet());
+        let run = |view: &MonitorView, word: &[Symbol]| {
+            word.iter().fold(view.start(), |q, &s| view.step(&q, s))
+        };
+        for w in &words {
+            prop_assert_eq!(view.is_accepting(&run(&view, w)), holds[w.as_slice()], "{:?}", w);
+            prop_assert_eq!(negation.is_accepting(&run(&negation, w)), !holds[w.as_slice()]);
+        }
+        let dfa = view.materialize();
+        for w in &words {
+            prop_assert_eq!(dfa.accepts(w), holds[w.as_slice()], "{:?}", w);
+        }
+        let prefixes = words_up_to(2);
+        let suffixes = words_up_to(3);
+        for p in &prefixes {
+            for q in &prefixes {
+                if !view.covers(&run(&view, p), &run(&view, q)) {
+                    continue;
+                }
+                for u in &suffixes {
+                    let after = |prefix: &[Symbol]| holds[[prefix, u.as_slice()].concat().as_slice()];
+                    prop_assert!(!after(q) || after(p), "{:?} covers {:?} but not on {:?}", p, q, u);
+                }
+            }
+        }
+    }
+}

@@ -277,8 +277,8 @@ impl<'s> Lexer<'s> {
             self.bump();
             self.bump();
         }
-        let mut value = String::new();
-        let finish = |l: &mut Self, value: String| {
+        let finish = |l: &mut Self, mut value: String| {
+            value.shrink_to_fit();
             let kind = if fstring {
                 TokenKind::FStr(value)
             } else {
@@ -286,6 +286,22 @@ impl<'s> Lexer<'s> {
             };
             l.push(kind, start);
         };
+        // The common one-line literal without escapes is its source text.
+        let rest = &self.src[self.pos..];
+        if let Some(end) = rest
+            .iter()
+            .position(|&b| b == quote || b == b'\\' || b == b'\n')
+        {
+            if !triple && rest[end] == quote {
+                let value = std::str::from_utf8(&rest[..end])
+                    .expect("source is valid UTF-8")
+                    .to_owned();
+                self.pos += end + 1;
+                finish(self, value);
+                return Ok(());
+            }
+        }
+        let mut value = String::new();
         loop {
             match self.peek() {
                 None => {

@@ -53,11 +53,7 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse_module(source: &str) -> Result<Module, ParseError> {
     let tokens = tokenize(source)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        recover: false,
-    };
+    let mut p = Parser::new(tokens, false);
     let body = p.parse_stmts_until_eof()?;
     Ok(Module { body })
 }
@@ -79,26 +75,52 @@ pub fn parse_module(source: &str) -> Result<Module, ParseError> {
 /// ```
 pub fn parse_module_recover(source: &str) -> Module {
     let tokens = tokenize_recover(source);
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        recover: true,
-    };
+    let mut p = Parser::new(tokens, true);
     let body = p
         .parse_stmts_until_eof()
         .expect("recovery-mode parsing is total");
     Module { body }
 }
 
+/// The parser. Statement and expression sequences are built on two
+/// scratch stacks reused for the whole file: a sequence's items are pushed
+/// as they parse, then drained off the top into a `Vec` of exactly their
+/// number — one allocation, no spare capacity. The few other sequences
+/// (decorators, parameters, branches, …) grow as usual and are shrunk to
+/// fit. A parsed class can therefore be moved out of its module and kept
+/// without holding the parser's growth slack.
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     /// In recovery mode statements that fail to parse degrade to
     /// [`Stmt::Degraded`] instead of aborting.
     recover: bool,
+    stmts: Vec<Stmt>,
+    exprs: Vec<Expr>,
+}
+
+/// The items pushed on `stack` since `mark`, as an exact-capacity `Vec`.
+fn drain_from<T>(stack: &mut Vec<T>, mark: usize) -> Vec<T> {
+    stack.drain(mark..).collect()
+}
+
+/// `items`, without spare capacity.
+fn fit<T>(mut items: Vec<T>) -> Vec<T> {
+    items.shrink_to_fit();
+    items
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>, recover: bool) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            recover,
+            stmts: Vec::new(),
+            exprs: Vec::new(),
+        }
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -202,15 +224,16 @@ impl Parser {
     // ----- statements ---------------------------------------------------
 
     fn parse_stmts_until_eof(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        let mut out = Vec::new();
+        let mark = self.stmts.len();
         loop {
             while self.at(&TokenKind::Newline) {
                 self.bump();
             }
             if self.at(&TokenKind::Eof) {
-                return Ok(out);
+                return Ok(drain_from(&mut self.stmts, mark));
             }
-            out.push(self.parse_stmt_recovering()?);
+            let stmt = self.parse_stmt_recovering()?;
+            self.stmts.push(stmt);
         }
     }
 
@@ -223,9 +246,13 @@ impl Parser {
         }
         let start_pos = self.pos;
         let start_span = self.peek().span;
+        let marks = (self.stmts.len(), self.exprs.len());
         match self.parse_stmt() {
             Ok(s) => Ok(s),
             Err(e) => {
+                // Drop what the broken statement left on the stacks.
+                self.stmts.truncate(marks.0);
+                self.exprs.truncate(marks.1);
                 // Guarantee progress even when the error is on the very
                 // token we started at (e.g. a stray dedent).
                 if self.pos == start_pos && !self.at(&TokenKind::Eof) {
@@ -237,8 +264,10 @@ impl Parser {
                 } else {
                     start_span
                 };
+                let mut reason = e.message;
+                reason.shrink_to_fit();
                 Ok(Stmt::Degraded(DegradedStmt {
-                    reason: e.message,
+                    reason,
                     span: start_span.to(end_span),
                 }))
             }
@@ -327,6 +356,7 @@ impl Parser {
                 self.bump();
             }
         }
+        let decorators = fit(decorators);
         if self.at_keyword(Keyword::Class) {
             self.parse_class(decorators).map(Stmt::ClassDef)
         } else if self.at_keyword(Keyword::Def) {
@@ -416,7 +446,7 @@ impl Parser {
         }
         Ok(Stmt::Try(TryStmt {
             body,
-            handlers,
+            handlers: fit(handlers),
             orelse,
             finally,
             span: kw.span.to(end),
@@ -442,7 +472,7 @@ impl Parser {
         let body = self.parse_suite()?;
         let end = body.last().map_or(kw.span, Stmt::span);
         Ok(Stmt::With(WithStmt {
-            items,
+            items: fit(items),
             body,
             span: kw.span.to(end),
         }))
@@ -451,16 +481,18 @@ impl Parser {
     fn parse_class(&mut self, decorators: Vec<Decorator>) -> Result<ClassDef, ParseError> {
         let kw = self.expect_keyword(Keyword::Class)?;
         let name = self.expect_ident()?;
-        let mut bases = Vec::new();
+        let mark = self.exprs.len();
         if self.eat_punct(Punct::LParen) {
             while !self.at_punct(Punct::RParen) {
-                bases.push(self.parse_expr()?);
+                let base = self.parse_expr()?;
+                self.exprs.push(base);
                 if !self.eat_punct(Punct::Comma) {
                     break;
                 }
             }
             self.expect_punct(Punct::RParen)?;
         }
+        let bases = drain_from(&mut self.exprs, mark);
         let body = self.parse_suite()?;
         let end = body.last().map_or(name.span, Stmt::span);
         let start = decorators.first().map_or(kw.span, |d| d.span);
@@ -517,7 +549,7 @@ impl Parser {
         Ok(FuncDef {
             decorators,
             name,
-            params,
+            params: fit(params),
             body,
             is_async: false,
             span: start.to(end),
@@ -537,19 +569,20 @@ impl Parser {
                 return Err(self.error("expected an indented block"));
             }
             self.bump();
-            let mut out = Vec::new();
+            let mark = self.stmts.len();
             loop {
                 while self.at(&TokenKind::Newline) {
                     self.bump();
                 }
                 if self.at(&TokenKind::Dedent) {
                     self.bump();
-                    return Ok(out);
+                    return Ok(drain_from(&mut self.stmts, mark));
                 }
                 if self.at(&TokenKind::Eof) {
-                    return Ok(out);
+                    return Ok(drain_from(&mut self.stmts, mark));
                 }
-                out.push(self.parse_stmt_recovering()?);
+                let stmt = self.parse_stmt_recovering()?;
+                self.stmts.push(stmt);
             }
         } else {
             // Simple suite on the same line.
@@ -611,7 +644,10 @@ impl Parser {
                     names.push(self.parse_dotted_name()?);
                 }
                 let span = kw.span.to(self.peek().span);
-                Ok(Stmt::Import(ImportStmt { names, span }))
+                Ok(Stmt::Import(ImportStmt {
+                    names: fit(names),
+                    span,
+                }))
             }
             TokenKind::Keyword(Keyword::From) => {
                 let kw = self.bump();
@@ -635,7 +671,10 @@ impl Parser {
                     }
                 }
                 let span = kw.span.to(self.peek().span);
-                Ok(Stmt::Import(ImportStmt { names, span }))
+                Ok(Stmt::Import(ImportStmt {
+                    names: fit(names),
+                    span,
+                }))
             }
             _ => {
                 let expr = self.parse_testlist()?;
@@ -738,7 +777,7 @@ impl Parser {
             }
         }
         Ok(Stmt::If(IfStmt {
-            branches,
+            branches: fit(branches),
             orelse,
             span: kw.span.to(end),
         }))
@@ -783,7 +822,7 @@ impl Parser {
         let end = cases.last().map_or(kw.span, |c| c.span);
         Ok(Stmt::Match(MatchStmt {
             subject,
-            cases,
+            cases: fit(cases),
             span: kw.span.to(end),
         }))
     }
@@ -800,7 +839,7 @@ impl Parser {
                     }
                 }
                 let close = self.expect_punct(Punct::RBracket)?;
-                Ok(Pattern::List(items, open.span.to(close.span)))
+                Ok(Pattern::List(fit(items), open.span.to(close.span)))
             }
             TokenKind::Punct(Punct::LParen) => {
                 let open = self.bump();
@@ -815,7 +854,7 @@ impl Parser {
                 if items.len() == 1 {
                     Ok(items.into_iter().next().expect("one item"))
                 } else {
-                    Ok(Pattern::Tuple(items, open.span.to(close.span)))
+                    Ok(Pattern::Tuple(fit(items), open.span.to(close.span)))
                 }
             }
             TokenKind::Str(_) => {
@@ -888,19 +927,16 @@ impl Parser {
         if !self.at_punct(Punct::Comma) {
             return Ok(first);
         }
-        let mut items = vec![first];
+        let mark = self.exprs.len();
+        self.exprs.push(first);
         while self.eat_punct(Punct::Comma) {
             if self.at_keyword(Keyword::In) {
                 break;
             }
-            items.push(self.parse_postfix()?);
+            let item = self.parse_postfix()?;
+            self.exprs.push(item);
         }
-        let span = items
-            .first()
-            .expect("nonempty")
-            .span
-            .to(items.last().expect("nonempty").span);
-        Ok(Expr::new(ExprKind::Tuple(items), span))
+        Ok(self.tuple_from(mark))
     }
 
     // ----- expressions --------------------------------------------------
@@ -912,7 +948,8 @@ impl Parser {
         if !self.at_punct(Punct::Comma) {
             return Ok(first);
         }
-        let mut items = vec![first];
+        let mark = self.exprs.len();
+        self.exprs.push(first);
         while self.eat_punct(Punct::Comma) {
             // Trailing comma before newline/closer.
             if self.at(&TokenKind::Newline)
@@ -922,14 +959,22 @@ impl Parser {
             {
                 break;
             }
-            items.push(self.parse_expr()?);
+            let item = self.parse_expr()?;
+            self.exprs.push(item);
         }
+        Ok(self.tuple_from(mark))
+    }
+
+    /// The bare tuple of the (nonempty) expressions pushed since `mark`,
+    /// spanning its first to its last item.
+    fn tuple_from(&mut self, mark: usize) -> Expr {
+        let items = drain_from(&mut self.exprs, mark);
         let span = items
             .first()
             .expect("nonempty")
             .span
             .to(items.last().expect("nonempty").span);
-        Ok(Expr::new(ExprKind::Tuple(items), span))
+        Expr::new(ExprKind::Tuple(items), span)
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
@@ -958,7 +1003,7 @@ impl Parser {
         let span = kw.span.to(body.span);
         Ok(Expr::new(
             ExprKind::Lambda {
-                params,
+                params: fit(params),
                 body: Box::new(body),
             },
             span,
@@ -1194,7 +1239,7 @@ impl Parser {
                 );
             } else if self.at_punct(Punct::LParen) {
                 self.bump();
-                let mut args = Vec::new();
+                let mark = self.exprs.len();
                 while !self.at_punct(Punct::RParen) {
                     // `*args` / `**kwargs` unpacking.
                     if self.at_punct(Punct::Star) || self.at_punct(Punct::DoubleStar) {
@@ -1206,7 +1251,7 @@ impl Parser {
                         let t = self.bump();
                         let value = self.parse_expr()?;
                         let span = t.span.to(value.span);
-                        args.push(Expr::new(
+                        self.exprs.push(Expr::new(
                             ExprKind::Starred {
                                 stars,
                                 value: Box::new(value),
@@ -1223,7 +1268,7 @@ impl Parser {
                     let arg = self.parse_expr()?;
                     // `f(x for y in z)` — a bare generator expression as
                     // the sole argument.
-                    if args.is_empty()
+                    if self.exprs.len() == mark
                         && (self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async))
                     {
                         let clauses = self.parse_comp_clauses()?;
@@ -1232,7 +1277,7 @@ impl Parser {
                             .map(|c| c.ifs.last().map(|e| e.span).unwrap_or(c.iter.span))
                             .unwrap_or(arg.span);
                         let span = arg.span.to(end);
-                        args.push(Expr::new(
+                        self.exprs.push(Expr::new(
                             ExprKind::Comp {
                                 kind: CompKind::Generator,
                                 element: Box::new(arg),
@@ -1246,16 +1291,17 @@ impl Parser {
                     if self.at_punct(Punct::Assign) {
                         self.bump();
                         let value = self.parse_expr()?;
-                        args.push(value);
+                        self.exprs.push(value);
                         let _ = arg;
                     } else {
-                        args.push(arg);
+                        self.exprs.push(arg);
                     }
                     if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
                 let close = self.expect_punct(Punct::RParen)?;
+                let args = drain_from(&mut self.exprs, mark);
                 let span = expr.span.to(close.span);
                 expr = Expr::new(
                     ExprKind::Call {
@@ -1319,14 +1365,15 @@ impl Parser {
             }
             TokenKind::Punct(Punct::LBracket) => {
                 let open = self.bump();
-                let mut items = Vec::new();
+                let mark = self.exprs.len();
                 while !self.at_punct(Punct::RBracket) {
-                    items.push(self.parse_expr()?);
+                    let item = self.parse_expr()?;
+                    self.exprs.push(item);
                     // `[x for y in z]` — list comprehension.
-                    if items.len() == 1
+                    if self.exprs.len() == mark + 1
                         && (self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async))
                     {
-                        let element = items.pop().expect("one element");
+                        let element = self.exprs.pop().expect("one element");
                         let clauses = self.parse_comp_clauses()?;
                         let close = self.expect_punct(Punct::RBracket)?;
                         return Ok(Expr::new(
@@ -1344,6 +1391,7 @@ impl Parser {
                     }
                 }
                 let close = self.expect_punct(Punct::RBracket)?;
+                let items = drain_from(&mut self.exprs, mark);
                 Ok(Expr::new(ExprKind::List(items), open.span.to(close.span)))
             }
             TokenKind::Punct(Punct::LBrace) => {
@@ -1384,7 +1432,10 @@ impl Parser {
                         pairs.push((k, v));
                     }
                     let close = self.expect_punct(Punct::RBrace)?;
-                    Ok(Expr::new(ExprKind::Dict(pairs), open.span.to(close.span)))
+                    Ok(Expr::new(
+                        ExprKind::Dict(fit(pairs)),
+                        open.span.to(close.span),
+                    ))
                 } else {
                     // `{x for y in z}` — set comprehension.
                     if self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async) {
@@ -1400,14 +1451,17 @@ impl Parser {
                             open.span.to(close.span),
                         ));
                     }
-                    let mut items = vec![first];
+                    let mark = self.exprs.len();
+                    self.exprs.push(first);
                     while self.eat_punct(Punct::Comma) {
                         if self.at_punct(Punct::RBrace) {
                             break;
                         }
-                        items.push(self.parse_expr()?);
+                        let item = self.parse_expr()?;
+                        self.exprs.push(item);
                     }
                     let close = self.expect_punct(Punct::RBrace)?;
+                    let items = drain_from(&mut self.exprs, mark);
                     Ok(Expr::new(ExprKind::Set(items), open.span.to(close.span)))
                 }
             }
@@ -1422,14 +1476,17 @@ impl Parser {
                 }
                 let first = self.parse_expr()?;
                 if self.at_punct(Punct::Comma) {
-                    let mut items = vec![first];
+                    let mark = self.exprs.len();
+                    self.exprs.push(first);
                     while self.eat_punct(Punct::Comma) {
                         if self.at_punct(Punct::RParen) {
                             break;
                         }
-                        items.push(self.parse_expr()?);
+                        let item = self.parse_expr()?;
+                        self.exprs.push(item);
                     }
                     let close = self.expect_punct(Punct::RParen)?;
+                    let items = drain_from(&mut self.exprs, mark);
                     Ok(Expr::new(ExprKind::Tuple(items), open.span.to(close.span)))
                 } else if self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async) {
                     // `(x for y in z)` — generator expression.
@@ -1477,22 +1534,23 @@ impl Parser {
             let target = self.parse_target_list()?;
             self.expect_keyword(Keyword::In)?;
             let iter = self.parse_or()?;
-            let mut ifs = Vec::new();
+            let mark = self.exprs.len();
             while self.at_keyword(Keyword::If) {
                 self.bump();
-                ifs.push(self.parse_or()?);
+                let cond = self.parse_or()?;
+                self.exprs.push(cond);
             }
             clauses.push(CompClause {
                 target,
                 iter,
-                ifs,
+                ifs: drain_from(&mut self.exprs, mark),
                 is_async,
             });
         }
         if clauses.is_empty() {
             return Err(self.error("a comprehension requires at least one `for` clause"));
         }
-        Ok(clauses)
+        Ok(fit(clauses))
     }
 }
 

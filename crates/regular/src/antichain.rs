@@ -43,6 +43,7 @@ use crate::lang::Lang;
 use crate::nfa::{Label, Nfa, StateId};
 use crate::symbol::{Alphabet, Symbol, Word};
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Search counters of one inclusion check.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,34 +88,41 @@ pub struct JointSearch {
 /// contains a symbol outside the shared alphabet (a symbol interned into
 /// some other [`Alphabet`]).
 pub fn joint_search<L: Lang>(nfa: &Nfa, monitor: &L, markers: &BTreeSet<Symbol>) -> JointSearch {
-    assert_eq!(
-        **nfa.alphabet(),
-        **monitor.alphabet(),
+    // Callers share one `Arc`; comparing the names is the fallback.
+    assert!(
+        Arc::ptr_eq(nfa.alphabet(), monitor.alphabet()) || **nfa.alphabet() == **monitor.alphabet(),
         "joint search over different alphabets"
     );
     assert_markers_in_alphabet(markers, nfa.alphabet());
     let mut stats = InclusionStats::default();
 
-    // Kept pairs in discovery order; `parents` records the symbol each
-    // was reached by (`None` for ε-edges), which spells the witness.
-    let mut nfa_states: Vec<StateId> = vec![nfa.start()];
-    let mut monitor_states: Vec<L::State> = vec![monitor.start()];
-    let mut parents: Vec<Option<(usize, Option<Symbol>)>> = vec![None];
-    // The kept pairs at each NFA state: the antichain a candidate is
-    // tested against.
-    let mut kept_at: Vec<Vec<usize>> = vec![Vec::new(); nfa.num_states()];
-    kept_at[nfa.start()].push(0);
+    // Kept pairs in discovery order. The pairs kept at one NFA state form
+    // the antichain a candidate is tested against, as a list threaded
+    // through `pairs` from `newest`.
+    let cap = nfa.num_states();
+    let mut pairs: Vec<Pair<L::State>> = Vec::with_capacity(cap);
+    let mut newest: Vec<u32> = vec![NONE; cap];
+    pairs.push(Pair {
+        q: nfa.start(),
+        state: monitor.start(),
+        parent: NONE,
+        symbol: None,
+        older: NONE,
+    });
+    newest[nfa.start()] = 0;
 
-    let mut deque: VecDeque<usize> = VecDeque::from([0]);
+    let mut deque: VecDeque<u32> = VecDeque::with_capacity(cap);
+    deque.push_back(0);
     // One scratch successor reused across steps: a monitor state is
     // cloned only when a new pair is kept.
     let mut scratch = monitor.start();
     while let Some(idx) = deque.pop_front() {
-        let q = nfa_states[idx];
-        if nfa.is_accepting(q) && monitor.is_accepting(&monitor_states[idx]) {
-            stats.frontier = nfa_states.len();
+        let i = idx as usize;
+        let q = pairs[i].q;
+        if nfa.is_accepting(q) && monitor.is_accepting(&pairs[i].state) {
+            stats.frontier = pairs.len();
             return JointSearch {
-                witness: Some(spell(&parents, idx)),
+                witness: Some(spell(&pairs, idx)),
                 stats,
             };
         }
@@ -123,33 +131,51 @@ pub fn joint_search<L: Lang>(nfa: &Nfa, monitor: &L, markers: &BTreeSet<Symbol>)
                 Label::Eps => (None, false),
                 Label::Sym(s) if markers.contains(&s) => (Some(s), false),
                 Label::Sym(s) => {
-                    monitor.step_into(&monitor_states[idx], s, &mut scratch);
+                    monitor.step_into(&pairs[i].state, s, &mut scratch);
                     (Some(s), true)
                 }
             };
-            let cand = if stepped {
-                &scratch
-            } else {
-                &monitor_states[idx]
-            };
-            let cover = kept_at[dst]
-                .iter()
-                .copied()
-                .find(|&k| monitor.covers(&monitor_states[k], cand));
+            let cand = if stepped { &scratch } else { &pairs[i].state };
+            let mut cover = None;
+            let mut k = newest[dst];
+            while k != NONE {
+                if monitor.covers(&pairs[k as usize].state, cand) {
+                    cover = Some(k as usize);
+                    break;
+                }
+                k = pairs[k as usize].older;
+            }
             match cover {
-                Some(k) => stats.pruned += usize::from(monitor_states[k] != *cand),
+                Some(k) => stats.pruned += usize::from(pairs[k].state != *cand),
                 None => {
                     let owned = cand.clone();
-                    let id = nfa_states.len();
+                    let id = pairs.len() as u32;
                     // Whatever a kept pair covered by the new one would
                     // discard, the new one discards too (covering is
-                    // inclusion, which is transitive): the scan list stays
-                    // an antichain.
-                    kept_at[dst].retain(|&k| !monitor.covers(&owned, &monitor_states[k]));
-                    kept_at[dst].push(id);
-                    nfa_states.push(dst);
-                    monitor_states.push(owned);
-                    parents.push(Some((idx, consumed)));
+                    // inclusion, which is transitive): the list stays an
+                    // antichain.
+                    let mut link = newest[dst];
+                    let mut prev: Option<usize> = None;
+                    while link != NONE {
+                        let next = pairs[link as usize].older;
+                        if monitor.covers(&owned, &pairs[link as usize].state) {
+                            match prev {
+                                None => newest[dst] = next,
+                                Some(p) => pairs[p].older = next,
+                            }
+                        } else {
+                            prev = Some(link as usize);
+                        }
+                        link = next;
+                    }
+                    pairs.push(Pair {
+                        q: dst,
+                        state: owned,
+                        parent: idx,
+                        symbol: consumed,
+                        older: newest[dst],
+                    });
+                    newest[dst] = id;
                     if label == Label::Eps {
                         deque.push_front(id);
                     } else {
@@ -159,11 +185,28 @@ pub fn joint_search<L: Lang>(nfa: &Nfa, monitor: &L, markers: &BTreeSet<Symbol>)
             }
         }
     }
-    stats.frontier = nfa_states.len();
+    stats.frontier = pairs.len();
     JointSearch {
         witness: None,
         stats,
     }
+}
+
+/// "No pair": the end of a kept list, the start pair's parent.
+const NONE: u32 = u32::MAX;
+
+/// One kept pair of a [`joint_search`].
+struct Pair<S> {
+    /// The NFA state.
+    q: StateId,
+    /// The monitor state.
+    state: S,
+    /// The pair it was reached from (`NONE` for the start pair).
+    parent: u32,
+    /// The symbol consumed on the way (`None` for an ε-edge).
+    symbol: Option<Symbol>,
+    /// The next older pair kept at `q` (`NONE` at the end of the list).
+    older: u32,
 }
 
 /// Panics unless every symbol in `markers` belongs to `alphabet`:
@@ -180,11 +223,12 @@ fn assert_markers_in_alphabet(markers: &BTreeSet<Symbol>, alphabet: &Alphabet) {
     }
 }
 
-fn spell(parents: &[Option<(usize, Option<Symbol>)>], mut idx: usize) -> Word {
+fn spell<S>(pairs: &[Pair<S>], mut idx: u32) -> Word {
     let mut word = Vec::new();
-    while let Some((prev, sym)) = parents[idx] {
-        word.extend(sym);
-        idx = prev;
+    while idx != 0 {
+        let pair = &pairs[idx as usize];
+        word.extend(pair.symbol);
+        idx = pair.parent;
     }
     word.reverse();
     word

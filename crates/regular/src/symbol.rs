@@ -82,6 +82,14 @@ impl Alphabet {
         Self::default()
     }
 
+    /// Creates an empty alphabet with room for `n` names.
+    pub fn with_capacity(n: usize) -> Self {
+        Alphabet {
+            names: Vec::with_capacity(n),
+            by_name: HashMap::with_capacity(n),
+        }
+    }
+
     /// Creates an alphabet containing the given names, in order.
     ///
     /// # Examples
