@@ -33,6 +33,22 @@ cargo test -p shelley-core --lib -q one_analysis
 cargo test -p shelley-core --lib -q relational_rows_span_words_beyond_64_states
 cargo test -p shelley-core --test prop_typestate -q
 
+echo "==> string-free lint stage (with/try typestate soundness, live exits, wide composites)"
+# The typestate fast path must not prove a field whose `return` or
+# `break` sits in a `with` or `try` block: five repros (return in with,
+# in try, in finally, in try/except, break in with inside a loop) must
+# report E100 `run, v.open` byte-for-byte as their goldens, and the
+# differential suite against full verification draws with/try blocks
+# holding calls, early returns and breaks. The reachability walk
+# `live_exits` must find exactly the exits whose tagged regex is
+# nonempty on random programs. A composite of 70 subsystem fields over
+# an 11-state dependency runs the two-word field bitsets and the
+# heap-spilled relations through the same checks.
+cargo test -p shelley --test report_formats -q typestate_soundness
+cargo test -p shelley-core --test prop_typestate -q
+cargo test -p shelley-ir --test theorems -q live_exits
+cargo test -p shelley-core --lib -q wide_composite
+
 echo "==> parse phase on the worker pool (job-count determinism)"
 # A multi-file project parses its changed files on par_map: a recovering
 # check of realworld_corpus(200) must give byte-identical reports (W014

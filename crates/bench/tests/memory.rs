@@ -68,8 +68,8 @@ const CORPUS_200_RECOVER_BYTES: usize = 2_118_365;
 
 /// The allocation calls each round made when they were recorded; the
 /// gate allows 2% more.
-const SERVE_1000_ALLOCS: usize = 432_428;
-const CORPUS_200_RECOVER_ALLOCS: usize = 71_305;
+const SERVE_1000_ALLOCS: usize = 296_993;
+const CORPUS_200_RECOVER_ALLOCS: usize = 51_127;
 
 /// What one cold round cost the heap.
 struct Round {

@@ -103,19 +103,20 @@ pub fn solve<A: Analysis>(analysis: &A, cfg: &Cfg) -> Solution<A::Fact> {
     #[cfg(test)]
     SOLVES.with(|n| n.set(n.get() + 1));
     let n = cfg.num_nodes();
-    // Flow adjacency honoring direction and the edge filter.
-    let mut flow: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for from in 0..n {
-        for (i, &to) in cfg.successors(from).iter().enumerate() {
-            if !analysis.keep_edge(cfg, from, i, to) {
-                continue;
-            }
-            match analysis.direction() {
-                Direction::Forward => flow[from].push(to),
-                Direction::Backward => flow[to].push(from),
+    let reversed =
+        (analysis.direction() == Direction::Backward).then(|| Reversed::of(analysis, cfg));
+    // The flow successors of `q`: the kept successor edges, reversed when
+    // the analysis runs backward.
+    let flow = |q: NodeId, visit: &mut dyn FnMut(NodeId)| match &reversed {
+        Some(r) => r.edges(q).iter().for_each(|&to| visit(to)),
+        None => {
+            for (i, &to) in cfg.successors(q).iter().enumerate() {
+                if analysis.keep_edge(cfg, q, i, to) {
+                    visit(to);
+                }
             }
         }
-    }
+    };
     let boundary_node = match analysis.direction() {
         Direction::Forward => cfg.entry(),
         Direction::Backward => cfg.exit(),
@@ -123,35 +124,35 @@ pub fn solve<A: Analysis>(analysis: &A, cfg: &Cfg) -> Solution<A::Fact> {
     // Flow-reachable nodes: everything else keeps ⊥ untouched (its
     // transfer must not run — `transfer(⊥)` need not be ⊥).
     let mut reached = vec![false; n];
-    let mut stack = vec![boundary_node];
+    let mut stack = Vec::with_capacity(n);
+    stack.push(boundary_node);
     reached[boundary_node] = true;
     while let Some(q) = stack.pop() {
-        for &next in &flow[q] {
+        flow(q, &mut |next| {
             if !reached[next] {
                 reached[next] = true;
                 stack.push(next);
             }
-        }
+        });
     }
 
     let mut input: Vec<A::Fact> = (0..n).map(|_| analysis.bottom(cfg)).collect();
     let mut output: Vec<A::Fact> = (0..n).map(|_| analysis.bottom(cfg)).collect();
     input[boundary_node] = analysis.boundary(cfg);
 
-    let mut queue: VecDeque<NodeId> = (0..n).filter(|&q| reached[q]).collect();
-    let mut queued = vec![false; n];
-    for &q in &queue {
-        queued[q] = true;
-    }
+    // The stack's buffer, empty and holding `n`, becomes the queue.
+    let mut queue = VecDeque::from(stack);
+    queue.extend((0..n).filter(|&q| reached[q]));
+    let mut queued = reached.clone();
     while let Some(node) = queue.pop_front() {
         queued[node] = false;
         output[node] = analysis.transfer(cfg, node, &input[node]);
-        for &to in &flow[node] {
+        flow(node, &mut |to| {
             if analysis.join(&mut input[to], &output[node]) && !queued[to] {
                 queued[to] = true;
                 queue.push_back(to);
             }
-        }
+        });
     }
     Solution {
         input,
@@ -160,45 +161,83 @@ pub fn solve<A: Analysis>(analysis: &A, cfg: &Cfg) -> Solution<A::Fact> {
     }
 }
 
+/// The kept edges of a graph reversed, as CSR: what a backward analysis
+/// flows along.
+struct Reversed {
+    start: Vec<usize>,
+    list: Vec<NodeId>,
+}
+
+impl Reversed {
+    fn of<A: Analysis>(analysis: &A, cfg: &Cfg) -> Reversed {
+        let n = cfg.num_nodes();
+        let kept = || {
+            (0..n).flat_map(move |from| {
+                cfg.successors(from)
+                    .iter()
+                    .enumerate()
+                    .filter(move |&(i, &to)| analysis.keep_edge(cfg, from, i, to))
+                    .map(move |(_, &to)| (from, to))
+            })
+        };
+        let mut start = vec![0; n + 1];
+        for (_, to) in kept() {
+            start[to + 1] += 1;
+        }
+        for q in 0..n {
+            start[q + 1] += start[q];
+        }
+        let mut fill = start.clone();
+        let mut list = vec![0; start[n]];
+        for (from, to) in kept() {
+            list[fill[to]] = from;
+            fill[to] += 1;
+        }
+        Reversed { start, list }
+    }
+
+    fn edges(&self, q: NodeId) -> &[NodeId] {
+        &self.list[self.start[q]..self.start[q + 1]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::cfg::assignment_flow;
-    use micropython_parser::{ast::Stmt, parse_module};
-    use std::collections::BTreeSet;
+    use crate::extract::cfg::{assignment_flow, ClassIds};
+    use micropython_parser::{ast::Module, parse_module};
 
-    fn body_of(src: &str) -> Vec<Stmt> {
-        let m = parse_module(src).unwrap();
+    /// The graph of the first method of the first class, tracking
+    /// `fields`.
+    fn graph(m: &Module, fields: &[&'static str]) -> Cfg {
         let class = m.classes().next().unwrap();
-        let body = class.methods().next().unwrap().body.clone();
-        body
+        let mut ids = ClassIds::new(class, fields.iter().copied());
+        Cfg::of_body(&class.methods().next().unwrap().body, &mut ids)
     }
 
-    /// May-assignment as a generic forward analysis: fact = the set of
+    /// May-assignment as a generic forward analysis: fact = the bitset of
     /// fields assigned on some path.
     struct MayAssign;
 
     impl Analysis for MayAssign {
-        type Fact = BTreeSet<String>;
+        type Fact = u64;
 
-        fn bottom(&self, _cfg: &Cfg) -> Self::Fact {
-            BTreeSet::new()
+        fn bottom(&self, _cfg: &Cfg) -> u64 {
+            0
         }
 
-        fn boundary(&self, _cfg: &Cfg) -> Self::Fact {
-            BTreeSet::new()
+        fn boundary(&self, _cfg: &Cfg) -> u64 {
+            0
         }
 
-        fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
-            let before = into.len();
-            into.extend(from.iter().cloned());
-            into.len() != before
+        fn join(&self, into: &mut u64, from: &u64) -> bool {
+            let grew = from & !*into != 0;
+            *into |= from;
+            grew
         }
 
-        fn transfer(&self, cfg: &Cfg, node: NodeId, fact: &Self::Fact) -> Self::Fact {
-            let mut out = fact.clone();
-            out.extend(cfg.node(node).writes.iter().cloned());
-            out
+        fn transfer(&self, cfg: &Cfg, node: NodeId, fact: &u64) -> u64 {
+            fact | cfg.node(node).writes[0]
         }
     }
 
@@ -207,44 +246,45 @@ mod tests {
     struct ReadsLater;
 
     impl Analysis for ReadsLater {
-        type Fact = BTreeSet<String>;
+        type Fact = u64;
 
         fn direction(&self) -> Direction {
             Direction::Backward
         }
 
-        fn bottom(&self, _cfg: &Cfg) -> Self::Fact {
-            BTreeSet::new()
+        fn bottom(&self, _cfg: &Cfg) -> u64 {
+            0
         }
 
-        fn boundary(&self, _cfg: &Cfg) -> Self::Fact {
-            BTreeSet::new()
+        fn boundary(&self, _cfg: &Cfg) -> u64 {
+            0
         }
 
-        fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
-            let before = into.len();
-            into.extend(from.iter().cloned());
-            into.len() != before
+        fn join(&self, into: &mut u64, from: &u64) -> bool {
+            let grew = from & !*into != 0;
+            *into |= from;
+            grew
         }
 
-        fn transfer(&self, cfg: &Cfg, node: NodeId, fact: &Self::Fact) -> Self::Fact {
-            let mut out = fact.clone();
-            out.extend(cfg.node(node).reads.iter().map(|(f, _)| f.clone()));
-            out
+        fn transfer(&self, cfg: &Cfg, node: NodeId, fact: &u64) -> u64 {
+            let reads = cfg.node(node).reads.iter();
+            reads.fold(*fact, |acc, &(f, _)| acc | 1 << f)
         }
     }
 
     #[test]
     fn forward_solve_matches_assignment_flow() {
         let src = "class C:\n    def __init__(self):\n        self.a = Valve()\n        if ok:\n            self.b = Valve()\n        while more:\n            self.c = Valve()\n";
-        let body = body_of(src);
-        let universe: BTreeSet<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
-        let cfg = Cfg::of_body(&body, &universe);
-        let reference = assignment_flow(&cfg, &universe);
+        let m = parse_module(src).unwrap();
+        let cfg = graph(&m, &["a", "b", "c"]);
+        let reference = assignment_flow(&cfg);
         let solution = solve(&MayAssign, &cfg);
         for (id, _) in cfg.nodes() {
             if reference.reachable[id] {
-                assert_eq!(solution.input[id], reference.may_in[id], "node {id}");
+                for f in 0..3 {
+                    let may = solution.input[id] >> f & 1 == 1;
+                    assert_eq!(may, reference.possibly(id, f), "node {id} field {f}");
+                }
             }
         }
     }
@@ -252,21 +292,18 @@ mod tests {
     #[test]
     fn backward_solve_collects_later_reads() {
         let src = "class C:\n    def m(self):\n        self.a.probe()\n        x = 1\n        self.b.probe()\n        return []\n";
-        let body = body_of(src);
-        let universe: BTreeSet<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
-        let cfg = Cfg::of_body(&body, &universe);
+        let m = parse_module(src).unwrap();
+        let cfg = graph(&m, &["a", "b"]);
         let solution = solve(&ReadsLater, &cfg);
         // At entry (flow output side of the last processed node), both
         // fields are still to be read; after the `a` read only `b` remains.
-        let entry_out: &BTreeSet<String> = &solution.output[cfg.entry()];
-        assert!(entry_out.contains("a") && entry_out.contains("b"));
+        assert_eq!(solution.output[cfg.entry()], 0b11);
         let a_node = cfg
             .nodes()
-            .find(|(_, n)| n.reads.iter().any(|(f, _)| f == "a"))
+            .find(|(_, n)| n.reads.iter().any(|&(f, _)| f == 0))
             .unwrap()
             .0;
-        assert!(!solution.input[a_node].contains("a"));
-        assert!(solution.input[a_node].contains("b"));
+        assert_eq!(solution.input[a_node], 0b10);
     }
 
     #[test]
@@ -292,8 +329,9 @@ mod tests {
                 from != 0 // drop everything leaving the entry node
             }
         }
-        let body = body_of("class C:\n    def m(self):\n        x = 1\n        return []\n");
-        let cfg = Cfg::of_body(&body, &BTreeSet::new());
+        let m =
+            parse_module("class C:\n    def m(self):\n        x = 1\n        return []\n").unwrap();
+        let cfg = graph(&m, &[]);
         let solution = solve(&NoEdges, &cfg);
         assert!(solution.output[cfg.entry()]);
         for (id, _) in cfg.nodes() {

@@ -6,11 +6,12 @@
 //! was entered in `e`, plus an `unknown` bit per `e` that records every
 //! source of imprecision (calls the extraction cannot replay exactly,
 //! unknown operations, recursive or `break`/`continue`-carrying helpers),
-//! all stored as the bits of one [`StateSet`] of `(e, state)` pairs.
-//! Transfer functions step every row of the DFA per `self.f.m()` call;
-//! sibling `self.m()` calls compose with the callee's interprocedural
-//! *summary* — its exit relation, computed bottom-up over the self-call
-//! graph, with a sound all-`unknown` fallback on recursion.
+//! all stored as the bits of one bitset of `(e, state)` pairs, kept inline
+//! while it fits one word. Transfer functions step every row of the DFA
+//! per `self.f.m()` call; sibling `self.m()` calls compose with the
+//! callee's interprocedural *summary* — its exit relation, computed
+//! bottom-up over the self-call graph, with a sound all-`unknown` fallback
+//! on recursion.
 //!
 //! One forward [`solve`] per (method, field) computes a method's summary
 //! for all entry states at once: the transfers act on each row alone, so
@@ -22,14 +23,21 @@
 //! reaches. Summaries exist only for operations and for methods some
 //! method self-calls; nothing else is ever asked for one.
 //!
+//! The analysis runs on the ids of [`crate::extract::cfg`]: methods,
+//! summaries and solutions are indexed by [`MethodId`], and every
+//! `self.f.m()` pair is resolved to its dependency-DFA symbol once per
+//! class. Names come back only in the public [`TypestateReport`] and in
+//! the diagnostics the lint renders.
+//!
 //! Soundness contract: whenever a fact has `unknown == false`, its state
 //! set is a superset of the dependency states reachable at that point along
 //! the §3.2 lowering's paths (the paths verification enumerates). The CFG
 //! minus its phantom `match` fall-through edges over-approximates those
 //! paths, *except* around `break`/`continue` — the lowering treats loop
-//! jumps as `skip` while the graph jumps — so any method containing a loop
-//! jump degrades wholesale to `unknown`. On that contract ride three
-//! results:
+//! jumps as `skip` while the graph jumps — so any method whose graph holds
+//! a loop jump, at any depth (`with` and `try` blocks included), degrades
+//! wholesale to `unknown`. Every `return` node of the graph leaves through
+//! the spec exit its span declares. On that contract ride three results:
 //!
 //! * **definite violations** (every possibly-live dependency state is
 //!   driven into the dead sink on a path that can still complete an
@@ -40,28 +48,31 @@
 //!   states are all accepting in the dependency DFA, the projected-subset
 //!   check of [`crate::verify`] is guaranteed to pass and can be skipped.
 
+use crate::bits::{Bits, Ones};
 use crate::dataflow::{solve, Analysis, Solution};
-use crate::extract::cfg::{CallTarget, Cfg, NodeId};
-use crate::spec::{intern_spec_events, spec_automaton, ClassSpec, OperationSpec};
+use crate::extract::cfg::{
+    CallTarget, Cfg, ClassCfgs, ClassIds, FieldId, MethodId, NodeId, NodeKind, OpId,
+};
+use crate::spec::{intern_spec_events, spec_automaton, ClassSpec, ExitGraph, OperationSpec};
 use crate::system::{System, SystemSet};
-use micropython_parser::ast::{ClassDef, Stmt};
+use micropython_parser::ast::ClassDef;
 use micropython_parser::Span;
-use shelley_regular::{Alphabet, Dfa, Label, StateSet, Word};
+use shelley_regular::{Alphabet, Dfa, Symbol, Word};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// A relation over the states of an `n`-state dependency DFA: the pairs
 /// `(e, q)` — "entered in state `e`, possibly in state `q` now" — and the
 /// entry states `e` whose row is imprecise (`unknown`), as the bits of
-/// one [`StateSet`]: pair `(e, q)` is bit `e·n + q`, and the `unknown`
+/// one [`Bits`] set: pair `(e, q)` is bit `e·n + q`, and the `unknown`
 /// bit of row `e` is bit `rows·n + e`. A method's relation has `n` rows;
 /// a plain fact — one state set and one `unknown` bit — is a one-row
-/// relation.
+/// relation. While `rows·(n + 1) ≤ 64` the bits live inline.
 #[derive(Debug, Clone)]
 struct Relation {
     n: usize,
     rows: usize,
-    bits: StateSet,
+    bits: Bits,
 }
 
 impl Relation {
@@ -70,7 +81,7 @@ impl Relation {
         Relation {
             n,
             rows,
-            bits: StateSet::new(rows * (n + 1)),
+            bits: Bits::new(rows * (n + 1)),
         }
     }
 
@@ -89,12 +100,12 @@ impl Relation {
 
     /// The states of row `e`, ascending.
     fn row(&self, e: usize) -> impl Iterator<Item = usize> + '_ {
-        let range = e * self.n..(e + 1) * self.n;
-        self.bits
-            .iter()
-            .skip_while(move |i| *i < range.start)
-            .take_while(move |i| *i < range.end)
-            .map(move |i| i - e * self.n)
+        let first = e * self.n;
+        self.pairs(first..first + self.n).map(move |i| i - first)
+    }
+
+    fn pairs(&self, range: std::ops::Range<usize>) -> Ones<'_> {
+        self.bits.ones(range)
     }
 
     fn unknown(&self, e: usize) -> bool {
@@ -107,9 +118,7 @@ impl Relation {
 
     /// Joins `other` in, returning whether `self` grew.
     fn join_from(&mut self, other: &Relation) -> bool {
-        let grew = !other.bits.is_subset_of(&self.bits);
-        self.bits.union_with(&other.bits);
-        grew
+        self.bits.union_with(&other.bits)
     }
 
     /// Sets every row to `(∅, unknown)` — bottom rows too, as solving
@@ -132,6 +141,20 @@ impl Relation {
                 self.set_unknown(e);
             }
         }
+    }
+
+    /// Steps every pair on `sym`; the `unknown` bits past the pairs stay.
+    fn step(&mut self, dfa: &Dfa, sym: Symbol) {
+        let pairs = self.rows * self.n;
+        let mut image = Bits::new(self.rows * (self.n + 1));
+        for i in self.pairs(0..pairs) {
+            let (e, q) = (i / self.n, i % self.n);
+            image.insert(e * self.n + dfa.step(q, sym));
+        }
+        for i in self.pairs(pairs..pairs + self.rows) {
+            image.insert(i);
+        }
+        self.bits = image;
     }
 }
 
@@ -173,56 +196,60 @@ impl Summary {
 /// The relational analysis of method bodies with respect to one field.
 struct MethodFlow<'a> {
     dfa: &'a Dfa,
-    field: &'a str,
-    summaries: &'a BTreeMap<&'a str, Summary>,
+    field: FieldId,
+    /// Per operation pair on `field`: its symbol in `dfa`, or `None` when
+    /// the dependency has no such operation.
+    syms: &'a [Option<Symbol>],
+    /// Per method: its summary, once computed.
+    summaries: &'a [Option<Summary>],
 }
 
 impl MethodFlow<'_> {
     fn relevant(&self, target: &CallTarget) -> bool {
-        match target {
+        match *target {
             CallTarget::Subsystem { field, .. } => field == self.field,
             CallTarget::SelfMethod { .. } => true,
         }
     }
 
+    /// The pair and dependency symbol of a call on this field to an
+    /// operation the dependency knows.
+    fn resolved(&self, target: &CallTarget) -> Option<(OpId, Symbol)> {
+        match *target {
+            CallTarget::Subsystem { field, op } if field == self.field => {
+                self.syms[op as usize].map(|sym| (op, sym))
+            }
+            _ => None,
+        }
+    }
+
     /// Applies one call to every row of `rel` in place.
     fn apply(&self, target: &CallTarget, rel: &mut Relation) {
-        match target {
-            CallTarget::Subsystem { field, method } if field == self.field => {
-                match self.dfa.alphabet().lookup(method) {
-                    Some(sym) => {
-                        // Each pair steps; the `unknown` bits past the
-                        // pairs stay.
-                        let mut image = Relation::empty(rel.n, rel.rows);
-                        for i in &rel.bits {
-                            let (e, q) = (i / rel.n, i % rel.n);
-                            let i = if e < rel.rows {
-                                e * rel.n + self.dfa.step(q, sym)
-                            } else {
-                                i
-                            };
-                            image.bits.insert(i);
-                        }
-                        *rel = image;
-                    }
+        match *target {
+            CallTarget::Subsystem { field, op } if field == self.field => {
+                match self.syms[op as usize] {
+                    Some(sym) => rel.step(self.dfa, sym),
                     // An operation the dependency spec does not know;
                     // invocation checking reports it, we lose the trail.
                     None => rel.make_unknown(),
                 }
             }
             CallTarget::Subsystem { .. } => {}
-            CallTarget::SelfMethod { method } => match self.summaries.get(method.as_str()) {
-                Some(summary) => {
-                    // The lowering skips sibling calls, so the identity
-                    // part keeps verification's states; the composed
-                    // part adds the callee's runtime effect on the field.
-                    let before = rel.clone();
-                    for e in 0..rel.rows {
-                        rel.join_rows(e, &summary.whole, before.row(e));
+            CallTarget::SelfMethod { method } => {
+                match method.and_then(|m| self.summaries[m as usize].as_ref()) {
+                    Some(summary) => {
+                        // The lowering skips sibling calls, so the identity
+                        // part keeps verification's states; the composed
+                        // part adds the callee's runtime effect on the
+                        // field.
+                        let before = rel.clone();
+                        for e in 0..rel.rows {
+                            rel.join_rows(e, &summary.whole, before.row(e));
+                        }
                     }
+                    None => rel.make_unknown(),
                 }
-                None => rel.make_unknown(),
-            },
+            }
         }
     }
 }
@@ -252,7 +279,7 @@ impl Analysis for MethodFlow<'_> {
         if n.calls_inexact && n.calls.iter().any(|c| self.relevant(&c.target)) {
             out.make_unknown();
         } else {
-            for call in &n.calls {
+            for call in n.calls {
                 self.apply(&call.target, &mut out);
             }
         }
@@ -297,226 +324,245 @@ pub struct TypestateReport {
     pub deps: BTreeMap<String, String>,
 }
 
-/// Recursively scans for `break`/`continue` — the one construct where the
-/// graph's paths under-approximate the lowering's (§3.2 lowers loop jumps
-/// to `skip`), so affected methods must degrade to `unknown`.
-fn has_loop_jump(body: &[Stmt]) -> bool {
-    body.iter().any(|s| match s {
-        Stmt::Break(_) | Stmt::Continue(_) => true,
-        Stmt::If(i) => {
-            i.branches.iter().any(|(_, b)| has_loop_jump(b))
-                || i.orelse.as_deref().is_some_and(has_loop_jump)
-        }
-        Stmt::Match(m) => m.cases.iter().any(|c| has_loop_jump(&c.body)),
-        Stmt::While(w) => has_loop_jump(&w.body),
-        Stmt::For(f) => has_loop_jump(&f.body),
-        _ => false,
-    })
+/// One finding by id: what [`ClassTypestate`] holds until a diagnostic
+/// or a [`TypestateFinding`] is written.
+#[derive(Debug, Clone)]
+pub(crate) struct Finding {
+    pub(crate) definite: bool,
+    /// Index of the subsystem in the composite's `subsystems`.
+    pub(crate) sub: usize,
+    /// Index of the operation in the composite's spec.
+    pub(crate) operation: usize,
+    /// The (field, called name) pair.
+    pub(crate) op: OpId,
+    pub(crate) span: Span,
+    pub(crate) witness: Option<String>,
 }
 
-/// Collects the spans of every `return` statement (including
-/// lowering-dead ones, which must not be mistaken for implicit exits).
-fn return_spans(body: &[Stmt], out: &mut BTreeSet<Span>) {
-    for s in body {
-        match s {
-            Stmt::Return(r) => {
-                out.insert(r.span);
-            }
-            Stmt::If(i) => {
-                for (_, b) in &i.branches {
-                    return_spans(b, out);
-                }
-                if let Some(e) = &i.orelse {
-                    return_spans(e, out);
-                }
-            }
-            Stmt::Match(m) => {
-                for c in &m.cases {
-                    return_spans(&c.body, out);
-                }
-            }
-            Stmt::While(w) => return_spans(&w.body, out),
-            Stmt::For(f) => return_spans(&f.body, out),
-            _ => {}
+/// The analysis products of one composite class, by id: the findings,
+/// the proven subsystems, and the invoked operation pairs.
+#[derive(Debug, Clone)]
+pub(crate) struct ClassTypestate {
+    /// Violations, in (subsystem, operation, program-point) order.
+    pub(crate) findings: Vec<Finding>,
+    /// Per subsystem: proven protocol-conforming.
+    pub(crate) proven: Vec<bool>,
+    /// Per operation pair: some reachable statement of a method's last
+    /// definition invokes it.
+    pub(crate) invoked: Vec<bool>,
+}
+
+impl ClassTypestate {
+    /// The names of the proven subsystem fields.
+    pub(crate) fn proven_fields(&self, system: &System) -> BTreeSet<String> {
+        let subs = system.composite().map_or(&[][..], |info| &info.subsystems);
+        subs.iter()
+            .zip(&self.proven)
+            .filter(|(_, &proven)| proven)
+            .map(|(sub, _)| sub.field.clone())
+            .collect()
+    }
+
+    /// Whether some reachable statement invokes `name` on `field`.
+    pub(crate) fn invokes(&self, ids: &ClassIds<'_>, field: FieldId, name: &str) -> bool {
+        ids.op_id(field, name)
+            .is_some_and(|op| self.invoked[op as usize])
+    }
+
+    /// The public report, by name.
+    fn into_report(self, ids: &ClassIds<'_>, system: &System) -> TypestateReport {
+        let mut report = TypestateReport {
+            proven: self.proven_fields(system),
+            ..TypestateReport::default()
+        };
+        let subs = system.composite().map_or(&[][..], |info| &info.subsystems);
+        for sub in subs {
+            report.invoked.entry(sub.field.clone()).or_default();
+            report
+                .deps
+                .insert(sub.field.clone(), sub.class_name.clone());
         }
+        for op in (0..ids.num_ops()).filter(|&op| self.invoked[op]) {
+            let (field, name) = ids.op(op as OpId);
+            if let Some(set) = report.invoked.get_mut(ids.field_name(field)) {
+                set.insert(name.to_owned());
+            }
+        }
+        report.findings = self
+            .findings
+            .into_iter()
+            .map(|f| TypestateFinding {
+                definite: f.definite,
+                field: subs[f.sub].field.clone(),
+                dep_class: subs[f.sub].class_name.clone(),
+                op: system.spec.operations[f.operation].name.clone(),
+                called: ids.op(f.op).1.to_owned(),
+                span: f.span,
+                witness: f.witness,
+            })
+            .collect();
+        report
     }
 }
 
-/// Per-class analysis state shared across fields.
-struct ClassAnalysis<'a> {
-    system: &'a System,
-    /// The graph of each method name's last definition.
-    cfgs: BTreeMap<&'a str, &'a Cfg>,
-    loop_jump: BTreeSet<&'a str>,
-    cyclic: BTreeSet<&'a str>,
-    ret_spans: BTreeMap<&'a str, BTreeSet<Span>>,
-    /// The methods that get a summary: the operations and every method
+/// Per-class analysis state shared across fields, indexed by method.
+struct ClassAnalysis<'c, 'a> {
+    system: &'c System,
+    cfgs: &'c ClassCfgs<'a>,
+    /// Per method: the first spec operation of its name, if any.
+    op_of: Vec<Option<usize>>,
+    /// Per method: its summary is all `unknown` (it is on a self-call
+    /// cycle, or its graph holds a loop jump).
+    forced: Vec<bool>,
+    /// Per method: it gets a summary — the operations and every method
     /// some method self-calls.
-    summarized: BTreeSet<&'a str>,
+    summarized: Vec<bool>,
+    /// Method `m` self-calls `callees[callee_start[m]..callee_start[m + 1]]`.
+    callee_start: Vec<usize>,
+    callees: Vec<MethodId>,
 }
 
-/// The products of one field's solves: every summarized method's summary,
-/// and each solved operation's relational solution (the findings input).
-struct FieldFlow<'a> {
-    summaries: BTreeMap<&'a str, Summary>,
-    solutions: BTreeMap<&'a str, Solution<Relation>>,
+/// The products of one field's solves, by method: every summarized
+/// method's summary, and each solved operation's relational solution (the
+/// findings input).
+struct FieldFlow {
+    summaries: Vec<Option<Summary>>,
+    solutions: Vec<Option<Solution<Relation>>>,
 }
 
-impl<'a> ClassAnalysis<'a> {
-    /// `cfgs` holds one graph per method of `class`, in
-    /// [`ClassDef::methods`] order.
-    fn new(class: &'a ClassDef, system: &'a System, cfgs: &'a [Cfg]) -> ClassAnalysis<'a> {
-        let mut by_name = BTreeMap::new();
-        let mut loop_jump = BTreeSet::new();
-        let mut ret_spans = BTreeMap::new();
-        for (func, cfg) in class.methods().zip(cfgs) {
-            let name = func.name.node.as_str();
-            // A redefined name binds its last definition: its graph, its
-            // loop jumps and its return spans all replace the earlier ones.
-            by_name.insert(name, cfg);
-            if has_loop_jump(&func.body) {
-                loop_jump.insert(name);
-            } else {
-                loop_jump.remove(name);
-            }
-            let mut spans = BTreeSet::new();
-            return_spans(&func.body, &mut spans);
-            ret_spans.insert(name, spans);
-        }
-        let cfgs = by_name;
-
-        // Self-call graph over existing methods; anything on a cycle gets
-        // the all-unknown summary.
-        let mut callees: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for (&name, cfg) in &cfgs {
-            let set = callees.entry(name).or_default();
+impl<'c, 'a> ClassAnalysis<'c, 'a> {
+    fn new(system: &'c System, cfgs: &'c ClassCfgs<'a>) -> ClassAnalysis<'c, 'a> {
+        let ids = &cfgs.ids;
+        let methods = ids.num_methods();
+        let mut analysis = ClassAnalysis {
+            system,
+            cfgs,
+            op_of: Vec::with_capacity(methods),
+            forced: vec![false; methods],
+            summarized: vec![false; methods],
+            callee_start: Vec::with_capacity(methods + 1),
+            callees: Vec::new(),
+        };
+        for m in 0..methods {
+            let cfg = cfgs.graph(m as MethodId);
+            let first = analysis.callees.len();
+            analysis.callee_start.push(first);
             for (_, node) in cfg.nodes() {
-                for call in &node.calls {
-                    if let CallTarget::SelfMethod { method } = &call.target {
-                        if let Some((&k, _)) = cfgs.get_key_value(method.as_str()) {
-                            set.insert(k);
+                analysis.forced[m] |= node.kind == NodeKind::LoopJump;
+                for call in node.calls {
+                    if let CallTarget::SelfMethod { method: Some(c) } = call.target {
+                        if !analysis.callees[first..].contains(&c) {
+                            analysis.callees.push(c);
                         }
                     }
                 }
             }
+            let name = ids.method_name(m as MethodId);
+            let op = system.spec.operations.iter().position(|op| op.name == name);
+            analysis.summarized[m] = op.is_some();
+            analysis.op_of.push(op);
         }
-        let mut cyclic = BTreeSet::new();
-        for &m in callees.keys() {
-            // m is cyclic iff m is reachable from one of its callees.
-            let mut seen: BTreeSet<&str> = BTreeSet::new();
-            let mut stack: Vec<&str> = callees[m].iter().copied().collect();
-            let mut on_cycle = false;
-            while let Some(q) = stack.pop() {
-                if q == m {
-                    on_cycle = true;
-                    break;
-                }
-                if seen.insert(q) {
-                    stack.extend(callees.get(q).into_iter().flatten().copied());
+        analysis.callee_start.push(analysis.callees.len());
+        for &c in &analysis.callees {
+            analysis.summarized[c as usize] = true;
+        }
+        // Self-call cycles: `m` is on one iff it is reachable from one of
+        // its callees. Anything on a cycle gets the all-unknown summary.
+        if !analysis.callees.is_empty() {
+            let mut seen = vec![false; methods];
+            let mut stack = Vec::new();
+            for m in 0..methods {
+                seen.fill(false);
+                stack.clear();
+                stack.extend_from_slice(analysis.callees_of(m));
+                while let Some(q) = stack.pop() {
+                    let q = q as usize;
+                    if q == m {
+                        analysis.forced[m] = true;
+                        break;
+                    }
+                    if !seen[q] {
+                        seen[q] = true;
+                        stack.extend_from_slice(analysis.callees_of(q));
+                    }
                 }
             }
-            if on_cycle {
-                cyclic.insert(m);
-            }
         }
-        let summarized = cfgs
-            .keys()
-            .copied()
-            .filter(|&name| system.spec.operation(name).is_some())
-            .chain(callees.values().flatten().copied())
-            .collect();
-
-        ClassAnalysis {
-            system,
-            cfgs,
-            loop_jump,
-            cyclic,
-            ret_spans,
-            summarized,
-        }
+        analysis
     }
 
-    fn op_spec(&self, name: &str) -> Option<&OperationSpec> {
-        self.system.spec.operation(name)
+    fn callees_of(&self, m: usize) -> &[MethodId] {
+        &self.callees[self.callee_start[m]..self.callee_start[m + 1]]
     }
 
-    /// The kept edges into EXIT of method `name`'s graph, each with the
-    /// exit of `op` it leaves through: a `return` the exit its span
-    /// declares, falling off the end the implicit exit.
-    fn exit_edges(&self, name: &str, op: &OperationSpec) -> Vec<(NodeId, usize)> {
-        let cfg = self.cfgs[name];
-        let ret_spans = &self.ret_spans[name];
-        let span_to_exit: BTreeMap<Span, usize> = op
-            .exits
-            .iter()
-            .enumerate()
-            .filter_map(|(ei, e)| e.span.map(|sp| (sp, ei)))
-            .collect();
+    fn op_spec(&self, m: usize) -> Option<&'c OperationSpec> {
+        self.op_of[m].map(|oi| &self.system.spec.operations[oi])
+    }
+
+    /// Calls `visit(from, ei)` for each kept edge into EXIT of `cfg`,
+    /// with the exit of `op` it leaves through: a `return` the exit its
+    /// span declares, any other node the implicit exit.
+    fn for_each_exit_edge(cfg: &Cfg, op: &OperationSpec, mut visit: impl FnMut(NodeId, usize)) {
         let implicit = op.exits.iter().position(|e| e.implicit);
-        let mut edges = Vec::new();
         for (from, node) in cfg.nodes() {
             for (i, &to) in cfg.successors(from).iter().enumerate() {
                 if to != cfg.exit() || cfg.edge_is_phantom(from, i) {
                     continue;
                 }
-                let exit = match node.span {
-                    Some(sp) if ret_spans.contains(&sp) => span_to_exit.get(&sp).copied(),
+                let exit = match node.kind {
+                    NodeKind::Return => op.exits.iter().rposition(|e| e.span == node.span),
                     _ => implicit,
                 };
-                edges.extend(exit.map(|ei| (from, ei)));
+                if let Some(ei) = exit {
+                    visit(from, ei);
+                }
             }
         }
-        edges
     }
 
     /// Computes the summaries for `field`, bottom-up over the self-call
     /// graph: one solve per summarized method that is not forced to
     /// `unknown`.
-    fn field_flow(&self, field: &str, dfa: &Dfa) -> FieldFlow<'a> {
+    fn field_flow(&self, field: FieldId, dfa: &Dfa, syms: &[Option<Symbol>]) -> FieldFlow {
         let nstates = dfa.num_states();
+        let methods = self.op_of.len();
         let mut flow = FieldFlow {
-            summaries: BTreeMap::new(),
-            solutions: BTreeMap::new(),
+            summaries: (0..methods).map(|_| None).collect(),
+            solutions: (0..methods).map(|_| None).collect(),
         };
-        let n_exits = |name: &str| self.op_spec(name).map_or(0, |op| op.exits.len());
+        let n_exits = |m: usize| self.op_spec(m).map_or(0, |op| op.exits.len());
         // Seed the forced-unknown methods.
-        for &name in &self.summarized {
-            if self.cyclic.contains(name) || self.loop_jump.contains(name) {
-                let summary = Summary::all_unknown(nstates, n_exits(name));
-                flow.summaries.insert(name, summary);
+        for m in 0..methods {
+            if self.summarized[m] && self.forced[m] {
+                flow.summaries[m] = Some(Summary::all_unknown(nstates, n_exits(m)));
             }
         }
         // The remainder is acyclic: each round resolves every method whose
-        // existing callees are all resolved, so ≤ |methods| rounds suffice.
+        // callees are all resolved, so ≤ |methods| rounds suffice.
         loop {
             let mut progressed = false;
-            for &name in &self.summarized {
-                if flow.summaries.contains_key(name) {
+            for m in 0..methods {
+                if !self.summarized[m] || flow.summaries[m].is_some() {
                     continue;
                 }
-                let cfg = self.cfgs[name];
-                let ready = cfg.nodes().all(|(_, node)| {
-                    node.calls.iter().all(|c| match &c.target {
-                        CallTarget::SelfMethod { method } => {
-                            !self.cfgs.contains_key(method.as_str())
-                                || flow.summaries.contains_key(method.as_str())
-                        }
-                        CallTarget::Subsystem { .. } => true,
-                    })
-                });
+                let ready = self
+                    .callees_of(m)
+                    .iter()
+                    .all(|&c| flow.summaries[c as usize].is_some());
                 if !ready {
                     continue;
                 }
+                let cfg = self.cfgs.graph(m as MethodId);
                 let method_flow = MethodFlow {
                     dfa,
                     field,
+                    syms,
                     summaries: &flow.summaries,
                 };
                 let solution = solve(&method_flow, cfg);
-                let summary = self.summary_of(name, cfg, nstates, &solution);
-                flow.summaries.insert(name, summary);
-                if self.op_spec(name).is_some() {
-                    flow.solutions.insert(name, solution);
+                flow.summaries[m] = Some(self.summary_of(m, cfg, nstates, &solution));
+                if self.op_of[m].is_some() {
+                    flow.solutions[m] = Some(solution);
                 }
                 progressed = true;
             }
@@ -530,38 +576,49 @@ impl<'a> ClassAnalysis<'a> {
     /// Reads a method's summary off its relational solution.
     fn summary_of(
         &self,
-        name: &str,
+        m: usize,
         cfg: &Cfg,
         nstates: usize,
         solution: &Solution<Relation>,
     ) -> Summary {
         let whole = solution.input[cfg.exit()].clone();
-        let Some(op) = self.op_spec(name) else {
+        let Some(op) = self.op_spec(m) else {
             return Summary {
                 whole,
                 per_exit: Vec::new(),
             };
         };
         let mut per_exit = vec![Relation::empty(nstates, nstates); op.exits.len()];
-        for (from, ei) in self.exit_edges(name, op) {
+        Self::for_each_exit_edge(cfg, op, |from, ei| {
             per_exit[ei].join_from(&solution.output[from]);
-        }
+        });
         Summary { whole, per_exit }
+    }
+}
+
+/// The symbols in `dfa` of the operation pairs on `field`, written into
+/// `syms` (indexed by [`OpId`]; other fields' entries are left alone).
+fn resolve_ops(ids: &ClassIds<'_>, field: FieldId, dfa: &Dfa, syms: &mut [Option<Symbol>]) {
+    for (op, sym) in syms.iter_mut().enumerate() {
+        let (f, name) = ids.op(op as OpId);
+        if f == field {
+            *sym = dfa.alphabet().lookup(name);
+        }
     }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Composite classes [`analyze_class`] analysed on this thread: the
-    /// counter behind the one-analysis-per-class work gate.
+    /// Composite classes analysed on this thread: the counter behind the
+    /// one-analysis-per-class work gate.
     static ANALYSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// Dependency DFAs [`dependency_dfa`] built on this thread: the
     /// counter behind the one-DFA-per-spec work gate.
     static DFAS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// How many composite classes [`analyze_class`] has analysed on the
-/// calling thread so far.
+/// How many composite classes have been analysed on the calling thread
+/// so far.
 #[cfg(test)]
 pub(crate) fn analyses_run() -> usize {
     ANALYSES.with(std::cell::Cell::get)
@@ -614,49 +671,46 @@ pub fn analyze_class(
     systems: &SystemSet,
 ) -> Option<TypestateReport> {
     system.composite()?;
-    let cfgs = Cfg::of_methods(class, &system.subsystem_fields());
-    analyze(class, system, systems, &cfgs, &|dep: &System| {
+    let cfgs = ClassCfgs::build(class, system.subsystem_fields());
+    analyze(system, systems, &cfgs, &|dep: &System| {
         Arc::new(DependencyDfa::of(&dep.spec))
     })
+    .map(|result| result.into_report(&cfgs.ids, system))
 }
 
-/// [`analyze_class`] over graphs and dependency DFAs the caller already
-/// has: `cfgs` holds one graph per method of `class` in
-/// [`ClassDef::methods`] order, tracking the subsystem fields, and
-/// `dfa_of(dep)` is [`DependencyDfa::of`] `dep`'s spec.
+/// [`analyze_class`] by id, over graphs and dependency DFAs the caller
+/// already has: `cfgs` holds the class's graphs tracking its subsystem
+/// fields, and `dfa_of(dep)` is [`DependencyDfa::of`] `dep`'s spec.
 pub(crate) fn analyze(
-    class: &ClassDef,
     system: &System,
     systems: &SystemSet,
-    cfgs: &[Cfg],
+    cfgs: &ClassCfgs<'_>,
     dfa_of: &dyn Fn(&System) -> Arc<DependencyDfa>,
-) -> Option<TypestateReport> {
+) -> Option<ClassTypestate> {
     let info = system.composite()?;
     #[cfg(test)]
     ANALYSES.with(|n| n.set(n.get() + 1));
-    let analysis = ClassAnalysis::new(class, system, cfgs);
-    let mut report = TypestateReport::default();
+    let ids = &cfgs.ids;
+    let analysis = ClassAnalysis::new(system, cfgs);
+    let mut result = ClassTypestate {
+        findings: Vec::new(),
+        proven: vec![false; info.subsystems.len()],
+        invoked: vec![false; ids.num_ops()],
+    };
 
     // Reachable dependency invocations (dead-operation lint input) —
     // plain graph reachability; phantom edges only add coverage, which is
     // the conservative direction for a "never invoked" warning.
-    for sub in &info.subsystems {
-        report.invoked.entry(sub.field.clone()).or_default();
-        report
-            .deps
-            .insert(sub.field.clone(), sub.class_name.clone());
-    }
-    for cfg in analysis.cfgs.values() {
+    for m in 0..ids.num_methods() {
+        let cfg = cfgs.graph(m as MethodId);
         let reached = cfg.reachable();
         for (id, node) in cfg.nodes() {
             if !reached[id] {
                 continue;
             }
-            for call in &node.calls {
-                if let CallTarget::Subsystem { field, method } = &call.target {
-                    if let Some(set) = report.invoked.get_mut(field) {
-                        set.insert(method.clone());
-                    }
+            for call in node.calls {
+                if let CallTarget::Subsystem { op, .. } = call.target {
+                    result.invoked[op as usize] = true;
                 }
             }
         }
@@ -665,87 +719,59 @@ pub(crate) fn analyze(
     // The composite's own exit-point automaton drives the interprocedural
     // phase: abstract dependency states propagate along its edges through
     // the per-exit summaries of each operation.
-    let spec_auto = spec_automaton(&system.spec, None, info.alphabet.clone());
-    let nfa = spec_auto.nfa();
-    let nspec = nfa.num_states();
+    let spec = &system.spec;
+    let graph = ExitGraph::new(spec);
+    let nspec = graph.num_states();
+    // Forward reachability and co-reachability to acceptance: an exit
+    // state can still complete an accepted usage iff it is co-reachable.
+    let fwd = graph.reachable();
+    let co = graph.coreachable();
+    // The method of each operation.
+    let method_of: Vec<Option<MethodId>> = spec
+        .operations
+        .iter()
+        .map(|op| ids.method(&op.name))
+        .collect();
+    let mut syms: Vec<Option<Symbol>> = vec![None; ids.num_ops()];
 
-    // Forward graph reachability and co-reachability to acceptance over
-    // the spec automaton (it has no ε edges).
-    let mut fwd = vec![false; nspec];
-    let mut stack = vec![spec_auto.start()];
-    fwd[spec_auto.start()] = true;
-    while let Some(q) = stack.pop() {
-        for &(_, dst) in nfa.edges_from(q) {
-            if !fwd[dst] {
-                fwd[dst] = true;
-                stack.push(dst);
-            }
-        }
-    }
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); nspec];
-    for q in 0..nspec {
-        for &(_, dst) in nfa.edges_from(q) {
-            rev[dst].push(q);
-        }
-    }
-    let mut co = vec![false; nspec];
-    let mut stack: Vec<usize> = (0..nspec).filter(|&q| nfa.is_accepting(q)).collect();
-    for &q in &stack {
-        co[q] = true;
-    }
-    while let Some(q) = stack.pop() {
-        for &p in &rev[q] {
-            if !co[p] {
-                co[p] = true;
-                stack.push(p);
-            }
-        }
-    }
-    // Per operation: the spec exits that can still complete an accepted
-    // usage.
-    let mut live_exits: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (q, &coreachable) in co.iter().enumerate().take(nspec) {
-        if let Some((oi, ei)) = spec_auto.exit_at(q) {
-            if coreachable {
-                live_exits.entry(oi).or_default().insert(ei);
-            }
-        }
-    }
-
-    for sub in &info.subsystems {
+    for (si, sub) in info.subsystems.iter().enumerate() {
         let Some(dep) = systems.get(&sub.class_name) else {
+            continue;
+        };
+        let Some(field) = ids.field(&sub.field) else {
             continue;
         };
         let dependency = dfa_of(dep);
         let (dfa, dead) = (&dependency.dfa, &dependency.dead);
         let nstates = dfa.num_states();
+        resolve_ops(ids, field, dfa, &mut syms);
 
         let FieldFlow {
             summaries,
             solutions,
-        } = analysis.field_flow(&sub.field, dfa);
+        } = analysis.field_flow(field, dfa, &syms);
+        let summary_of = |oi: usize| method_of[oi].and_then(|m| summaries[m as usize].as_ref());
 
         // Fixpoint of abstract dependency states over the spec automaton.
         let mut abs = vec![Relation::empty(nstates, 1); nspec];
-        abs[spec_auto.start()].bits.insert(dfa.start());
-        let mut queue = VecDeque::from([spec_auto.start()]);
+        abs[0].bits.insert(dfa.start());
+        let mut queue = VecDeque::from([0]);
         let mut queued = vec![false; nspec];
-        queued[spec_auto.start()] = true;
+        queued[0] = true;
         while let Some(q) = queue.pop_front() {
             queued[q] = false;
             let src = abs[q].clone();
             if src.is_empty() {
                 continue;
             }
-            for &(label, dst) in nfa.edges_from(q) {
-                debug_assert!(matches!(label, Label::Sym(_)));
-                let Some((oi, ei)) = spec_auto.exit_at(dst) else {
-                    continue;
-                };
-                let op_name = system.spec.operations[oi].name.as_str();
+            graph.for_each_edge(q, |_, dst| {
+                let (oi, ei) = graph.exit_at(dst).expect("edges enter exit states");
                 let mut res = Relation::empty(nstates, 1);
-                match summaries.get(op_name) {
-                    Some(summary) => res.join_rows(0, &summary.per_exit[ei], src.row(0)),
+                // A redefined operation's summary has the exits of the
+                // first operation of its name: another definition's exit
+                // may have no relation there.
+                match summary_of(oi).and_then(|summary| summary.per_exit.get(ei)) {
+                    Some(per_exit) => res.join_rows(0, per_exit, src.row(0)),
                     None => res.set_unknown(0),
                 }
                 if src.unknown(0) {
@@ -755,85 +781,54 @@ pub(crate) fn analyze(
                     queued[dst] = true;
                     queue.push_back(dst);
                 }
-            }
+            });
         }
 
         // Entry fact of each operation: join over spec states with an
         // edge invoking it.
-        let mut entry: BTreeMap<usize, Relation> = BTreeMap::new();
-        for (q, fact) in abs.iter().enumerate().take(nspec) {
+        let mut entry: Vec<Option<Relation>> = vec![None; spec.operations.len()];
+        for (q, fact) in abs.iter().enumerate() {
             if fact.is_empty() {
                 continue;
             }
-            for &(_, dst) in nfa.edges_from(q) {
-                if let Some((oi, _)) = spec_auto.exit_at(dst) {
-                    entry
-                        .entry(oi)
-                        .or_insert_with(|| Relation::empty(nstates, 1))
-                        .join_from(fact);
-                }
-            }
+            graph.for_each_edge(q, |oi, _| {
+                entry[oi]
+                    .get_or_insert_with(|| Relation::empty(nstates, 1))
+                    .join_from(fact);
+            });
         }
 
         // Fast path: every reachable accepted usage leaves the dependency
         // in an accepting state, with nothing untracked — the projected
         // subset check cannot fail.
-        let proven = (0..nspec)
-            .filter(|&q| fwd[q] && nfa.is_accepting(q))
+        result.proven[si] = (0..nspec)
+            .filter(|&q| fwd[q] && graph.is_accepting(q))
             .all(|q| !abs[q].unknown(0) && abs[q].row(0).all(|state| dfa.is_accepting(state)));
-        if proven {
-            report.proven.insert(sub.field.clone());
-        }
 
         // Findings: walk each operation body under its entry fact, read
         // off the operation's relational solution.
         let flow = MethodFlow {
             dfa,
-            field: &sub.field,
+            field,
+            syms: &syms,
             summaries: &summaries,
         };
-        for (oi, op) in system.spec.operations.iter().enumerate() {
-            let Some(entry_fact) = entry.get(&oi) else {
+        for (oi, op) in spec.operations.iter().enumerate() {
+            let Some(entry_fact) = &entry[oi] else {
+                continue;
+            };
+            let Some(m) = method_of[oi] else {
                 continue;
             };
             // Forced-unknown operations have no solution and no findings.
-            let Some(solution) = solutions.get(op.name.as_str()) else {
+            let Some(solution) = &solutions[m as usize] else {
                 continue;
             };
-            let cfg = analysis.cfgs[op.name.as_str()];
-
+            let cfg = cfgs.graph(m);
             // Nodes that can still reach a live spec exit along kept
             // edges — a definite violation must sit on a completing path.
-            let op_live = live_exits.get(&oi);
-            let mut can_complete = vec![false; cfg.num_nodes()];
-            let mut kept_rev: Vec<Vec<NodeId>> = vec![Vec::new(); cfg.num_nodes()];
-            for from in 0..cfg.num_nodes() {
-                for (i, &to) in cfg.successors(from).iter().enumerate() {
-                    if !cfg.edge_is_phantom(from, i) {
-                        kept_rev[to].push(from);
-                    }
-                }
-            }
-            let seeds = analysis
-                .exit_edges(&op.name, op)
-                .into_iter()
-                .filter(|&(_, ei)| op_live.is_some_and(|live| live.contains(&ei)))
-                .map(|(from, _)| from);
-            let mut stack = Vec::new();
-            for s in seeds {
-                if !can_complete[s] {
-                    can_complete[s] = true;
-                    stack.push(s);
-                }
-            }
-            while let Some(q) = stack.pop() {
-                for &p in &kept_rev[q] {
-                    if !can_complete[p] {
-                        can_complete[p] = true;
-                        stack.push(p);
-                    }
-                }
-            }
+            // Computed the first time a definite candidate needs it.
+            let mut can_complete: Option<Vec<bool>> = None;
 
             for (id, node) in cfg.nodes() {
                 if node.calls.is_empty() {
@@ -843,53 +838,24 @@ pub(crate) fn analyze(
                     continue;
                 }
                 let mut cur = fact_at(solution, id, entry_fact);
-                for call in &node.calls {
-                    if let CallTarget::Subsystem { field, method } = &call.target {
-                        if field == &sub.field {
-                            if let Some(sym) = dfa.alphabet().lookup(method) {
-                                let live: Vec<usize> = cur.row(0).filter(|&q| !dead[q]).collect();
-                                let dies = |&q: &usize| dead[dfa.step(q, sym)];
-                                if !live.is_empty() {
-                                    let all_dead = live.iter().all(dies);
-                                    let any_dead = live.iter().any(dies);
-                                    if all_dead && !cur.unknown(0) && can_complete[id] {
-                                        let mut best: Option<Word> = None;
-                                        for &q in &live {
-                                            if let Some(word) = dfa.shortest_word_to(q) {
-                                                if best
-                                                    .as_ref()
-                                                    .is_none_or(|b| word.len() < b.len())
-                                                {
-                                                    best = Some(word);
-                                                }
-                                            }
-                                        }
-                                        let witness = best.map(|mut word| {
-                                            word.push(sym);
-                                            dfa.alphabet().render_word(&word)
-                                        });
-                                        report.findings.push(TypestateFinding {
-                                            definite: true,
-                                            field: sub.field.clone(),
-                                            dep_class: sub.class_name.clone(),
-                                            op: op.name.clone(),
-                                            called: method.clone(),
-                                            span: call.span,
-                                            witness,
-                                        });
-                                    } else if any_dead {
-                                        report.findings.push(TypestateFinding {
-                                            definite: false,
-                                            field: sub.field.clone(),
-                                            dep_class: sub.class_name.clone(),
-                                            op: op.name.clone(),
-                                            called: method.clone(),
-                                            span: call.span,
-                                            witness: None,
-                                        });
-                                    }
-                                }
-                            }
+                for call in node.calls {
+                    if let Some((pair, sym)) = flow.resolved(&call.target) {
+                        let live = || cur.row(0).filter(|&q| !dead[q]);
+                        let dies = |q: usize| dead[dfa.step(q, sym)];
+                        if live().any(dies) {
+                            let definite = live().all(dies)
+                                && !cur.unknown(0)
+                                && can_complete.get_or_insert_with(|| {
+                                    completing_nodes(cfg, op, |ei| co[graph.state(oi, ei)])
+                                })[id];
+                            result.findings.push(Finding {
+                                definite,
+                                sub: si,
+                                operation: oi,
+                                op: pair,
+                                span: call.span,
+                                witness: definite.then(|| witness(dfa, live(), sym)).flatten(),
+                            });
                         }
                     }
                     flow.apply(&call.target, &mut cur);
@@ -897,7 +863,50 @@ pub(crate) fn analyze(
             }
         }
     }
-    Some(report)
+    Some(result)
+}
+
+/// A shortest dependency trace into one of the `live` states (the first
+/// such state wins a tie), then `sym`: the rendered witness of a definite
+/// violation.
+fn witness(dfa: &Dfa, live: impl Iterator<Item = usize>, sym: Symbol) -> Option<String> {
+    let mut best: Option<Word> = None;
+    for q in live {
+        if let Some(word) = dfa.shortest_word_to(q) {
+            if best.as_ref().is_none_or(|b| word.len() < b.len()) {
+                best = Some(word);
+            }
+        }
+    }
+    best.map(|mut word| {
+        word.push(sym);
+        dfa.alphabet().render_word(&word)
+    })
+}
+
+/// The nodes of `cfg` from which a kept path reaches an edge into EXIT
+/// that leaves `op` through an exit `live(ei)` accepts.
+fn completing_nodes(cfg: &Cfg, op: &OperationSpec, live: impl Fn(usize) -> bool) -> Vec<bool> {
+    let mut can = vec![false; cfg.num_nodes()];
+    ClassAnalysis::for_each_exit_edge(cfg, op, |from, ei| can[from] |= live(ei));
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for from in 0..cfg.num_nodes() {
+            if can[from] {
+                continue;
+            }
+            let succs = cfg.successors(from).iter().enumerate();
+            let reaches = succs
+                .filter(|&(i, _)| !cfg.edge_is_phantom(from, i))
+                .any(|(_, &to)| can[to]);
+            if reaches {
+                can[from] = true;
+                changed = true;
+            }
+        }
+    }
+    can
 }
 
 /// The definition of a summary, for the relational solve to be held
@@ -912,12 +921,13 @@ pub(crate) mod per_state {
     type Plain = (BTreeSet<usize>, bool);
 
     /// The per-state analysis of one method body for one field. Sibling
-    /// calls apply `callees[m][d]`, the fact `m` exits with when entered
-    /// in state `d`.
+    /// calls apply `callees[m][d]`, the fact method `m` exits with when
+    /// entered in state `d`.
     struct PerState<'a> {
         dfa: &'a Dfa,
-        field: &'a str,
-        callees: &'a BTreeMap<&'a str, Vec<Plain>>,
+        field: FieldId,
+        syms: &'a [Option<Symbol>],
+        callees: &'a [Option<Vec<Plain>>],
         entry: Plain,
     }
 
@@ -927,9 +937,9 @@ pub(crate) mod per_state {
                 states.clear();
                 *unknown = true;
             };
-            match target {
-                CallTarget::Subsystem { field, method } if field == self.field => {
-                    match self.dfa.alphabet().lookup(method) {
+            match *target {
+                CallTarget::Subsystem { field, op } if field == self.field => {
+                    match self.syms[op as usize] {
                         Some(sym) => {
                             *states = states.iter().map(|&q| self.dfa.step(q, sym)).collect()
                         }
@@ -937,16 +947,18 @@ pub(crate) mod per_state {
                     }
                 }
                 CallTarget::Subsystem { .. } => {}
-                CallTarget::SelfMethod { method } => match self.callees.get(method.as_str()) {
-                    Some(whole) => {
-                        let before: Vec<usize> = states.iter().copied().collect();
-                        for d in before {
-                            states.extend(whole[d].0.iter().copied());
-                            *unknown |= whole[d].1;
+                CallTarget::SelfMethod { method } => {
+                    match method.and_then(|m| self.callees[m as usize].as_ref()) {
+                        Some(whole) => {
+                            let before: Vec<usize> = states.iter().copied().collect();
+                            for d in before {
+                                states.extend(whole[d].0.iter().copied());
+                                *unknown |= whole[d].1;
+                            }
                         }
+                        None => lost(states, unknown),
                     }
-                    None => lost(states, unknown),
-                },
+                }
             }
         }
     }
@@ -975,7 +987,7 @@ pub(crate) mod per_state {
 
         fn transfer(&self, cfg: &Cfg, node: NodeId, fact: &Plain) -> Plain {
             let n = cfg.node(node);
-            let relevant = |t: &CallTarget| match t {
+            let relevant = |t: &CallTarget| match *t {
                 CallTarget::Subsystem { field, .. } => field == self.field,
                 CallTarget::SelfMethod { .. } => true,
             };
@@ -983,7 +995,7 @@ pub(crate) mod per_state {
                 return (BTreeSet::new(), true);
             }
             let mut out = fact.clone();
-            for call in &n.calls {
+            for call in n.calls {
                 self.apply(&call.target, &mut out);
             }
             out
@@ -1008,38 +1020,49 @@ pub(crate) mod per_state {
         let Some(info) = system.composite() else {
             return 0;
         };
-        let cfgs = Cfg::of_methods(class, &system.subsystem_fields());
-        let analysis = ClassAnalysis::new(class, system, &cfgs);
+        let cfgs = ClassCfgs::build(class, system.subsystem_fields());
+        let ids = &cfgs.ids;
+        let analysis = ClassAnalysis::new(system, &cfgs);
+        let mut syms = vec![None; ids.num_ops()];
         let mut compared = 0;
         for sub in &info.subsystems {
             let Some(dep) = systems.get(&sub.class_name) else {
                 continue;
             };
+            let field = ids.field(&sub.field).expect("subsystem fields are tracked");
             let dfa = dependency_dfa(&dep.spec);
             let nstates = dfa.num_states();
-            let flow = analysis.field_flow(&sub.field, &dfa);
-            let callees: BTreeMap<&str, Vec<Plain>> = flow
+            resolve_ops(ids, field, &dfa, &mut syms);
+            let flow = analysis.field_flow(field, &dfa, &syms);
+            let callees: Vec<Option<Vec<Plain>>> = flow
                 .summaries
                 .iter()
-                .map(|(&name, s)| (name, (0..nstates).map(|d| plain(&s.whole, d)).collect()))
+                .map(|s| {
+                    s.as_ref()
+                        .map(|s| (0..nstates).map(|d| plain(&s.whole, d)).collect())
+                })
                 .collect();
             let solve_from = |cfg: &Cfg, entry: Plain| {
                 let per_state = PerState {
                     dfa: &dfa,
-                    field: &sub.field,
+                    field,
+                    syms: &syms,
                     callees: &callees,
                     entry,
                 };
                 solve(&per_state, cfg)
             };
-            for (&name, summary) in &flow.summaries {
-                let cfg = analysis.cfgs[name];
-                let forced = analysis.cyclic.contains(name) || analysis.loop_jump.contains(name);
+            for (m, summary) in flow.summaries.iter().enumerate() {
+                let Some(summary) = summary else {
+                    continue;
+                };
+                let name = ids.method_name(m as MethodId);
+                let cfg = cfgs.graph(m as MethodId);
                 for d in 0..nstates {
                     let whole = plain(&summary.whole, d);
                     let per_exit: Vec<Plain> =
                         summary.per_exit.iter().map(|rel| plain(rel, d)).collect();
-                    if forced {
+                    if analysis.forced[m] {
                         assert_eq!(whole, (BTreeSet::new(), true), "`{name}` is all unknown");
                         assert!(per_exit.iter().all(|f| *f == (BTreeSet::new(), true)));
                         continue;
@@ -1052,15 +1075,15 @@ pub(crate) mod per_state {
                         "`{name}`.{} from {d}",
                         sub.field
                     );
-                    let Some(op) = analysis.op_spec(name) else {
+                    let Some(op) = analysis.op_spec(m) else {
                         continue;
                     };
                     let mut expected = vec![(BTreeSet::new(), false); op.exits.len()];
-                    for (from, ei) in analysis.exit_edges(name, op) {
+                    ClassAnalysis::for_each_exit_edge(cfg, op, |from, ei| {
                         let (states, unknown) = &solution.output[from];
                         expected[ei].0.extend(states.iter().copied());
                         expected[ei].1 |= unknown;
-                    }
+                    });
                     assert_eq!(
                         per_exit, expected,
                         "`{name}`.{} per exit from {d}",
@@ -1068,8 +1091,12 @@ pub(crate) mod per_state {
                     );
                 }
             }
-            for (&name, relational) in &flow.solutions {
-                let cfg = analysis.cfgs[name];
+            for (m, relational) in flow.solutions.iter().enumerate() {
+                let Some(relational) = relational else {
+                    continue;
+                };
+                let name = ids.method_name(m as MethodId);
+                let cfg = cfgs.graph(m as MethodId);
                 let all: BTreeSet<usize> = (0..nstates).collect();
                 let mut entries: Vec<Plain> = (0..nstates).map(|d| ([d].into(), false)).collect();
                 entries.push((all, false));
@@ -1337,6 +1364,41 @@ class App:
             .collect();
         assert_eq!(called, [("op30", false), ("op0", false), ("op35", false)]);
         assert!(report.proven.is_empty());
+    }
+
+    /// An operation redefined with more exits than its first definition:
+    /// the summary has the first definition's exits, so the later
+    /// operation's extra exit has no relation and reads as unknown.
+    #[test]
+    fn redefined_operation_with_more_exits_is_unknown_not_a_panic() {
+        let src = "\
+@sys
+class V:
+    @op_initial_final
+    def a(self):
+        return []
+
+@sys([\"v\"])
+class U:
+    def __init__(self):
+        self.v = V()
+
+    @op_initial_final
+    def run(self):
+        self.v.a()
+        return []
+
+    @op_initial_final
+    def run(self):
+        if x:
+            return [\"run\"]
+        self.v.a()
+        return []
+";
+        let report = analyze(src, "U");
+        assert!(!report.proven.contains("v"));
+        let checked = crate::checker::Checker::new().check_source(src).unwrap();
+        assert!(checked.report.passed());
     }
 
     #[test]

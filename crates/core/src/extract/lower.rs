@@ -239,28 +239,26 @@ impl LowerCtx<'_> {
                 let subject = self.lower_expr(&ms.subject, true);
                 // Record the match for exhaustiveness analysis when the
                 // subject is a constrained call.
-                if let Some((path, method)) = ms.subject.as_self_method_call() {
-                    if let [field] = path.as_slice() {
-                        if self.fields.contains(*field) {
-                            let cases = ms
-                                .cases
-                                .iter()
-                                .map(|c| MatchCaseInfo {
-                                    strings: pattern_strings(&c.pattern),
-                                    catch_all: matches!(
-                                        c.pattern,
-                                        Pattern::Wildcard(_) | Pattern::Capture(_)
-                                    ),
-                                    span: c.pattern.span(),
-                                })
-                                .collect();
-                            self.matches.push(MatchSite {
-                                field: (*field).to_owned(),
-                                method: method.to_owned(),
-                                span: ms.span,
-                                cases,
-                            });
-                        }
+                if let Some((Some(field), method)) = ms.subject.as_self_method_call() {
+                    if self.fields.contains(field) {
+                        let cases = ms
+                            .cases
+                            .iter()
+                            .map(|c| MatchCaseInfo {
+                                strings: pattern_strings(&c.pattern),
+                                catch_all: matches!(
+                                    c.pattern,
+                                    Pattern::Wildcard(_) | Pattern::Capture(_)
+                                ),
+                                span: c.pattern.span(),
+                            })
+                            .collect();
+                        self.matches.push(MatchSite {
+                            field: field.to_owned(),
+                            method: method.to_owned(),
+                            span: ms.span,
+                            cases,
+                        });
                     }
                 }
                 let arms: Vec<Program> =
@@ -362,23 +360,21 @@ impl LowerCtx<'_> {
                 // Arguments are evaluated before the call fires.
                 // (The callee chain of an unconstrained call may itself
                 // contain calls, e.g. `self.registry().lookup()`.)
-                if let Some((path, method)) = expr.as_self_method_call() {
-                    if let [field] = path.as_slice() {
-                        if self.fields.contains(*field) {
-                            for a in args {
-                                self.collect_calls(a, false, out);
-                            }
-                            let event = format!("{field}.{method}");
-                            let sym: Symbol = self.alphabet.intern(&event);
-                            self.calls.push(CallSite {
-                                field: (*field).to_owned(),
-                                method: method.to_owned(),
-                                span: expr.span,
-                                scrutinized,
-                            });
-                            out.push(Program::call(sym));
-                            return;
+                if let Some((Some(field), method)) = expr.as_self_method_call() {
+                    if self.fields.contains(field) {
+                        for a in args {
+                            self.collect_calls(a, false, out);
                         }
+                        let event = format!("{field}.{method}");
+                        let sym: Symbol = self.alphabet.intern(&event);
+                        self.calls.push(CallSite {
+                            field: field.to_owned(),
+                            method: method.to_owned(),
+                            span: expr.span,
+                            scrutinized,
+                        });
+                        out.push(Program::call(sym));
+                        return;
                     }
                 }
                 self.collect_calls(func, false, out);

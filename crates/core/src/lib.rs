@@ -75,6 +75,7 @@ pub mod annotations;
 pub mod api;
 #[doc(hidden)]
 pub mod backend;
+mod bits;
 pub mod checker;
 pub mod dataflow;
 pub mod diagnostics;

@@ -16,7 +16,7 @@
 
 use super::{LintContext, LintPass};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
-use crate::extract::cfg::{assignment_flow, Cfg, NodeKind};
+use crate::extract::cfg::{assignment_flow, Cfg, ClassIds, FieldId};
 use crate::system::System;
 
 /// See the module docs.
@@ -33,69 +33,75 @@ impl LintPass for InitOrder {
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
         for (class, system) in ctx.classes() {
-            let fields = system.subsystem_fields();
+            if system.composite().is_none() {
+                continue;
+            }
+            let mut ids = ClassIds::new(class, system.subsystem_fields());
             let init = class
                 .method("__init__")
-                .map(|init| Cfg::of_body(&init.body, &fields));
-            check_class(system, init.as_ref(), out);
+                .map(|init| Cfg::of_body(&init.body, &mut ids));
+            check_class(system, &ids, init.as_ref(), out);
         }
     }
 }
 
-/// The pass on one class, given the graph of its `__init__` tracking the
-/// subsystem fields. A redefined `__init__` is checked by its last
-/// definition, the one Python binds and extraction reads
+/// The pass on one class, given the graph of its `__init__` over `ids`,
+/// which track the subsystem fields. A redefined `__init__` is checked by
+/// its last definition, the one Python binds and extraction reads
 /// ([`ClassDef::method`](micropython_parser::ast::ClassDef::method)).
-pub(super) fn check_class(system: &System, init: Option<&Cfg>, out: &mut Diagnostics) {
+pub(super) fn check_class(
+    system: &System,
+    ids: &ClassIds<'_>,
+    init: Option<&Cfg>,
+    out: &mut Diagnostics,
+) {
     let Some(info) = system.composite() else {
         return;
     };
-    let fields = system.subsystem_fields();
-    if fields.is_empty() {
+    if ids.num_fields() == 0 {
         return;
     }
     let Some(cfg) = init else {
         // No __init__ at all: resolution already reported E005.
         return;
     };
-    let flow = assignment_flow(cfg, &fields);
+    let flow = assignment_flow(cfg);
 
     // Reads inside __init__, against the facts at each statement.
     for (id, node) in cfg.nodes() {
-        if node.kind != NodeKind::Stmt || !flow.reachable[id] {
+        if !node.kind.is_statement() || !flow.reachable[id] {
             continue;
         }
         // Within one statement, earlier writes of the same
         // statement do not cover its reads (value evaluates
         // first), so reads check the IN sets directly.
-        let must = &flow.must_in[id];
-        let may = &flow.may_in[id];
-        for (field, span) in &node.reads {
-            if !may.contains(field) {
+        for &(field, span) in node.reads {
+            let field_name = ids.field_name(field);
+            if !flow.possibly(id, field) {
                 out.push(
                     Diagnostic::error(
                         codes::USE_BEFORE_INIT,
                         format!(
-                            "subsystem field `{field}` of `{}` is used \
+                            "subsystem field `{field_name}` of `{}` is used \
                              in `__init__` before any assignment \
                              reaches this point",
                             system.name
                         ),
                     )
-                    .with_span(*span),
+                    .with_span(span),
                 );
-            } else if !must.contains(field) {
+            } else if !flow.definitely(id, field) {
                 out.push(
                     Diagnostic::warning(
                         codes::MAYBE_UNINIT_SUBSYSTEM,
                         format!(
-                            "subsystem field `{field}` of `{}` may be \
+                            "subsystem field `{field_name}` of `{}` may be \
                              uninitialized here: it is assigned on \
                              some but not all paths of `__init__`",
                             system.name
                         ),
                     )
-                    .with_span(*span),
+                    .with_span(span),
                 );
             }
         }
@@ -103,14 +109,15 @@ pub(super) fn check_class(system: &System, init: Option<&Cfg>, out: &mut Diagnos
 
     // Fields not definitely assigned when __init__ finishes, used
     // by operations.
-    let (must_exit, may_exit) = flow.at_exit(cfg);
-    for field in &fields {
-        if must_exit.contains(field) || !may_exit.contains(field) {
+    let exit = cfg.exit();
+    for field in 0..ids.num_fields() as FieldId {
+        if flow.definitely(exit, field) || !flow.possibly(exit, field) {
             // Definitely assigned, or never assigned (E005).
             continue;
         }
+        let field = ids.field_name(field);
         for (op_name, lowered) in info.methods.iter() {
-            if let Some(call) = lowered.calls.iter().find(|c| &c.field == field) {
+            if let Some(call) = lowered.calls.iter().find(|c| c.field == field) {
                 out.push(
                     Diagnostic::warning(
                         codes::MAYBE_UNINIT_SUBSYSTEM,

@@ -22,10 +22,11 @@
 //! the crate-internal `lint_class`: it applies the same passes to one
 //! class in the same order and returns the typestate analysis's proven
 //! fields, so the E009/W012/W013 lint and the inclusion fast path share a
-//! single [`analyze_class`](crate::analyze_class) run. It also builds one
-//! graph per method, tracking the composite's subsystem fields, and hands
-//! that table to W009, E008/W010 and the typestate analysis; a pass run
-//! on its own builds the graphs it needs.
+//! single typestate analysis ([`analyze_class`](crate::analyze_class) by
+//! id). It also builds one
+//! graph per method over one id table ([`ClassCfgs`]), tracking the
+//! composite's subsystem fields, and hands it to W009, E008/W010 and the
+//! typestate analysis; a pass run on its own builds the graphs it needs.
 
 mod init_order;
 mod self_calls;
@@ -39,7 +40,7 @@ pub use unreachable::UnreachableCode;
 
 use crate::dataflow::typestate::{analyze, DependencyDfa};
 use crate::diagnostics::{code_info, Diagnostics, Severity, REGISTRY};
-use crate::extract::cfg::Cfg;
+use crate::extract::cfg::ClassCfgs;
 use crate::system::{System, SystemSet};
 use micropython_parser::ast::{ClassDef, Module};
 use std::collections::{BTreeMap, BTreeSet};
@@ -205,7 +206,7 @@ pub fn run_lints(module: &Module, systems: &SystemSet, out: &mut Diagnostics) {
 ///
 /// The findings equal those [`run_lints`] emits for this system over a
 /// module holding only its class, and the proven set equals
-/// [`crate::pipeline::proven_fields`], but [`crate::analyze_class`] runs
+/// [`crate::pipeline::proven_fields`], but the typestate analysis runs
 /// once for both, each method's graph is built once for every pass, and
 /// the typestate analysis takes each dependency's DFA from `dfa_of` (see
 /// `DependencyDfa::of`).
@@ -218,16 +219,16 @@ pub(crate) fn lint_class(
     let Some(class) = ctx.module.class(&system.name) else {
         return BTreeSet::new();
     };
-    let cfgs = Cfg::of_methods(class, &system.subsystem_fields());
-    unreachable::check_class(class, system, &cfgs, out);
-    let init = class.method_index("__init__").map(|i| &cfgs[i]);
-    init_order::check_class(system, init, out);
+    let cfgs = ClassCfgs::build(class, system.subsystem_fields());
+    unreachable::check_class(class, system, &cfgs.graphs, out);
+    let init = cfgs.ids.method("__init__").map(|m| cfgs.graph(m));
+    init_order::check_class(system, &cfgs.ids, init, out);
     self_calls::check_class(class, system, out);
-    let Some(report) = analyze(class, system, ctx.systems, &cfgs, dfa_of) else {
+    let Some(result) = analyze(system, ctx.systems, &cfgs, dfa_of) else {
         return BTreeSet::new();
     };
-    typestate::render(&report, class, system, ctx.systems, out);
-    report.proven
+    typestate::render(&result, &cfgs.ids, class, system, ctx.systems, out);
+    result.proven_fields(system)
 }
 
 #[cfg(test)]
@@ -511,6 +512,77 @@ mod tests {
                 prop_assert_eq!(assert_one_analysis_matches_two(&module).0, 1);
             }
         }
+    }
+
+    /// A composite of 70 subsystem fields over a 9-operation chain: field
+    /// sets take two words, and the dependency DFA has 11 states, so a
+    /// method relation (11·12 bits) spills to the heap. `__init__` reads
+    /// `f69` before assigning it (E008) and assigns `f68` on one branch
+    /// (W010 at its use), `run` drives `f0` through the whole chain
+    /// (proven) and calls `f66` out of protocol (E009).
+    #[test]
+    fn wide_composite_spills_field_bitsets_and_relations() {
+        use crate::dataflow::typestate::dependency_dfa;
+        use std::fmt::Write as _;
+
+        let mut src = String::from("@sys\nclass Dev:\n");
+        for i in 0..9 {
+            let (dec, next) = match i {
+                0 => ("@op_initial", "[\"op1\"]".to_owned()),
+                8 => ("@op_final", "[]".to_owned()),
+                _ => ("@op", format!("[\"op{}\"]", i + 1)),
+            };
+            let _ = write!(
+                src,
+                "    {dec}\n    def op{i}(self):\n        return {next}\n\n"
+            );
+        }
+        let fields: Vec<String> = (0..70).map(|i| format!("\"f{i}\"")).collect();
+        let _ = write!(
+            src,
+            "@sys([{}])\nclass Wide:\n    def __init__(self):\n",
+            fields.join(", ")
+        );
+        src.push_str("        self.f69.op0()\n");
+        for i in 0..68 {
+            let _ = writeln!(src, "        self.f{i} = Dev()");
+        }
+        src.push_str(
+            "        if cond:\n            self.f68 = Dev()\n        self.f69 = Dev()\n\n",
+        );
+        src.push_str("    @op_initial_final\n    def run(self):\n");
+        for i in 0..9 {
+            let _ = writeln!(src, "        self.f0.op{i}()");
+        }
+        src.push_str("        self.f66.op1()\n        self.f68.op0()\n        return []\n");
+
+        let module = micropython_parser::parse_module(&src).unwrap();
+        let (systems, _) = crate::system::build_systems(&module);
+        assert!(dependency_dfa(&systems.get("Dev").unwrap().spec).num_states() > 8);
+        let wide = systems.get("Wide").unwrap();
+        assert_eq!(wide.composite().unwrap().subsystems.len(), 70);
+
+        let ctx = LintContext {
+            module: &module,
+            systems: &systems,
+        };
+        let mut out = Diagnostics::new();
+        let dfa_of = |dep: &System| Arc::new(DependencyDfa::of(&dep.spec));
+        let proven = lint_class(&ctx, wide, &dfa_of, &mut out);
+        let messages =
+            |code: &str| -> Vec<String> { out.by_code(code).map(|d| d.message.clone()).collect() };
+        let e008 = messages(codes::USE_BEFORE_INIT);
+        assert_eq!(e008.len(), 1, "{e008:?}");
+        assert!(e008[0].contains("`f69`"), "{e008:?}");
+        let w010 = messages(codes::MAYBE_UNINIT_SUBSYSTEM);
+        assert_eq!(w010.len(), 1, "{w010:?}");
+        assert!(w010[0].contains("`f68`"), "{w010:?}");
+        let e009 = messages(codes::DEFINITE_PROTOCOL_VIOLATION);
+        assert_eq!(e009.len(), 1, "{e009:?}");
+        assert!(e009[0].contains("`self.f66.op1()`"), "{e009:?}");
+        assert!(proven.contains("f0") && proven.contains("f65"));
+        assert!(!proven.contains("f66") && !proven.contains("f68"));
+        assert_eq!(assert_one_analysis_matches_two(&module).0, 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use super::{LintContext, LintPass};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::system::System;
 use micropython_parser::ast::{ClassDef, Expr, ExprKind, Stmt};
-use std::collections::BTreeSet;
+use micropython_parser::Span;
 
 /// See the module docs.
 pub struct SelfCalls;
@@ -33,27 +33,23 @@ impl LintPass for SelfCalls {
 
 /// The pass on one class.
 pub(super) fn check_class(class: &ClassDef, system: &System, out: &mut Diagnostics) {
-    let ops: BTreeSet<&str> = system
-        .spec
-        .operations
-        .iter()
-        .map(|op| op.name.as_str())
-        .collect();
-    if ops.is_empty() {
+    let is_op = |name: &str| system.spec.operation(name).is_some();
+    if system.spec.operations.is_empty() {
         return;
     }
+    let mut calls = Vec::new();
     for func in class.methods() {
         // Only operation bodies are protocol-bound; helpers and
         // `__init__` may orchestrate freely.
-        if !ops.contains(func.name.node.as_str()) {
+        if !is_op(&func.name.node) {
             continue;
         }
-        let mut calls = Vec::new();
+        calls.clear();
         for stmt in &func.body {
             collect_self_calls(stmt, &mut calls);
         }
-        for (callee, span) in calls {
-            if !ops.contains(callee.as_str()) {
+        for &(callee, span) in &calls {
+            if !is_op(callee) {
                 continue;
             }
             let wording = if callee == func.name.node {
@@ -79,7 +75,7 @@ pub(super) fn check_class(class: &ClassDef, system: &System, out: &mut Diagnosti
 }
 
 /// Collects `self.m()` calls (no field path) in a statement, recursively.
-fn collect_self_calls(stmt: &Stmt, out: &mut Vec<(String, micropython_parser::Span)>) {
+fn collect_self_calls<'a>(stmt: &'a Stmt, out: &mut Vec<(&'a str, Span)>) {
     match stmt {
         Stmt::Expr(e) => expr_self_calls(&e.expr, out),
         Stmt::Assign(a) => {
@@ -168,11 +164,9 @@ fn collect_self_calls(stmt: &Stmt, out: &mut Vec<(String, micropython_parser::Sp
     }
 }
 
-fn expr_self_calls(expr: &Expr, out: &mut Vec<(String, micropython_parser::Span)>) {
-    if let Some((path, method)) = expr.as_self_method_call() {
-        if path.is_empty() {
-            out.push((method.to_owned(), expr.span));
-        }
+fn expr_self_calls<'a>(expr: &'a Expr, out: &mut Vec<(&'a str, Span)>) {
+    if let Some((None, method)) = expr.as_self_method_call() {
+        out.push((method, expr.span));
     }
     match &expr.kind {
         ExprKind::Call { func, args } => {

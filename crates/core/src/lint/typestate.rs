@@ -15,20 +15,24 @@
 //!   paper's `Valve`-with-`clean` example: an `App` that only ever runs
 //!   `test · open · close` leaves `clean` dead.
 //!
-//! The same [`TypestateReport`] also carries the fields the analysis
-//! proves conforming, which verification skips (the fast path). The two
-//! verifying paths ([`crate::workspace::Workspace`] and
+//! The same analysis also yields the fields it proves conforming, which
+//! verification skips (the fast path). The two verifying paths
+//! ([`crate::workspace::Workspace`] and
 //! [`crate::pipeline::check_module_direct`]) therefore go through
-//! [`super::lint_class`], which runs [`analyze_class`] once per class and
-//! hands the report to both consumers: [`render`] here for the
+//! [`super::lint_class`], which runs the analysis once per class and
+//! hands its id-keyed products to both consumers: [`render`] here for the
 //! diagnostics, and the caller for the proven set. [`Typestate::run`] is
-//! the same analyze-then-render step for callers that only want the lint.
+//! the same analyze-then-render step for callers that only want the lint;
+//! [`crate::analyze_class`] writes the same products out by name as a
+//! [`TypestateReport`](crate::TypestateReport).
 
 use super::{LintContext, LintPass};
-use crate::dataflow::typestate::{analyze_class, TypestateReport};
+use crate::dataflow::typestate::{analyze, ClassTypestate, DependencyDfa};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
+use crate::extract::cfg::{ClassCfgs, ClassIds, FieldId};
 use crate::system::{System, SystemSet};
 use micropython_parser::ast::ClassDef;
+use std::sync::Arc;
 
 /// See the module docs.
 pub struct Typestate;
@@ -48,23 +52,36 @@ impl LintPass for Typestate {
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
         for (class, system) in ctx.classes() {
-            if let Some(report) = analyze_class(class, system, ctx.systems) {
-                render(&report, class, system, ctx.systems, out);
+            if system.composite().is_none() {
+                continue;
+            }
+            let cfgs = ClassCfgs::build(class, system.subsystem_fields());
+            let dfa_of = |dep: &System| Arc::new(DependencyDfa::of(&dep.spec));
+            if let Some(result) = analyze(system, ctx.systems, &cfgs, &dfa_of) {
+                render(&result, &cfgs.ids, class, system, ctx.systems, out);
             }
         }
     }
 }
 
-/// Renders one class's [`TypestateReport`] as diagnostics: the findings
+/// Renders one class's analysis products as diagnostics: the findings
 /// in report order, then the dead dependency operations per field.
 pub(super) fn render(
-    report: &TypestateReport,
+    result: &ClassTypestate,
+    ids: &ClassIds<'_>,
     class: &ClassDef,
     system: &System,
     systems: &SystemSet,
     out: &mut Diagnostics,
 ) {
-    for finding in &report.findings {
+    let Some(info) = system.composite() else {
+        return;
+    };
+    for finding in &result.findings {
+        let sub = &info.subsystems[finding.sub];
+        let (field, dep_class) = (&sub.field, &sub.class_name);
+        let called = ids.op(finding.op).1;
+        let op = &system.spec.operations[finding.operation].name;
         if finding.definite {
             let trace = finding
                 .witness
@@ -75,10 +92,10 @@ pub(super) fn render(
                 Diagnostic::error(
                     codes::DEFINITE_PROTOCOL_VIOLATION,
                     format!(
-                        "calling `self.{}.{}()` in operation `{}` of \
-                         `{}` violates the protocol of `{}` on every \
+                        "calling `self.{field}.{called}()` in operation `{op}` of \
+                         `{}` violates the protocol of `{dep_class}` on every \
                          path reaching it{trace}",
-                        finding.field, finding.called, finding.op, system.name, finding.dep_class,
+                        system.name,
                     ),
                 )
                 .with_span(finding.span),
@@ -88,30 +105,34 @@ pub(super) fn render(
                 Diagnostic::warning(
                     codes::POSSIBLE_PROTOCOL_VIOLATION,
                     format!(
-                        "calling `self.{}.{}()` in operation `{}` of \
-                         `{}` may violate the protocol of `{}` on \
+                        "calling `self.{field}.{called}()` in operation `{op}` of \
+                         `{}` may violate the protocol of `{dep_class}` on \
                          some path",
-                        finding.field, finding.called, finding.op, system.name, finding.dep_class,
+                        system.name,
                     ),
                 )
                 .with_span(finding.span),
             );
         }
     }
-    for (field, dep_class) in &report.deps {
-        let Some(dep) = systems.get(dep_class) else {
+    for field in 0..ids.num_fields() as FieldId {
+        let field_name = ids.field_name(field);
+        // The class backing the field: its last declaration's.
+        let Some(sub) = info.subsystems.iter().rfind(|s| s.field == field_name) else {
             continue;
         };
-        let invoked = &report.invoked[field];
+        let Some(dep) = systems.get(&sub.class_name) else {
+            continue;
+        };
         for op in &dep.spec.operations {
-            if !invoked.contains(&op.name) {
+            if !result.invokes(ids, field, &op.name) {
                 out.push(
                     Diagnostic::warning(
                         codes::DEAD_SUBSYSTEM_OPERATION,
                         format!(
                             "operation `{}` of `{}` is never invoked \
                              on subsystem `{}` of `{}`",
-                            op.name, dep_class, field, system.name
+                            op.name, sub.class_name, field_name, system.name
                         ),
                     )
                     .with_span(class.name.span),

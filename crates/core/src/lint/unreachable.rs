@@ -7,10 +7,9 @@
 
 use super::{LintContext, LintPass};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
-use crate::extract::cfg::Cfg;
+use crate::extract::cfg::{Cfg, ClassCfgs};
 use crate::system::System;
 use micropython_parser::ast::ClassDef;
-use std::collections::BTreeSet;
 
 /// See the module docs.
 pub struct UnreachableCode;
@@ -26,8 +25,8 @@ impl LintPass for UnreachableCode {
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
         for (class, system) in ctx.classes() {
-            let cfgs = Cfg::of_methods(class, &BTreeSet::new());
-            check_class(class, system, &cfgs, out);
+            let cfgs = ClassCfgs::build(class, []);
+            check_class(class, system, &cfgs.graphs, out);
         }
     }
 }

@@ -63,7 +63,9 @@
 //! extraction and E008/W010, where format 6 read the first, and format 8
 //! decides the typestate analysis's loop-jump approximation of a
 //! redefined method by its last definition, where format 7 applied it if
-//! any definition had a `break` or `continue`.
+//! any definition had a `break` or `continue`. Format 9 finds a method's
+//! `return`s and loop jumps inside `with` and `try` blocks too, where
+//! format 8 missed them and could prove a field the full check rejects.
 //!
 //! A verify record's payload is field-named JSON. A file record's is
 //! positional (see `file_record`): arrays instead of objects, spans as
@@ -108,7 +110,7 @@ pub const CACHE_MAGIC: &str = "shelleyc-cache";
 ///
 /// A loaded file with a different version is ignored wholesale — the
 /// cache is a pure accelerator, so "ignore and rebuild" is always safe.
-pub const CACHE_FORMAT: u32 = 8;
+pub const CACHE_FORMAT: u32 = 9;
 
 /// The analysis version a cache file is stamped with: FNV-1a over the
 /// crate version and every `(code, default severity)` pair of the

@@ -202,6 +202,141 @@ pub fn spec_automaton(
     }
 }
 
+/// The exit-point automaton of [`spec_automaton`] as index arrays, for
+/// walks that need its shape but no alphabet: state 0 is the start and
+/// state `1 + x` the `x`-th exit in operation order, as in
+/// [`SpecAutomaton`], and an edge into an exit of operation `oi` invokes
+/// `oi`. A next-operation name resolves to the last operation of that
+/// name, and an undefined one adds no edge, as in [`spec_automaton`].
+#[derive(Debug)]
+pub(crate) struct ExitGraph<'s> {
+    spec: &'s ClassSpec,
+    /// Operation `oi`'s exits are `first[oi]..first[oi + 1]`.
+    first: Vec<usize>,
+    /// The operation of each exit.
+    owner: Vec<usize>,
+    /// Exit `x` names the operations `next[next_start[x]..next_start[x + 1]]`.
+    next_start: Vec<usize>,
+    next: Vec<usize>,
+}
+
+impl<'s> ExitGraph<'s> {
+    /// Resolves the next-operation names of `spec` once.
+    pub(crate) fn new(spec: &'s ClassSpec) -> ExitGraph<'s> {
+        let mut first = Vec::with_capacity(spec.operations.len() + 1);
+        let mut owner = Vec::new();
+        for (oi, op) in spec.operations.iter().enumerate() {
+            first.push(owner.len());
+            owner.extend(std::iter::repeat_n(oi, op.exits.len()));
+        }
+        first.push(owner.len());
+        let mut next_start = Vec::with_capacity(owner.len() + 1);
+        let mut next = Vec::new();
+        for exit in spec.operations.iter().flat_map(|op| &op.exits) {
+            next_start.push(next.len());
+            next.extend(
+                exit.next
+                    .iter()
+                    .filter_map(|name| spec.operations.iter().rposition(|o| o.name == *name)),
+            );
+        }
+        next_start.push(next.len());
+        ExitGraph {
+            spec,
+            first,
+            owner,
+            next_start,
+            next,
+        }
+    }
+
+    /// Number of states: the start plus one per exit.
+    pub(crate) fn num_states(&self) -> usize {
+        1 + self.owner.len()
+    }
+
+    /// Which `(operation, exit)` a state represents, if it is an exit
+    /// state.
+    pub(crate) fn exit_at(&self, state: usize) -> Option<(usize, usize)> {
+        let x = state.checked_sub(1)?;
+        let oi = self.owner[x];
+        Some((oi, x - self.first[oi]))
+    }
+
+    /// The state of exit `ei` of operation `oi`.
+    pub(crate) fn state(&self, oi: usize, ei: usize) -> usize {
+        1 + self.first[oi] + ei
+    }
+
+    /// Whether a state accepts: the start, and the exits of final
+    /// operations.
+    pub(crate) fn is_accepting(&self, state: usize) -> bool {
+        self.exit_at(state)
+            .is_none_or(|(oi, _)| self.spec.operations[oi].kind.is_final())
+    }
+
+    /// Calls `visit(oi, dst)` for every edge out of `state`, in the edge
+    /// order of [`spec_automaton`]: `oi` is the operation invoked and
+    /// `dst` one of its exits.
+    pub(crate) fn for_each_edge(&self, state: usize, mut visit: impl FnMut(usize, usize)) {
+        let mut into = |oi: usize| {
+            for x in self.first[oi]..self.first[oi + 1] {
+                visit(oi, 1 + x);
+            }
+        };
+        match state.checked_sub(1) {
+            None => {
+                for (oi, op) in self.spec.operations.iter().enumerate() {
+                    if op.kind.is_initial() {
+                        into(oi);
+                    }
+                }
+            }
+            Some(x) => {
+                for &ni in &self.next[self.next_start[x]..self.next_start[x + 1]] {
+                    into(ni);
+                }
+            }
+        }
+    }
+
+    /// The states reachable from the start.
+    pub(crate) fn reachable(&self) -> Vec<bool> {
+        let mut seen = vec![false; self.num_states()];
+        let mut stack = vec![0];
+        seen[0] = true;
+        while let Some(q) = stack.pop() {
+            self.for_each_edge(q, |_, dst| {
+                if !seen[dst] {
+                    seen[dst] = true;
+                    stack.push(dst);
+                }
+            });
+        }
+        seen
+    }
+
+    /// The states from which an accepting state is reachable.
+    pub(crate) fn coreachable(&self) -> Vec<bool> {
+        let mut co: Vec<bool> = (0..self.num_states())
+            .map(|q| self.is_accepting(q))
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for q in 0..co.len() {
+                if !co[q] {
+                    let mut live = false;
+                    self.for_each_edge(q, |_, dst| live |= co[dst]);
+                    co[q] = live;
+                    changed |= live;
+                }
+            }
+        }
+        co
+    }
+}
+
 /// Interns every operation symbol of `spec` (qualified with `prefix.` if
 /// given) into `alphabet`.
 pub fn intern_spec_events(spec: &ClassSpec, prefix: Option<&str>, alphabet: &mut Alphabet) {
@@ -303,6 +438,54 @@ mod tests {
         let ab = Arc::new(ab);
         let auto = spec_automaton(&spec, prefix, ab.clone());
         (ab, auto)
+    }
+
+    /// [`ExitGraph`] walks exactly the states, acceptance and edges of
+    /// [`spec_automaton`], in its edge order: on the valve, and on a spec
+    /// with a repeated and an undefined next name, a redefined operation
+    /// (next names resolve to the last one) and an operation without
+    /// exits.
+    #[test]
+    fn exit_graph_mirrors_the_spec_automaton() {
+        let op = |name: &str, kind, exits: &[&[&str]]| OperationSpec {
+            name: name.into(),
+            kind,
+            exits: exits
+                .iter()
+                .map(|next| ExitSpec {
+                    next: next.iter().map(|n| n.to_string()).collect(),
+                    span: None,
+                    implicit: false,
+                })
+                .collect(),
+            span: None,
+        };
+        let odd = ClassSpec {
+            name: "Odd".into(),
+            operations: vec![
+                op("a", OpKind::Initial, &[&["b", "b", "gone"], &["a"]]),
+                op("b", OpKind::Middle, &[&["c"]]),
+                op("b", OpKind::Final, &[&[], &["a", "c"]]),
+                op("c", OpKind::InitialFinal, &[]),
+            ],
+        };
+        for spec in [valve_spec(), odd] {
+            let mut ab = Alphabet::new();
+            intern_spec_events(&spec, None, &mut ab);
+            let auto = spec_automaton(&spec, None, Arc::new(ab));
+            let (nfa, graph) = (auto.nfa(), ExitGraph::new(&spec));
+            assert_eq!(graph.num_states(), nfa.num_states());
+            for q in 0..nfa.num_states() {
+                assert_eq!(graph.exit_at(q), auto.exit_at(q), "{} state {q}", spec.name);
+                assert_eq!(graph.is_accepting(q), nfa.is_accepting(q));
+                let mut edges = Vec::new();
+                graph.for_each_edge(q, |oi, dst| {
+                    let name = &spec.operations[oi].name;
+                    edges.push((Label::Sym(nfa.alphabet().lookup(name).unwrap()), dst));
+                });
+                assert_eq!(edges, nfa.edges_from(q), "{} state {q}", spec.name);
+            }
+        }
     }
 
     #[test]

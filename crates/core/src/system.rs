@@ -11,9 +11,12 @@ use crate::annotations::{class_annotations, op_annotation, Claim, ClassKind};
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::extract::invocation::check_invocations;
 use crate::extract::lower::{lower_method, subsystem_classes, LoweredMethod, ReturnForm};
-use crate::spec::{intern_spec_events, spec_automaton, ClassSpec, ExitSpec, OperationSpec};
+use crate::spec::{
+    intern_spec_events, spec_automaton, ClassSpec, ExitGraph, ExitSpec, OperationSpec,
+    SpecAutomaton,
+};
 use micropython_parser::ast::Module;
-use shelley_ir::denote_exits;
+use shelley_ir::live_exits;
 use shelley_regular::{Alphabet, Label, Nfa, StateId, Symbol};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -138,10 +141,9 @@ impl System {
 
     /// The resolved subsystem fields (none for a base system): the fields
     /// the flow-sensitive lints and the typestate analysis track.
-    pub(crate) fn subsystem_fields(&self) -> BTreeSet<String> {
-        self.composite()
-            .map(|info| info.subsystems.iter().map(|s| s.field.clone()).collect())
-            .unwrap_or_default()
+    pub(crate) fn subsystem_fields(&self) -> impl Iterator<Item = &str> {
+        let subsystems = self.composite().map_or(&[][..], |info| &info.subsystems);
+        subsystems.iter().map(|s| s.field.as_str())
     }
 }
 
@@ -268,15 +270,10 @@ pub fn extract_class(
         let lowered = lower_method(func, &field_set, &mut alphabet);
         // Live exits: a return site contributes an exit point iff some
         // run actually reaches it.
-        let (_, tagged) = denote_exits(&lowered.program);
-        let live: BTreeSet<usize> = tagged
-            .iter()
-            .filter(|(_, r)| !r.is_empty_language())
-            .map(|(e, _)| *e)
-            .collect();
+        let live = live_exits(&lowered.program);
         let mut exits = Vec::new();
         for (id, exit) in lowered.exits.iter().enumerate() {
-            if !live.contains(&id) {
+            if live.binary_search(&id).is_err() {
                 continue;
             }
             if exit.form == ReturnForm::Implicit {
@@ -544,38 +541,24 @@ pub fn validate_spec(spec: &ClassSpec, diagnostics: &mut Diagnostics) {
             }
         }
     }
-    // Reachability over the spec automaton.
-    let mut alphabet = Alphabet::new();
-    intern_spec_events(spec, None, &mut alphabet);
-    let alphabet = Arc::new(alphabet);
-    let auto = spec_automaton(spec, None, Arc::clone(&alphabet));
-    let nfa = auto.nfa();
-    // Forward reachability from start.
-    let mut fwd = vec![false; nfa.num_states()];
-    let mut stack = vec![auto.start()];
-    fwd[auto.start()] = true;
-    while let Some(q) = stack.pop() {
-        for &(_, dst) in nfa.edges_from(q) {
-            if !fwd[dst] {
-                fwd[dst] = true;
-                stack.push(dst);
-            }
-        }
-    }
-    let mut reachable_ops: BTreeSet<usize> = BTreeSet::new();
-    for (q, _) in fwd.iter().enumerate().filter(|(_, &r)| r) {
-        if let Some((oi, _)) = auto.exit_at(q) {
-            reachable_ops.insert(oi);
+    // Reachability over the spec's exit graph; the automaton and its
+    // alphabet are built only for the witness of a W004.
+    let graph = ExitGraph::new(spec);
+    let fwd = graph.reachable();
+    let mut reachable_ops = vec![false; spec.operations.len()];
+    for q in (0..fwd.len()).filter(|&q| fwd[q]) {
+        if let Some((oi, _)) = graph.exit_at(q) {
+            reachable_ops[oi] = true;
         }
     }
     for (oi, op) in spec.operations.iter().enumerate() {
-        if !reachable_ops.contains(&oi) && !op.exits.is_empty() {
+        if !reachable_ops[oi] && !op.exits.is_empty() {
             let initial: Vec<&str> = spec.initial_ops().map(|o| o.name.as_str()).collect();
             let reachable: Vec<&str> = spec
                 .operations
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| reachable_ops.contains(i))
+                .filter(|&(i, _)| reachable_ops[i])
                 .map(|(_, o)| o.name.as_str())
                 .collect();
             diagnostics.push(
@@ -600,31 +583,11 @@ pub fn validate_spec(spec: &ClassSpec, diagnostics: &mut Diagnostics) {
     }
     // Backward reachability from accepting states: reachable-but-stuck
     // exits can never complete the object's lifetime.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nfa.num_states()];
-    for q in 0..nfa.num_states() {
-        for &(label, dst) in nfa.edges_from(q) {
-            debug_assert!(matches!(label, Label::Sym(_)));
-            preds[dst].push(q);
-        }
-    }
-    let mut live = vec![false; nfa.num_states()];
-    let mut stack: Vec<usize> = (0..nfa.num_states())
-        .filter(|&q| nfa.is_accepting(q))
-        .collect();
-    for &q in &stack {
-        live[q] = true;
-    }
-    while let Some(q) = stack.pop() {
-        for &p in &preds[q] {
-            if !live[p] {
-                live[p] = true;
-                stack.push(p);
-            }
-        }
-    }
-    for q in 0..nfa.num_states() {
+    let live = graph.coreachable();
+    let mut automaton: Option<SpecAutomaton> = None;
+    for q in 0..fwd.len() {
         if fwd[q] && !live[q] {
-            if let Some((oi, ei)) = auto.exit_at(q) {
+            if let Some((oi, ei)) = graph.exit_at(q) {
                 let op = &spec.operations[oi];
                 let mut d = Diagnostic::warning(
                     codes::NO_FINAL_REACHABLE,
@@ -636,7 +599,13 @@ pub fn validate_spec(spec: &ClassSpec, diagnostics: &mut Diagnostics) {
                     ),
                 )
                 .with_span(op.exits[ei].span.unwrap_or_default());
-                if let Some(witness) = shortest_trace(nfa, &alphabet, auto.start(), q) {
+                let auto = automaton.get_or_insert_with(|| {
+                    let mut alphabet = Alphabet::new();
+                    intern_spec_events(spec, None, &mut alphabet);
+                    spec_automaton(spec, None, Arc::new(alphabet))
+                });
+                let nfa = auto.nfa();
+                if let Some(witness) = shortest_trace(nfa, nfa.alphabet(), auto.start(), q) {
                     let trace = if witness.is_empty() {
                         "<empty>".to_owned()
                     } else {

@@ -3,8 +3,10 @@
 //!
 //! Mirrors the engine-vs-engine pinning pattern of `prop_core.rs`: random
 //! dependency protocols and random composite bodies (straight-line calls,
-//! branches, helper self-calls, loops), with the analysis verdict held
-//! against [`verify_system`] run *without* the fast path:
+//! branches, helper self-calls, loops, `with` and `try` blocks holding
+//! calls and early `return []`s, and `break`s nested in them), with the
+//! analysis verdict held against [`verify_system`] run *without* the fast
+//! path:
 //!
 //! * **No false definite violations** — an `E009` finding implies the
 //!   full check rejects the class too.
@@ -99,20 +101,37 @@ enum Item {
     Helper,
     /// `while c: self.x.op{i}()` — exercises the loop back edge.
     Loop(usize),
+    /// `with ctx(): <calls>`, then `return []` inside the block when the
+    /// flag is set.
+    With(Vec<usize>, bool),
+    /// `try: <calls>` (then `return []` when the flag is set)
+    /// `except Exception: <calls>` `finally: <calls>`.
+    Try(Vec<usize>, bool, Vec<usize>, Vec<usize>),
+    /// `while c:` whose body leaves through a `break` nested in a `with`
+    /// block (or a `try` block when the flag is set), then calls
+    /// `self.x.op{i}()` — which the lowering keeps, since it treats the
+    /// jump as `skip`.
+    LoopBreak(usize, bool),
+}
+
+/// A coin flip.
+fn flag() -> impl Strategy<Value = bool> {
+    (0u8..2).prop_map(|b| b == 1)
 }
 
 /// One statement calling operations drawn from `0..ops` (reduced modulo
 /// the spec's operation count when rendered).
 fn arb_item(ops: usize) -> impl Strategy<Value = Item> {
+    let calls = move || proptest::collection::vec(0..ops, 0..3);
     prop_oneof![
         4 => (0..ops).prop_map(Item::Call),
-        2 => (
-            proptest::collection::vec(0..ops, 0..3),
-            proptest::collection::vec(0..ops, 0..3),
-        )
-            .prop_map(|(t, e)| Item::Branch(t, e)),
+        2 => (calls(), calls()).prop_map(|(t, e)| Item::Branch(t, e)),
         1 => Just(Item::Helper),
         1 => (0..ops).prop_map(Item::Loop),
+        1 => (calls(), flag()).prop_map(|(c, r)| Item::With(c, r)),
+        1 => (calls(), flag(), calls(), calls())
+            .prop_map(|(b, r, h, f)| Item::Try(b, r, h, f)),
+        1 => (0..ops, flag()).prop_map(|(i, t)| Item::LoopBreak(i, t)),
     ]
 }
 
@@ -145,6 +164,15 @@ fn render_user(n_ops: usize, items: &[Item], helper: &[usize]) -> String {
     let call = |out: &mut String, indent: &str, i: usize| {
         let _ = writeln!(out, "{indent}self.x.op{}()", i % n_ops);
     };
+    // A block of calls, `pass` when empty.
+    let block = |out: &mut String, indent: &str, calls: &[usize]| {
+        if calls.is_empty() {
+            let _ = writeln!(out, "{indent}pass");
+        }
+        for &i in calls {
+            call(out, indent, i);
+        }
+    };
     let mut out = String::new();
     let _ = writeln!(out, "@sys([\"x\"])");
     let _ = writeln!(out, "class User:");
@@ -161,19 +189,9 @@ fn render_user(n_ops: usize, items: &[Item], helper: &[usize]) -> String {
             Item::Call(i) => call(&mut out, "        ", *i),
             Item::Branch(then, orelse) => {
                 let _ = writeln!(out, "        if cond:");
-                if then.is_empty() {
-                    let _ = writeln!(out, "            pass");
-                }
-                for &i in then {
-                    call(&mut out, "            ", i);
-                }
+                block(&mut out, "            ", then);
                 let _ = writeln!(out, "        else:");
-                if orelse.is_empty() {
-                    let _ = writeln!(out, "            pass");
-                }
-                for &i in orelse {
-                    call(&mut out, "            ", i);
-                }
+                block(&mut out, "            ", orelse);
             }
             Item::Helper => {
                 let _ = writeln!(out, "        self.aux()");
@@ -182,17 +200,51 @@ fn render_user(n_ops: usize, items: &[Item], helper: &[usize]) -> String {
                 let _ = writeln!(out, "        while cond:");
                 call(&mut out, "            ", *i);
             }
+            Item::With(calls, ret) => {
+                let _ = writeln!(out, "        with ctx():");
+                if *ret {
+                    for &i in calls {
+                        call(&mut out, "            ", i);
+                    }
+                    let _ = writeln!(out, "            return []");
+                } else {
+                    block(&mut out, "            ", calls);
+                }
+            }
+            Item::Try(body, ret, handler, finally) => {
+                let _ = writeln!(out, "        try:");
+                if *ret {
+                    for &i in body {
+                        call(&mut out, "            ", i);
+                    }
+                    let _ = writeln!(out, "            return []");
+                } else {
+                    block(&mut out, "            ", body);
+                }
+                let _ = writeln!(out, "        except Exception:");
+                block(&mut out, "            ", handler);
+                let _ = writeln!(out, "        finally:");
+                block(&mut out, "            ", finally);
+            }
+            Item::LoopBreak(i, in_try) => {
+                let _ = writeln!(out, "        while cond:");
+                if *in_try {
+                    let _ = writeln!(out, "            try:");
+                    let _ = writeln!(out, "                break");
+                    let _ = writeln!(out, "            finally:");
+                    let _ = writeln!(out, "                pass");
+                } else {
+                    let _ = writeln!(out, "            with ctx():");
+                    let _ = writeln!(out, "                break");
+                }
+                call(&mut out, "            ", *i);
+            }
         }
     }
     let _ = writeln!(out, "        return []");
     let _ = writeln!(out);
     let _ = writeln!(out, "    def aux(self):");
-    if helper.is_empty() {
-        let _ = writeln!(out, "        pass");
-    }
-    for &i in helper {
-        call(&mut out, "        ", i);
-    }
+    block(&mut out, "        ", helper);
     out
 }
 

@@ -101,6 +101,61 @@ pub fn denote_exits(p: &Program) -> (Regex, Vec<(ExitId, Regex)>) {
     }
 }
 
+/// The return sites some run of `p` reaches, ascending and without
+/// repeats: exactly the exits whose tagged behavior in [`denote_exits`] is
+/// nonempty, found by one walk that builds no regular expression.
+///
+/// The walk tracks whether a run entering a subprogram can complete it
+/// normally: a sequence enters its second part only then, a choice
+/// completes if either arm does, and a loop always completes (it may run
+/// zero times).
+///
+/// # Examples
+///
+/// ```
+/// use shelley_ir::{live_exits, Program};
+/// use shelley_regular::Alphabet;
+///
+/// let mut ab = Alphabet::new();
+/// let a = ab.intern("a");
+/// // `if(*){ return₀ } else { a() }; return₁; return₂` — the last
+/// // return follows one that always leaves.
+/// let p = Program::seq_all([
+///     Program::if_(Program::ret(0), Program::call(a)),
+///     Program::ret(1),
+///     Program::ret(2),
+/// ]);
+/// assert_eq!(live_exits(&p), [0, 1]);
+/// ```
+pub fn live_exits(p: &Program) -> Vec<ExitId> {
+    let mut live = Vec::new();
+    reach(p, &mut live);
+    live.sort_unstable();
+    live.dedup();
+    live
+}
+
+/// Records in `live` the returns a run entering `p` reaches, and returns
+/// whether such a run can complete `p` normally.
+fn reach(p: &Program, live: &mut Vec<ExitId>) -> bool {
+    match p {
+        Program::Call(_) | Program::Skip => true,
+        Program::Return(e) => {
+            live.push(*e);
+            false
+        }
+        Program::Seq(p1, p2) => reach(p1, live) && reach(p2, live),
+        Program::If(p1, p2) => {
+            let first = reach(p1, live);
+            reach(p2, live) || first
+        }
+        Program::Loop(body) => {
+            reach(body, live);
+            true
+        }
+    }
+}
+
 /// `infer(p) = r + r'₁ + ⋯ + r'ₙ` where `⟦p⟧ = (r, {r'₁, …, r'ₙ})`.
 ///
 /// By Theorems 1 and 2 of the paper, `L(infer(p)) = L(p)` — the behavior of

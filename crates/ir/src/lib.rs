@@ -62,7 +62,7 @@ mod parser;
 mod program;
 mod semantics;
 
-pub use infer::{denote, denote_exits, infer};
+pub use infer::{denote, denote_exits, infer, live_exits};
 pub use parser::{parse_program, ParseProgramError};
 pub use program::{DisplayProgram, ExitId, Program};
 pub use semantics::{enumerate_traces, EnumConfig, Status, TraceChecker};

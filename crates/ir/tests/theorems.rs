@@ -13,7 +13,8 @@
 
 use proptest::prelude::*;
 use shelley_ir::{
-    denote, denote_exits, enumerate_traces, infer, EnumConfig, Program, Status, TraceChecker,
+    denote, denote_exits, enumerate_traces, infer, live_exits, EnumConfig, Program, Status,
+    TraceChecker,
 };
 use shelley_regular::{Alphabet, Dfa, Nfa, Regex, Symbol};
 use std::sync::Arc;
@@ -123,6 +124,52 @@ proptest! {
         let plain_any = s_plain.iter().any(|ri| ri.matches(&w));
         let tagged_any = s_tagged.iter().any(|(_, ri)| ri.matches(&w));
         prop_assert_eq!(plain_any, tagged_any);
+    }
+}
+
+/// Programs whose returns share a few exit ids, as a lowered `try` body
+/// (lowered more than once) makes them share.
+fn arb_program_shared_exits() -> impl Strategy<Value = Program> {
+    let leaf = prop_oneof![
+        2 => (0..NSYMS).prop_map(|i| Program::call(Symbol::from_index(i))),
+        1 => Just(Program::skip()),
+        2 => (0..4usize).prop_map(Program::ret),
+    ];
+    leaf.prop_recursive(5, 32, 2, |inner| {
+        prop_oneof![
+            3 => (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| Program::seq(a, b)),
+            2 => (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| Program::if_(a, b)),
+            1 => inner.prop_map(Program::loop_),
+        ]
+    })
+}
+
+/// The exits whose tagged behavior is nonempty, ascending: the oracle of
+/// [`live_exits`].
+fn nonempty_tagged_exits(p: &Program) -> Vec<usize> {
+    let (_, tagged) = denote_exits(p);
+    let mut live: Vec<usize> = tagged
+        .iter()
+        .filter(|(_, r)| !r.is_empty_language())
+        .map(|&(e, _)| e)
+        .collect();
+    live.sort_unstable();
+    live.dedup();
+    live
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The reachability walk finds exactly the exits whose tagged regular
+    /// expression is nonempty.
+    #[test]
+    fn live_exits_match_the_nonempty_tagged_exits(
+        p in prop_oneof![arb_program(), arb_program_shared_exits()],
+    ) {
+        prop_assert_eq!(live_exits(&p), nonempty_tagged_exits(&p));
     }
 }
 

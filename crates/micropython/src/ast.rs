@@ -395,28 +395,26 @@ impl Expr {
         Expr { kind, span }
     }
 
-    /// If this is a call on an attribute chain rooted at `self`
-    /// (`self.a.open(...)`), returns the field path and method name:
-    /// `(["a"], "open")`. `self.test()` yields `([], "test")`.
-    pub fn as_self_method_call(&self) -> Option<(Vec<&str>, &str)> {
+    /// If this is a call of a method of `self` or of one of its fields,
+    /// the field and the method name: `self.test()` yields
+    /// `(None, "test")` and `self.a.open(...)` yields
+    /// `(Some("a"), "open")`. Deeper paths (`self.a.b.open()`) and other
+    /// receivers yield `None`.
+    pub fn as_self_method_call(&self) -> Option<(Option<&str>, &str)> {
         let ExprKind::Call { func, .. } = &self.kind else {
             return None;
         };
-        let mut path = Vec::new();
-        let mut cur = func.as_ref();
-        loop {
-            match &cur.kind {
-                ExprKind::Attribute { value, attr } => {
-                    path.push(attr.node.as_str());
-                    cur = value;
-                }
-                ExprKind::Name(n) if n == "self" => {
-                    path.reverse();
-                    let method = path.pop()?;
-                    return Some((path, method));
-                }
-                _ => return None,
-            }
+        let ExprKind::Attribute { value, attr } = &func.kind else {
+            return None;
+        };
+        let is_self = |e: &Expr| matches!(&e.kind, ExprKind::Name(n) if n == "self");
+        match &value.kind {
+            _ if is_self(value) => Some((None, attr.node.as_str())),
+            ExprKind::Attribute {
+                value: receiver,
+                attr: field,
+            } if is_self(receiver) => Some((Some(field.node.as_str()), attr.node.as_str())),
+            _ => None,
         }
     }
 
@@ -576,9 +574,7 @@ mod tests {
             })),
             args: vec![],
         });
-        let (path, method) = call.as_self_method_call().unwrap();
-        assert_eq!(path, vec!["a"]);
-        assert_eq!(method, "open");
+        assert_eq!(call.as_self_method_call(), Some((Some("a"), "open")));
     }
 
     #[test]
@@ -590,15 +586,29 @@ mod tests {
             })),
             args: vec![],
         });
-        let (path, method) = call.as_self_method_call().unwrap();
-        assert!(path.is_empty());
-        assert_eq!(method, "test");
+        assert_eq!(call.as_self_method_call(), Some((None, "test")));
     }
 
     #[test]
     fn non_self_call_is_none() {
         let call = expr(ExprKind::Call {
             func: Box::new(expr(ExprKind::Name("print".into()))),
+            args: vec![],
+        });
+        assert!(call.as_self_method_call().is_none());
+        // self.a.b.open(): a path of two fields.
+        let attr = |value: Expr, name: &str| {
+            expr(ExprKind::Attribute {
+                value: Box::new(value),
+                attr: Spanned::new(name.into(), Span::default()),
+            })
+        };
+        let deep = attr(
+            attr(attr(expr(ExprKind::Name("self".into())), "a"), "b"),
+            "open",
+        );
+        let call = expr(ExprKind::Call {
+            func: Box::new(deep),
             args: vec![],
         });
         assert!(call.as_self_method_call().is_none());

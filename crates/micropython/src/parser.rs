@@ -1668,10 +1668,7 @@ class BadSector:
                     other => panic!("expected list pattern, got {other:?}"),
                 }
                 // The subject is self.a.test().
-                assert_eq!(
-                    m.subject.as_self_method_call().unwrap(),
-                    (vec!["a"], "test")
-                );
+                assert_eq!(m.subject.as_self_method_call(), Some((Some("a"), "test")));
             }
             other => panic!("expected match, got {other:?}"),
         }

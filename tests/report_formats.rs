@@ -220,3 +220,73 @@ fn typestate_sarif_report_matches_golden() {
     }
     check_golden("typestate.sarif", &sarif);
 }
+
+/// The valve and user shared by the `with`/`try` soundness repros: a
+/// `Valve` must be closed after it is opened, and `User.run` opens it.
+const WITH_TRY_HEADER: &str = r#"@sys
+class Valve:
+    @op_initial
+    def open(self):
+        return ["close"]
+
+    @op_final
+    def close(self):
+        return ["open"]
+
+
+@sys(["v"])
+class User:
+    def __init__(self):
+        self.v = Valve()
+
+    @op_initial_final
+    def run(self):
+        self.v.open()
+"#;
+
+/// `run` bodies after `self.v.open()` that leave the valve open through
+/// a `return` or a `break` nested in a `with` or `try` block. The
+/// typestate fast path must not prove `v`: each one is E100 with the
+/// counterexample `run, v.open`.
+const WITH_TRY_REPROS: [(&str, &str); 5] = [
+    ("with_return", "        with ctx():\n            return []\n"),
+    (
+        "try_return",
+        "        try:\n            return []\n        finally:\n            pass\n",
+    ),
+    (
+        "finally_return",
+        "        try:\n            pass\n        finally:\n            return []\n",
+    ),
+    (
+        "try_except_return",
+        "        try:\n            return []\n        except Exception:\n            return []\n",
+    ),
+    (
+        "with_break",
+        "        while retry:\n            with ctx():\n                break\n            self.v.open()\n        return []\n",
+    ),
+];
+
+#[test]
+fn typestate_soundness_with_try_repros_match_goldens() {
+    for (name, body) in WITH_TRY_REPROS {
+        // `with_break` opens the valve inside its loop only.
+        let header = match name {
+            "with_break" => WITH_TRY_HEADER.trim_end_matches("        self.v.open()\n"),
+            _ => WITH_TRY_HEADER,
+        };
+        let source = format!("{header}{body}");
+        let file = SourceFile::new(format!("{name}.py"), source.clone());
+        let checked = Checker::new().check_source(&source).unwrap();
+        assert!(!checked.report.passed(), "{name} passed:\n{source}");
+        let text = checked.report.render(Some(&file));
+        assert!(
+            text.contains(
+                "error [E100]: class `User`: invalid subsystem usage (counterexample: run, v.open)"
+            ),
+            "{name}:\n{text}"
+        );
+        check_golden(&format!("with_try/{name}.txt"), &text);
+    }
+}
