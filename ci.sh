@@ -37,9 +37,11 @@ echo "==> string-free lint stage (with/try typestate soundness, live exits, wide
 # The typestate fast path must not prove a field whose `return` or
 # `break` sits in a `with` or `try` block: five repros (return in with,
 # in try, in finally, in try/except, break in with inside a loop) must
-# report E100 `run, v.open` byte-for-byte as their goldens, and the
-# differential suite against full verification draws with/try blocks
-# holding calls, early returns and breaks. The reachability walk
+# report E100 `run, v.open` byte-for-byte as their goldens, a `raise`
+# the lowering falls through must report E100 `run, v.open, v.close,
+# v.open` as its golden, and the differential suite against full
+# verification draws with/try blocks holding calls, early returns and
+# breaks, and branches that raise before a call. The reachability walk
 # `live_exits` must find exactly the exits whose tagged regex is
 # nonempty on random programs. A composite of 70 subsystem fields over
 # an 11-state dependency runs the two-word field bitsets and the
@@ -127,6 +129,22 @@ cargo test -p serde -q
 cargo test -p shelley-core --test prop_api -q
 cargo test -p shelley-core --lib -q api::tests
 cargo test -p shelley-daemon --test daemon -q a_deeply_nested_request
+
+echo "==> MicroPython front end (AST identity digests, front-end allocation gate, round-trip/recover/robustness properties)"
+# The parser's output is pinned by FNV-1a digests of the Debug rendering
+# of its trees and errors, recorded before the front end was rewritten
+# around compact tokens and reused buffers: examples_py, serve_project(1000)
+# and realworld_corpus(200) (strict and recovering), and the strict
+# outcome of every one-token deletion of each example. The memory gate
+# holds parse_module_recover over realworld_corpus(200) to its recorded
+# allocation and realloc calls and a token to at most 16 bytes. Printed
+# trees over every binary operator re-parse to themselves, recovery is
+# total, and no input panics the lexer or parser.
+cargo test -p shelley-bench --test ast_identity -q
+cargo test -p shelley-bench --test memory -q
+cargo test -p micropython-parser --test prop_roundtrip -q
+cargo test -p micropython-parser --test prop_recover -q
+cargo test -p micropython-parser --test prop_robustness -q
 
 echo "==> memory and allocation gate (live bytes and allocation calls of a cold round, exact-capacity ASTs)"
 # A counting global allocator, in a test binary of its own: a cold

@@ -1,15 +1,19 @@
-//! Memory gate: the heap bytes a cold workspace round leaves live, and
-//! the allocations it makes.
+//! Memory gate: the heap bytes a cold workspace round leaves live, the
+//! allocations it makes, and the allocations of the front end alone.
 //!
 //! A counting global allocator keeps the number of bytes requested and not
-//! yet freed, and the number of allocation calls (`alloc`,
-//! `alloc_zeroed` and `realloc`). A global allocator counts every thread
-//! of its binary, so this gate is a binary of its own, without the test
-//! harness (which would allocate on threads of its own): it runs one cold
+//! yet freed, the number of allocation calls (`alloc`, `alloc_zeroed` and
+//! `realloc`), and of `realloc` calls alone. A global allocator counts
+//! every thread of its binary, so this gate is a binary of its own,
+//! without the test harness (which would allocate on threads of its own).
+//! It first parses `realworld_corpus(200)` with `parse_module_recover`,
+//! on a thread that has parsed nothing yet (so growing the parser's
+//! per-thread buffers is counted), and holds its allocation and `realloc`
+//! calls against recorded ceilings. It then runs one cold
 //! `Checker::new().jobs(1)` round on `serve_project(1000)` and one in
 //! recovery mode on `realworld_corpus(200)`, and holds the bytes still
 //! live while the workspace and the round's `Checked` are kept, and the
-//! allocation calls the round made, against recorded ceilings. Both counts
+//! allocation calls the round made, against recorded ceilings. All counts
 //! are of requests, so they do not depend on the allocator, the machine or
 //! the time a round takes. They do depend on the build profile: the
 //! recorded figures are those of the test profile `cargo test` uses.
@@ -25,6 +29,8 @@ static LIVE: AtomicIsize = AtomicIsize::new(0);
 /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`), over the whole
 /// process.
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+/// `realloc` calls alone, over the whole process.
+static REALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -49,6 +55,7 @@ unsafe impl GlobalAlloc for Counting {
             Ordering::Relaxed,
         );
         CALLS.fetch_add(1, Ordering::Relaxed);
+        REALLOCS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -68,8 +75,14 @@ const CORPUS_200_RECOVER_BYTES: usize = 2_118_365;
 
 /// The allocation calls each round made when they were recorded; the
 /// gate allows 2% more.
-const SERVE_1000_ALLOCS: usize = 296_993;
-const CORPUS_200_RECOVER_ALLOCS: usize = 51_127;
+const SERVE_1000_ALLOCS: usize = 282_943;
+const CORPUS_200_RECOVER_ALLOCS: usize = 47_299;
+
+/// The allocation and `realloc` calls `parse_module_recover` made over
+/// `realworld_corpus(200)` when they were recorded; the gate allows 2%
+/// more.
+const PARSE_CORPUS_200_ALLOCS: usize = 12_703;
+const PARSE_CORPUS_200_REALLOCS: usize = 11;
 
 /// What one cold round cost the heap.
 struct Round {
@@ -99,6 +112,22 @@ fn cold_round(files: &[(String, String)], recover: bool) -> Round {
     }
 }
 
+/// The allocation and `realloc` calls of parsing `files` in recovery
+/// mode; the ASTs are dropped outside the count.
+fn parse_calls(files: &[(String, String)]) -> (usize, usize) {
+    let calls_before = CALLS.load(Ordering::Relaxed);
+    let reallocs_before = REALLOCS.load(Ordering::Relaxed);
+    let modules: Vec<_> = files
+        .iter()
+        .map(|(_, source)| micropython_parser::parse_module_recover(source))
+        .collect();
+    let calls = CALLS.load(Ordering::Relaxed) - calls_before;
+    let reallocs = REALLOCS.load(Ordering::Relaxed) - reallocs_before;
+    drop(modules);
+    // The result vector's one allocation is not the parser's.
+    (calls - 1, reallocs)
+}
+
 fn gate(what: &str, unit: &str, value: usize, recorded: usize, slack: usize) -> bool {
     let ceiling = recorded + recorded / slack;
     let ok = value <= ceiling;
@@ -110,9 +139,30 @@ fn gate(what: &str, unit: &str, value: usize, recorded: usize, slack: usize) -> 
 }
 
 fn main() {
+    assert!(
+        std::mem::size_of::<micropython_parser::Token>() <= 16,
+        "a token is {} bytes, more than 16",
+        std::mem::size_of::<micropython_parser::Token>()
+    );
+    let corpus_200 = shelley_bench::realworld_corpus(200);
+    let (parse_allocs, parse_reallocs) = parse_calls(&corpus_200);
     let serve = cold_round(&shelley_bench::serve_project(1000), false);
-    let corpus = cold_round(&shelley_bench::realworld_corpus(200), true);
+    let corpus = cold_round(&corpus_200, true);
     let results = [
+        gate(
+            "realworld_corpus(200) parse_module_recover",
+            "allocations",
+            parse_allocs,
+            PARSE_CORPUS_200_ALLOCS,
+            50,
+        ),
+        gate(
+            "realworld_corpus(200) parse_module_recover",
+            "reallocs",
+            parse_reallocs,
+            PARSE_CORPUS_200_REALLOCS,
+            50,
+        ),
         gate(
             "serve_project(1000)",
             "bytes live after a cold round",
@@ -144,6 +194,7 @@ fn main() {
     ];
     assert!(
         results.iter().all(|&ok| ok),
-        "a cold round leaves more bytes live, or allocates more often, than recorded"
+        "the front end or a cold round allocates more often, or a cold round leaves more \
+         bytes live, than recorded"
     );
 }

@@ -5,9 +5,9 @@
 //! dependency's spec DFA, the states the DFA may be in now if the method
 //! was entered in `e`, plus an `unknown` bit per `e` that records every
 //! source of imprecision (calls the extraction cannot replay exactly,
-//! unknown operations, recursive or `break`/`continue`-carrying helpers),
-//! all stored as the bits of one bitset of `(e, state)` pairs, kept inline
-//! while it fits one word. Transfer functions step every row of the DFA
+//! unknown operations, recursive or `break`/`continue`/`raise`-carrying
+//! helpers), all stored as the bits of one bitset of `(e, state)` pairs,
+//! kept inline while it fits one word. Transfer functions step every row of the DFA
 //! per `self.f.m()` call; sibling `self.m()` calls compose with the
 //! callee's interprocedural *summary* — its exit relation, computed
 //! bottom-up over the self-call graph, with a sound all-`unknown` fallback
@@ -34,8 +34,10 @@
 //! the §3.2 lowering's paths (the paths verification enumerates). The CFG
 //! minus its phantom `match` fall-through edges over-approximates those
 //! paths, *except* around `break`/`continue` — the lowering treats loop
-//! jumps as `skip` while the graph jumps — so any method whose graph holds
-//! a loop jump, at any depth (`with` and `try` blocks included), degrades
+//! jumps as `skip` while the graph jumps — and around `raise`, which the
+//! graph leaves the method at while the lowering falls through it (until
+//! exceptions are modeled). So any method whose graph holds a loop jump or
+//! a `raise`, at any depth (`with` and `try` blocks included), degrades
 //! wholesale to `unknown`. Every `return` node of the graph leaves through
 //! the spec exit its span declares. On that contract ride three results:
 //!
@@ -412,7 +414,7 @@ struct ClassAnalysis<'c, 'a> {
     /// Per method: the first spec operation of its name, if any.
     op_of: Vec<Option<usize>>,
     /// Per method: its summary is all `unknown` (it is on a self-call
-    /// cycle, or its graph holds a loop jump).
+    /// cycle, or its graph holds a loop jump or a `raise`).
     forced: Vec<bool>,
     /// Per method: it gets a summary — the operations and every method
     /// some method self-calls.
@@ -448,7 +450,7 @@ impl<'c, 'a> ClassAnalysis<'c, 'a> {
             let first = analysis.callees.len();
             analysis.callee_start.push(first);
             for (_, node) in cfg.nodes() {
-                analysis.forced[m] |= node.kind == NodeKind::LoopJump;
+                analysis.forced[m] |= matches!(node.kind, NodeKind::LoopJump | NodeKind::Raise);
                 for call in node.calls {
                     if let CallTarget::SelfMethod { method: Some(c) } = call.target {
                         if !analysis.callees[first..].contains(&c) {

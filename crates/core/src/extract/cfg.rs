@@ -61,12 +61,15 @@ pub enum NodeKind {
     /// The unique exit node (targets of `return`, `raise` and of falling
     /// off the end of the body).
     Exit,
-    /// A source statement other than the two below.
+    /// A source statement other than the three below.
     Stmt,
     /// A `return` statement.
     Return,
     /// A `break` or `continue` statement.
     LoopJump,
+    /// A `raise` statement. The graph leaves the method there, while the
+    /// §3.2 lowering falls through it.
+    Raise,
 }
 
 impl NodeKind {
@@ -490,6 +493,7 @@ impl<'b, 'a> Builder<'b, 'a> {
         let kind = match stmt {
             Stmt::Return(_) => NodeKind::Return,
             Stmt::Break(_) | Stmt::Continue(_) => NodeKind::LoopJump,
+            Stmt::Raise(_) => NodeKind::Raise,
             _ => NodeKind::Stmt,
         };
         let id = self.push_node(kind, stmt.span());
@@ -1168,13 +1172,14 @@ mod tests {
     }
 
     #[test]
-    fn returns_and_loop_jumps_have_their_own_kind_at_any_depth() {
+    fn returns_loop_jumps_and_raises_have_their_own_kind_at_any_depth() {
         let m = module(
-            "class C:\n    def m(self):\n        while x:\n            with ctx():\n                try:\n                    break\n                finally:\n                    continue\n        with ctx():\n            return []\n",
+            "class C:\n    def m(self):\n        while x:\n            with ctx():\n                try:\n                    break\n                finally:\n                    continue\n        if y:\n            raise E()\n        with ctx():\n            return []\n",
         );
         let (cfg, _) = graph(&m, &[]);
         let kinds = |kind| cfg.nodes().filter(|(_, n)| n.kind == kind).count();
         assert_eq!(kinds(NodeKind::LoopJump), 2);
+        assert_eq!(kinds(NodeKind::Raise), 1);
         assert_eq!(kinds(NodeKind::Return), 1);
     }
 

@@ -66,6 +66,9 @@
 //! any definition had a `break` or `continue`. Format 9 finds a method's
 //! `return`s and loop jumps inside `with` and `try` blocks too, where
 //! format 8 missed them and could prove a field the full check rejects.
+//! Format 10 degrades the typestate analysis of a method holding a
+//! `raise`, which format 9 could prove although the lowering falls
+//! through the `raise` and the full check rejects the class.
 //!
 //! A verify record's payload is field-named JSON. A file record's is
 //! positional (see `file_record`): arrays instead of objects, spans as
@@ -110,7 +113,7 @@ pub const CACHE_MAGIC: &str = "shelleyc-cache";
 ///
 /// A loaded file with a different version is ignored wholesale — the
 /// cache is a pure accelerator, so "ignore and rebuild" is always safe.
-pub const CACHE_FORMAT: u32 = 9;
+pub const CACHE_FORMAT: u32 = 10;
 
 /// The analysis version a cache file is stamped with: FNV-1a over the
 /// crate version and every `(code, default severity)` pair of the

@@ -4,7 +4,8 @@
 //! Mirrors the engine-vs-engine pinning pattern of `prop_core.rs`: random
 //! dependency protocols and random composite bodies (straight-line calls,
 //! branches, helper self-calls, loops, `with` and `try` blocks holding
-//! calls and early `return []`s, and `break`s nested in them), with the
+//! calls and early `return []`s, `break`s nested in them, and branches
+//! that `raise` before a call), with the
 //! analysis verdict held against [`verify_system`] run *without* the fast
 //! path:
 //!
@@ -112,6 +113,9 @@ enum Item {
     /// `self.x.op{i}()` — which the lowering keeps, since it treats the
     /// jump as `skip`.
     LoopBreak(usize, bool),
+    /// `if c:` holding calls, a `raise`, and then `self.x.op{i}()` — which
+    /// the lowering keeps, since it falls through the `raise`.
+    Raise(Vec<usize>, usize),
 }
 
 /// A coin flip.
@@ -132,6 +136,7 @@ fn arb_item(ops: usize) -> impl Strategy<Value = Item> {
         1 => (calls(), flag(), calls(), calls())
             .prop_map(|(b, r, h, f)| Item::Try(b, r, h, f)),
         1 => (0..ops, flag()).prop_map(|(i, t)| Item::LoopBreak(i, t)),
+        1 => (calls(), 0..ops).prop_map(|(c, i)| Item::Raise(c, i)),
     ]
 }
 
@@ -237,6 +242,14 @@ fn render_user(n_ops: usize, items: &[Item], helper: &[usize]) -> String {
                     let _ = writeln!(out, "            with ctx():");
                     let _ = writeln!(out, "                break");
                 }
+                call(&mut out, "            ", *i);
+            }
+            Item::Raise(calls, i) => {
+                let _ = writeln!(out, "        if cond:");
+                for &c in calls {
+                    call(&mut out, "            ", c);
+                }
+                let _ = writeln!(out, "            raise ValueError()");
                 call(&mut out, "            ", *i);
             }
         }

@@ -289,7 +289,7 @@ pub struct AssignStmt {
     pub value: Expr,
     /// The augmented-assignment operator (`"+"` for `+=`, `"-"` for `-=`,
     /// …), or `None` for a plain `=`.
-    pub aug_op: Option<String>,
+    pub aug_op: Option<&'static str>,
     /// Full span.
     pub span: Span,
 }
@@ -481,7 +481,7 @@ pub enum ExprKind {
     /// Binary operation (arithmetic/comparison; operator kept as text).
     BinOp {
         /// Operator spelling (`+`, `==`, `and`, …).
-        op: String,
+        op: &'static str,
         /// Left operand.
         left: Box<Expr>,
         /// Right operand.
@@ -490,7 +490,7 @@ pub enum ExprKind {
     /// Unary operation (`not x`, `-x`, `~x`).
     UnaryOp {
         /// Operator spelling.
-        op: String,
+        op: &'static str,
         /// Operand.
         operand: Box<Expr>,
     },

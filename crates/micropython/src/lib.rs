@@ -26,8 +26,13 @@
 //!
 //! The parser is a hand-written recursive-descent parser over an
 //! indentation-aware token stream (CPython-style `INDENT`/`DEDENT` with
-//! implicit line joining inside brackets). All AST nodes carry [`Span`]s
-//! and [`SourceFile`] renders caret diagnostics.
+//! implicit line joining inside brackets), with one precedence-climbing
+//! loop for the binary operators. A [`Token`] is a 12-byte kind and span;
+//! the parser slices names and literals from the source only when the AST
+//! keeps them, and builds every sequence on scratch stacks each thread
+//! reuses across files, so parsing a file allocates only what its AST
+//! keeps. All AST nodes carry [`Span`]s and [`SourceFile`] renders caret
+//! diagnostics.
 //!
 //! # Example
 //!

@@ -1,9 +1,36 @@
 //! Recursive-descent parser for the MicroPython subset.
+//!
+//! The parser reads the compact tokens of [`crate::lexer`] and slices
+//! names and literals from the source only when the AST keeps them.
+//!
+//! **Reused buffers.** Each thread keeps one [`Scratch`]: the token
+//! buffer, the lexer's indent stack, a text buffer (escaped strings,
+//! dotted names), and one stack per kind of sequence the AST holds —
+//! statements, expressions, decorators, names, `if` branches, `except`
+//! handlers, `with` items, `case` arms, patterns, dict pairs,
+//! comprehension clauses and import names. A sequence's items are pushed
+//! as they parse, then drained off the top into a `Vec` of exactly their
+//! number: one allocation, no growth, no spare capacity. Once a thread's
+//! buffers have grown, parsing a file allocates only what its AST keeps,
+//! and a parsed class can be moved out of its module and kept without
+//! holding any slack. The whole file is lexed before parsing starts, so a
+//! lexical error anywhere wins over an earlier syntax error.
+//!
+//! **One precedence loop.** The binary operators are parsed by one
+//! precedence-climbing loop ([`Parser::parse_binary`]) over the
+//! binding-power table of [`binary_op`], loosest first: `or`; `and`;
+//! prefix `not`; the comparisons (`== != < > <= >= in not in is is not`);
+//! `| & ^ << >>`; `+ -`; `* / // % **`. Every level associates left.
+//! Unlike CPython, `|`, `&`, `^` and the shifts share one level and `**`
+//! binds like `*`: the analysis never evaluates an operator, and the
+//! grouping is kept as it always was so the trees (and their spans) stay
+//! the same.
 
 use crate::ast::*;
-use crate::lexer::{tokenize, tokenize_recover, LexError};
+use crate::lexer::{float_value, int_value, lex, scan_string, LexError};
 use crate::span::{Span, Spanned};
-use crate::token::{Keyword, Punct, Token, TokenKind};
+use crate::token::{Described, Keyword, Punct, Token, TokenKind};
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
@@ -52,10 +79,7 @@ impl From<LexError> for ParseError {
 /// # Ok::<(), micropython_parser::ParseError>(())
 /// ```
 pub fn parse_module(source: &str) -> Result<Module, ParseError> {
-    let tokens = tokenize(source)?;
-    let mut p = Parser::new(tokens, false);
-    let body = p.parse_stmts_until_eof()?;
-    Ok(Module { body })
+    parse(source, false)
 }
 
 /// Parses a module in **recovery mode**: lexing and parsing are total.
@@ -74,29 +98,104 @@ pub fn parse_module(source: &str) -> Result<Module, ParseError> {
 /// assert!(matches!(m.body[1], Stmt::Degraded(_)));
 /// ```
 pub fn parse_module_recover(source: &str) -> Module {
-    let tokens = tokenize_recover(source);
-    let mut p = Parser::new(tokens, true);
-    let body = p
-        .parse_stmts_until_eof()
-        .expect("recovery-mode parsing is total");
-    Module { body }
+    parse(source, true).expect("recovery-mode parsing is total")
 }
 
-/// The parser. Statement and expression sequences are built on two
-/// scratch stacks reused for the whole file: a sequence's items are pushed
-/// as they parse, then drained off the top into a `Vec` of exactly their
-/// number — one allocation, no spare capacity. The few other sequences
-/// (decorators, parameters, branches, …) grow as usual and are shrunk to
-/// fit. A parsed class can therefore be moved out of its module and kept
-/// without holding the parser's growth slack.
-struct Parser {
+/// A token buffer grown past this many tokens (768 KiB) is freed after
+/// its file instead of kept for the thread's next one.
+const MAX_KEPT_TOKENS: usize = 1 << 16;
+
+/// Buffers one thread reuses across the files it parses.
+#[derive(Default)]
+struct Scratch {
     tokens: Vec<Token>,
-    pos: usize,
-    /// In recovery mode statements that fail to parse degrade to
-    /// [`Stmt::Degraded`] instead of aborting.
-    recover: bool,
-    stmts: Vec<Stmt>,
-    exprs: Vec<Expr>,
+    indents: Vec<usize>,
+    stacks: Stacks,
+    text: String,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+fn parse(source: &str, recover: bool) -> Result<Module, ParseError> {
+    SCRATCH.with_borrow_mut(|scratch| {
+        let Scratch {
+            tokens,
+            indents,
+            stacks,
+            text,
+        } = scratch;
+        let body = lex(source, recover, tokens, indents)
+            .map_err(ParseError::from)
+            .and_then(|()| {
+                Parser {
+                    src: source,
+                    tokens,
+                    pos: 0,
+                    recover,
+                    st: stacks,
+                    text,
+                }
+                .parse_stmts_until_eof()
+            });
+        // A syntax error leaves its unfinished sequences behind.
+        stacks.clear();
+        if tokens.capacity() > MAX_KEPT_TOKENS {
+            *tokens = Vec::new();
+        }
+        body.map(|body| Module { body })
+    })
+}
+
+/// Declares [`Stacks`], one scratch stack per kind of AST sequence, and
+/// [`Marks`], their heights.
+macro_rules! stacks {
+    ($($name:ident: $item:ty,)*) => {
+        /// The parser's scratch stacks, one per kind of sequence the AST
+        /// holds.
+        #[derive(Default)]
+        struct Stacks {
+            $($name: Vec<$item>,)*
+        }
+
+        /// The heights of the [`Stacks`] at one point of a parse.
+        struct Marks {
+            $($name: usize,)*
+        }
+
+        impl Stacks {
+            fn marks(&self) -> Marks {
+                Marks {
+                    $($name: self.$name.len(),)*
+                }
+            }
+
+            /// Drops what was pushed since `marks`.
+            fn truncate(&mut self, marks: &Marks) {
+                $(self.$name.truncate(marks.$name);)*
+            }
+
+            fn clear(&mut self) {
+                $(self.$name.clear();)*
+            }
+        }
+    };
+}
+
+stacks! {
+    stmts: Stmt,
+    exprs: Expr,
+    decorators: Decorator,
+    names: Spanned<String>,
+    branches: (Expr, Vec<Stmt>),
+    handlers: ExceptHandler,
+    with_items: WithItem,
+    cases: MatchCase,
+    patterns: Pattern,
+    pairs: (Expr, Expr),
+    clauses: CompClause,
+    strings: String,
 }
 
 /// The items pushed on `stack` since `mark`, as an exact-capacity `Vec`.
@@ -104,71 +203,134 @@ fn drain_from<T>(stack: &mut Vec<T>, mark: usize) -> Vec<T> {
     stack.drain(mark..).collect()
 }
 
-/// `items`, without spare capacity.
-fn fit<T>(mut items: Vec<T>) -> Vec<T> {
-    items.shrink_to_fit();
-    items
+/// `a.b`, allocated at its exact length.
+fn joined(a: &str, b: &str) -> String {
+    let mut s = String::with_capacity(a.len() + 1 + b.len());
+    s.push_str(a);
+    s.push('.');
+    s.push_str(b);
+    s
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>, recover: bool) -> Parser {
-        Parser {
-            tokens,
-            pos: 0,
-            recover,
-            stmts: Vec::new(),
-            exprs: Vec::new(),
-        }
+/// Binding powers, loosest first; see the module docs.
+const OR: u8 = 1;
+const AND: u8 = 2;
+pub(crate) const NOT: u8 = 3;
+const COMPARE: u8 = 4;
+const BITWISE: u8 = 5;
+const ARITH: u8 = 6;
+const TERM: u8 = 7;
+
+/// The binding power and spelling of the binary operator `kind` starts.
+/// `is` may turn out to be `is not`, and `not` must be `not in`.
+fn binary_op(kind: TokenKind) -> Option<(u8, &'static str)> {
+    Some(match kind {
+        TokenKind::Keyword(Keyword::Or) => (OR, "or"),
+        TokenKind::Keyword(Keyword::And) => (AND, "and"),
+        TokenKind::Punct(Punct::Eq) => (COMPARE, "=="),
+        TokenKind::Punct(Punct::Ne) => (COMPARE, "!="),
+        TokenKind::Punct(Punct::Lt) => (COMPARE, "<"),
+        TokenKind::Punct(Punct::Gt) => (COMPARE, ">"),
+        TokenKind::Punct(Punct::Le) => (COMPARE, "<="),
+        TokenKind::Punct(Punct::Ge) => (COMPARE, ">="),
+        TokenKind::Keyword(Keyword::In) => (COMPARE, "in"),
+        TokenKind::Keyword(Keyword::Is) => (COMPARE, "is"),
+        TokenKind::Keyword(Keyword::Not) => (COMPARE, "not in"),
+        TokenKind::Punct(Punct::Pipe) => (BITWISE, "|"),
+        TokenKind::Punct(Punct::Amp) => (BITWISE, "&"),
+        TokenKind::Punct(Punct::Caret) => (BITWISE, "^"),
+        TokenKind::Punct(Punct::LShift) => (BITWISE, "<<"),
+        TokenKind::Punct(Punct::RShift) => (BITWISE, ">>"),
+        TokenKind::Punct(Punct::Plus) => (ARITH, "+"),
+        TokenKind::Punct(Punct::Minus) => (ARITH, "-"),
+        TokenKind::Punct(Punct::Star) => (TERM, "*"),
+        TokenKind::Punct(Punct::Slash) => (TERM, "/"),
+        TokenKind::Punct(Punct::DoubleSlash) => (TERM, "//"),
+        TokenKind::Punct(Punct::Percent) => (TERM, "%"),
+        TokenKind::Punct(Punct::DoubleStar) => (TERM, "**"),
+        _ => return None,
+    })
+}
+
+/// The binding power of the binary operator spelled `op`: the
+/// printer's view of [`binary_op`].
+pub(crate) fn binding_power(op: &str) -> u8 {
+    match op {
+        "or" => OR,
+        "and" => AND,
+        "==" | "!=" | "<" | ">" | "<=" | ">=" | "in" | "is" | "is not" | "not in" => COMPARE,
+        "|" | "&" | "^" | "<<" | ">>" => BITWISE,
+        "+" | "-" => ARITH,
+        _ => TERM,
+    }
+}
+
+/// The operator an augmented assignment `kind` applies, if it is one.
+fn aug_op(kind: TokenKind) -> Option<&'static str> {
+    let TokenKind::Punct(p) = kind else {
+        return None;
+    };
+    Some(match p {
+        Punct::PlusAssign => "+",
+        Punct::MinusAssign => "-",
+        Punct::StarAssign => "*",
+        Punct::SlashAssign => "/",
+        Punct::DoubleSlashAssign => "//",
+        Punct::PercentAssign => "%",
+        Punct::DoubleStarAssign => "**",
+        Punct::PipeAssign => "|",
+        Punct::AmpAssign => "&",
+        Punct::CaretAssign => "^",
+        Punct::LShiftAssign => "<<",
+        Punct::RShiftAssign => ">>",
+        _ => return None,
+    })
+}
+
+/// The parser over one file's tokens and this thread's scratch.
+struct Parser<'s, 'b> {
+    src: &'s str,
+    tokens: &'b [Token],
+    pos: usize,
+    /// In recovery mode statements that fail to parse degrade to
+    /// [`Stmt::Degraded`] instead of aborting.
+    recover: bool,
+    st: &'b mut Stacks,
+    text: &'b mut String,
+}
+
+impl<'s> Parser<'s, '_> {
+    fn peek(&self) -> Token {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    fn peek_kind(&self) -> TokenKind {
+        self.peek().kind
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
+    /// The current token, as an error message names it.
+    fn found(&self) -> Described<'s> {
+        self.peek().describe(self.src)
     }
 
-    /// Consumes the current token. An `Ident`, `Str` or `FStr` payload is
-    /// moved out, not cloned: the parser never re-reads a consumed token's
-    /// payload (the `elif`/`except` look-aheads rewind over newlines only),
-    /// so each name is allocated once, by the lexer.
     fn bump(&mut self) -> Token {
-        let last = self.tokens.len() - 1;
-        let t = &mut self.tokens[self.pos.min(last)];
-        let kind = match &mut t.kind {
-            TokenKind::Ident(s) => TokenKind::Ident(std::mem::take(s)),
-            TokenKind::Str(s) => TokenKind::Str(std::mem::take(s)),
-            TokenKind::FStr(s) => TokenKind::FStr(std::mem::take(s)),
-            other => other.clone(),
-        };
-        let t = Token { kind, span: t.span };
-        if self.pos < last {
+        let t = self.peek();
+        if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    /// Consumes the current token and returns its text payload with its
-    /// span; the caller has checked it is an `Ident`, `Str` or `FStr`.
-    fn bump_text(&mut self) -> Spanned<String> {
-        let t = self.bump();
-        match t.kind {
-            TokenKind::Ident(s) | TokenKind::Str(s) | TokenKind::FStr(s) => Spanned::new(s, t.span),
-            other => unreachable!("bump_text on {other}"),
-        }
-    }
-
-    fn at(&self, kind: &TokenKind) -> bool {
+    fn at(&self, kind: TokenKind) -> bool {
         self.peek_kind() == kind
     }
 
     fn at_punct(&self, p: Punct) -> bool {
-        matches!(self.peek_kind(), TokenKind::Punct(q) if *q == p)
+        self.at(TokenKind::Punct(p))
     }
 
     fn at_keyword(&self, k: Keyword) -> bool {
-        matches!(self.peek_kind(), TokenKind::Keyword(q) if *q == k)
+        self.at(TokenKind::Keyword(k))
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -184,7 +346,7 @@ impl Parser {
         if self.at_punct(p) {
             Ok(self.bump())
         } else {
-            Err(self.error(format!("expected `{p}`, found {}", self.peek_kind())))
+            Err(self.error(format!("expected `{p}`, found {}", self.found())))
         }
     }
 
@@ -192,31 +354,62 @@ impl Parser {
         if self.at_keyword(k) {
             Ok(self.bump())
         } else {
-            Err(self.error(format!("expected `{k}`, found {}", self.peek_kind())))
+            Err(self.error(format!("expected `{k}`, found {}", self.found())))
         }
     }
 
     fn expect_newline(&mut self) -> Result<(), ParseError> {
-        if self.at(&TokenKind::Newline) {
+        if self.at(TokenKind::Newline) {
             self.bump();
             Ok(())
-        } else if self.at(&TokenKind::Eof) {
+        } else if self.at(TokenKind::Eof) {
             Ok(())
         } else {
-            Err(self.error(format!("expected end of line, found {}", self.peek_kind())))
+            Err(self.error(format!("expected end of line, found {}", self.found())))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<Spanned<String>, ParseError> {
-        match self.peek_kind() {
-            TokenKind::Ident(_) => Ok(self.bump_text()),
-            other => Err(self.error(format!("expected an identifier, found {other}"))),
+    fn expect_ident(&mut self) -> Result<Token, ParseError> {
+        if self.at(TokenKind::Ident) {
+            Ok(self.bump())
+        } else {
+            Err(self.error(format!("expected an identifier, found {}", self.found())))
+        }
+    }
+
+    /// An identifier, allocated for the AST.
+    fn ident(&mut self) -> Result<Spanned<String>, ParseError> {
+        let t = self.expect_ident()?;
+        Ok(self.name(t))
+    }
+
+    /// The text of `t` with its span, allocated for the AST.
+    fn name(&self, t: Token) -> Spanned<String> {
+        Spanned::new(t.text(self.src).to_owned(), t.span())
+    }
+
+    /// The decoded value of the `Str` or `FStr` token `t`.
+    fn string(&mut self, t: Token) -> String {
+        let text = t.text(self.src);
+        let quote = text
+            .bytes()
+            .position(|b| b == b'"' || b == b'\'')
+            .expect("a string token has a quote");
+        let at = t.span().start + quote;
+        self.text.clear();
+        let (end, plain) = scan_string(self.src.as_bytes(), at, self.recover, Some(self.text))
+            .expect("the lexer accepted this literal");
+        debug_assert_eq!(end, t.span().end);
+        if plain {
+            self.src[at + 1..end - 1].to_owned()
+        } else {
+            self.text.as_str().to_owned()
         }
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError {
-            span: self.peek().span,
+            span: self.peek().span(),
             message: message.into(),
         }
     }
@@ -224,16 +417,16 @@ impl Parser {
     // ----- statements ---------------------------------------------------
 
     fn parse_stmts_until_eof(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        let mark = self.stmts.len();
+        let mark = self.st.stmts.len();
         loop {
-            while self.at(&TokenKind::Newline) {
+            while self.at(TokenKind::Newline) {
                 self.bump();
             }
-            if self.at(&TokenKind::Eof) {
-                return Ok(drain_from(&mut self.stmts, mark));
+            if self.at(TokenKind::Eof) {
+                return Ok(drain_from(&mut self.st.stmts, mark));
             }
             let stmt = self.parse_stmt_recovering()?;
-            self.stmts.push(stmt);
+            self.st.stmts.push(stmt);
         }
     }
 
@@ -245,22 +438,21 @@ impl Parser {
             return self.parse_stmt();
         }
         let start_pos = self.pos;
-        let start_span = self.peek().span;
-        let marks = (self.stmts.len(), self.exprs.len());
+        let start_span = self.peek().span();
+        let marks = self.st.marks();
         match self.parse_stmt() {
             Ok(s) => Ok(s),
             Err(e) => {
                 // Drop what the broken statement left on the stacks.
-                self.stmts.truncate(marks.0);
-                self.exprs.truncate(marks.1);
+                self.st.truncate(&marks);
                 // Guarantee progress even when the error is on the very
                 // token we started at (e.g. a stray dedent).
-                if self.pos == start_pos && !self.at(&TokenKind::Eof) {
+                if self.pos == start_pos && !self.at(TokenKind::Eof) {
                     self.bump();
                 }
                 self.skip_degraded();
                 let end_span = if self.pos > start_pos {
-                    self.tokens[self.pos - 1].span
+                    self.tokens[self.pos - 1].span()
                 } else {
                     start_span
                 };
@@ -295,7 +487,7 @@ impl Parser {
                 }
                 TokenKind::Newline => {
                     self.bump();
-                    if depth == 0 && !self.at(&TokenKind::Indent) {
+                    if depth == 0 && !self.at(TokenKind::Indent) {
                         return;
                     }
                 }
@@ -321,22 +513,13 @@ impl Parser {
             TokenKind::Keyword(Keyword::Async) => self.parse_async(Vec::new()),
             _ => {
                 let stmt = self.parse_simple_stmt()?;
-                // Allow `a; b` on one line — additional statements are
-                // parsed by the caller via the same entry point when the
-                // semicolon is present.
-                if self.eat_punct(Punct::Semicolon) {
-                    // Peek: a trailing semicolon before newline is allowed.
-                    if !self.at(&TokenKind::Newline) && !self.at(&TokenKind::Eof) {
-                        // Re-enter for the rest of the line; wrap in a
-                        // synthetic sequence by returning the first and
-                        // letting the caller loop. Simplest correct
-                        // handling: parse the rest and splice.
-                        // We parse remaining into a flat vec and return a
-                        // synthetic If-free structure is overkill; instead
-                        // we disallow multiple statements per line beyond
-                        // the first to keep the AST simple.
-                        return Err(self.error("multiple statements on one line are not supported"));
-                    }
+                // `a;` is allowed; `a; b` is not (one statement per line
+                // keeps the AST simple).
+                if self.eat_punct(Punct::Semicolon)
+                    && !self.at(TokenKind::Newline)
+                    && !self.at(TokenKind::Eof)
+                {
+                    return Err(self.error("multiple statements on one line are not supported"));
                 }
                 self.expect_newline()?;
                 Ok(stmt)
@@ -345,18 +528,18 @@ impl Parser {
     }
 
     fn parse_decorated(&mut self) -> Result<Stmt, ParseError> {
-        let mut decorators = Vec::new();
+        let mark = self.st.decorators.len();
         while self.at_punct(Punct::At) {
             let at = self.bump();
             let expr = self.parse_expr()?;
-            let span = at.span.to(expr.span);
-            decorators.push(Decorator { expr, span });
+            let span = at.span().to(expr.span);
+            self.st.decorators.push(Decorator { expr, span });
             self.expect_newline()?;
-            while self.at(&TokenKind::Newline) {
+            while self.at(TokenKind::Newline) {
                 self.bump();
             }
         }
-        let decorators = fit(decorators);
+        let decorators = drain_from(&mut self.st.decorators, mark);
         if self.at_keyword(Keyword::Class) {
             self.parse_class(decorators).map(Stmt::ClassDef)
         } else if self.at_keyword(Keyword::Def) {
@@ -376,7 +559,7 @@ impl Parser {
         if self.at_keyword(Keyword::Def) {
             let mut f = self.parse_def(decorators)?;
             f.is_async = true;
-            f.span = kw.span.to(f.span);
+            f.span = kw.span().to(f.span);
             Ok(Stmt::FuncDef(f))
         } else if self.at_keyword(Keyword::For) && decorators.is_empty() {
             self.parse_for()
@@ -390,15 +573,15 @@ impl Parser {
     fn parse_try(&mut self) -> Result<Stmt, ParseError> {
         let kw = self.expect_keyword(Keyword::Try)?;
         let body = self.parse_suite()?;
-        let mut handlers = Vec::new();
+        let mark = self.st.handlers.len();
         let mut orelse = None;
         let mut finally = None;
-        let mut end = body.last().map_or(kw.span, Stmt::span);
+        let mut end = body.last().map_or(kw.span(), Stmt::span);
         loop {
             // Clauses appear at the same indentation, possibly after blank
             // lines (mirrors `elif`/`else` handling in `parse_if`).
             let save = self.pos;
-            while self.at(&TokenKind::Newline) {
+            while self.at(TokenKind::Newline) {
                 self.bump();
             }
             if self.at_keyword(Keyword::Except) && finally.is_none() {
@@ -410,20 +593,20 @@ impl Parser {
                 };
                 let name = if self.at_keyword(Keyword::As) {
                     self.bump();
-                    Some(self.expect_ident()?)
+                    Some(self.ident()?)
                 } else {
                     None
                 };
                 let hbody = self.parse_suite()?;
-                end = hbody.last().map_or(ekw.span, Stmt::span);
-                handlers.push(ExceptHandler {
+                end = hbody.last().map_or(ekw.span(), Stmt::span);
+                self.st.handlers.push(ExceptHandler {
                     exc,
                     name,
                     body: hbody,
-                    span: ekw.span.to(end),
+                    span: ekw.span().to(end),
                 });
             } else if self.at_keyword(Keyword::Else)
-                && !handlers.is_empty()
+                && self.st.handlers.len() > mark
                 && orelse.is_none()
                 && finally.is_none()
             {
@@ -441,21 +624,21 @@ impl Parser {
                 break;
             }
         }
-        if handlers.is_empty() && finally.is_none() {
+        if self.st.handlers.len() == mark && finally.is_none() {
             return Err(self.error("`try` requires at least one `except` or a `finally`"));
         }
         Ok(Stmt::Try(TryStmt {
             body,
-            handlers: fit(handlers),
+            handlers: drain_from(&mut self.st.handlers, mark),
             orelse,
             finally,
-            span: kw.span.to(end),
+            span: kw.span().to(end),
         }))
     }
 
     fn parse_with(&mut self) -> Result<Stmt, ParseError> {
         let kw = self.expect_keyword(Keyword::With)?;
-        let mut items = Vec::new();
+        let mark = self.st.with_items.len();
         loop {
             let context = self.parse_expr()?;
             let target = if self.at_keyword(Keyword::As) {
@@ -464,38 +647,39 @@ impl Parser {
             } else {
                 None
             };
-            items.push(WithItem { context, target });
+            self.st.with_items.push(WithItem { context, target });
             if !self.eat_punct(Punct::Comma) {
                 break;
             }
         }
+        let items = drain_from(&mut self.st.with_items, mark);
         let body = self.parse_suite()?;
-        let end = body.last().map_or(kw.span, Stmt::span);
+        let end = body.last().map_or(kw.span(), Stmt::span);
         Ok(Stmt::With(WithStmt {
-            items: fit(items),
+            items,
             body,
-            span: kw.span.to(end),
+            span: kw.span().to(end),
         }))
     }
 
     fn parse_class(&mut self, decorators: Vec<Decorator>) -> Result<ClassDef, ParseError> {
         let kw = self.expect_keyword(Keyword::Class)?;
-        let name = self.expect_ident()?;
-        let mark = self.exprs.len();
+        let name = self.ident()?;
+        let mark = self.st.exprs.len();
         if self.eat_punct(Punct::LParen) {
             while !self.at_punct(Punct::RParen) {
                 let base = self.parse_expr()?;
-                self.exprs.push(base);
+                self.st.exprs.push(base);
                 if !self.eat_punct(Punct::Comma) {
                     break;
                 }
             }
             self.expect_punct(Punct::RParen)?;
         }
-        let bases = drain_from(&mut self.exprs, mark);
+        let bases = drain_from(&mut self.st.exprs, mark);
         let body = self.parse_suite()?;
         let end = body.last().map_or(name.span, Stmt::span);
-        let start = decorators.first().map_or(kw.span, |d| d.span);
+        let start = decorators.first().map_or(kw.span(), |d| d.span);
         Ok(ClassDef {
             decorators,
             name,
@@ -507,9 +691,9 @@ impl Parser {
 
     fn parse_def(&mut self, decorators: Vec<Decorator>) -> Result<FuncDef, ParseError> {
         let kw = self.expect_keyword(Keyword::Def)?;
-        let name = self.expect_ident()?;
+        let name = self.ident()?;
         self.expect_punct(Punct::LParen)?;
-        let mut params = Vec::new();
+        let mark = self.st.names.len();
         while !self.at_punct(Punct::RParen) {
             // Positional-only marker `/` and keyword-only marker `*` are
             // parsed and discarded; `*args`/`**kwargs` record the name.
@@ -534,22 +718,24 @@ impl Parser {
             if self.eat_punct(Punct::Assign) {
                 let _ = self.parse_expr()?;
             }
-            params.push(p);
+            let p = self.name(p);
+            self.st.names.push(p);
             if !self.eat_punct(Punct::Comma) {
                 break;
             }
         }
         self.expect_punct(Punct::RParen)?;
+        let params = drain_from(&mut self.st.names, mark);
         if self.eat_punct(Punct::Arrow) {
             let _ = self.parse_expr()?;
         }
         let body = self.parse_suite()?;
         let end = body.last().map_or(name.span, Stmt::span);
-        let start = decorators.first().map_or(kw.span, |d| d.span);
+        let start = decorators.first().map_or(kw.span(), |d| d.span);
         Ok(FuncDef {
             decorators,
             name,
-            params: fit(params),
+            params,
             body,
             is_async: false,
             span: start.to(end),
@@ -560,35 +746,33 @@ impl Parser {
     /// the same line.
     fn parse_suite(&mut self) -> Result<Vec<Stmt>, ParseError> {
         self.expect_punct(Punct::Colon)?;
-        if self.at(&TokenKind::Newline) {
-            self.bump();
-            while self.at(&TokenKind::Newline) {
-                self.bump();
-            }
-            if !self.at(&TokenKind::Indent) {
-                return Err(self.error("expected an indented block"));
-            }
-            self.bump();
-            let mark = self.stmts.len();
-            loop {
-                while self.at(&TokenKind::Newline) {
-                    self.bump();
-                }
-                if self.at(&TokenKind::Dedent) {
-                    self.bump();
-                    return Ok(drain_from(&mut self.stmts, mark));
-                }
-                if self.at(&TokenKind::Eof) {
-                    return Ok(drain_from(&mut self.stmts, mark));
-                }
-                let stmt = self.parse_stmt_recovering()?;
-                self.stmts.push(stmt);
-            }
-        } else {
+        if !self.at(TokenKind::Newline) {
             // Simple suite on the same line.
             let stmt = self.parse_simple_stmt()?;
             self.expect_newline()?;
-            Ok(vec![stmt])
+            return Ok(vec![stmt]);
+        }
+        while self.at(TokenKind::Newline) {
+            self.bump();
+        }
+        if !self.at(TokenKind::Indent) {
+            return Err(self.error("expected an indented block"));
+        }
+        self.bump();
+        let mark = self.st.stmts.len();
+        loop {
+            while self.at(TokenKind::Newline) {
+                self.bump();
+            }
+            if self.at(TokenKind::Dedent) {
+                self.bump();
+                return Ok(drain_from(&mut self.st.stmts, mark));
+            }
+            if self.at(TokenKind::Eof) {
+                return Ok(drain_from(&mut self.st.stmts, mark));
+            }
+            let stmt = self.parse_stmt_recovering()?;
+            self.st.stmts.push(stmt);
         }
     }
 
@@ -598,27 +782,27 @@ impl Parser {
         match self.peek_kind() {
             TokenKind::Keyword(Keyword::Return) => {
                 let kw = self.bump();
-                if self.at(&TokenKind::Newline) || self.at(&TokenKind::Eof) {
+                if self.at(TokenKind::Newline) || self.at(TokenKind::Eof) {
                     return Ok(Stmt::Return(ReturnStmt {
                         value: None,
-                        span: kw.span,
+                        span: kw.span(),
                     }));
                 }
                 let value = self.parse_testlist()?;
-                let span = kw.span.to(value.span);
+                let span = kw.span().to(value.span);
                 Ok(Stmt::Return(ReturnStmt {
                     value: Some(value),
                     span,
                 }))
             }
-            TokenKind::Keyword(Keyword::Pass) => Ok(Stmt::Pass(self.bump().span)),
-            TokenKind::Keyword(Keyword::Break) => Ok(Stmt::Break(self.bump().span)),
-            TokenKind::Keyword(Keyword::Continue) => Ok(Stmt::Continue(self.bump().span)),
+            TokenKind::Keyword(Keyword::Pass) => Ok(Stmt::Pass(self.bump().span())),
+            TokenKind::Keyword(Keyword::Break) => Ok(Stmt::Break(self.bump().span())),
+            TokenKind::Keyword(Keyword::Continue) => Ok(Stmt::Continue(self.bump().span())),
             TokenKind::Keyword(Keyword::Raise) => {
                 let kw = self.bump();
-                let mut span = kw.span;
-                let exc = if self.at(&TokenKind::Newline)
-                    || self.at(&TokenKind::Eof)
+                let mut span = kw.span();
+                let exc = if self.at(TokenKind::Newline)
+                    || self.at(TokenKind::Eof)
                     || self.at_punct(Punct::Semicolon)
                 {
                     None
@@ -639,91 +823,63 @@ impl Parser {
             }
             TokenKind::Keyword(Keyword::Import) => {
                 let kw = self.bump();
-                let mut names = vec![self.parse_dotted_name()?];
-                while self.eat_punct(Punct::Comma) {
-                    names.push(self.parse_dotted_name()?);
+                let mark = self.st.strings.len();
+                loop {
+                    self.parse_dotted_name()?;
+                    let name = self.text.as_str().to_owned();
+                    self.st.strings.push(name);
+                    if !self.eat_punct(Punct::Comma) {
+                        break;
+                    }
                 }
-                let span = kw.span.to(self.peek().span);
+                let span = kw.span().to(self.peek().span());
                 Ok(Stmt::Import(ImportStmt {
-                    names: fit(names),
+                    names: drain_from(&mut self.st.strings, mark),
                     span,
                 }))
             }
             TokenKind::Keyword(Keyword::From) => {
                 let kw = self.bump();
-                let module = self.parse_dotted_name()?;
+                // The module's dotted name stays in `self.text`.
+                self.parse_dotted_name()?;
                 self.expect_keyword(Keyword::Import)?;
-                let mut names = vec![format!("{module}.*")];
+                let mark = self.st.strings.len();
                 if self.at_punct(Punct::Star) {
                     self.bump();
+                    let name = joined(self.text, "*");
+                    self.st.strings.push(name);
                 } else {
-                    names.clear();
                     loop {
                         let n = self.expect_ident()?;
                         if self.at_keyword(Keyword::As) {
                             self.bump();
-                            let _ = self.expect_ident()?;
+                            self.expect_ident()?;
                         }
-                        names.push(format!("{module}.{}", n.node));
+                        let name = joined(self.text, n.text(self.src));
+                        self.st.strings.push(name);
                         if !self.eat_punct(Punct::Comma) {
                             break;
                         }
                     }
                 }
-                let span = kw.span.to(self.peek().span);
+                let span = kw.span().to(self.peek().span());
                 Ok(Stmt::Import(ImportStmt {
-                    names: fit(names),
+                    names: drain_from(&mut self.st.strings, mark),
                     span,
                 }))
             }
             _ => {
                 let expr = self.parse_testlist()?;
-                if self.at_punct(Punct::Assign) {
+                let kind = self.peek_kind();
+                let aug_op = aug_op(kind);
+                if kind == TokenKind::Punct(Punct::Assign) || aug_op.is_some() {
                     self.bump();
                     let value = self.parse_testlist()?;
                     let span = expr.span.to(value.span);
                     Ok(Stmt::Assign(AssignStmt {
                         target: expr,
                         value,
-                        aug_op: None,
-                        span,
-                    }))
-                } else if let TokenKind::Punct(
-                    p @ (Punct::PlusAssign
-                    | Punct::MinusAssign
-                    | Punct::StarAssign
-                    | Punct::SlashAssign
-                    | Punct::DoubleSlashAssign
-                    | Punct::PercentAssign
-                    | Punct::DoubleStarAssign
-                    | Punct::PipeAssign
-                    | Punct::AmpAssign
-                    | Punct::CaretAssign
-                    | Punct::LShiftAssign
-                    | Punct::RShiftAssign),
-                ) = *self.peek_kind()
-                {
-                    let op = match p {
-                        Punct::PlusAssign => "+",
-                        Punct::MinusAssign => "-",
-                        Punct::StarAssign => "*",
-                        Punct::SlashAssign => "/",
-                        Punct::DoubleSlashAssign => "//",
-                        Punct::PercentAssign => "%",
-                        Punct::DoubleStarAssign => "**",
-                        Punct::PipeAssign => "|",
-                        Punct::AmpAssign => "&",
-                        Punct::CaretAssign => "^",
-                        Punct::LShiftAssign => "<<",
-                        _ => ">>",
-                    };
-                    self.bump();
-                    let value = self.parse_testlist()?;
-                    let span = expr.span.to(value.span);
-                    Ok(Stmt::Assign(AssignStmt {
-                        target: expr,
-                        value,
-                        aug_op: Some(op.to_owned()),
+                        aug_op,
                         span,
                     }))
                 } else {
@@ -734,29 +890,33 @@ impl Parser {
         }
     }
 
-    fn parse_dotted_name(&mut self) -> Result<String, ParseError> {
-        let mut name = self.expect_ident()?.node;
+    /// Parses a dotted name `a.b.c` into `self.text`.
+    fn parse_dotted_name(&mut self) -> Result<(), ParseError> {
+        let first = self.expect_ident()?;
+        self.text.clear();
+        self.text.push_str(first.text(self.src));
         while self.at_punct(Punct::Dot) {
             self.bump();
-            name.push('.');
-            name.push_str(&self.expect_ident()?.node);
+            let next = self.expect_ident()?;
+            self.text.push('.');
+            self.text.push_str(next.text(self.src));
         }
-        Ok(name)
+        Ok(())
     }
 
     fn parse_if(&mut self) -> Result<Stmt, ParseError> {
         let kw = self.expect_keyword(Keyword::If)?;
-        let mut branches = Vec::new();
+        let mark = self.st.branches.len();
         let cond = self.parse_expr()?;
         let body = self.parse_suite()?;
-        branches.push((cond, body));
+        self.st.branches.push((cond, body));
         let mut orelse = None;
-        let mut end = kw.span;
+        let mut end = kw.span();
         loop {
             // `elif` / `else` appear at the same indentation, possibly after
             // blank lines.
             let save = self.pos;
-            while self.at(&TokenKind::Newline) {
+            while self.at(TokenKind::Newline) {
                 self.bump();
             }
             if self.at_keyword(Keyword::Elif) {
@@ -764,7 +924,7 @@ impl Parser {
                 let cond = self.parse_expr()?;
                 let body = self.parse_suite()?;
                 end = body.last().map_or(end, Stmt::span);
-                branches.push((cond, body));
+                self.st.branches.push((cond, body));
             } else if self.at_keyword(Keyword::Else) {
                 self.bump();
                 let body = self.parse_suite()?;
@@ -777,9 +937,9 @@ impl Parser {
             }
         }
         Ok(Stmt::If(IfStmt {
-            branches: fit(branches),
+            branches: drain_from(&mut self.st.branches, mark),
             orelse,
-            span: kw.span.to(end),
+            span: kw.span().to(end),
         }))
     }
 
@@ -788,20 +948,20 @@ impl Parser {
         let subject = self.parse_expr()?;
         self.expect_punct(Punct::Colon)?;
         self.expect_newline()?;
-        while self.at(&TokenKind::Newline) {
+        while self.at(TokenKind::Newline) {
             self.bump();
         }
-        if !self.at(&TokenKind::Indent) {
+        if !self.at(TokenKind::Indent) {
             return Err(self.error("expected an indented block of `case` arms"));
         }
         self.bump();
-        let mut cases = Vec::new();
+        let mark = self.st.cases.len();
         loop {
-            while self.at(&TokenKind::Newline) {
+            while self.at(TokenKind::Newline) {
                 self.bump();
             }
-            if self.at(&TokenKind::Dedent) || self.at(&TokenKind::Eof) {
-                if self.at(&TokenKind::Dedent) {
+            if self.at(TokenKind::Dedent) || self.at(TokenKind::Eof) {
+                if self.at(TokenKind::Dedent) {
                     self.bump();
                 }
                 break;
@@ -809,87 +969,93 @@ impl Parser {
             let case_kw = self.expect_keyword(Keyword::Case)?;
             let pattern = self.parse_pattern()?;
             let body = self.parse_suite()?;
-            let end = body.last().map_or(case_kw.span, Stmt::span);
-            cases.push(MatchCase {
+            let end = body.last().map_or(case_kw.span(), Stmt::span);
+            self.st.cases.push(MatchCase {
                 pattern,
                 body,
-                span: case_kw.span.to(end),
+                span: case_kw.span().to(end),
             });
         }
-        if cases.is_empty() {
+        if self.st.cases.len() == mark {
             return Err(self.error("`match` requires at least one `case`"));
         }
-        let end = cases.last().map_or(kw.span, |c| c.span);
+        let cases = drain_from(&mut self.st.cases, mark);
+        let end = cases.last().map_or(kw.span(), |c| c.span);
         Ok(Stmt::Match(MatchStmt {
             subject,
-            cases: fit(cases),
-            span: kw.span.to(end),
+            cases,
+            span: kw.span().to(end),
         }))
     }
 
+    /// Parses the comma-separated patterns up to `close`, pushed on the
+    /// pattern stack from `mark`, and returns the closing token.
+    fn parse_pattern_items(&mut self, close: Punct) -> Result<Token, ParseError> {
+        while !self.at_punct(close) {
+            let item = self.parse_pattern()?;
+            self.st.patterns.push(item);
+            if !self.eat_punct(Punct::Comma) {
+                break;
+            }
+        }
+        self.expect_punct(close)
+    }
+
     fn parse_pattern(&mut self) -> Result<Pattern, ParseError> {
-        match *self.peek_kind() {
+        let t = self.peek();
+        let literal = |kind| Ok(Pattern::Literal(Expr::new(kind, t.span())));
+        match t.kind {
             TokenKind::Punct(Punct::LBracket) => {
-                let open = self.bump();
-                let mut items = Vec::new();
-                while !self.at_punct(Punct::RBracket) {
-                    items.push(self.parse_pattern()?);
-                    if !self.eat_punct(Punct::Comma) {
-                        break;
-                    }
-                }
-                let close = self.expect_punct(Punct::RBracket)?;
-                Ok(Pattern::List(fit(items), open.span.to(close.span)))
+                self.bump();
+                let mark = self.st.patterns.len();
+                let close = self.parse_pattern_items(Punct::RBracket)?;
+                let items = drain_from(&mut self.st.patterns, mark);
+                Ok(Pattern::List(items, t.span().to(close.span())))
             }
             TokenKind::Punct(Punct::LParen) => {
-                let open = self.bump();
-                let mut items = Vec::new();
-                while !self.at_punct(Punct::RParen) {
-                    items.push(self.parse_pattern()?);
-                    if !self.eat_punct(Punct::Comma) {
-                        break;
-                    }
-                }
-                let close = self.expect_punct(Punct::RParen)?;
-                if items.len() == 1 {
-                    Ok(items.into_iter().next().expect("one item"))
+                self.bump();
+                let mark = self.st.patterns.len();
+                let close = self.parse_pattern_items(Punct::RParen)?;
+                if self.st.patterns.len() == mark + 1 {
+                    Ok(self.st.patterns.pop().expect("one item"))
                 } else {
-                    Ok(Pattern::Tuple(fit(items), open.span.to(close.span)))
+                    let items = drain_from(&mut self.st.patterns, mark);
+                    Ok(Pattern::Tuple(items, t.span().to(close.span())))
                 }
             }
-            TokenKind::Str(_) => {
-                let s = self.bump_text();
-                Ok(Pattern::Literal(Expr::new(ExprKind::Str(s.node), s.span)))
+            TokenKind::Str => {
+                self.bump();
+                literal(ExprKind::Str(self.string(t)))
             }
-            TokenKind::Int(v) => {
-                let t = self.bump();
-                Ok(Pattern::Literal(Expr::new(ExprKind::Int(v), t.span)))
+            TokenKind::Int => {
+                self.bump();
+                literal(ExprKind::Int(int_value(t.text(self.src))))
             }
-            TokenKind::Float(v) => {
-                let t = self.bump();
-                Ok(Pattern::Literal(Expr::new(ExprKind::Float(v), t.span)))
+            TokenKind::Float => {
+                self.bump();
+                literal(ExprKind::Float(float_value(t.text(self.src))))
             }
             TokenKind::Keyword(Keyword::True) => {
-                let t = self.bump();
-                Ok(Pattern::Literal(Expr::new(ExprKind::Bool(true), t.span)))
+                self.bump();
+                literal(ExprKind::Bool(true))
             }
             TokenKind::Keyword(Keyword::False) => {
-                let t = self.bump();
-                Ok(Pattern::Literal(Expr::new(ExprKind::Bool(false), t.span)))
+                self.bump();
+                literal(ExprKind::Bool(false))
             }
             TokenKind::Keyword(Keyword::None) => {
-                let t = self.bump();
-                Ok(Pattern::Literal(Expr::new(ExprKind::NoneLit, t.span)))
+                self.bump();
+                literal(ExprKind::NoneLit)
             }
-            TokenKind::Ident(_) => {
-                let name = self.bump_text();
-                if name.node == "_" {
-                    Ok(Pattern::Wildcard(name.span))
+            TokenKind::Ident => {
+                self.bump();
+                if t.text(self.src) == "_" {
+                    Ok(Pattern::Wildcard(t.span()))
                 } else {
-                    Ok(Pattern::Capture(name))
+                    Ok(Pattern::Capture(self.name(t)))
                 }
             }
-            _ => Err(self.error(format!("expected a pattern, found {}", self.peek_kind()))),
+            _ => Err(self.error(format!("expected a pattern, found {}", self.found()))),
         }
     }
 
@@ -897,11 +1063,11 @@ impl Parser {
         let kw = self.expect_keyword(Keyword::While)?;
         let cond = self.parse_expr()?;
         let body = self.parse_suite()?;
-        let end = body.last().map_or(kw.span, Stmt::span);
+        let end = body.last().map_or(kw.span(), Stmt::span);
         Ok(Stmt::While(WhileStmt {
             cond,
             body,
-            span: kw.span.to(end),
+            span: kw.span().to(end),
         }))
     }
 
@@ -911,12 +1077,12 @@ impl Parser {
         self.expect_keyword(Keyword::In)?;
         let iter = self.parse_expr()?;
         let body = self.parse_suite()?;
-        let end = body.last().map_or(kw.span, Stmt::span);
+        let end = body.last().map_or(kw.span(), Stmt::span);
         Ok(Stmt::For(ForStmt {
             target,
             iter,
             body,
-            span: kw.span.to(end),
+            span: kw.span().to(end),
         }))
     }
 
@@ -927,14 +1093,14 @@ impl Parser {
         if !self.at_punct(Punct::Comma) {
             return Ok(first);
         }
-        let mark = self.exprs.len();
-        self.exprs.push(first);
+        let mark = self.st.exprs.len();
+        self.st.exprs.push(first);
         while self.eat_punct(Punct::Comma) {
             if self.at_keyword(Keyword::In) {
                 break;
             }
             let item = self.parse_postfix()?;
-            self.exprs.push(item);
+            self.st.exprs.push(item);
         }
         Ok(self.tuple_from(mark))
     }
@@ -948,19 +1114,19 @@ impl Parser {
         if !self.at_punct(Punct::Comma) {
             return Ok(first);
         }
-        let mark = self.exprs.len();
-        self.exprs.push(first);
+        let mark = self.st.exprs.len();
+        self.st.exprs.push(first);
         while self.eat_punct(Punct::Comma) {
             // Trailing comma before newline/closer.
-            if self.at(&TokenKind::Newline)
-                || self.at(&TokenKind::Eof)
+            if self.at(TokenKind::Newline)
+                || self.at(TokenKind::Eof)
                 || self.at_punct(Punct::RParen)
                 || self.at_punct(Punct::RBracket)
             {
                 break;
             }
             let item = self.parse_expr()?;
-            self.exprs.push(item);
+            self.st.exprs.push(item);
         }
         Ok(self.tuple_from(mark))
     }
@@ -968,7 +1134,7 @@ impl Parser {
     /// The bare tuple of the (nonempty) expressions pushed since `mark`,
     /// spanning its first to its last item.
     fn tuple_from(&mut self, mark: usize) -> Expr {
-        let items = drain_from(&mut self.exprs, mark);
+        let items = drain_from(&mut self.st.exprs, mark);
         let span = items
             .first()
             .expect("nonempty")
@@ -981,228 +1147,89 @@ impl Parser {
         if self.at_keyword(Keyword::Lambda) {
             return self.parse_lambda();
         }
-        self.parse_or()
+        self.parse_binary(OR)
     }
 
     fn parse_lambda(&mut self) -> Result<Expr, ParseError> {
         let kw = self.expect_keyword(Keyword::Lambda)?;
-        let mut params = Vec::new();
+        let mark = self.st.names.len();
         while !self.at_punct(Punct::Colon) {
             let _ = self.eat_punct(Punct::DoubleStar) || self.eat_punct(Punct::Star);
             let p = self.expect_ident()?;
             if self.eat_punct(Punct::Assign) {
                 let _ = self.parse_expr()?;
             }
-            params.push(p);
+            let p = self.name(p);
+            self.st.names.push(p);
             if !self.eat_punct(Punct::Comma) {
                 break;
             }
         }
         self.expect_punct(Punct::Colon)?;
+        let params = drain_from(&mut self.st.names, mark);
         let body = self.parse_expr()?;
-        let span = kw.span.to(body.span);
+        let span = kw.span().to(body.span);
         Ok(Expr::new(
             ExprKind::Lambda {
-                params: fit(params),
+                params,
                 body: Box::new(body),
             },
             span,
         ))
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_and()?;
-        while self.at_keyword(Keyword::Or) {
-            self.bump();
-            let right = self.parse_and()?;
-            let span = left.span.to(right.span);
-            left = Expr::new(
-                ExprKind::BinOp {
-                    op: "or".into(),
-                    left: Box::new(left),
-                    right: Box::new(right),
-                },
-                span,
-            );
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_not()?;
-        while self.at_keyword(Keyword::And) {
-            self.bump();
-            let right = self.parse_not()?;
-            let span = left.span.to(right.span);
-            left = Expr::new(
-                ExprKind::BinOp {
-                    op: "and".into(),
-                    left: Box::new(left),
-                    right: Box::new(right),
-                },
-                span,
-            );
-        }
-        Ok(left)
-    }
-
-    fn parse_not(&mut self) -> Result<Expr, ParseError> {
-        if self.at_keyword(Keyword::Not) {
+    /// Parses the operators binding at least as tightly as `min` (and a
+    /// prefix `not` when `min` admits it), by precedence climbing over
+    /// [`binary_op`]: each right operand takes only operators binding more
+    /// tightly than its own, so every level associates left.
+    fn parse_binary(&mut self, min: u8) -> Result<Expr, ParseError> {
+        let mut left = if min <= NOT && self.at_keyword(Keyword::Not) {
             let kw = self.bump();
-            let operand = self.parse_not()?;
-            let span = kw.span.to(operand.span);
-            return Ok(Expr::new(
+            let operand = self.parse_binary(NOT)?;
+            let span = kw.span().to(operand.span);
+            Expr::new(
                 ExprKind::UnaryOp {
-                    op: "not".into(),
+                    op: "not",
                     operand: Box::new(operand),
                 },
                 span,
-            ));
-        }
-        self.parse_comparison()
-    }
-
-    fn parse_comparison(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_bitor()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Punct(Punct::Eq) => "==",
-                TokenKind::Punct(Punct::Ne) => "!=",
-                TokenKind::Punct(Punct::Lt) => "<",
-                TokenKind::Punct(Punct::Gt) => ">",
-                TokenKind::Punct(Punct::Le) => "<=",
-                TokenKind::Punct(Punct::Ge) => ">=",
-                TokenKind::Keyword(Keyword::In) => "in",
-                TokenKind::Keyword(Keyword::Is) => {
-                    // `is` / `is not`.
+            )
+        } else {
+            self.parse_unary()?
+        };
+        while let Some((power, mut op)) = binary_op(self.peek_kind()) {
+            if power < min {
+                break;
+            }
+            match self.bump().kind {
+                TokenKind::Keyword(Keyword::Is) if self.at_keyword(Keyword::Not) => {
                     self.bump();
-                    let op = if self.at_keyword(Keyword::Not) {
-                        self.bump();
-                        "is not"
-                    } else {
-                        "is"
-                    };
-                    let right = self.parse_bitor()?;
-                    let span = left.span.to(right.span);
-                    left = Expr::new(
-                        ExprKind::BinOp {
-                            op: op.into(),
-                            left: Box::new(left),
-                            right: Box::new(right),
-                        },
-                        span,
-                    );
-                    continue;
+                    op = "is not";
                 }
                 TokenKind::Keyword(Keyword::Not) => {
-                    // `not in` (prefix `not` is handled above comparison).
-                    self.bump();
                     self.expect_keyword(Keyword::In)?;
-                    let right = self.parse_bitor()?;
-                    let span = left.span.to(right.span);
-                    left = Expr::new(
-                        ExprKind::BinOp {
-                            op: "not in".into(),
-                            left: Box::new(left),
-                            right: Box::new(right),
-                        },
-                        span,
-                    );
-                    continue;
                 }
-                _ => return Ok(left),
-            };
-            self.bump();
-            let right = self.parse_bitor()?;
+                _ => {}
+            }
+            let right = self.parse_binary(power + 1)?;
             let span = left.span.to(right.span);
             left = Expr::new(
                 ExprKind::BinOp {
-                    op: op.into(),
+                    op,
                     left: Box::new(left),
                     right: Box::new(right),
                 },
                 span,
             );
         }
-    }
-
-    fn parse_bitor(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_arith()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Punct(Punct::Pipe) => "|",
-                TokenKind::Punct(Punct::Amp) => "&",
-                TokenKind::Punct(Punct::Caret) => "^",
-                TokenKind::Punct(Punct::LShift) => "<<",
-                TokenKind::Punct(Punct::RShift) => ">>",
-                _ => return Ok(left),
-            };
-            self.bump();
-            let right = self.parse_arith()?;
-            let span = left.span.to(right.span);
-            left = Expr::new(
-                ExprKind::BinOp {
-                    op: op.into(),
-                    left: Box::new(left),
-                    right: Box::new(right),
-                },
-                span,
-            );
-        }
-    }
-
-    fn parse_arith(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_term()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Punct(Punct::Plus) => "+",
-                TokenKind::Punct(Punct::Minus) => "-",
-                _ => return Ok(left),
-            };
-            self.bump();
-            let right = self.parse_term()?;
-            let span = left.span.to(right.span);
-            left = Expr::new(
-                ExprKind::BinOp {
-                    op: op.into(),
-                    left: Box::new(left),
-                    right: Box::new(right),
-                },
-                span,
-            );
-        }
-    }
-
-    fn parse_term(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Punct(Punct::Star) => "*",
-                TokenKind::Punct(Punct::Slash) => "/",
-                TokenKind::Punct(Punct::DoubleSlash) => "//",
-                TokenKind::Punct(Punct::Percent) => "%",
-                TokenKind::Punct(Punct::DoubleStar) => "**",
-                _ => return Ok(left),
-            };
-            self.bump();
-            let right = self.parse_unary()?;
-            let span = left.span.to(right.span);
-            left = Expr::new(
-                ExprKind::BinOp {
-                    op: op.into(),
-                    left: Box::new(left),
-                    right: Box::new(right),
-                },
-                span,
-            );
-        }
+        Ok(left)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         if self.at_keyword(Keyword::Await) {
             let kw = self.bump();
             let operand = self.parse_unary()?;
-            let span = kw.span.to(operand.span);
+            let span = kw.span().to(operand.span);
             return Ok(Expr::new(ExprKind::Await(Box::new(operand)), span));
         }
         let op = match self.peek_kind() {
@@ -1213,10 +1240,10 @@ impl Parser {
         };
         let t = self.bump();
         let operand = self.parse_unary()?;
-        let span = t.span.to(operand.span);
+        let span = t.span().to(operand.span);
         Ok(Expr::new(
             ExprKind::UnaryOp {
-                op: op.into(),
+                op,
                 operand: Box::new(operand),
             },
             span,
@@ -1228,7 +1255,7 @@ impl Parser {
         loop {
             if self.at_punct(Punct::Dot) {
                 self.bump();
-                let attr = self.expect_ident()?;
+                let attr = self.ident()?;
                 let span = expr.span.to(attr.span);
                 expr = Expr::new(
                     ExprKind::Attribute {
@@ -1239,7 +1266,7 @@ impl Parser {
                 );
             } else if self.at_punct(Punct::LParen) {
                 self.bump();
-                let mark = self.exprs.len();
+                let mark = self.st.exprs.len();
                 while !self.at_punct(Punct::RParen) {
                     // `*args` / `**kwargs` unpacking.
                     if self.at_punct(Punct::Star) || self.at_punct(Punct::DoubleStar) {
@@ -1250,8 +1277,8 @@ impl Parser {
                         };
                         let t = self.bump();
                         let value = self.parse_expr()?;
-                        let span = t.span.to(value.span);
-                        self.exprs.push(Expr::new(
+                        let span = t.span().to(value.span);
+                        self.st.exprs.push(Expr::new(
                             ExprKind::Starred {
                                 stars,
                                 value: Box::new(value),
@@ -1268,7 +1295,7 @@ impl Parser {
                     let arg = self.parse_expr()?;
                     // `f(x for y in z)` — a bare generator expression as
                     // the sole argument.
-                    if self.exprs.len() == mark
+                    if self.st.exprs.len() == mark
                         && (self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async))
                     {
                         let clauses = self.parse_comp_clauses()?;
@@ -1277,7 +1304,7 @@ impl Parser {
                             .map(|c| c.ifs.last().map(|e| e.span).unwrap_or(c.iter.span))
                             .unwrap_or(arg.span);
                         let span = arg.span.to(end);
-                        self.exprs.push(Expr::new(
+                        self.st.exprs.push(Expr::new(
                             ExprKind::Comp {
                                 kind: CompKind::Generator,
                                 element: Box::new(arg),
@@ -1288,21 +1315,19 @@ impl Parser {
                         ));
                         break;
                     }
-                    if self.at_punct(Punct::Assign) {
-                        self.bump();
+                    if self.eat_punct(Punct::Assign) {
                         let value = self.parse_expr()?;
-                        self.exprs.push(value);
-                        let _ = arg;
+                        self.st.exprs.push(value);
                     } else {
-                        self.exprs.push(arg);
+                        self.st.exprs.push(arg);
                     }
                     if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
                 let close = self.expect_punct(Punct::RParen)?;
-                let args = drain_from(&mut self.exprs, mark);
-                let span = expr.span.to(close.span);
+                let args = drain_from(&mut self.st.exprs, mark);
+                let span = expr.span.to(close.span());
                 expr = Expr::new(
                     ExprKind::Call {
                         func: Box::new(expr),
@@ -1314,7 +1339,7 @@ impl Parser {
                 self.bump();
                 let index = self.parse_expr()?;
                 let close = self.expect_punct(Punct::RBracket)?;
-                let span = expr.span.to(close.span);
+                let span = expr.span.to(close.span());
                 expr = Expr::new(
                     ExprKind::Subscript {
                         value: Box::new(expr),
@@ -1328,100 +1353,114 @@ impl Parser {
         }
     }
 
+    /// Whether a comprehension's `for` (or `async for`) starts here.
+    fn at_comp_for(&self) -> bool {
+        self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async)
+    }
+
+    /// The comprehension of `kind` whose element (and, for a dict, value)
+    /// is parsed, closed by `close`; `open` is its opening bracket.
+    fn parse_comp(
+        &mut self,
+        kind: CompKind,
+        element: Expr,
+        value: Option<Expr>,
+        open: Token,
+        close: Punct,
+    ) -> Result<Expr, ParseError> {
+        let clauses = self.parse_comp_clauses()?;
+        let close = self.expect_punct(close)?;
+        Ok(Expr::new(
+            ExprKind::Comp {
+                kind,
+                element: Box::new(element),
+                value: value.map(Box::new),
+                clauses,
+            },
+            open.span().to(close.span()),
+        ))
+    }
+
     fn parse_atom(&mut self) -> Result<Expr, ParseError> {
-        match *self.peek_kind() {
-            TokenKind::Ident(_) => {
-                let name = self.bump_text();
-                Ok(Expr::new(ExprKind::Name(name.node), name.span))
+        let t = self.peek();
+        let leaf = |kind| Ok(Expr::new(kind, t.span()));
+        match t.kind {
+            TokenKind::Ident => {
+                self.bump();
+                leaf(ExprKind::Name(t.text(self.src).to_owned()))
             }
-            TokenKind::Int(v) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::Int(v), t.span))
+            TokenKind::Int => {
+                self.bump();
+                leaf(ExprKind::Int(int_value(t.text(self.src))))
             }
-            TokenKind::Float(v) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::Float(v), t.span))
+            TokenKind::Float => {
+                self.bump();
+                leaf(ExprKind::Float(float_value(t.text(self.src))))
             }
-            TokenKind::Str(_) => {
-                let s = self.bump_text();
-                Ok(Expr::new(ExprKind::Str(s.node), s.span))
+            TokenKind::Str => {
+                self.bump();
+                leaf(ExprKind::Str(self.string(t)))
             }
-            TokenKind::FStr(_) => {
-                let s = self.bump_text();
-                Ok(Expr::new(ExprKind::FString(s.node), s.span))
+            TokenKind::FStr => {
+                self.bump();
+                leaf(ExprKind::FString(self.string(t)))
             }
             TokenKind::Keyword(Keyword::Lambda) => self.parse_lambda(),
             TokenKind::Keyword(Keyword::True) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::Bool(true), t.span))
+                self.bump();
+                leaf(ExprKind::Bool(true))
             }
             TokenKind::Keyword(Keyword::False) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::Bool(false), t.span))
+                self.bump();
+                leaf(ExprKind::Bool(false))
             }
             TokenKind::Keyword(Keyword::None) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::NoneLit, t.span))
+                self.bump();
+                leaf(ExprKind::NoneLit)
             }
             TokenKind::Punct(Punct::LBracket) => {
-                let open = self.bump();
-                let mark = self.exprs.len();
+                self.bump();
+                let mark = self.st.exprs.len();
                 while !self.at_punct(Punct::RBracket) {
                     let item = self.parse_expr()?;
-                    self.exprs.push(item);
                     // `[x for y in z]` — list comprehension.
-                    if self.exprs.len() == mark + 1
-                        && (self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async))
-                    {
-                        let element = self.exprs.pop().expect("one element");
-                        let clauses = self.parse_comp_clauses()?;
-                        let close = self.expect_punct(Punct::RBracket)?;
-                        return Ok(Expr::new(
-                            ExprKind::Comp {
-                                kind: CompKind::List,
-                                element: Box::new(element),
-                                value: None,
-                                clauses,
-                            },
-                            open.span.to(close.span),
-                        ));
+                    if self.st.exprs.len() == mark && self.at_comp_for() {
+                        return self.parse_comp(CompKind::List, item, None, t, Punct::RBracket);
                     }
+                    self.st.exprs.push(item);
                     if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
                 let close = self.expect_punct(Punct::RBracket)?;
-                let items = drain_from(&mut self.exprs, mark);
-                Ok(Expr::new(ExprKind::List(items), open.span.to(close.span)))
+                let items = drain_from(&mut self.st.exprs, mark);
+                Ok(Expr::new(ExprKind::List(items), t.span().to(close.span())))
             }
             TokenKind::Punct(Punct::LBrace) => {
-                let open = self.bump();
+                self.bump();
                 // `{}` is an empty dict; `{a: b}` a dict; `{a, b}` a set.
                 if self.at_punct(Punct::RBrace) {
                     let close = self.bump();
                     return Ok(Expr::new(
                         ExprKind::Dict(Vec::new()),
-                        open.span.to(close.span),
+                        t.span().to(close.span()),
                     ));
                 }
                 let first = self.parse_expr()?;
                 if self.eat_punct(Punct::Colon) {
                     let value = self.parse_expr()?;
                     // `{k: v for x in y}` — dict comprehension.
-                    if self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async) {
-                        let clauses = self.parse_comp_clauses()?;
-                        let close = self.expect_punct(Punct::RBrace)?;
-                        return Ok(Expr::new(
-                            ExprKind::Comp {
-                                kind: CompKind::Dict,
-                                element: Box::new(first),
-                                value: Some(Box::new(value)),
-                                clauses,
-                            },
-                            open.span.to(close.span),
-                        ));
+                    if self.at_comp_for() {
+                        return self.parse_comp(
+                            CompKind::Dict,
+                            first,
+                            Some(value),
+                            t,
+                            Punct::RBrace,
+                        );
                     }
-                    let mut pairs = vec![(first, value)];
+                    let mark = self.st.pairs.len();
+                    self.st.pairs.push((first, value));
                     while self.eat_punct(Punct::Comma) {
                         if self.at_punct(Punct::RBrace) {
                             break;
@@ -1429,94 +1468,69 @@ impl Parser {
                         let k = self.parse_expr()?;
                         self.expect_punct(Punct::Colon)?;
                         let v = self.parse_expr()?;
-                        pairs.push((k, v));
+                        self.st.pairs.push((k, v));
                     }
                     let close = self.expect_punct(Punct::RBrace)?;
-                    Ok(Expr::new(
-                        ExprKind::Dict(fit(pairs)),
-                        open.span.to(close.span),
-                    ))
+                    let pairs = drain_from(&mut self.st.pairs, mark);
+                    Ok(Expr::new(ExprKind::Dict(pairs), t.span().to(close.span())))
                 } else {
                     // `{x for y in z}` — set comprehension.
-                    if self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async) {
-                        let clauses = self.parse_comp_clauses()?;
-                        let close = self.expect_punct(Punct::RBrace)?;
-                        return Ok(Expr::new(
-                            ExprKind::Comp {
-                                kind: CompKind::Set,
-                                element: Box::new(first),
-                                value: None,
-                                clauses,
-                            },
-                            open.span.to(close.span),
-                        ));
+                    if self.at_comp_for() {
+                        return self.parse_comp(CompKind::Set, first, None, t, Punct::RBrace);
                     }
-                    let mark = self.exprs.len();
-                    self.exprs.push(first);
+                    let mark = self.st.exprs.len();
+                    self.st.exprs.push(first);
                     while self.eat_punct(Punct::Comma) {
                         if self.at_punct(Punct::RBrace) {
                             break;
                         }
                         let item = self.parse_expr()?;
-                        self.exprs.push(item);
+                        self.st.exprs.push(item);
                     }
                     let close = self.expect_punct(Punct::RBrace)?;
-                    let items = drain_from(&mut self.exprs, mark);
-                    Ok(Expr::new(ExprKind::Set(items), open.span.to(close.span)))
+                    let items = drain_from(&mut self.st.exprs, mark);
+                    Ok(Expr::new(ExprKind::Set(items), t.span().to(close.span())))
                 }
             }
             TokenKind::Punct(Punct::LParen) => {
-                let open = self.bump();
+                self.bump();
                 if self.at_punct(Punct::RParen) {
                     let close = self.bump();
                     return Ok(Expr::new(
                         ExprKind::Tuple(Vec::new()),
-                        open.span.to(close.span),
+                        t.span().to(close.span()),
                     ));
                 }
                 let first = self.parse_expr()?;
                 if self.at_punct(Punct::Comma) {
-                    let mark = self.exprs.len();
-                    self.exprs.push(first);
+                    let mark = self.st.exprs.len();
+                    self.st.exprs.push(first);
                     while self.eat_punct(Punct::Comma) {
                         if self.at_punct(Punct::RParen) {
                             break;
                         }
                         let item = self.parse_expr()?;
-                        self.exprs.push(item);
+                        self.st.exprs.push(item);
                     }
                     let close = self.expect_punct(Punct::RParen)?;
-                    let items = drain_from(&mut self.exprs, mark);
-                    Ok(Expr::new(ExprKind::Tuple(items), open.span.to(close.span)))
-                } else if self.at_keyword(Keyword::For) || self.at_keyword(Keyword::Async) {
+                    let items = drain_from(&mut self.st.exprs, mark);
+                    Ok(Expr::new(ExprKind::Tuple(items), t.span().to(close.span())))
+                } else if self.at_comp_for() {
                     // `(x for y in z)` — generator expression.
-                    let clauses = self.parse_comp_clauses()?;
-                    let close = self.expect_punct(Punct::RParen)?;
-                    Ok(Expr::new(
-                        ExprKind::Comp {
-                            kind: CompKind::Generator,
-                            element: Box::new(first),
-                            value: None,
-                            clauses,
-                        },
-                        open.span.to(close.span),
-                    ))
+                    self.parse_comp(CompKind::Generator, first, None, t, Punct::RParen)
                 } else {
                     self.expect_punct(Punct::RParen)?;
                     Ok(first)
                 }
             }
-            _ => Err(self.error(format!(
-                "expected an expression, found {}",
-                self.peek_kind()
-            ))),
+            _ => Err(self.error(format!("expected an expression, found {}", self.found()))),
         }
     }
 
     /// Parses the `for target in iter [if cond]*` clause chain of a
     /// comprehension (the leading element is already consumed).
     fn parse_comp_clauses(&mut self) -> Result<Vec<CompClause>, ParseError> {
-        let mut clauses = Vec::new();
+        let mark = self.st.clauses.len();
         loop {
             let is_async = if self.at_keyword(Keyword::Async) {
                 self.bump();
@@ -1533,24 +1547,25 @@ impl Parser {
             self.bump();
             let target = self.parse_target_list()?;
             self.expect_keyword(Keyword::In)?;
-            let iter = self.parse_or()?;
-            let mark = self.exprs.len();
+            let iter = self.parse_binary(OR)?;
+            let ifs = self.st.exprs.len();
             while self.at_keyword(Keyword::If) {
                 self.bump();
-                let cond = self.parse_or()?;
-                self.exprs.push(cond);
+                let cond = self.parse_binary(OR)?;
+                self.st.exprs.push(cond);
             }
-            clauses.push(CompClause {
+            let ifs = drain_from(&mut self.st.exprs, ifs);
+            self.st.clauses.push(CompClause {
                 target,
                 iter,
-                ifs: drain_from(&mut self.exprs, mark),
+                ifs,
                 is_async,
             });
         }
-        if clauses.is_empty() {
+        if self.st.clauses.len() == mark {
             return Err(self.error("a comprehension requires at least one `for` clause"));
         }
-        Ok(fit(clauses))
+        Ok(drain_from(&mut self.st.clauses, mark))
     }
 }
 
@@ -1811,7 +1826,7 @@ def f(self):
         let Stmt::Assign(a) = &m.body[0] else {
             panic!()
         };
-        assert_eq!(a.aug_op.as_deref(), Some("+"));
+        assert_eq!(a.aug_op, Some("+"));
     }
 
     #[test]
@@ -1823,12 +1838,12 @@ c = y not in items
 ",
         )
         .unwrap();
-        let ops: Vec<String> = m
+        let ops: Vec<&str> = m
             .body
             .iter()
             .filter_map(|s| match s {
                 Stmt::Assign(a) => match &a.value.kind {
-                    ExprKind::BinOp { op, .. } => Some(op.clone()),
+                    ExprKind::BinOp { op, .. } => Some(*op),
                     _ => None,
                 },
                 _ => None,
@@ -2065,7 +2080,7 @@ def f(self):
             .iter()
             .map(|s| {
                 let Stmt::Assign(a) = s else { panic!() };
-                a.aug_op.as_deref().unwrap()
+                a.aug_op.unwrap()
             })
             .collect();
         assert_eq!(ops, vec!["//", "%", "**", "|", "&", "^", "<<", ">>"]);

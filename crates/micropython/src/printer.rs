@@ -6,6 +6,7 @@
 //! style tooling and makes AST fixtures reviewable.
 
 use crate::ast::*;
+use crate::parser::{binding_power, NOT};
 
 /// Renders a module back to source text.
 pub fn print_module(module: &Module) -> String {
@@ -235,19 +236,6 @@ fn print_pattern(p: &Pattern) -> String {
 ///
 /// Mirrors the parser's grammar: `or` < `and` < `not` < comparisons <
 /// bit operators < `+`/`-` < `*`-family < prefix `-`/`~` < postfix.
-fn binop_prec(op: &str) -> u8 {
-    match op {
-        "or" => 1,
-        "and" => 2,
-        // `not` is 3 (see render_expr).
-        "==" | "!=" | "<" | ">" | "<=" | ">=" | "in" | "is" | "is not" | "not in" => 4,
-        "|" | "&" | "^" | "<<" | ">>" => 5,
-        "+" | "-" => 6,
-        "*" | "/" | "//" | "%" | "**" => 7,
-        _ => 7,
-    }
-}
-
 fn render_expr(expr: &Expr, prec: u8) -> String {
     match &expr.kind {
         ExprKind::Name(n) => n.clone(),
@@ -308,7 +296,7 @@ fn render_expr(expr: &Expr, prec: u8) -> String {
             }
         }
         ExprKind::BinOp { op, left, right } => {
-            let p = binop_prec(op);
+            let p = binding_power(op);
             let text = format!(
                 "{} {op} {}",
                 render_expr(left, p),
@@ -322,8 +310,8 @@ fn render_expr(expr: &Expr, prec: u8) -> String {
         }
         ExprKind::UnaryOp { op, operand } => {
             // `not` binds loosely (just above `and`); `-`/`+`/`~` tightly.
-            let own = if op == "not" { 3 } else { 8 };
-            let space = if op == "not" { " " } else { "" };
+            let own = if *op == "not" { NOT } else { 8 };
+            let space = if *op == "not" { " " } else { "" };
             let text = format!("{op}{space}{}", render_expr(operand, own));
             if prec > own {
                 format!("({text})")

@@ -1,24 +1,31 @@
 //! Tokens of the MicroPython subset.
+//!
+//! A [`Token`] is a 12-byte `Copy` record: a [`TokenKind`] tag and the
+//! byte range of its text, as two `u32` offsets. Identifiers, numbers and
+//! strings carry no payload: the parser slices their text from the source
+//! only when it stores it, so an identifier is allocated once, into the
+//! AST, and a keyword or operator never. The lexer therefore accepts
+//! sources of up to `u32::MAX` bytes.
 
+use crate::lexer::{float_value, int_value};
 use crate::span::Span;
 use std::fmt;
 
 /// A lexical token kind.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or non-reserved name.
-    Ident(String),
+    Ident,
     /// Keyword (reserved identifier).
     Keyword(Keyword),
     /// Integer literal.
-    Int(i64),
+    Int,
     /// Floating-point literal.
-    Float(f64),
-    /// String literal (decoded contents).
-    Str(String),
-    /// Formatted string literal (`f"..."`; decoded contents, interpolations
-    /// kept verbatim).
-    FStr(String),
+    Float,
+    /// String literal, prefix and quotes included.
+    Str,
+    /// Formatted string literal (`f"..."`), prefix and quotes included.
+    FStr,
     /// Punctuation or operator.
     Punct(Punct),
     /// End of a logical line.
@@ -31,259 +38,142 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
-            TokenKind::Keyword(k) => write!(f, "keyword `{k}`"),
-            TokenKind::Int(v) => write!(f, "integer `{v}`"),
-            TokenKind::Float(v) => write!(f, "float `{v}`"),
-            TokenKind::Str(_) => write!(f, "string literal"),
-            TokenKind::FStr(_) => write!(f, "f-string literal"),
-            TokenKind::Punct(p) => write!(f, "`{p}`"),
-            TokenKind::Newline => write!(f, "end of line"),
-            TokenKind::Indent => write!(f, "indent"),
-            TokenKind::Dedent => write!(f, "dedent"),
-            TokenKind::Eof => write!(f, "end of file"),
+/// Declares a fieldless enum of tokens spelled one way each, with its
+/// spelling (`as_str`, `Display`) and the lookup back (`from_str`).
+macro_rules! spelled {
+    ($(#[$doc:meta])* $name:ident { $($variant:ident = $text:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[allow(missing_docs)]
+        pub enum $name {
+            $($variant,)*
         }
+
+        impl $name {
+            /// How the source spells it.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $text,)*
+                }
+            }
+
+            /// The token spelled `s`. (Not `std::str::FromStr`: that
+            /// trait's error type would be noise for a lookup that is
+            /// simply `None`.)
+            #[allow(clippy::should_implement_trait)]
+            pub fn from_str(s: &str) -> Option<$name> {
+                Some(match s {
+                    $($text => $name::$variant,)*
+                    _ => return None,
+                })
+            }
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.as_str())
+            }
+        }
+    };
+}
+
+spelled! {
+    /// Reserved words of the subset.
+    Keyword {
+        Def = "def", Class = "class", Return = "return", If = "if",
+        Elif = "elif", Else = "else", Match = "match", Case = "case",
+        For = "for", While = "while", In = "in", Is = "is",
+        Pass = "pass", Break = "break", Continue = "continue", Not = "not",
+        And = "and", Or = "or", True = "True", False = "False",
+        None = "None", Import = "import", From = "from", As = "as",
+        Try = "try", Except = "except", Finally = "finally", With = "with",
+        Raise = "raise", Async = "async", Await = "await", Lambda = "lambda",
     }
 }
 
-/// Reserved words of the subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Keyword {
-    Def,
-    Class,
-    Return,
-    If,
-    Elif,
-    Else,
-    Match,
-    Case,
-    For,
-    While,
-    In,
-    Is,
-    Pass,
-    Break,
-    Continue,
-    Not,
-    And,
-    Or,
-    True,
-    False,
-    None,
-    Import,
-    From,
-    As,
-    Try,
-    Except,
-    Finally,
-    With,
-    Raise,
-    Async,
-    Await,
-    Lambda,
-}
-
-impl Keyword {
-    /// Parses a reserved word. (Not `std::str::FromStr`: that trait's
-    /// error type would be noise for a lookup that is simply `None`.)
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_str(s: &str) -> Option<Keyword> {
-        Some(match s {
-            "def" => Keyword::Def,
-            "class" => Keyword::Class,
-            "return" => Keyword::Return,
-            "if" => Keyword::If,
-            "elif" => Keyword::Elif,
-            "else" => Keyword::Else,
-            "match" => Keyword::Match,
-            "case" => Keyword::Case,
-            "for" => Keyword::For,
-            "while" => Keyword::While,
-            "in" => Keyword::In,
-            "is" => Keyword::Is,
-            "pass" => Keyword::Pass,
-            "break" => Keyword::Break,
-            "continue" => Keyword::Continue,
-            "not" => Keyword::Not,
-            "and" => Keyword::And,
-            "or" => Keyword::Or,
-            "True" => Keyword::True,
-            "False" => Keyword::False,
-            "None" => Keyword::None,
-            "import" => Keyword::Import,
-            "from" => Keyword::From,
-            "as" => Keyword::As,
-            "try" => Keyword::Try,
-            "except" => Keyword::Except,
-            "finally" => Keyword::Finally,
-            "with" => Keyword::With,
-            "raise" => Keyword::Raise,
-            "async" => Keyword::Async,
-            "await" => Keyword::Await,
-            "lambda" => Keyword::Lambda,
-            _ => return None,
-        })
+spelled! {
+    /// Punctuation and operators of the subset.
+    Punct {
+        LParen = "(", RParen = ")", LBracket = "[", RBracket = "]",
+        LBrace = "{", RBrace = "}", Colon = ":", Comma = ",",
+        Dot = ".", Semicolon = ";", At = "@", Arrow = "->",
+        Assign = "=", Eq = "==", Ne = "!=", Lt = "<",
+        Gt = ">", Le = "<=", Ge = ">=", Plus = "+",
+        Minus = "-", Star = "*", DoubleStar = "**", Slash = "/",
+        DoubleSlash = "//", Percent = "%", Pipe = "|", Amp = "&",
+        Caret = "^", Tilde = "~", LShift = "<<", RShift = ">>",
+        PlusAssign = "+=", MinusAssign = "-=", StarAssign = "*=",
+        SlashAssign = "/=", DoubleSlashAssign = "//=", PercentAssign = "%=",
+        DoubleStarAssign = "**=", PipeAssign = "|=", AmpAssign = "&=",
+        CaretAssign = "^=", LShiftAssign = "<<=", RShiftAssign = ">>=",
     }
 }
 
-impl fmt::Display for Keyword {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Keyword::Def => "def",
-            Keyword::Class => "class",
-            Keyword::Return => "return",
-            Keyword::If => "if",
-            Keyword::Elif => "elif",
-            Keyword::Else => "else",
-            Keyword::Match => "match",
-            Keyword::Case => "case",
-            Keyword::For => "for",
-            Keyword::While => "while",
-            Keyword::In => "in",
-            Keyword::Is => "is",
-            Keyword::Pass => "pass",
-            Keyword::Break => "break",
-            Keyword::Continue => "continue",
-            Keyword::Not => "not",
-            Keyword::And => "and",
-            Keyword::Or => "or",
-            Keyword::True => "True",
-            Keyword::False => "False",
-            Keyword::None => "None",
-            Keyword::Import => "import",
-            Keyword::From => "from",
-            Keyword::As => "as",
-            Keyword::Try => "try",
-            Keyword::Except => "except",
-            Keyword::Finally => "finally",
-            Keyword::With => "with",
-            Keyword::Raise => "raise",
-            Keyword::Async => "async",
-            Keyword::Await => "await",
-            Keyword::Lambda => "lambda",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Punctuation and operators of the subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Punct {
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    LBrace,
-    RBrace,
-    Colon,
-    Comma,
-    Dot,
-    Semicolon,
-    At,
-    Arrow,
-    Assign,
-    Eq,
-    Ne,
-    Lt,
-    Gt,
-    Le,
-    Ge,
-    Plus,
-    Minus,
-    Star,
-    DoubleStar,
-    Slash,
-    DoubleSlash,
-    Percent,
-    Pipe,
-    Amp,
-    Caret,
-    Tilde,
-    LShift,
-    RShift,
-    PlusAssign,
-    MinusAssign,
-    StarAssign,
-    SlashAssign,
-    DoubleSlashAssign,
-    PercentAssign,
-    DoubleStarAssign,
-    PipeAssign,
-    AmpAssign,
-    CaretAssign,
-    LShiftAssign,
-    RShiftAssign,
-}
-
-impl fmt::Display for Punct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Punct::LParen => "(",
-            Punct::RParen => ")",
-            Punct::LBracket => "[",
-            Punct::RBracket => "]",
-            Punct::LBrace => "{",
-            Punct::RBrace => "}",
-            Punct::Colon => ":",
-            Punct::Comma => ",",
-            Punct::Dot => ".",
-            Punct::Semicolon => ";",
-            Punct::At => "@",
-            Punct::Arrow => "->",
-            Punct::Assign => "=",
-            Punct::Eq => "==",
-            Punct::Ne => "!=",
-            Punct::Lt => "<",
-            Punct::Gt => ">",
-            Punct::Le => "<=",
-            Punct::Ge => ">=",
-            Punct::Plus => "+",
-            Punct::Minus => "-",
-            Punct::Star => "*",
-            Punct::DoubleStar => "**",
-            Punct::Slash => "/",
-            Punct::DoubleSlash => "//",
-            Punct::Percent => "%",
-            Punct::Pipe => "|",
-            Punct::Amp => "&",
-            Punct::Caret => "^",
-            Punct::Tilde => "~",
-            Punct::LShift => "<<",
-            Punct::RShift => ">>",
-            Punct::PlusAssign => "+=",
-            Punct::MinusAssign => "-=",
-            Punct::StarAssign => "*=",
-            Punct::SlashAssign => "/=",
-            Punct::DoubleSlashAssign => "//=",
-            Punct::PercentAssign => "%=",
-            Punct::DoubleStarAssign => "**=",
-            Punct::PipeAssign => "|=",
-            Punct::AmpAssign => "&=",
-            Punct::CaretAssign => "^=",
-            Punct::LShiftAssign => "<<=",
-            Punct::RShiftAssign => ">>=",
-        };
-        f.write_str(s)
-    }
-}
-
-/// A token with its source span.
-#[derive(Debug, Clone, PartialEq)]
+/// A token: its kind and the byte range of its text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// What kind of token.
     pub kind: TokenKind,
-    /// Where it came from.
-    pub span: Span,
+    start: u32,
+    end: u32,
 }
 
 impl Token {
     /// Pairs a kind with its span.
+    ///
+    /// # Panics
+    ///
+    /// If the span ends past `u32::MAX`; the lexer never makes such a span.
     pub fn new(kind: TokenKind, span: Span) -> Self {
-        Token { kind, span }
+        let offset = |at: usize| u32::try_from(at).expect("token offsets fit in u32");
+        Token {
+            kind,
+            start: offset(span.start),
+            end: offset(span.end),
+        }
+    }
+
+    /// Where the token came from.
+    pub fn span(self) -> Span {
+        Span::new(self.start as usize, self.end as usize)
+    }
+
+    /// The token's text in `source`, the text it was lexed from.
+    pub fn text(self, source: &str) -> &str {
+        &source[self.start as usize..self.end as usize]
+    }
+
+    /// The token as an error message names it (`identifier `x``,
+    /// `integer `31``, `` `:` ``, `end of line`, …).
+    pub(crate) fn describe(self, source: &str) -> Described<'_> {
+        Described {
+            token: self,
+            source,
+        }
+    }
+}
+
+/// A token named for an error message; see [`Token::describe`].
+pub(crate) struct Described<'s> {
+    token: Token,
+    source: &'s str,
+}
+
+impl fmt::Display for Described<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let text = self.token.text(self.source);
+        match self.token.kind {
+            TokenKind::Ident => write!(f, "identifier `{text}`"),
+            TokenKind::Keyword(k) => write!(f, "keyword `{k}`"),
+            TokenKind::Int => write!(f, "integer `{}`", int_value(text)),
+            TokenKind::Float => write!(f, "float `{}`", float_value(text)),
+            TokenKind::Str => f.write_str("string literal"),
+            TokenKind::FStr => f.write_str("f-string literal"),
+            TokenKind::Punct(p) => write!(f, "`{p}`"),
+            TokenKind::Newline => f.write_str("end of line"),
+            TokenKind::Indent => f.write_str("indent"),
+            TokenKind::Dedent => f.write_str("dedent"),
+            TokenKind::Eof => f.write_str("end of file"),
+        }
     }
 }

@@ -24,6 +24,13 @@ fn arb_name() -> impl Strategy<Value = String> {
     })
 }
 
+/// Every binary operator the parser builds, over all of its precedence
+/// levels (`|`, `&`, `^` and the shifts share one).
+const BINARY_OPS: [&str; 24] = [
+    "or", "and", "==", "!=", "<", ">", "<=", ">=", "in", "not in", "is", "is not", "|", "&", "^",
+    "<<", ">>", "+", "-", "*", "/", "//", "%", "**",
+];
+
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         arb_name().prop_map(|n| expr(ExprKind::Name(n))),
@@ -99,20 +106,12 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             proptest::collection::vec(inner.clone(), 0..3)
                 .prop_map(|items| expr(ExprKind::List(items))),
             (
-                prop_oneof![
-                    Just("+"),
-                    Just("-"),
-                    Just("*"),
-                    Just("=="),
-                    Just("<"),
-                    Just("and"),
-                    Just("or")
-                ],
+                (0..BINARY_OPS.len()).prop_map(|i| BINARY_OPS[i]),
                 inner.clone(),
                 inner.clone()
             )
                 .prop_map(|(op, l, r)| expr(ExprKind::BinOp {
-                    op: op.to_owned(),
+                    op,
                     left: Box::new(l),
                     right: Box::new(r),
                 })),
@@ -121,7 +120,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
                 index: Box::new(i),
             })),
             inner.clone().prop_map(|o| expr(ExprKind::UnaryOp {
-                op: "not".into(),
+                op: "not",
                 operand: Box::new(o),
             })),
         ]
@@ -157,7 +156,7 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
             .prop_map(|(n, op, v)| Stmt::Assign(AssignStmt {
                 target: expr(ExprKind::Name(n)),
                 value: v,
-                aug_op: Some(op.to_owned()),
+                aug_op: Some(op),
                 span: Span::default(),
             })),
         proptest::option::of(arb_expr()).prop_map(|exc| Stmt::Raise(RaiseStmt {

@@ -290,3 +290,28 @@ fn typestate_soundness_with_try_repros_match_goldens() {
         check_golden(&format!("with_try/{name}.txt"), &text);
     }
 }
+
+/// A `raise` under a branch: the graph leaves `run` at the `raise` while
+/// the lowering falls through it to the statement after, so the lowering
+/// has the run `open, close, open`, which leaves the valve open. The
+/// typestate fast path must not prove `v` from the graph: this is E100
+/// with that run as the counterexample.
+#[test]
+fn typestate_soundness_raise_repro_matches_golden() {
+    let source = format!(
+        "{WITH_TRY_HEADER}        self.v.close()\n        if bad:\n            raise ValueError()\n            \
+         self.v.open()\n        return []\n"
+    );
+    let file = SourceFile::new("if_raise.py".to_owned(), source.clone());
+    let checked = Checker::new().check_source(&source).unwrap();
+    assert!(!checked.report.passed(), "passed:\n{source}");
+    let text = checked.report.render(Some(&file));
+    assert!(
+        text.contains(
+            "error [E100]: class `User`: invalid subsystem usage \
+             (counterexample: run, v.open, v.close, v.open)"
+        ),
+        "{text}"
+    );
+    check_golden("raise/if_raise.txt", &text);
+}
